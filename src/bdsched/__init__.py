@@ -32,21 +32,18 @@ from .model import (
     validate_instance,
 )
 from .offline import (
+    InternalInvariantError,
     OracleSizeError,
     PSet,
     PartialQuery,
-    SelectorError,
+    QueryEngine,
     brute_force_partial,
-    m_packet,
     opt_full,
-    p_set,
-    q_packet,
     solve_partial,
 )
 from .cp import (
     CaseTrace,
     Decision,
-    InternalInvariantError,
     StepRecord,
     classify_case,
     run_cp,

@@ -14,6 +14,10 @@ bound into finitely many exact rational-vs-Q(sqrt17) comparisons:
   forced to transmit specific selector packets at specific times;
 * the partial-optimum sets of neighbouring queries nest.
 
+Every partial-optimum query goes through the run's query engine
+(``trace.engine``), so a query the policy or another check already asked is
+answered from its memo.
+
 A failed check is reported as a finding (data, not an exception): on any
 violation the instance is emitted for triage rather than silently patched.
 """
@@ -25,7 +29,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import Instance, Quad17, R, Rat, Schedule, render_value
-from .offline import p_set
 from .cp import CaseTrace, StepRecord
 
 __all__ = [
@@ -308,7 +311,7 @@ def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport)
         sent_last = inst.by_id(pid)
         slack = sent_last.is_two_packet_at(end)
         slot_end = end + 1 if slack else end
-        bound = p_set(inst, trace.buffers[start], start, end, slot_end).total_value
+        bound = trace.engine.p(start, end, slot_end).total_value
         if iv.v_opt > bound:
             out.append(
                 Finding(
@@ -335,8 +338,6 @@ def check_forced_opt(inst: Instance, trace: CaseTrace, opt_sched: Schedule) -> l
     comparison), the optimum's first slot is already spoken for and the
     forced layout does not apply; such firings are skipped.
     """
-    from .offline import m_packet
-
     sent = {rec.t: rec.transmitted for rec in trace.steps if rec.transmitted is not None}
 
     def start_shifted(base: int) -> bool:
@@ -357,7 +358,7 @@ def check_forced_opt(inst: Instance, trace: CaseTrace, opt_sched: Schedule) -> l
             continue
         if start_shifted(base):
             continue
-        expected = [m_packet(inst, trace.buffers[base], base, i) for i in range(count)]
+        expected = [trace.engine.m(base, i) for i in range(count)]
         for offset, pkt in enumerate(expected):
             if pkt is None:
                 out.append(Finding("forced-opt", f"case {rec.case} at t={rec.t}: selector {offset} absent", "-", "-"))
@@ -379,7 +380,8 @@ def check_inclusions(inst: Instance, trace: CaseTrace, window: int = 3) -> list[
     """Nesting of neighbouring partial-optimum sets along a run.
 
     With P(t, t', t'') the canonical partial-optimum member set computed
-    from the run's genuine buffers B(t):
+    from the run's genuine buffers B(t) (each solved on its own by the query
+    engine, never derived from the set it is compared with):
 
       (1) P(t, t', t')   is contained in P(t, t'+1, t'+1)
       (2) P(t, t', t')   is contained in P(t, t', t'+1)
@@ -398,9 +400,7 @@ def check_inclusions(inst: Instance, trace: CaseTrace, window: int = 3) -> list[
     out = []
     times = sorted(trace.buffers)
     sent = {rec.t: rec.transmitted for rec in trace.steps if rec.transmitted is not None}
-
-    def query(t: int, t_arr: int, t_slot: int):
-        return p_set(inst, trace.buffers[t], t, t_arr, t_slot)
+    query = trace.engine.p
 
     for t in times:
         sent_at_t = {sent[t]} if t in sent else set()

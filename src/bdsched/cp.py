@@ -12,8 +12,12 @@ cases are labelled 1.1 .. 3.2.3; every threshold in their guards is
 compared exactly in Q(sqrt17).
 
 All selector lookups (the marginal packets of partial-optimum queries) go
-through a per-run oracle that records every query, both to memoize and to
-let tests assert the lookahead contract was never violated.
+through the run's :class:`~bdsched.offline.QueryEngine`, which memoizes
+them; the checkers later ask the same engine, handed out on the trace.  The
+policy reaches the engine only through a :class:`PartialOracle`, which logs
+every query the policy issues with the step time that issued it, so tests
+can assert the lookahead contract was never violated.  Checker queries are
+never logged.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import ALPHA, BufferState, Instance, Packet, Quad17, R, Rat, Schedule, render_value
-from .offline import p_set
+from .model import ALPHA, BufferState, Instance, Packet, Quad17, R, Rat, Schedule, canonical_key, render_value
+from .offline import InternalInvariantError, QueryEngine
 
 __all__ = [
     "Decision",
@@ -39,10 +43,6 @@ __all__ = [
     "trace_to_jsonl",
     "InternalInvariantError",
 ]
-
-
-class InternalInvariantError(RuntimeError):
-    """The state machine reached a configuration its invariants forbid."""
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,13 @@ class StepRecord:
 
 @dataclass
 class CaseTrace:
-    """Full run record: per-step records, buffer history, query log."""
+    """Full run record: per-step records, buffer history, the policy's query
+    log, and the run's query engine for the checkers to reuse."""
 
     steps: list[StepRecord]
     buffers: dict[int, BufferState]  # B(t): pending ids before arrivals at t
     queries: list[tuple[int, int, int, int]]  # (step time, t, t', t'')
-
-    def record_at(self, t: int) -> StepRecord | None:
-        for rec in self.steps:
-            if rec.t == t:
-                return rec
-        return None
-
-    def case_at(self, t: int) -> str | None:
-        rec = self.record_at(t)
-        return rec.case if rec else None
+    engine: QueryEngine
 
     def fallback_events(self) -> list[StepRecord]:
         return [rec for rec in self.steps if rec.fallback]
@@ -120,44 +112,25 @@ class CaseTrace:
 
 
 class PartialOracle:
-    """Memoizing, instrumented front end over the partial solver.
+    """The policy's view of the run's query engine.
 
-    Every query issued during a run is logged with the step time that
-    issued it, so the lookahead contract (arrival window never beyond
-    step time + 1) is checkable after the fact.
+    Every query the policy issues is logged with the step time that issued
+    it, so the lookahead contract (arrival window never beyond step time + 1)
+    is checkable after the fact.
     """
 
-    def __init__(self, inst: Instance, buffers: dict[int, BufferState], log: list[tuple[int, int, int, int]]):
-        self._inst = inst
-        self._buffers = buffers
+    def __init__(self, engine: QueryEngine, log: list[tuple[int, int, int, int]]):
+        self._engine = engine
         self._log = log
-        self._cache: dict[tuple[int, int, int], object] = {}
         self.now = 0
 
-    def _pset(self, t: int, t_arr: int, t_slot: int):
-        self._log.append((self.now, t, t_arr, t_slot))
-        key = (t, t_arr, t_slot)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = p_set(self._inst, self._buffers[t], t, t_arr, t_slot)
-            self._cache[key] = hit
-        return hit
-
     def m(self, t: int, i: int) -> Packet | None:
-        wide = self._pset(t, t + i, t + i)
-        narrow = self._pset(t, t + i - 1, t + i - 1)
-        diff = wide.member_set - narrow.member_set
-        if len(diff) > 1:
-            raise InternalInvariantError(f"m_{i}({t}) is not a singleton: {sorted(diff)}")
-        return self._inst.by_id(next(iter(diff))) if diff else None
+        self._log += ((self.now, t, t + i, t + i), (self.now, t, t + i - 1, t + i - 1))
+        return self._engine.m(t, i)
 
     def q(self, t: int, i: int) -> Packet | None:
-        wide = self._pset(t, t + i, t + i + 1)
-        narrow = self._pset(t, t + i, t + i)
-        diff = wide.member_set - narrow.member_set
-        if len(diff) > 1:
-            raise InternalInvariantError(f"q_{i}({t}) is not a singleton: {sorted(diff)}")
-        return self._inst.by_id(next(iter(diff))) if diff else None
+        self._log += ((self.now, t, t + i, t + i + 1), (self.now, t, t + i, t + i))
+        return self._engine.q(t, i)
 
 
 def _val(p: Packet | None) -> Rat:
@@ -191,7 +164,7 @@ class CaseDecision:
     fallback: str | None = None
 
 
-def _dispatch_case1(oracle: PartialOracle, t: int, pending: dict[int, Packet]) -> CaseDecision:
+def _dispatch_case1(oracle: PartialOracle, t: int) -> CaseDecision:
     m0 = oracle.m(t, 0)
     if m0 is None:
         raise InternalInvariantError(f"t={t}: non-empty buffer but no best packet")
@@ -235,7 +208,7 @@ def _dispatch_case1(oracle: PartialOracle, t: int, pending: dict[int, Packet]) -
     return q1_now("1.2.3.4", TMP1)
 
 
-def _dispatch_case2(oracle: PartialOracle, t: int, pending: dict[int, Packet]) -> CaseDecision:
+def _dispatch_case2(oracle: PartialOracle, t: int) -> CaseDecision:
     base = t - 1
     m0, m1, m2 = (oracle.m(base, i) for i in range(3))
     q1, q2 = oracle.q(base, 1), oracle.q(base, 2)
@@ -258,7 +231,7 @@ def _dispatch_case2(oracle: PartialOracle, t: int, pending: dict[int, Packet]) -
     return CaseDecision("2.2.2.3", m0.id, TMP2, mv, qv)
 
 
-def _dispatch_case3(oracle: PartialOracle, t: int, pending: dict[int, Packet]) -> CaseDecision:
+def _dispatch_case3(oracle: PartialOracle, t: int) -> CaseDecision:
     base = t - 2
     m0, m1, m2, m3 = (oracle.m(base, i) for i in range(4))
     q1, q3 = oracle.q(base, 1), oracle.q(base, 3)
@@ -279,18 +252,18 @@ def _dispatch_case3(oracle: PartialOracle, t: int, pending: dict[int, Packet]) -
     return CaseDecision("3.2.3", m2.id, commit(m3.id), mv, qv)
 
 
-def classify_case(oracle: PartialOracle, t: int, pending: dict[int, Packet], state: Decision) -> CaseDecision:
+def classify_case(oracle: PartialOracle, t: int, state: Decision) -> CaseDecision:
     """Pick the unique leaf case for the transmission subphase at t.
 
-    `pending` is the buffer after the arrivals at t; `state` is s_t and must
-    not be a commit (commits are executed directly, not classified).
+    `state` is s_t and must not be a commit (commits are executed directly,
+    not classified).
     """
     if state.kind == "null":
-        return _dispatch_case1(oracle, t, pending)
+        return _dispatch_case1(oracle, t)
     if state.kind == "tmp1":
-        return _dispatch_case2(oracle, t, pending)
+        return _dispatch_case2(oracle, t)
     if state.kind == "tmp2":
-        return _dispatch_case3(oracle, t, pending)
+        return _dispatch_case3(oracle, t)
     raise ValueError(f"cannot classify a {state.kind} state")
 
 
@@ -298,13 +271,15 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
     """Simulate the policy over the whole instance.
 
     Returns the transmission schedule plus a trace with one record per time
-    step, the buffer history B(t) needed to replay any selector query, and
-    the query log for lookahead audits.
+    step, the buffer history B(t) needed to replay any selector query, the
+    policy's query log for lookahead audits, and the query engine that
+    answered it.
     """
     arrivals = inst.arrivals
     buffers: dict[int, BufferState] = {}
     queries: list[tuple[int, int, int, int]] = []
-    oracle = PartialOracle(inst, buffers, queries)
+    engine = QueryEngine(inst, buffers)
+    oracle = PartialOracle(engine, queries)
     steps: list[StepRecord] = []
     slots: dict[int, int] = {}
     register: dict[int, Decision] = {}
@@ -331,12 +306,12 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
             slots[t] = pid
             steps.append(StepRecord(t, "commit", pid, None))
         else:
-            decision = classify_case(oracle, t, pending, state)
+            decision = classify_case(oracle, t, state)
             p = pending.get(decision.transmit)
             if p is None:
                 # Documented general fallback: the case named a packet that is
                 # not pending (should be unreachable; kept as a safety net).
-                best = min(pending.values(), key=lambda x: (-x.value, x.deadline, x.release, x.id))
+                best = min(pending.values(), key=canonical_key)
                 decision.fallback = (decision.fallback or "") + "+transmit-missing"
                 decision.transmit, decision.commit_next = best.id, None
             del pending[decision.transmit]
@@ -367,7 +342,7 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
 
     if register:
         raise InternalInvariantError(f"commitments left beyond the horizon: {register}")
-    return Schedule(slots), CaseTrace(steps, buffers, queries)
+    return Schedule(slots), CaseTrace(steps, buffers, queries, engine)
 
 
 def trace_to_jsonl(trace: CaseTrace) -> str:

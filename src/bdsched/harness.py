@@ -34,13 +34,7 @@ from .model import (
     render_decimal,
     render_value,
 )
-from .offline import (
-    OracleSizeError,
-    PartialQuery,
-    brute_force_partial,
-    opt_full,
-    solve_partial,
-)
+from .offline import OracleSizeError, PartialQuery, brute_force_partial, opt_full
 
 __all__ = [
     "CheckConfig",
@@ -127,9 +121,10 @@ def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> Insta
 
 
 def cross_check_queries(inst: Instance, trace) -> list[Finding]:
-    """Replay every partial-optimum query of a run against the enumeration
-    oracle; members and total value must agree exactly.  Queries beyond the
-    oracle's size guard are skipped."""
+    """Replay every partial-optimum query the policy issued against the
+    enumeration oracle: the answer the run's query engine gave (the one the
+    policy and the checks consumed) must agree exactly in members and total
+    value.  Queries beyond the oracle's size guard are skipped."""
     out: list[Finding] = []
     seen: set[tuple[int, int, int]] = set()
     for _now, t, t_arr, t_slot in trace.queries:
@@ -137,8 +132,8 @@ def cross_check_queries(inst: Instance, trace) -> list[Finding]:
         if key in seen or t_arr < t:  # the empty-by-convention query has no content
             continue
         seen.add(key)
+        fast = trace.engine.cache[key]
         q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
-        fast = solve_partial(q, inst)
         try:
             slow = brute_force_partial(q, inst)
         except OracleSizeError:
@@ -177,7 +172,7 @@ class Summary:
         lhs, rhs = v_opt * cur_cp, cur_opt * v_cp
         return lhs > rhs or (lhs == rhs and index < self.argmax_index)
 
-    def absorb_result(self, res: InstanceResult, trace_cases: Iterable[str] = (), index: int = 0) -> None:
+    def absorb_result(self, res: InstanceResult, index: int = 0) -> None:
         self.instances += 1
         if not res.ok:
             self.violations += 1
@@ -188,7 +183,7 @@ class Summary:
             self.findings_by_kind[f.kind] = self.findings_by_kind.get(f.kind, 0) + 1
         if not res.within_bound:
             self.findings_by_kind["global-bound"] = self.findings_by_kind.get("global-bound", 0) + 1
-        for label in trace_cases:
+        for label in res.cases:
             self.cases_seen[label] = self.cases_seen.get(label, 0) + 1
         if res.v_cp > 0 and self._beats_max(res.v_opt, res.v_cp, index):
             self.max_ratio = (res.v_opt, res.v_cp)
@@ -230,7 +225,7 @@ def _scan(indexed: Iterable[tuple[int, Instance]], config: CheckConfig, keep_row
     rows: list[InstanceResult] = []
     for index, inst in indexed:
         res = check_instance(inst, config)
-        summary.absorb_result(res, res.cases, index)
+        summary.absorb_result(res, index)
         if keep_rows:
             rows.append(res)
     return Report(summary, rows)

@@ -30,6 +30,7 @@ __all__ = [
     "ALPHA",
     "quad_cmp",
     "Packet",
+    "canonical_key",
     "Instance",
     "Schedule",
     "BufferState",
@@ -211,6 +212,12 @@ class Packet:
         return self.release == t and self.deadline == t + 1
 
 
+def canonical_key(p: Packet) -> tuple:
+    """The one tie-breaking order used everywhere: value desc, deadline asc,
+    release asc, id asc."""
+    return (-p.value, p.deadline, p.release, p.id)
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable input: a sequence of packets, ids unique."""
@@ -234,6 +241,15 @@ class Instance:
         if cached is None:
             cached = {p.id: p for p in self.packets}
             self.__dict__["_id_map_cache"] = cached
+        return cached
+
+    @property
+    def canonical(self) -> tuple[Packet, ...]:
+        """Packets sorted by canonical_key."""
+        cached = self.__dict__.get("_canonical_cache")
+        if cached is None:
+            cached = tuple(sorted(self.packets, key=canonical_key))
+            self.__dict__["_canonical_cache"] = cached
         return cached
 
     @property
@@ -263,13 +279,6 @@ class Schedule:
 
     def packet_at(self, t: int) -> int | None:
         return self.slots.get(t)
-
-    def times(self) -> list[int]:
-        return sorted(self.slots)
-
-    def last_time(self) -> int | None:
-        """Time of the last transmission, None if nothing was sent."""
-        return max(self.slots) if self.slots else None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Schedule) and dict(self.slots) == dict(other.slots)

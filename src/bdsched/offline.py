@@ -1,4 +1,5 @@
-"""Offline optima: the full clairvoyant optimum and the partial solver.
+"""Offline optima: the full clairvoyant optimum, the partial solver and the
+per-run query engine.
 
 The partial solver answers queries "seeded with buffer B at time t, fed the
 arrivals of [t, t'], transmitting only in slots [t, t''], what is the best
@@ -9,7 +10,15 @@ set stays matchable, is optimal.  The single global canonical order --
 value descending, deadline ascending, release ascending, id ascending --
 also pins down every tie, which makes the nesting relations between
 neighbouring queries and the uniqueness of their set differences hold by
-construction rather than by luck.
+construction rather than by luck.  Each instance is sorted into that order
+once; a query's pool is a filter over it.
+
+:class:`QueryEngine` is the one front end through which the policy and every
+checker ask partial-optimum queries P(t, t', t'') over a run's online
+buffers B(t).  It memoizes every answer on (t, t', t'') -- sound because an
+engine is bound to one run's buffer history -- and derives the marginal
+packets m_i(t) and q_i(t) from those answers.  A miss is solved from scratch;
+no answer is ever derived from another.
 
 ``brute_force_partial`` is the independent oracle: straight enumeration of
 packet subsets with a backtracking matcher, sharing no code path with the
@@ -21,41 +30,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .model import BufferState, Instance, Packet, Rat, Schedule
+from .model import BufferState, Instance, Packet, Rat, Schedule, canonical_key
 
 __all__ = [
     "PartialQuery",
     "PSet",
-    "SelectorError",
+    "QueryEngine",
+    "InternalInvariantError",
     "OracleSizeError",
     "canonical_key",
     "solve_partial",
     "brute_force_partial",
-    "p_set",
-    "m_packet",
-    "q_packet",
     "opt_full",
-    "opt_schedule",
 ]
 
 #: Guard for the enumeration oracle.
 BRUTE_FORCE_LIMIT = 20
 
 
-class SelectorError(RuntimeError):
-    """A set difference that must be a singleton had two or more packets."""
+class InternalInvariantError(RuntimeError):
+    """A run reached a configuration its invariants forbid, e.g. a marginal
+    packet set with two or more members."""
 
 
 class OracleSizeError(ValueError):
     """brute_force_partial refused a query with too many eligible packets."""
-
-
-def canonical_key(p: Packet) -> tuple:
-    """The one tie-breaking order used everywhere: value desc, deadline asc,
-    release asc, id asc."""
-    return (-p.value, p.deadline, p.release, p.id)
 
 
 @dataclass(frozen=True)
@@ -110,15 +111,15 @@ def _eligible(q: PartialQuery, inst: Instance) -> list[Packet]:
     """Packets the query may transmit, in canonical order.
 
     A packet can only ever occupy a slot in [max(t, release), min(t'', deadline)];
-    packets with an empty window are dropped here.
+    packets with an empty window are dropped here.  Filtering the instance's
+    presorted canonical order keeps that order without a sort.
     """
-    pool: list[Packet] = []
-    for p in inst.packets:
-        if p.id in q.base_buffer or q.start <= p.release <= q.arrival_end:
-            if max(q.start, p.release) <= min(q.slot_end, p.deadline):
-                pool.append(p)
-    pool.sort(key=canonical_key)
-    return pool
+    base, lo, hi, end = q.base_buffer, q.start, q.arrival_end, q.slot_end
+    return [
+        p
+        for p in inst.canonical
+        if (p.id in base or lo <= p.release <= hi) and max(lo, p.release) <= min(end, p.deadline)
+    ]
 
 
 def _window(p: Packet, q: PartialQuery) -> range:
@@ -213,7 +214,10 @@ def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:
 
     Refuses queries with more than BRUTE_FORCE_LIMIT eligible packets.
     """
-    pool = _eligible(q, inst)
+    # Its own scan and sort, not _eligible: the oracle never trusts the
+    # instance's presorted order that the greedy solver filters.
+    pool = sorted((p for p in inst.packets if (p.id in q.base_buffer or q.start <= p.release <= q.arrival_end)
+                   and max(q.start, p.release) <= min(q.slot_end, p.deadline)), key=canonical_key)
     if len(pool) > BRUTE_FORCE_LIMIT:
         raise OracleSizeError(f"{len(pool)} eligible packets exceeds the oracle limit of {BRUTE_FORCE_LIMIT}")
     slots = list(range(q.start, q.slot_end + 1))
@@ -244,44 +248,57 @@ def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:
     )
 
 
-def p_set(inst: Instance, buffer: BufferState, t: int, arrival_end: int, slot_end: int) -> PSet:
-    """Partial optimum seeded with the online buffer B(t).
+class QueryEngine:
+    """Memoized partial-optimum queries over one run's online buffers.
 
-    The degenerate query (t, t-1, t-1) is the empty set by convention.
+    P(t, t', t'') is the canonical partial optimum seeded with B(t) =
+    buffers[t].  Answers are cached on (t, t', t''), which names a query
+    only within one run's buffer history, so an engine is never reused for
+    another instance or run.  The degenerate query (t, t-1, t-1) is the empty
+    set by convention.  ``calls`` counts every lookup, ``hits`` the lookups
+    answered from the cache.
     """
-    if buffer.time != t:
-        raise ValueError(f"buffer snapshot is for time {buffer.time}, query starts at {t}")
-    if arrival_end == t - 1 and slot_end == t - 1:
-        return _EMPTY_PSET
-    return solve_partial(PartialQuery(t, arrival_end, slot_end, buffer.pending), inst)
 
+    def __init__(self, inst: Instance, buffers: Mapping[int, BufferState]):
+        self.inst = inst
+        self.buffers = buffers
+        self.cache: dict[tuple[int, int, int], PSet] = {}
+        self.calls = 0
+        self.hits = 0
 
-def _single(diff: frozenset[int], what: str, inst: Instance) -> Packet | None:
-    if not diff:
-        return None
-    if len(diff) > 1:
-        raise SelectorError(f"{what} has {len(diff)} packets {sorted(diff)}; expected at most one")
-    return inst.by_id(next(iter(diff)))
+    def p(self, t: int, arrival_end: int, slot_end: int) -> PSet:
+        """P(t, t', t''): from the cache, or solved from scratch on a miss."""
+        self.calls += 1
+        key = (t, arrival_end, slot_end)
+        ps = self.cache.get(key)
+        if ps is not None:
+            self.hits += 1
+            return ps
+        buffer = self.buffers[t]
+        if buffer.time != t:
+            raise ValueError(f"buffer snapshot is for time {buffer.time}, query starts at {t}")
+        if arrival_end == t - 1 and slot_end == t - 1:
+            ps = _EMPTY_PSET
+        else:
+            ps = solve_partial(PartialQuery(t, arrival_end, slot_end, buffer.pending), self.inst)
+        self.cache[key] = ps
+        return ps
 
+    def _gain(self, wide: PSet, narrow: PSet, name: str, t: int, i: int) -> Packet | None:
+        diff = wide.member_set - narrow.member_set
+        if len(diff) > 1:
+            raise InternalInvariantError(f"{name}_{i}({t}) is not a singleton: {sorted(diff)}")
+        return self.inst.by_id(next(iter(diff))) if diff else None
 
-def m_packet(inst: Instance, buffer: BufferState, t: int, i: int) -> Packet | None:
-    """The packet gained by widening both the arrival and slot windows from
-    t+i-1 to t+i; None if nothing is gained."""
-    if i < 0:
-        raise ValueError("selector index must be >= 0")
-    wide = p_set(inst, buffer, t, t + i, t + i)
-    narrow = p_set(inst, buffer, t, t + i - 1, t + i - 1)
-    return _single(wide.member_set - narrow.member_set, f"m_{i}({t})", inst)
+    def m(self, t: int, i: int) -> Packet | None:
+        """The packet gained by widening both the arrival and slot windows from
+        t+i-1 to t+i; None if nothing is gained."""
+        return self._gain(self.p(t, t + i, t + i), self.p(t, t + i - 1, t + i - 1), "m", t, i)
 
-
-def q_packet(inst: Instance, buffer: BufferState, t: int, i: int) -> Packet | None:
-    """The packet gained by one extra transmission slot beyond the arrival
-    window, t+i+1 instead of t+i; None if nothing is gained."""
-    if i < 0:
-        raise ValueError("selector index must be >= 0")
-    wide = p_set(inst, buffer, t, t + i, t + i + 1)
-    narrow = p_set(inst, buffer, t, t + i, t + i)
-    return _single(wide.member_set - narrow.member_set, f"q_{i}({t})", inst)
+    def q(self, t: int, i: int) -> Packet | None:
+        """The packet gained by one extra transmission slot beyond the arrival
+        window, t+i+1 instead of t+i; None if nothing is gained."""
+        return self._gain(self.p(t, t + i, t + i + 1), self.p(t, t + i, t + i), "q", t, i)
 
 
 def opt_full(inst: Instance) -> tuple[Schedule, Rat]:
@@ -291,7 +308,3 @@ def opt_full(inst: Instance) -> tuple[Schedule, Rat]:
     q = PartialQuery(0, inst.horizon, inst.horizon, ())
     ps = solve_partial(q, inst)
     return Schedule(dict(ps.assignment)), ps.total_value
-
-
-def opt_schedule(inst: Instance) -> Schedule:
-    return opt_full(inst)[0]

@@ -7,7 +7,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from bdsched import Instance, chain_family, opt_full, profit, run_cp, trace_to_jsonl, validate_instance
+from bdsched import (
+    Instance,
+    build_intervals,
+    chain_family,
+    check_forced_opt,
+    check_inclusions,
+    check_lemma_bounds,
+    cross_check_queries,
+    opt_full,
+    profit,
+    run_cp,
+    trace_to_jsonl,
+    validate_instance,
+)
 from conftest import mk
 from test_offline import small_instances
 
@@ -91,6 +104,54 @@ class TestCaseChains:
         by_t = {rec.t: rec for rec in trace.steps}
         assert str(by_t[0].committed) == "tmp1"
         assert str(by_t[1].committed) == "tmp2"
+
+
+#: The policy's query log on the ladder instances, (step time, t, t', t''),
+#: in blocks of one selector consultation each: m0/m1/q1 of case 1 at t=0,
+#: m0..m2/q1/q2 of family 2 at t=1, m0..m3/q1/q3 of family 3 at t=2, and the
+#: m0/m1 of case 1 at t=2 or t=3.
+_CASE1_AT0 = [(0, 0, 0, 0), (0, 0, -1, -1), (0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 1, 1)]
+_FAMILY2_AT1 = [
+    (1, 0, 0, 0), (1, 0, -1, -1), (1, 0, 1, 1), (1, 0, 0, 0), (1, 0, 2, 2), (1, 0, 1, 1),
+    (1, 0, 1, 2), (1, 0, 1, 1), (1, 0, 2, 3), (1, 0, 2, 2),
+]
+_FAMILY3_AT2 = [
+    (2, 0, 0, 0), (2, 0, -1, -1), (2, 0, 1, 1), (2, 0, 0, 0), (2, 0, 2, 2), (2, 0, 1, 1),
+    (2, 0, 3, 3), (2, 0, 2, 2), (2, 0, 1, 2), (2, 0, 1, 1), (2, 0, 3, 4), (2, 0, 3, 3),
+]
+_CASE1_AT2 = [(2, 2, 2, 2), (2, 2, 1, 1), (2, 2, 3, 3), (2, 2, 2, 2)]
+_CASE1_AT3 = [(3, 3, 3, 3), (3, 3, 2, 2), (3, 3, 4, 4), (3, 3, 3, 3)]
+CHAIN_QUERY_LOGS = {
+    "2.1": _CASE1_AT0 + _FAMILY2_AT1,
+    "2.2.1": _CASE1_AT0 + _FAMILY2_AT1,
+    "2.2.2.1": _CASE1_AT0 + _FAMILY2_AT1 + _CASE1_AT2,
+    "2.2.2.2": _CASE1_AT0 + _FAMILY2_AT1,
+    "2.2.2.3+3.1": _CASE1_AT0 + _FAMILY2_AT1 + _FAMILY3_AT2,
+    "3.2.1": _CASE1_AT0 + _FAMILY2_AT1 + _FAMILY3_AT2,
+    "3.2.2": _CASE1_AT0 + _FAMILY2_AT1 + _FAMILY3_AT2 + _CASE1_AT3,
+    "3.2.3": _CASE1_AT0 + _FAMILY2_AT1 + _FAMILY3_AT2,
+}
+
+
+class TestSharedQueryEngine:
+    @pytest.mark.parametrize("variant", sorted(CHAIN_QUERY_LOGS))
+    def test_policy_log_unchanged_and_checks_hit_the_memo(self, variant):
+        inst = chain_family(variant)
+        cp_sched, trace = run_cp(inst)
+        assert trace.queries == CHAIN_QUERY_LOGS[variant]
+        hits = trace.engine.hits
+        opt_sched, v_opt = opt_full(inst)
+        report = build_intervals(inst, trace, cp_sched, opt_sched, profit(cp_sched, inst), v_opt)
+        findings = (
+            check_lemma_bounds(inst, trace, report)
+            + check_forced_opt(inst, trace, opt_sched)
+            + check_inclusions(inst, trace)
+            + cross_check_queries(inst, trace)
+        )
+        assert findings == []
+        # the checks reuse the policy's answers and log nothing
+        assert trace.queries == CHAIN_QUERY_LOGS[variant]
+        assert trace.engine.hits > hits > 0
 
 
 class TestStateMachineInvariants:

@@ -11,19 +11,26 @@ from hypothesis import strategies as st
 from bdsched import (
     BufferState,
     Instance,
+    InternalInvariantError,
     OracleSizeError,
     Packet,
     PartialQuery,
+    PSet,
+    QueryEngine,
     brute_force_partial,
-    m_packet,
+    check_inclusions,
     opt_full,
-    p_set,
-    q_packet,
+    run_cp,
     solve_partial,
 )
 from conftest import mk
 
 B0 = BufferState(0, ())
+
+
+def engine(inst: Instance, buffer: BufferState = B0) -> QueryEngine:
+    """A query engine over a one-snapshot buffer history."""
+    return QueryEngine(inst, {buffer.time: buffer})
 
 
 def small_instances(max_packets=6, max_release=3):
@@ -117,38 +124,73 @@ class TestBruteForceOracle:
 class TestPSetConventions:
     def test_degenerate_query_is_empty(self):
         inst = mk((0, 0, 5))
-        assert p_set(inst, B0, 0, -1, -1).member_set == set()
+        assert engine(inst).p(0, -1, -1).member_set == set()
 
     def test_p_set_uses_buffer_time_guard(self):
         inst = mk((0, 0, 5))
         with pytest.raises(ValueError):
-            p_set(inst, BufferState(1, ()), 0, 0, 0)
+            QueryEngine(inst, {0: BufferState(1, ())}).p(0, 0, 0)
 
     def test_simple_p_set(self):
         inst = mk((0, 0, 5), (0, 1, 3))
-        assert p_set(inst, B0, 0, 0, 0).member_set == {0}
+        assert engine(inst).p(0, 0, 0).member_set == {0}
+
+    def test_repeated_query_is_a_hit(self):
+        inst = mk((0, 0, 5), (0, 1, 3))
+        eng = engine(inst)
+        first = eng.p(0, 0, 1)
+        assert eng.p(0, 0, 1) is first
+        assert (eng.calls, eng.hits) == (2, 1)
+
+    @given(small_instances(max_packets=8, max_release=5))
+    @settings(max_examples=150, deadline=None)
+    def test_cached_answers_equal_fresh_solves(self, inst):
+        # The memo key omits the buffer; every answer the policy and the
+        # inclusion checks got must still be the query solved from scratch
+        # on that run's buffer B(t), and agree with the enumeration oracle.
+        _, trace = run_cp(inst)
+        check_inclusions(inst, trace)
+        for (t, t_arr, t_slot), cached in trace.engine.cache.items():
+            if t_arr < t:
+                assert cached.member_set == set()
+                continue
+            q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
+            assert cached == solve_partial(q, inst)
+            try:
+                slow = brute_force_partial(q, inst)
+            except OracleSizeError:
+                continue
+            assert cached.member_set == slow.member_set
+            assert cached.total_value == slow.total_value
 
 
 class TestSelectors:
     def test_m0_is_best_pending(self):
         inst = mk((0, 0, 5), (0, 1, 3))
-        assert m_packet(inst, B0, 0, 0).id == 0
+        assert engine(inst).m(0, 0).id == 0
 
     def test_m1_is_the_marginal_packet(self):
         # widening to one more slot lets the weaker packet in
         inst = mk((0, 1, 5), (0, 0, 4))
-        assert m_packet(inst, B0, 0, 0).id == 0
-        assert m_packet(inst, B0, 0, 1).id == 1
+        assert engine(inst).m(0, 0).id == 0
+        assert engine(inst).m(0, 1).id == 1
 
     def test_q1_slot_gain(self):
         # P(0,1,1) = {0, 1}; the extra slot admits the expiring packet 2
         inst = mk((0, 1, 5), (1, 2, 4), (0, 0, 3))
-        assert q_packet(inst, B0, 0, 1).id == 2
+        assert engine(inst).q(0, 1).id == 2
 
     def test_absent_selector_is_none(self):
         inst = mk((0, 0, 5))
-        assert m_packet(inst, B0, 0, 1) is None
-        assert q_packet(inst, B0, 0, 1) is None
+        assert engine(inst).m(0, 1) is None
+        assert engine(inst).q(0, 1) is None
+
+    def test_non_singleton_gain_is_an_invariant_error(self):
+        inst = mk((0, 1, 5), (0, 1, 4))
+        eng = engine(inst)
+        eng.cache[(0, 0, 0)] = PSet(members=(0, 1), assignment=((0, 0), (1, 1)), total_value=Fraction(9))
+        with pytest.raises(InternalInvariantError):
+            eng.m(0, 0)
 
     @given(small_instances())
     @settings(max_examples=200, deadline=None)
