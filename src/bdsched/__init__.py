@@ -59,7 +59,6 @@ from .analysis import (
     check_inclusions,
     check_interval_bounds,
     check_lemma_bounds,
-    interval_report,
     partition_cp,
     partition_opt,
 )

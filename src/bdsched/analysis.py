@@ -37,7 +37,6 @@ __all__ = [
     "partition_cp",
     "partition_opt",
     "IntervalReport",
-    "interval_report",
     "Finding",
     "check_lemma_bounds",
     "check_forced_opt",
@@ -237,18 +236,6 @@ def build_intervals(
                 vo += opt_values[t]
         intervals.append(Interval((start, end), (o_start, o_end), vi, vo, trigger))
     return IntervalReport(tuple(intervals), v_cp, v_opt)
-
-
-def interval_report(inst: Instance) -> IntervalReport:
-    """Run everything needed and report per-interval and global comparisons."""
-    from .cp import run_cp
-    from .offline import opt_full
-    from .model import profit
-
-    cp_sched, trace = run_cp(inst)
-    opt_sched, v_opt = opt_full(inst)
-    v_cp = profit(cp_sched, inst)
-    return build_intervals(inst, trace, cp_sched, opt_sched, v_cp, v_opt)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import build_intervals, check_forced_opt, check_inclusions, check_lemma_bounds
 from .cp import run_cp, trace_to_jsonl
-from .generators import GridSpec, RandomConfig, count_instances, greedy_baseline
+from .generators import GridSpec, RandomConfig, count_instances
 from .harness import (
     CheckConfig,
+    certify,
     check_instance,
     compare_algorithms,
     default_workers,
+    evaluate,
     minimize_witness,
     render_rows_csv,
     run_exhaustive,
@@ -32,12 +33,10 @@ from .model import (
     InstanceFormatError,
     dump_instance,
     load_instance,
-    profit,
     render_decimal,
     render_value,
     validate_instance,
 )
-from .offline import opt_full
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -92,17 +91,9 @@ def _write_trace_dir(trace, directory: str) -> None:
 
 def cmd_run(args) -> int:
     inst = _load_instance_file(args.instances)
-    cp_sched, trace = run_cp(inst)
-    opt_sched, v_opt = opt_full(inst)
-    v_cp = profit(cp_sched, inst)
-    greedy = greedy_baseline(inst)
-    v_greedy = profit(greedy, inst)
-    report = build_intervals(inst, trace, cp_sched, opt_sched, v_cp, v_opt)
-    lemma_findings = check_lemma_bounds(inst, trace, report)
-    forced_findings = check_forced_opt(inst, trace, opt_sched)
-    inclusion_findings = check_inclusions(inst, trace)
-    findings = lemma_findings + forced_findings + inclusion_findings
-    bad = [iv for iv in report.intervals if not iv.within_bound]
+    run = evaluate(inst)
+    cp_sched, trace, opt_sched, greedy, report = run
+    res = certify(inst, run, CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True))
 
     if args.trace_dir:
         _write_trace_dir(trace, args.trace_dir)
@@ -115,11 +106,11 @@ def cmd_run(args) -> int:
                 "greedy": {str(t): pid for t, pid in sorted(greedy.slots.items())},
             },
             "profits": {
-                "cp": render_value(v_cp),
-                "opt": render_value(v_opt),
-                "greedy": render_value(v_greedy),
+                "cp": render_value(res.v_cp),
+                "opt": render_value(res.v_opt),
+                "greedy": render_value(res.v_greedy),
             },
-            "within_bound": report.global_within_bound,
+            "within_bound": res.within_bound,
             "intervals": [
                 {
                     "cp_span": list(iv.cp_span),
@@ -131,7 +122,7 @@ def cmd_run(args) -> int:
                 }
                 for iv in report.intervals
             ],
-            "findings": [f.to_dict() for f in findings],
+            "findings": [f.to_dict() for f in res.findings],
             "trace": [json.loads(line) for line in trace_to_jsonl(trace).splitlines()],
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -143,10 +134,10 @@ def cmd_run(args) -> int:
             extra = f"  [{rec.fallback}]" if rec.fallback else ""
             sent = f"sent {rec.transmitted}" if rec.transmitted is not None else "-"
             print(f"  t={rec.t:<3} case {rec.case:<10} {sent}{committed}{extra}")
-        print(f"profit  policy:  {render_value(v_cp)}")
-        print(f"profit  optimum: {render_value(v_opt)}")
-        print(f"profit  greedy:  {render_value(v_greedy)}")
-        print(f"bound check (v_opt <= R*v_cp): {'ok' if report.global_within_bound else 'VIOLATED'}")
+        print(f"profit  policy:  {render_value(res.v_cp)}")
+        print(f"profit  optimum: {render_value(res.v_opt)}")
+        print(f"profit  greedy:  {render_value(res.v_greedy)}")
+        print(f"bound check (v_opt <= R*v_cp): {'ok' if res.within_bound else 'VIOLATED'}")
         print("intervals:")
         for iv in report.intervals:
             verdict = "ok" if iv.within_bound else "VIOLATED"
@@ -154,16 +145,14 @@ def cmd_run(args) -> int:
                 f"  cp{iv.cp_span} opt{iv.opt_span} v_cp={render_value(iv.v_cp)} "
                 f"v_opt={render_value(iv.v_opt)} [{iv.trigger}] {verdict}"
             )
-        if findings:
+        if res.findings:
             print("findings:")
-            for f in findings:
+            for f in res.findings:
                 print(f"  {f.kind}: {f.detail} ({f.lhs} vs {f.rhs})")
         else:
             print("findings: none")
 
-    if bad or not report.global_within_bound or findings:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_OK if res.ok else EXIT_VIOLATION
 
 
 def cmd_trace(args) -> int:
@@ -176,12 +165,14 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _emit_witness(path: str | None, summary, default_name: str) -> None:
+def _emit_witness(path: str | None, summary, default_name: str, checks: CheckConfig) -> None:
+    """Write the first violation, minimized under the campaign's own checks,
+    or else (when a path is given) the argmax instance."""
     if summary.first_violation is not None:
         inst = summary.first_violation.instance
 
         def still_bad(candidate: Instance) -> bool:
-            return not check_instance(candidate).ok
+            return not check_instance(candidate, checks).ok
 
         witness = minimize_witness(inst, still_bad)
         target = path or default_name
@@ -221,11 +212,10 @@ def cmd_exhaustive(args) -> int:
     if total > GUARD_LIMIT and not args.yes:
         print(f"grid larger than {GUARD_LIMIT}; pass --yes to proceed", file=sys.stderr)
         return EXIT_INPUT
-    report = run_exhaustive(
-        spec, CheckConfig(forced_opt=True), workers=args.workers, keep_rows=args.format == "csv"
-    )
+    checks = CheckConfig(forced_opt=True)
+    report = run_exhaustive(spec, checks, workers=args.workers, keep_rows=args.format == "csv")
     _print_report(report, args.format)
-    _emit_witness(args.emit_witness, report.summary, "witness.json")
+    _emit_witness(args.emit_witness, report.summary, "witness.json", checks)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -243,7 +233,7 @@ def cmd_fuzz(args) -> int:
         list(seeds), config, checks, workers=args.workers, keep_rows=args.format == "csv"
     )
     _print_report(report, args.format)
-    _emit_witness(args.emit_witness, report.summary, "witness.json")
+    _emit_witness(args.emit_witness, report.summary, "witness.json", checks)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 

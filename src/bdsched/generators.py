@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .model import Instance, Packet, Rat, Schedule
 
@@ -49,7 +49,6 @@ class GridSpec:
     horizon: int
     max_packets: int
     value_grid: tuple[Rat, ...]
-    allow_multi: bool = True
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -83,9 +82,8 @@ def enumerate_instances(spec: GridSpec):
     if spec.max_packets == 0:
         yield Instance(())
         return
-    chooser = combinations_with_replacement if spec.allow_multi else combinations
     for size in range(1, spec.max_packets + 1):
-        for combo in chooser(universe, size):
+        for combo in combinations_with_replacement(universe, size):
             yield Instance(
                 Packet(id=i, release=r, deadline=d, value=v) for i, (r, d, v) in enumerate(combo)
             )
@@ -96,9 +94,7 @@ def count_instances(spec: GridSpec) -> int:
     u = len(_universe(spec))
     if spec.max_packets == 0:
         return 1
-    if spec.allow_multi:
-        return sum(math.comb(u + k - 1, k) for k in range(1, spec.max_packets + 1))
-    return sum(math.comb(u, k) for k in range(1, spec.max_packets + 1))
+    return sum(math.comb(u + k - 1, k) for k in range(1, spec.max_packets + 1))
 
 
 @dataclass(frozen=True)

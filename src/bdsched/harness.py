@@ -13,6 +13,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .analysis import (
@@ -41,6 +43,8 @@ __all__ = [
     "InstanceResult",
     "Summary",
     "Report",
+    "evaluate",
+    "certify",
     "check_instance",
     "run_exhaustive",
     "run_fuzz",
@@ -88,14 +92,22 @@ class InstanceResult:
         return self.within_bound and not self.findings
 
 
-def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> InstanceResult:
-    """Run the policy, the optimum and the baseline, then every configured check."""
+def evaluate(inst: Instance):
+    """Run the policy, the optimum and the greedy baseline on one instance and
+    compare the policy's and the optimum's timelines interval by interval.
+
+    Returns (cp_sched, trace, opt_sched, greedy_sched, interval_report).
+    """
     cp_sched, trace = run_cp(inst)
     opt_sched, v_opt = opt_full(inst)
-    v_cp = profit(cp_sched, inst)
-    v_greedy = profit(greedy_baseline(inst), inst)
-    report = build_intervals(inst, trace, cp_sched, opt_sched, v_cp, v_opt)
+    greedy = greedy_baseline(inst)
+    report = build_intervals(inst, trace, cp_sched, opt_sched, profit(cp_sched, inst), v_opt)
+    return cp_sched, trace, opt_sched, greedy, report
 
+
+def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
+    """Every configured check on an evaluated run, gathered into one result."""
+    _cp_sched, trace, opt_sched, greedy, report = run
     findings = check_interval_bounds(report)
     if config.lemma_bounds:
         findings += check_lemma_bounds(inst, trace, report)
@@ -110,14 +122,19 @@ def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> Insta
     return InstanceResult(
         instance=inst,
         hash=instance_hash(inst),
-        v_cp=v_cp,
-        v_opt=v_opt,
-        v_greedy=v_greedy,
+        v_cp=report.v_cp,
+        v_opt=report.v_opt,
+        v_greedy=profit(greedy, inst),
         within_bound=report.global_within_bound,
         worst_interval=(worst.v_opt, worst.v_cp) if worst else None,
         findings=findings,
         cases=tuple(rec.case for rec in trace.steps),
     )
+
+
+def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> InstanceResult:
+    """Run the policy, the optimum and the baseline, then every configured check."""
+    return certify(inst, evaluate(inst), config)
 
 
 def cross_check_queries(inst: Instance, trace) -> list[Finding]:
@@ -231,15 +248,38 @@ def _scan(indexed: Iterable[tuple[int, Instance]], config: CheckConfig, keep_row
     return Report(summary, rows)
 
 
-def _strided(spec: GridSpec, workers: int, residue: int) -> Iterable[tuple[int, Instance]]:
-    for i, inst in enumerate(enumerate_instances(spec)):
-        if i % workers == residue:
-            yield i, inst
+def _grid(spec: GridSpec, workers: int, residue: int) -> Iterable[tuple[int, Instance]]:
+    return islice(enumerate(enumerate_instances(spec)), residue, None, workers)
 
 
-def _exhaustive_shard(args: tuple) -> Report:
-    spec, config, workers, residue = args
-    return _scan(_strided(spec, workers, residue), config, keep_rows=False)
+def _seeded(
+    seeds: Sequence[int], config: RandomConfig, workers: int, residue: int
+) -> Iterable[tuple[int, Instance]]:
+    return ((s, gen_random(s, config)) for s in seeds[residue::workers])
+
+
+def _shard(args: tuple) -> Report:
+    source, config, workers, residue = args
+    return _scan(source(workers, residue), config, keep_rows=False)
+
+
+def _campaign(
+    source: Callable[[int, int], Iterable[tuple[int, Instance]]],
+    config: CheckConfig,
+    workers: int,
+    keep_rows: bool,
+) -> Report:
+    """Check every (index, instance) of a picklable source.  With workers > 1
+    each worker builds and checks the instances of one residue class of the
+    source and the shard summaries merge in residue order."""
+    if workers <= 1 or keep_rows:
+        return _scan(source(1, 0), config, keep_rows)
+    with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+        shards = pool.map(_shard, [(source, config, workers, r) for r in range(workers)])
+    merged = Summary()
+    for shard in shards:
+        merged.merge(shard.summary)
+    return Report(merged)
 
 
 def default_workers() -> int:
@@ -257,22 +297,8 @@ def run_exhaustive(
     workers: int = 1,
     keep_rows: bool = False,
 ) -> Report:
-    """Check every instance of the grid; shard across a worker pool when
-    workers > 1 and merge shard summaries in residue order."""
-    if workers <= 1 or keep_rows:
-        return _scan(enumerate(enumerate_instances(spec)), config, keep_rows)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
-        shards = pool.map(_exhaustive_shard, [(spec, config, workers, r) for r in range(workers)])
-    merged = Summary()
-    for shard in shards:
-        merged.merge(shard.summary)
-    return Report(merged)
-
-
-def _fuzz_shard(args: tuple) -> Report:
-    seeds, config_random, config_checks = args
-    return _scan(((s, gen_random(s, config_random)) for s in seeds), config_checks, keep_rows=False)
+    """Check every instance of the grid, indexed by enumeration order."""
+    return _campaign(partial(_grid, spec), config, workers, keep_rows)
 
 
 def run_fuzz(
@@ -282,17 +308,8 @@ def run_fuzz(
     workers: int = 1,
     keep_rows: bool = False,
 ) -> Report:
-    """Check gen_random(seed) for every seed; sharding as in run_exhaustive."""
-    if workers <= 1 or keep_rows:
-        return _scan(((s, gen_random(s, config_random)) for s in seeds), config_checks, keep_rows)
-    ctx = multiprocessing.get_context("fork")
-    chunks = [list(seeds[r::workers]) for r in range(workers)]
-    with ctx.Pool(processes=workers) as pool:
-        shards = pool.map(_fuzz_shard, [(chunk, config_random, config_checks) for chunk in chunks])
-    merged = Summary()
-    for shard in shards:
-        merged.merge(shard.summary)
-    return Report(merged)
+    """Check gen_random(seed) for every seed, indexed by seed."""
+    return _campaign(partial(_seeded, seeds, config_random), config_checks, workers, keep_rows)
 
 
 def minimize_witness(inst: Instance, still_bad: Callable[[Instance], bool]) -> Instance:
@@ -333,15 +350,10 @@ def minimize_witness(inst: Instance, still_bad: Callable[[Instance], bool]) -> I
 
 def compare_algorithms(inst: Instance) -> list[dict[str, str]]:
     """Exact profits and optimum-vs-algorithm ratios for the comparison table."""
-    cp_sched, _ = run_cp(inst)
-    opt_sched, v_opt = opt_full(inst)
+    res = check_instance(inst)
     rows = []
-    for name, value in (
-        ("cp", profit(cp_sched, inst)),
-        ("greedy", profit(greedy_baseline(inst), inst)),
-        ("opt", v_opt),
-    ):
-        ratio = v_opt / value if value else Fraction(0)
+    for name, value in (("cp", res.v_cp), ("greedy", res.v_greedy), ("opt", res.v_opt)):
+        ratio = res.v_opt / value if value else Fraction(0)
         rows.append(
             {
                 "algorithm": name,

@@ -137,14 +137,6 @@ class Quad17:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Quad17 | Rat | int") -> "Quad17":
-        o = Quad17.of(other)
-        norm = o.a * o.a - 17 * o.b * o.b  # (a+b*s)(a-b*s)
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt17)")
-        conj = Quad17(o.a / norm, -o.b / norm)
-        return self * conj
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(17): -1, 0 or +1."""
         a, b = self.a, self.b
@@ -173,10 +165,6 @@ class Quad17:
 
     def __ge__(self, other: "Quad17 | Rat | int") -> bool:
         return (self - other).sign() >= 0
-
-    def to_float(self) -> float:
-        """Approximate value; for display and sanity cross-checks only."""
-        return float(self.a) + float(self.b) * 17.0**0.5
 
     def __repr__(self) -> str:
         return f"Quad17({render_value(self.a)} + {render_value(self.b)}*sqrt17)"

@@ -16,16 +16,20 @@ from bdsched import (
     check_inclusions,
     check_interval_bounds,
     check_lemma_bounds,
-    interval_report,
     opt_full,
     partition_cp,
     partition_opt,
     run_cp,
 )
-from bdsched.analysis import build_intervals
+from bdsched.harness import evaluate
 from bdsched.model import profit
 from conftest import mk
 from test_offline import small_instances
+
+
+def interval_report(inst):
+    """The interval comparison exactly as every campaign builds it."""
+    return evaluate(inst)[-1]
 
 
 def spans_of(inst):
@@ -182,9 +186,7 @@ class TestLemmaCheckers:
             chain_family("2.2.2.1"),
             chain_family("3.2.2"),
         ):
-            cp_sched, trace = run_cp(inst)
-            opt_sched, v_opt = opt_full(inst)
-            report = build_intervals(inst, trace, cp_sched, opt_sched, profit(cp_sched, inst), v_opt)
+            _, trace, opt_sched, _, report = evaluate(inst)
             assert check_lemma_bounds(inst, trace, report) == []
             assert check_forced_opt(inst, trace, opt_sched) == []
             assert check_inclusions(inst, trace) == []
@@ -199,8 +201,6 @@ class TestLemmaCheckers:
 
     def test_empty_instance_no_findings(self):
         inst = Instance(())
-        cp_sched, trace = run_cp(inst)
-        opt_sched, v_opt = opt_full(inst)
-        report = build_intervals(inst, trace, cp_sched, opt_sched, Fraction(0), v_opt)
+        _, trace, _, _, report = evaluate(inst)
         assert check_lemma_bounds(inst, trace, report) == []
         assert check_inclusions(inst, trace) == []

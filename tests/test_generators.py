@@ -56,11 +56,6 @@ class TestEnumerate:
         for inst in enumerate_instances(spec):
             assert validate_instance(inst) == []
 
-    def test_without_multiplicity(self):
-        spec = GridSpec(horizon=0, max_packets=2, value_grid=(Fraction(1),), allow_multi=False)
-        sizes = sorted(len(inst) for inst in enumerate_instances(spec))
-        assert sizes == [1, 1, 2]
-
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(horizon=-1, max_packets=1, value_grid=(Fraction(1),))

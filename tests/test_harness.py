@@ -9,9 +9,14 @@ import pytest
 
 from bdsched import (
     CheckConfig,
+    Finding,
     GridSpec,
     Instance,
+    IntervalReport,
+    RandomConfig,
+    chain_family,
     check_instance,
+    dump_instance,
     gen_random,
     greedy_killer,
     load_instance,
@@ -247,14 +252,36 @@ class TestCli:
 
         real_check = cli_mod.check_instance
 
-        def fake_check(candidate):
-            out = real_check(candidate)
+        def fake_check(candidate, config=CheckConfig()):
+            out = real_check(candidate, config)
             out.within_bound = not any(p.value == Fraction(7, 3) for p in candidate.packets)
             return out
 
         monkeypatch.setattr(cli_mod, "check_instance", fake_check)
         target = tmp_path / "w.json"
-        cli_mod._emit_witness(str(target), summary, "unused.json")
+        cli_mod._emit_witness(str(target), summary, "unused.json", CheckConfig())
+        witness = load_instance(target.read_text())
+        assert len(witness) == 1
+        assert witness.packets[0].value == Fraction(7, 3)
+
+    def test_witness_minimized_under_campaign_checks(self, tmp_path, monkeypatch):
+        import bdsched.harness as harness_mod
+
+        # a forced-opt check that fails whenever a marked packet is present:
+        # only a witness minimized under the campaign's own checks shrinks
+        real_forced = harness_mod.check_forced_opt
+
+        def marked_forced(inst, trace, opt_sched):
+            if any(p.value == Fraction(7, 3) for p in inst.packets):
+                return [Finding("forced-opt", "marked packet present", "-", "-")]
+            return real_forced(inst, trace, opt_sched)
+
+        monkeypatch.setattr(harness_mod, "check_forced_opt", marked_forced)
+        values = (Fraction(1), Fraction(7, 3), Fraction(2))
+        assert len(gen_random(0, RandomConfig(value_grid=values))) > 1  # seed 0 leaves something to shrink
+        target = tmp_path / "w.json"
+        argv = ["fuzz", "--seeds", "0..0", "--values", "1,7/3,2", "--workers", "1", "--emit-witness", str(target)]
+        assert main(argv) == 1
         witness = load_instance(target.read_text())
         assert len(witness) == 1
         assert witness.packets[0].value == Fraction(7, 3)
@@ -266,3 +293,45 @@ class TestCli:
         assert main(["compare", "--instances", killer_file, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert {r["algorithm"] for r in doc} == {"cp", "greedy", "opt"}
+
+
+CHAIN_VARIANTS = ("2.1", "2.2.1", "2.2.2.1", "2.2.2.2", "2.2.2.3+3.1", "3.2.1", "3.2.2", "3.2.3")
+
+
+class TestRunAgreesWithCampaign:
+    def test_coverage_failure_is_a_finding(self, killer_file, monkeypatch, capsys):
+        monkeypatch.setattr(IntervalReport, "opt_covered", property(lambda self: False))
+        assert not check_instance(greedy_killer(), DEEP).ok
+        assert main(["run", "--instances", killer_file]) == 1
+        assert "  coverage: " in capsys.readouterr().out
+        assert main(["run", "--instances", killer_file, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [f["kind"] for f in doc["findings"]] == ["coverage"]
+
+    def test_findings_and_exit_match_check_instance(self, tmp_path, capsys):
+        instances = [chain_family(v) for v in CHAIN_VARIANTS] + [gen_random(s) for s in range(50)]
+        path = tmp_path / "inst.json"
+        for inst in instances:
+            path.write_text(dump_instance(inst))
+            code = main(["run", "--instances", str(path), "--json"])
+            doc = json.loads(capsys.readouterr().out)
+            res = check_instance(inst, DEEP)
+            assert doc["findings"] == [f.to_dict() for f in res.findings]
+            assert (code == 0) == res.ok
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exhaustive", "--horizon", "1", "--max-packets", "2"],
+        ["fuzz", "--seeds", "0..19"],
+    ],
+    ids=["exhaustive", "fuzz"],
+)
+def test_stdout_byte_stable_across_worker_counts(argv, fmt, capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(argv + ["--format", fmt, "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
