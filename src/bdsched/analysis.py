@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Instance, Quad17, R, Rat, Schedule, render_value
+from .model import Instance, Rat, Schedule, le_r_times, render_value
 from .cp import CaseTrace, StepRecord
 
 __all__ = [
@@ -73,8 +73,9 @@ class Interval:
 
     @property
     def within_bound(self) -> bool:
-        """Exact check v_opt <= R * v_cp in Q(sqrt17)."""
-        return Quad17.of(self.v_opt) <= R * self.v_cp
+        """Exact v_opt <= R * v_cp, decided by the integer predicate
+        :func:`~bdsched.model.le_r_times` (``Quad17`` is its test reference)."""
+        return le_r_times(self.v_opt, self.v_cp)
 
     @property
     def is_idle(self) -> bool:
@@ -191,7 +192,7 @@ class IntervalReport:
 
     @property
     def global_within_bound(self) -> bool:
-        return Quad17.of(self.v_opt) <= R * self.v_cp
+        return le_r_times(self.v_opt, self.v_cp)
 
     @property
     def opt_covered(self) -> bool:

@@ -9,7 +9,8 @@ The policy keeps a one-slot precommitment register: a case executed at t
 may pin the packet to transmit at t+1, or park the marker ``tmp1``/``tmp2``
 meaning "the decision for t+1 is deferred into the case family 2/3".  Leaf
 cases are labelled 1.1 .. 3.2.3; every threshold in their guards is
-compared exactly in Q(sqrt17).
+compared exactly in Q(sqrt17) by the integer predicates ``le_r_times`` and
+``ge_alpha_times`` of :mod:`bdsched.model` (``Quad17`` is their reference).
 
 All selector lookups (the marginal packets of partial-optimum queries) go
 through the run's :class:`~bdsched.offline.QueryEngine`, which memoizes
@@ -26,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import ALPHA, BufferState, Instance, Packet, Quad17, R, Rat, Schedule, canonical_key, render_value
+from .model import BufferState, Instance, Packet, Rat, Schedule, canonical_key, ge_alpha_times, le_r_times, render_value
 from .offline import InternalInvariantError, QueryEngine
 
 __all__ = [
@@ -200,10 +201,10 @@ def _dispatch_case1(oracle: PartialOracle, t: int) -> CaseDecision:
         return CaseDecision(label, m0.id, None, mv, qv, fallback="q1-unreleased")
 
     if vm0 >= vm1:
-        if Quad17.of(vq1) >= ALPHA * vm1:
+        if ge_alpha_times(vq1, vm1):
             return q1_now("1.2.3.1", commit(m0.id))
         return CaseDecision("1.2.3.2", m0.id, commit(m1.id), mv, qv)
-    if Quad17.of(vq1 + vm0 + vm1) <= R * (vm0 + vm1):
+    if le_r_times(vq1 + vm0 + vm1, vm0 + vm1):
         return CaseDecision("1.2.3.3", m0.id, commit(m1.id), mv, qv)
     return q1_now("1.2.3.4", TMP1)
 
@@ -218,7 +219,7 @@ def _dispatch_case2(oracle: PartialOracle, t: int) -> CaseDecision:
         raise InternalInvariantError(f"t={t}: tmp1 state without the packets that created it")
     vm0, vm1, vm2, vq1, vq2 = m0.value, m1.value, _val(m2), _val(q1), _val(q2)
 
-    if Quad17.of(vm0 + vm1 + vm2) <= R * (vq1 + vm0 + vm1):
+    if le_r_times(vm0 + vm1 + vm2, vq1 + vm0 + vm1):
         return CaseDecision("2.1", m0.id, commit(m1.id), mv, qv)
     # beyond here the guard forces a real packet gained from the t+1 arrivals
     assert m2 is not None
@@ -226,7 +227,7 @@ def _dispatch_case2(oracle: PartialOracle, t: int) -> CaseDecision:
         return CaseDecision("2.2.1", m1.id, commit(m2.id), mv, qv)
     if not _same_packet(q2, q1):
         return CaseDecision("2.2.2.1", m1.id, None, mv, qv)
-    if Quad17.of(vq2 + vm0 + vm1 + vm2) <= R * (vq1 + vm1 + vm2):
+    if le_r_times(vq2 + vm0 + vm1 + vm2, vq1 + vm1 + vm2):
         return CaseDecision("2.2.2.2", m1.id, commit(m2.id), mv, qv)
     return CaseDecision("2.2.2.3", m0.id, TMP2, mv, qv)
 
@@ -242,7 +243,7 @@ def _dispatch_case3(oracle: PartialOracle, t: int) -> CaseDecision:
     vm0, vm1, vm2, vm3 = _val(m0), m1.value, m2.value, _val(m3)
     vq1 = _val(q1)
 
-    if Quad17.of(vm0 + vm1 + vm2 + vm3) <= R * (vq1 + vm0 + vm1 + vm2):
+    if le_r_times(vm0 + vm1 + vm2 + vm3, vq1 + vm0 + vm1 + vm2):
         return CaseDecision("3.1", m1.id, commit(m2.id), mv, qv)
     assert m3 is not None
     if m3.deadline == t + 1:

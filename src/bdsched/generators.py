@@ -41,6 +41,13 @@ DEFAULT_VALUE_GRID: tuple[Rat, ...] = (
 )
 
 
+def _check_value_grid(grid: tuple[Rat, ...]) -> None:
+    if not grid:
+        raise ValueError("value grid must be non-empty")
+    if any(v <= 0 for v in grid):
+        raise ValueError("value grid must be positive")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Exhaustive grid: releases in [0, horizon], deadline offsets {0, 1},
@@ -53,10 +60,7 @@ class GridSpec:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if not self.value_grid:
-            raise ValueError("value grid must be non-empty")
-        if any(v <= 0 for v in self.value_grid):
-            raise ValueError("value grid must be positive")
+        _check_value_grid(self.value_grid)
 
 
 def _universe(spec: GridSpec) -> list[tuple[int, int, Rat]]:
@@ -111,6 +115,7 @@ class RandomConfig:
             raise ValueError("bad fuzz config")
         if self.arrival_rate < 0 or self.arrival_rate > self.max_per_step:
             raise ValueError("arrival_rate must lie in [0, max_per_step]")
+        _check_value_grid(self.value_grid)
 
 
 def gen_random(seed: int, config: RandomConfig = RandomConfig()) -> Instance:

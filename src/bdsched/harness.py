@@ -3,7 +3,8 @@ sweeps, fuzz campaigns, and algorithm comparison tables.
 
 Campaign outputs are byte-stable: rows are emitted in instance order, all
 numbers render as exact rationals plus a fixed-width decimal, and verdict
-columns come from exact Q(sqrt17) comparisons, never from the decimals.
+columns come from the exact integer predicates of :mod:`bdsched.model`
+(``Quad17`` is only their reference), never from the decimals.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .cp import run_cp
 from .generators import GridSpec, RandomConfig, enumerate_instances, gen_random, greedy_baseline
 from .model import (
     Instance,
+    Packet,
     Rat,
     instance_hash,
     instance_to_dict,
@@ -82,10 +84,6 @@ class InstanceResult:
     worst_interval: tuple[Rat, Rat] | None  # (v_opt_i, v_cp_i) of the worst interval
     findings: list[Finding] = field(default_factory=list)
     cases: tuple[str, ...] = ()
-
-    @property
-    def ratio(self) -> tuple[Rat, Rat]:
-        return (self.v_opt, self.v_cp)
 
     @property
     def ok(self) -> bool:
@@ -318,8 +316,6 @@ def minimize_witness(inst: Instance, still_bad: Callable[[Instance], bool]) -> I
     Passes alternate packet removal with value simplification (try 1, then
     the floor integer) until a fixpoint.
     """
-    from .model import Packet
-
     current = inst
     changed = True
     while changed:

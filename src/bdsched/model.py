@@ -6,9 +6,10 @@ artifact bit-exact:
 
 * packet values, profits and ratios are arbitrary-precision rationals
   (`fractions.Fraction`, aliased ``Rat``), never floats;
-* threshold comparisons against the irrational constants R = (1+sqrt17)/4
-  and alpha = (-3+sqrt17)/2 happen in the quadratic field Q(sqrt17) via
-  :class:`Quad17`, whose sign computation is exact integer arithmetic.
+* every threshold test against R = (1+sqrt17)/4 and alpha = (-3+sqrt17)/2
+  is x <= R*y (:func:`le_r_times`) or x >= alpha*y (:func:`ge_alpha_times`),
+  decided in closed form from cross-multiplied integers; :class:`Quad17`
+  (the field Q(sqrt17) with an exact sign) is kept only as their reference.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "R",
     "ALPHA",
     "quad_cmp",
+    "le_r_times",
+    "ge_alpha_times",
     "Packet",
     "canonical_key",
     "Instance",
@@ -102,8 +105,9 @@ class Quad17:
     """An element a + b*sqrt(17) of the real quadratic field Q(sqrt17).
 
     Addition, subtraction and multiplication are closed and exact; the sign
-    of an element is decided by comparing a^2 against 17*b^2, so ordering
-    against rationals and other field elements never touches a float.
+    of an element is decided by comparing a^2 against 17*b^2.  It computes
+    no verdict: it is the reference :func:`le_r_times` and
+    :func:`ge_alpha_times` are tested against, and it states the identities of R and ALPHA.
     """
 
     a: Rat
@@ -119,52 +123,25 @@ class Quad17:
         o = Quad17.of(other)
         return Quad17(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __sub__(self, other: "Quad17 | Rat | int") -> "Quad17":
         o = Quad17.of(other)
         return Quad17(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other: "Quad17 | Rat | int") -> "Quad17":
-        return Quad17.of(other) - self
-
-    def __neg__(self) -> "Quad17":
-        return Quad17(-self.a, -self.b)
 
     def __mul__(self, other: "Quad17 | Rat | int") -> "Quad17":
         o = Quad17.of(other)
         return Quad17(self.a * o.a + 17 * self.b * o.b, self.a * o.b + self.b * o.a)
 
-    __rmul__ = __mul__
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(17): -1, 0 or +1."""
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: |a| vs |b|*sqrt(17)  <=>  a^2 vs 17 b^2
-        lhs, rhs = a * a, 17 * b * b
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-    def __lt__(self, other: "Quad17 | Rat | int") -> bool:
-        return (self - other).sign() < 0
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa * sb >= 0:  # no mixed signs: the nonzero one, if any, wins
+            return sa or sb
+        c = a * a - 17 * b * b  # mixed signs: |a| vs |b|*sqrt(17)
+        return sa * ((c > 0) - (c < 0))
 
     def __le__(self, other: "Quad17 | Rat | int") -> bool:
         return (self - other).sign() <= 0
-
-    def __gt__(self, other: "Quad17 | Rat | int") -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: "Quad17 | Rat | int") -> bool:
-        return (self - other).sign() >= 0
 
     def __repr__(self) -> str:
         return f"Quad17({render_value(self.a)} + {render_value(self.b)}*sqrt17)"
@@ -180,6 +157,26 @@ ALPHA = Quad17(Fraction(-3, 2), Fraction(1, 2))
 def quad_cmp(x: Quad17 | Rat | int, y: Quad17 | Rat | int) -> int:
     """Exact three-way comparison of two field elements: -1, 0 or +1."""
     return (Quad17.of(x) - Quad17.of(y)).sign()
+
+
+def le_r_times(x: Rat, y: Rat) -> bool:
+    """Exact x <= R*y for rationals of any sign: scaled by 4*den(x)*den(y)
+    it reads d <= s*sqrt17 with s = num(y)*den(x), d = 4*num(x)*den(y) - s."""
+    s = y.numerator * x.denominator
+    d = 4 * x.numerator * y.denominator - s
+    if s >= 0:
+        return d <= 0 or d * d <= 17 * s * s
+    return d < 0 and d * d >= 17 * s * s
+
+
+def ge_alpha_times(x: Rat, y: Rat) -> bool:
+    """Exact x >= ALPHA*y for rationals of any sign: scaled by 2*den(x)*den(y)
+    it reads e >= s*sqrt17 with s = num(y)*den(x), e = 2*num(x)*den(y) + 3*s."""
+    s = y.numerator * x.denominator
+    e = 2 * x.numerator * y.denominator + 3 * s
+    if s >= 0:
+        return e >= 0 and e * e >= 17 * s * s
+    return e >= 0 or e * e <= 17 * s * s
 
 
 @dataclass(frozen=True, slots=True)

@@ -182,3 +182,13 @@ class TestCriterion8TightnessProbe:
             f"sweep max opt/policy ratio = ({v_opt})/({v_cp}) = {ratio} = {render_decimal(ratio)} <= R "
             f"(~1.280776); {expectation} the soft 1.15 expectation",
         )
+
+    def test_sweep_result_pinned(self, sweep_report):
+        # The sweep's exact outcome: a wrongly wired guard shows here as a
+        # change in which cases fire, even where every bound still holds.
+        assert sweep_report.summary.max_ratio == (Fraction(23, 5), Fraction(18, 5))
+        assert sweep_report.summary.cases_seen == {
+            "1.1": 61332, "1.2.1": 8158, "1.2.2": 25282, "1.2.3.1": 2316, "1.2.3.2": 1879,
+            "1.2.3.3": 1612, "1.2.3.4": 2367, "2.1": 603, "2.2.1": 13, "2.2.2.2": 13,
+            "commit": 32549, "idle": 21626,
+        }

@@ -63,6 +63,11 @@ class TestEnumerate:
             GridSpec(horizon=0, max_packets=1, value_grid=())
         with pytest.raises(ValueError):
             GridSpec(horizon=0, max_packets=1, value_grid=(Fraction(0),))
+        # the fuzzer's grid obeys the same rule
+        with pytest.raises(ValueError, match="value grid must be non-empty"):
+            RandomConfig(value_grid=())
+        with pytest.raises(ValueError, match="value grid must be positive"):
+            RandomConfig(value_grid=(Fraction(0), Fraction(1)))
 
 
 class TestGenRandom:

@@ -226,6 +226,13 @@ class TestCli:
     def test_fuzz_bad_seed_range(self, capsys):
         assert main(["fuzz", "--seeds", "5..1"]) == 2
 
+    @pytest.mark.parametrize("values", ["-1,2", "0,1"])
+    def test_fuzz_rejects_non_positive_values(self, values, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--seeds", "0..20", f"--values={values}"]) == 2
+        assert "error: value grid must be positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_exhaustive_guard_requires_yes(self, capsys):
         # 60 packet shapes, up to 8 packets: far beyond the 10^7 guard
         code = main(

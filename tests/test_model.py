@@ -27,10 +27,17 @@ from bdsched import (
     render_value,
     validate_instance,
 )
+from bdsched.model import ge_alpha_times, le_r_times
 from conftest import mk
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4
+)
+#: Both signs, zero, and numerators and denominators far beyond float range.
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    rationals,
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
 )
 
 
@@ -105,6 +112,38 @@ class TestQuad17:
         assert Quad17(Fraction(4), Fraction(-1)).sign() == -1
         assert Quad17(Fraction(-4), Fraction(1)).sign() == 1
         assert Quad17(Fraction(-5), Fraction(1)).sign() == -1
+
+
+class TestThresholdPredicates:
+    """The integer predicates must agree with the Quad17 reference."""
+
+    @given(wide_rationals, wide_rationals)
+    @settings(max_examples=500)
+    def test_le_r_times_matches_reference(self, x, y):
+        assert le_r_times(x, y) == (quad_cmp(x, R * y) <= 0)
+
+    @given(wide_rationals, wide_rationals)
+    @settings(max_examples=500)
+    def test_ge_alpha_times_matches_reference(self, x, y):
+        assert ge_alpha_times(x, y) == (quad_cmp(x, ALPHA * y) >= 0)
+
+    def test_both_sides_of_r(self):
+        # R ~ 1.280776
+        assert le_r_times(Fraction(1280, 1000), Fraction(1))
+        assert not le_r_times(Fraction(1281, 1000), Fraction(1))
+
+    def test_both_sides_of_alpha(self):
+        # ALPHA ~ 0.561553
+        assert ge_alpha_times(Fraction(5616, 10000), Fraction(1))
+        assert not ge_alpha_times(Fraction(5615, 10000), Fraction(1))
+
+    def test_zero_and_negative_scales(self):
+        assert le_r_times(Fraction(0), Fraction(0)) and ge_alpha_times(Fraction(0), Fraction(0))
+        # with y < 0 the inequalities flip: x <= R*y needs x at or below -1.2808...
+        assert le_r_times(Fraction(-1281, 1000), Fraction(-1))
+        assert not le_r_times(Fraction(-1280, 1000), Fraction(-1))
+        assert ge_alpha_times(Fraction(-5615, 10000), Fraction(-1))
+        assert not ge_alpha_times(Fraction(-5616, 10000), Fraction(-1))
 
 
 class TestValidation:
