@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -220,34 +222,44 @@ class Instance:
     def by_id(self, pid: int) -> Packet:
         return self._id_map[pid]
 
-    @property
+    @cached_property
     def _id_map(self) -> dict[int, Packet]:
-        cached = self.__dict__.get("_id_map_cache")
-        if cached is None:
-            cached = {p.id: p for p in self.packets}
-            self.__dict__["_id_map_cache"] = cached
-        return cached
+        return {p.id: p for p in self.packets}
 
-    @property
-    def canonical(self) -> tuple[Packet, ...]:
-        """Packets sorted by canonical_key."""
-        cached = self.__dict__.get("_canonical_cache")
-        if cached is None:
-            cached = tuple(sorted(self.packets, key=canonical_key))
-            self.__dict__["_canonical_cache"] = cached
-        return cached
-
-    @property
+    @cached_property
     def arrivals(self) -> dict[int, tuple[Packet, ...]]:
         """Packets grouped by release time."""
-        cached = self.__dict__.get("_arrivals_cache")
-        if cached is None:
-            grouped: dict[int, list[Packet]] = {}
-            for p in self.packets:
-                grouped.setdefault(p.release, []).append(p)
-            cached = {t: tuple(ps) for t, ps in grouped.items()}
-            self.__dict__["_arrivals_cache"] = cached
-        return cached
+        grouped: dict[int, list[Packet]] = {}
+        for p in self.packets:
+            grouped.setdefault(p.release, []).append(p)
+        return {t: tuple(ps) for t, ps in grouped.items()}
+
+    @cached_property
+    def release_index(self) -> tuple[int, dict[int, tuple[tuple, ...]], dict[int, tuple]]:
+        """The partial solver's view of this instance: (scale, buckets, by_id).
+
+        scale is the LCM of the value denominators; buckets maps a release
+        time to the entries released then, in canonical order; by_id maps a
+        packet id to its entry.  An entry is (canonical rank, id, release,
+        deadline, value * scale).  Packets with an empty window (deadline <
+        release) are left out.  Raises ValueError, naming the packet, if a
+        packet is not 2-bounded or an id repeats: the solver's feasibility
+        test holds only for windows of at most two slots, and base buffers
+        name packets by id.
+        """
+        scale = math.lcm(*(p.value.denominator for p in self.packets))
+        buckets: dict[int, list[tuple]] = {}
+        by_id: dict[int, tuple] = {}
+        for rank, p in enumerate(sorted(self.packets, key=canonical_key)):
+            if p.deadline - p.release > 1:
+                raise ValueError(f"packet {p.id} is not 2-bounded: window [{p.release}, {p.deadline}]")
+            if p.id in by_id:
+                raise ValueError(f"packet id {p.id} is not unique")
+            if p.deadline >= p.release:
+                entry = (rank, p.id, p.release, p.deadline, p.value.numerator * (scale // p.value.denominator))
+                buckets.setdefault(p.release, []).append(entry)
+                by_id[p.id] = entry
+        return scale, {r: tuple(es) for r, es in buckets.items()}, by_id
 
     def __len__(self) -> int:
         return len(self.packets)

@@ -10,8 +10,13 @@ set stays matchable, is optimal.  The single global canonical order --
 value descending, deadline ascending, release ascending, id ascending --
 also pins down every tie, which makes the nesting relations between
 neighbouring queries and the uniqueness of their set differences hold by
-construction rather than by luck.  Each instance is sorted into that order
-once; a query's pool is a filter over it.
+construction rather than by luck.
+
+Every instance is 2-bounded, so each clipped window is one slot or two
+adjacent slots and the matroid is bicircular on the slot line: a set fits
+iff no connected component of slots holds more packets than slots, which
+the solver tests with a union-find over slots.  Only :func:`opt_full` lays
+its kept set out in slots, earliest-deadline-first.
 
 :class:`QueryEngine` is the one front end through which the policy and every
 checker ask partial-optimum queries P(t, t', t'') over a run's online
@@ -88,42 +93,18 @@ class PSet:
     """Result of a partial-optimum query.
 
     members:     kept packet ids in canonical order
-    assignment:  slot -> packet id, earliest-deadline-first within members
     total_value: exact sum of member values
     """
 
     members: tuple[int, ...]
-    assignment: tuple[tuple[int, int], ...]
     total_value: Rat
 
     @property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
 
-
-_EMPTY_PSET = PSet(members=(), assignment=(), total_value=Fraction(0))
-
-
-def _eligible(q: PartialQuery, inst: Instance) -> list[Packet]:
-    """Packets the query may transmit, in canonical order.
-
-    A packet can only ever occupy a slot in [max(t, release), min(t'', deadline)];
-    packets with an empty window are dropped here.  Filtering the instance's
-    presorted canonical order keeps that order without a sort.
-    """
-    base, lo, hi, end = q.base_buffer, q.start, q.arrival_end, q.slot_end
-    return [
-        p
-        for p in inst.canonical
-        if (p.id in base or lo <= p.release <= hi) and max(lo, p.release) <= min(end, p.deadline)
-    ]
-
-
-def _window(p: Packet, q: PartialQuery) -> range:
-    return range(max(q.start, p.release), min(q.slot_end, p.deadline) + 1)
+_EMPTY_PSET = PSet(members=(), total_value=Fraction(0))
 
 
 def _edf_assignment(kept: Sequence[Packet], q: PartialQuery) -> dict[int, int]:
@@ -152,44 +133,59 @@ def _edf_assignment(kept: Sequence[Packet], q: PartialQuery) -> dict[int, int]:
 def solve_partial(q: PartialQuery, inst: Instance) -> PSet:
     """Canonical maximum-value feasible packet set for a partial query.
 
-    Greedy over the canonical order with an augmenting-path feasibility
-    test; the kept set is then laid out earliest-deadline-first.
+    The pool is the base-buffer packets plus the packets released in
+    [t, t'] (read from ``inst.release_index``), sorted by canonical rank.
+    Each window clipped to [t, t''] is one slot (a loop) or two adjacent
+    slots (an edge).  The greedy keeps a union-find over slots with each
+    component's free slot count: a loop, or an edge inside one component,
+    is accepted iff that component has a free slot; an edge joining two
+    components iff they have one between them.  The total is one Fraction
+    over the instance's common denominator.
     """
-    pool = _eligible(q, inst)
-    matching: dict[int, Packet] = {}  # slot -> packet
+    scale, buckets, by_id = inst.release_index
+    t, t_arr, t_end = q.start, q.arrival_end, q.slot_end
+    pool = [e for r in range(t, t_arr + 1) for e in buckets.get(r, ())]
+    for pid in q.base_buffer:  # entries are (rank, id, release, deadline, scaled value)
+        e = by_id.get(pid)
+        # a non-empty window in [t, t''], and not already taken from a bucket
+        if e is not None and e[3] >= t and e[2] <= t_end and not t <= e[2] <= t_arr:
+            pool.append(e)
+    pool.sort()
+    parent: dict[int, int] = {}  # slot -> a slot nearer its component's root
+    free: dict[int, int] = {}  # root -> free slots; an untouched slot is a root with one
+    members: list[int] = []
+    total = 0
+    for _, pid, release, deadline, value in pool:
+        lo = release if release > t else t
+        a = lo
+        while a in parent:
+            a = parent[a]
+        fa = free.get(a, 1)
+        if deadline > lo and lo < t_end:  # an edge {lo, lo + 1}
+            b = lo + 1
+            while b in parent:
+                b = parent[b]
+            if b != a:
+                fb = free.get(b, 1)
+                if not (fa or fb):
+                    continue
+                parent[b] = a
+                fa += fb
+        if fa < 1:
+            continue
+        free[a] = fa - 1
+        members.append(pid)
+        total += value
+    return PSet(members=tuple(members), total_value=Fraction(total, scale))
 
-    def try_place(p: Packet, visited: set[int]) -> bool:
-        for s in _window(p, q):
-            if s in visited:
-                continue
-            visited.add(s)
-            occupant = matching.get(s)
-            if occupant is None or try_place(occupant, visited):
-                matching[s] = p
-                return True
-        return False
 
-    kept: list[Packet] = []
-    for p in pool:
-        if try_place(p, set()):
-            kept.append(p)
-    assignment = _edf_assignment(kept, q)
-    return PSet(
-        members=tuple(p.id for p in kept),
-        assignment=tuple(sorted(assignment.items())),
-        total_value=sum((p.value for p in kept), Fraction(0)),
-    )
-
-
-def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> dict[int, int] | None:
+def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> bool:
     """Backtracking exact matcher used only by the enumeration oracle.
 
-    Tries every slot choice for every packet, in (packet id, slot) order;
-    returns a slot->id assignment or None.
+    Tries every slot choice for every packet, in (packet id, slot) order.
     """
     slot_free = {s: True for s in slots}
     ordered = sorted(packets, key=lambda p: p.id)
-    chosen: dict[int, int] = {}
 
     def place(i: int) -> bool:
         if i == len(ordered):
@@ -198,14 +194,12 @@ def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> dict
         for s in slots:
             if slot_free[s] and max(lo, p.release) <= s <= p.deadline:
                 slot_free[s] = False
-                chosen[s] = p.id
                 if place(i + 1):
                     return True
                 slot_free[s] = True
-                del chosen[s]
         return False
 
-    return dict(chosen) if place(0) else None
+    return place(0)
 
 
 def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:
@@ -226,26 +220,19 @@ def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:
     best_subset: tuple[Packet, ...] | None = None
     best_value = Fraction(-1)
     best_rank: tuple[int, ...] = ()
-    best_assignment: dict[int, int] = {}
     max_size = min(len(pool), len(slots))
     for size in range(0, max_size + 1):
         for subset in combinations(pool, size):
-            assignment = _matchable(subset, slots, q.start)
-            if assignment is None:
+            if not _matchable(subset, slots, q.start):
                 continue
             value = sum((p.value for p in subset), Fraction(0))
             rank = tuple(sorted(positions[p.id] for p in subset))
             if value > best_value or (value == best_value and best_subset is not None and rank < best_rank):
                 best_subset, best_value, best_rank = subset, value, rank
-                best_assignment = assignment
     if best_subset is None or not best_subset:
         return _EMPTY_PSET
     ordered = sorted(best_subset, key=canonical_key)
-    return PSet(
-        members=tuple(p.id for p in ordered),
-        assignment=tuple(sorted(best_assignment.items())),
-        total_value=best_value,
-    )
+    return PSet(members=tuple(p.id for p in ordered), total_value=best_value)
 
 
 class QueryEngine:
@@ -307,4 +294,4 @@ def opt_full(inst: Instance) -> tuple[Schedule, Rat]:
         return Schedule({}), Fraction(0)
     q = PartialQuery(0, inst.horizon, inst.horizon, ())
     ps = solve_partial(q, inst)
-    return Schedule(dict(ps.assignment)), ps.total_value
+    return Schedule(_edf_assignment([inst.by_id(i) for i in ps.members], q)), ps.total_value

@@ -17,12 +17,15 @@ from bdsched import (
     PartialQuery,
     PSet,
     QueryEngine,
+    Schedule,
     brute_force_partial,
     check_inclusions,
     opt_full,
+    profit,
     run_cp,
     solve_partial,
 )
+from bdsched.offline import _edf_assignment
 from conftest import mk
 
 B0 = BufferState(0, ())
@@ -31,6 +34,11 @@ B0 = BufferState(0, ())
 def engine(inst: Instance, buffer: BufferState = B0) -> QueryEngine:
     """A query engine over a one-snapshot buffer history."""
     return QueryEngine(inst, {buffer.time: buffer})
+
+
+def layout(ps: PSet, q: PartialQuery, inst: Instance) -> dict[int, int]:
+    """The earliest-deadline-first slot layout opt_full gives a kept set."""
+    return _edf_assignment([inst.by_id(i) for i in ps.members], q)
 
 
 def small_instances(max_packets=6, max_release=3):
@@ -55,16 +63,18 @@ class TestSolvePartial:
 
     def test_two_slots_take_both(self):
         inst = mk((0, 1, 5), (1, 1, 10))
-        ps = solve_partial(PartialQuery(0, 1, 1), inst)
+        q = PartialQuery(0, 1, 1)
+        ps = solve_partial(q, inst)
         assert ps.member_set == {0, 1}
         assert ps.total_value == 15
-        assert dict(ps.assignment) == {0: 0, 1: 1}
+        assert layout(ps, q, inst) == {0: 0, 1: 1}
 
     def test_extra_slot_may_stay_empty(self):
         inst = mk((0, 0, 5))
-        ps = solve_partial(PartialQuery(0, 0, 1), inst)
+        q = PartialQuery(0, 0, 1)
+        ps = solve_partial(q, inst)
         assert ps.member_set == {0} and ps.total_value == 5
-        assert dict(ps.assignment) == {0: 0}
+        assert layout(ps, q, inst) == {0: 0}
 
     def test_base_buffer_feeds_the_pool(self):
         # packet 0 released at 0 sits in the buffer at time 1
@@ -78,8 +88,29 @@ class TestSolvePartial:
 
     def test_assignment_earliest_deadline_then_id(self):
         inst = mk((0, 1, 1), (0, 1, 2))
-        ps = solve_partial(PartialQuery(0, 1, 1), inst)
-        assert dict(ps.assignment) == {0: 0, 1: 1}
+        q = PartialQuery(0, 1, 1)
+        assert layout(solve_partial(q, inst), q, inst) == {0: 0, 1: 1}
+
+    def test_window_wider_than_two_slots_rejected(self):
+        inst = Instance([Packet(0, 0, 0, Fraction(1)), Packet(7, 0, 2, Fraction(2))])
+        with pytest.raises(ValueError, match="packet 7 is not 2-bounded"):
+            solve_partial(PartialQuery(0, 0, 0), inst)
+
+    def test_repeated_id_rejected(self):
+        inst = Instance([Packet(3, 0, 0, Fraction(1)), Packet(3, 1, 1, Fraction(2))])
+        with pytest.raises(ValueError, match="packet id 3 is not unique"):
+            solve_partial(PartialQuery(0, 1, 1), inst)
+
+    def test_unknown_base_ids_are_ignored(self):
+        inst = mk((0, 1, 5), (1, 1, 3))
+        with_unknown = solve_partial(PartialQuery(1, 1, 1, base_buffer=(0, 42)), inst)
+        assert with_unknown == solve_partial(PartialQuery(1, 1, 1, base_buffer=(0,)), inst)
+
+    def test_base_id_released_in_window_counted_once(self):
+        # packet 0 is both in the base buffer and released in [t, t']
+        inst = mk((1, 2, 5))
+        ps = solve_partial(PartialQuery(1, 1, 2, base_buffer=(0,)), inst)
+        assert ps.members == (0,) and ps.total_value == 5
 
 
 class TestBruteForceOracle:
@@ -113,12 +144,29 @@ class TestBruteForceOracle:
     @given(small_instances())
     @settings(max_examples=150, deadline=None)
     def test_solver_assignment_always_feasible(self, inst):
-        from bdsched import Schedule, profit
-
         horizon = max(inst.horizon, 0)
         q = PartialQuery(0, horizon, horizon)
         ps = solve_partial(q, inst)
-        assert profit(Schedule(dict(ps.assignment)), inst) == ps.total_value
+        assert profit(Schedule(layout(ps, q, inst)), inst) == ps.total_value
+
+    @given(small_instances(max_packets=8, max_release=5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_solver_equals_oracle_off_origin(self, inst, data):
+        # start > 0, a base buffer of packets carried over into t, and up to
+        # two slots beyond the arrival window
+        horizon = max(inst.horizon, 1)
+        t = data.draw(st.integers(1, horizon), label="t")
+        carried = sorted(p.id for p in inst.packets if p.release < t <= p.deadline)
+        base = data.draw(st.sets(st.sampled_from(carried)) if carried else st.just(set()), label="base")
+        t_arr = data.draw(st.integers(t, horizon), label="t'")
+        t_slot = data.draw(st.integers(t_arr, t_arr + 2), label="t''")
+        q = PartialQuery(t, t_arr, t_slot, base)
+        fast, slow = solve_partial(q, inst), brute_force_partial(q, inst)
+        assert fast.members == slow.members
+        assert fast.total_value == slow.total_value
+        sched, value = opt_full(inst)
+        full = max(inst.horizon, 0)
+        assert profit(sched, inst) == value == brute_force_partial(PartialQuery(0, full, full), inst).total_value
 
 
 class TestPSetConventions:
@@ -188,7 +236,7 @@ class TestSelectors:
     def test_non_singleton_gain_is_an_invariant_error(self):
         inst = mk((0, 1, 5), (0, 1, 4))
         eng = engine(inst)
-        eng.cache[(0, 0, 0)] = PSet(members=(0, 1), assignment=((0, 0), (1, 1)), total_value=Fraction(9))
+        eng.cache[(0, 0, 0)] = PSet(members=(0, 1), total_value=Fraction(9))
         with pytest.raises(InternalInvariantError):
             eng.m(0, 0)
 
