@@ -72,6 +72,7 @@ from .generators import (
     gen_random,
     greedy_baseline,
     greedy_killer,
+    tight_family,
 )
 from .harness import (
     CheckConfig,

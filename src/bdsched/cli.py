@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cp import run_cp, trace_to_jsonl
-from .generators import GridSpec, RandomConfig, count_instances
+from .generators import GridSpec, RandomConfig, count_instances, greedy_baseline
 from .harness import (
     CheckConfig,
     certify,
@@ -92,7 +92,8 @@ def _write_trace_dir(trace, directory: str) -> None:
 def cmd_run(args) -> int:
     inst = _load_instance_file(args.instances)
     run = evaluate(inst)
-    cp_sched, trace, opt_sched, greedy, report = run
+    cp_sched, trace, opt_sched, report = run
+    greedy = greedy_baseline(inst)
     res = certify(inst, run, CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True))
 
     if args.trace_dir:

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 from .model import Instance, Packet, Rat, Schedule
 
@@ -28,6 +28,7 @@ __all__ = [
     "greedy_baseline",
     "greedy_killer",
     "chain_family",
+    "tight_family",
     "DEFAULT_VALUE_GRID",
 ]
 
@@ -74,23 +75,35 @@ def _universe(spec: GridSpec) -> list[tuple[int, int, Rat]]:
     ]
 
 
-def enumerate_instances(spec: GridSpec):
+def enumerate_instances(spec: GridSpec, workers: int = 1, residue: int = 0):
     """Deterministic, duplicate-free stream of grid instances.
 
     Instances are multisets of packet shapes (ids are assigned in canonical
     order), so two inputs differing only by packet relabeling appear once.
     A zero packet budget yields just the empty instance; otherwise every
     instance carries between 1 and max_packets packets.
+
+    With workers > 1 the stream keeps only the instances whose index is
+    congruent to residue modulo workers; the others are skipped as shape
+    tuples, before any Instance is built.
     """
-    universe = _universe(spec)
+    for shapes in islice(_shapes(spec), residue, None, workers):
+        yield _from_shapes(shapes)
+
+
+def _from_shapes(shapes) -> Instance:
+    """An instance from (release, deadline, value) shapes; ids follow their order."""
+    return Instance(Packet(id=i, release=r, deadline=d, value=v) for i, (r, d, v) in enumerate(shapes))
+
+
+def _shapes(spec: GridSpec):
+    """The grid's instances as tuples of packet shapes, in enumeration order."""
     if spec.max_packets == 0:
-        yield Instance(())
+        yield ()
         return
+    universe = _universe(spec)
     for size in range(1, spec.max_packets + 1):
-        for combo in combinations_with_replacement(universe, size):
-            yield Instance(
-                Packet(id=i, release=r, deadline=d, value=v) for i, (r, d, v) in enumerate(combo)
-            )
+        yield from combinations_with_replacement(universe, size)
 
 
 def count_instances(spec: GridSpec) -> int:
@@ -195,5 +208,24 @@ def chain_family(variant: str) -> Instance:
         extra = [(2, 3, F(3)), (3, 4, F(9))]
     else:
         raise ValueError(f"unknown chain variant {variant!r}")
-    shapes = base + extra
-    return Instance(Packet(id=i, release=r, deadline=d, value=v) for i, (r, d, v) in enumerate(shapes))
+    return _from_shapes(base + extra)
+
+
+def tight_family(n: int) -> Instance:
+    """Three packets whose opt/policy ratio approaches R = (1+sqrt17)/4 from
+    below as n grows.
+
+    With p/q the n-th lower convergent of sqrt17 = [4; 8, 8, ...] (n = 0, 1,
+    2, ... gives 4/1, 268/65, 17684/4289, ...), the packets are (release,
+    deadline, value) = (0, 1, 1), (1, 2, 2) and (0, 1, c) with
+    c = 3(p/q - 3)/4.  Case 1.2.3.3 fires at t=0, the policy earns 3 and the
+    optimum 3 + c, so the ratio is (1 + p/q)/4 < R.  Only integer convergents
+    are used; the ratio is exact.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    p, q, p_prev, q_prev = 4, 1, 1, 0
+    for _ in range(2 * n):  # convergents alternate below and above sqrt17
+        p, q, p_prev, q_prev = 8 * p + p_prev, 8 * q + q_prev, p, q
+    c = Fraction(3 * (p - 3 * q), 4 * q)
+    return _from_shapes(((0, 1, Fraction(1)), (1, 2, Fraction(2)), (0, 1, c)))

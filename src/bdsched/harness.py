@@ -14,12 +14,14 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import islice
+from functools import cached_property, partial
+from itertools import count
 from typing import Callable, Iterable, Sequence
 
 from .analysis import (
     Finding,
+    Interval,
+    IntervalReport,
     build_intervals,
     check_forced_opt,
     check_inclusions,
@@ -54,6 +56,7 @@ __all__ = [
     "minimize_witness",
     "compare_algorithms",
     "render_rows_csv",
+    "summary_to_dict",
     "report_to_json",
     "default_workers",
 ]
@@ -73,15 +76,18 @@ class CheckConfig:
 
 @dataclass
 class InstanceResult:
-    """Everything measured on one instance."""
+    """Everything measured on one instance.
+
+    The fields are what a campaign summary reads.  The row-only columns
+    (``hash``, ``v_greedy``, ``worst_interval``) are computed from the stored
+    instance and intervals the first time a row or a command reads them.
+    """
 
     instance: Instance
-    hash: str
     v_cp: Rat
     v_opt: Rat
-    v_greedy: Rat
     within_bound: bool
-    worst_interval: tuple[Rat, Rat] | None  # (v_opt_i, v_cp_i) of the worst interval
+    intervals: tuple[Interval, ...]
     findings: list[Finding] = field(default_factory=list)
     cases: tuple[str, ...] = ()
 
@@ -89,23 +95,36 @@ class InstanceResult:
     def ok(self) -> bool:
         return self.within_bound and not self.findings
 
+    @cached_property
+    def hash(self) -> str:
+        return instance_hash(self.instance)
+
+    @cached_property
+    def v_greedy(self) -> Rat:
+        return profit(greedy_baseline(self.instance), self.instance)
+
+    @cached_property
+    def worst_interval(self) -> tuple[Rat, Rat] | None:
+        """(v_opt_i, v_cp_i) of the worst interval."""
+        worst = IntervalReport(self.intervals, self.v_cp, self.v_opt).worst_interval
+        return (worst.v_opt, worst.v_cp) if worst else None
+
 
 def evaluate(inst: Instance):
-    """Run the policy, the optimum and the greedy baseline on one instance and
-    compare the policy's and the optimum's timelines interval by interval.
+    """Run the policy and the optimum on one instance and compare their
+    timelines interval by interval.
 
-    Returns (cp_sched, trace, opt_sched, greedy_sched, interval_report).
+    Returns (cp_sched, trace, opt_sched, interval_report).
     """
     cp_sched, trace = run_cp(inst)
     opt_sched, v_opt = opt_full(inst)
-    greedy = greedy_baseline(inst)
     report = build_intervals(inst, trace, cp_sched, opt_sched, profit(cp_sched, inst), v_opt)
-    return cp_sched, trace, opt_sched, greedy, report
+    return cp_sched, trace, opt_sched, report
 
 
 def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
     """Every configured check on an evaluated run, gathered into one result."""
-    _cp_sched, trace, opt_sched, greedy, report = run
+    _cp_sched, trace, opt_sched, report = run
     findings = check_interval_bounds(report)
     if config.lemma_bounds:
         findings += check_lemma_bounds(inst, trace, report)
@@ -116,22 +135,19 @@ def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
     if config.cross_check:
         findings += cross_check_queries(inst, trace)
 
-    worst = report.worst_interval
     return InstanceResult(
         instance=inst,
-        hash=instance_hash(inst),
         v_cp=report.v_cp,
         v_opt=report.v_opt,
-        v_greedy=profit(greedy, inst),
         within_bound=report.global_within_bound,
-        worst_interval=(worst.v_opt, worst.v_cp) if worst else None,
+        intervals=report.intervals,
         findings=findings,
         cases=tuple(rec.case for rec in trace.steps),
     )
 
 
 def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> InstanceResult:
-    """Run the policy, the optimum and the baseline, then every configured check."""
+    """Run the policy and the optimum, then every configured check."""
     return certify(inst, evaluate(inst), config)
 
 
@@ -247,7 +263,7 @@ def _scan(indexed: Iterable[tuple[int, Instance]], config: CheckConfig, keep_row
 
 
 def _grid(spec: GridSpec, workers: int, residue: int) -> Iterable[tuple[int, Instance]]:
-    return islice(enumerate(enumerate_instances(spec)), residue, None, workers)
+    return zip(count(residue, workers), enumerate_instances(spec, workers, residue))
 
 
 def _seeded(

@@ -214,7 +214,7 @@ class Instance:
     def __init__(self, packets: Iterable[Packet]):
         object.__setattr__(self, "packets", tuple(packets))
 
-    @property
+    @cached_property
     def horizon(self) -> int:
         """Largest deadline; -1 for the empty instance."""
         return max((p.deadline for p in self.packets), default=-1)

@@ -32,7 +32,8 @@ from bdsched import (
     run_exhaustive,
     run_fuzz,
 )
-from bdsched.generators import chain_family
+from bdsched.generators import chain_family, tight_family
+from bdsched.model import le_r_times
 from bdsched.offline import BRUTE_FORCE_LIMIT
 
 SWEEP_GRID = GridSpec(
@@ -197,3 +198,23 @@ class TestCriterion8TightnessProbe:
             "1.2.3.3": 1612, "1.2.3.4": 2367, "2.1": 603, "2.2.1": 13, "2.2.2.2": 13,
             "commit": 32549, "idle": 21626,
         }
+
+    def test_tight_family_approaches_r(self):
+        # Ratios rise strictly toward R from below: a certifier whose bound
+        # constant were any number below R (23/18 + 10^-3, say) rejects these.
+        all_checks = CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True, cross_check=True)
+        ratios = []
+        for n in range(8):
+            res = check_instance(tight_family(n), all_checks)
+            assert res.ok, (n, res.findings)
+            assert "1.2.3.3" in res.cases
+            ratios.append(res.v_opt / res.v_cp)
+        assert ratios[:3] == [Fraction(5, 4), Fraction(333, 260), Fraction(21973, 17156)]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+        assert all(le_r_times(r, 1) for r in ratios)
+        assert all(not le_r_times(r + Fraction(1, 10**6), 1) for r in ratios[2:])  # r > R - 10^-6
+        _announce(
+            "8",
+            f"tight family: {len(ratios)} instances, ratios rise strictly to "
+            f"{render_decimal(ratios[-1])} <= R, above R - 10^-6 from n=2 on",
+        )

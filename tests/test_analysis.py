@@ -186,7 +186,7 @@ class TestLemmaCheckers:
             chain_family("2.2.2.1"),
             chain_family("3.2.2"),
         ):
-            _, trace, opt_sched, _, report = evaluate(inst)
+            _, trace, opt_sched, report = evaluate(inst)
             assert check_lemma_bounds(inst, trace, report) == []
             assert check_forced_opt(inst, trace, opt_sched) == []
             assert check_inclusions(inst, trace) == []
@@ -201,6 +201,6 @@ class TestLemmaCheckers:
 
     def test_empty_instance_no_findings(self):
         inst = Instance(())
-        _, trace, _, _, report = evaluate(inst)
+        _, trace, _, report = evaluate(inst)
         assert check_lemma_bounds(inst, trace, report) == []
         assert check_inclusions(inst, trace) == []

@@ -18,6 +18,7 @@ from bdsched import (
     instance_hash,
     opt_full,
     profit,
+    tight_family,
     validate_instance,
 )
 
@@ -111,3 +112,17 @@ class TestGreedyBaseline:
         for seed in range(300):
             inst = gen_random(seed)
             profit(greedy_baseline(inst), inst)  # raises on infeasibility
+
+
+class TestTightFamily:
+    def test_first_member_and_convergents(self):
+        from conftest import mk
+
+        assert tight_family(0) == mk((0, 1, 1), (1, 2, 2), (0, 1, Fraction(3, 4)))
+        # c = 3(p/q - 3)/4 for the lower convergents 268/65 and 17684/4289
+        assert tight_family(1).packets[2].value == Fraction(3 * (268 - 3 * 65), 4 * 65)
+        assert tight_family(2).packets[2].value == Fraction(3 * (17684 - 3 * 4289), 4 * 4289)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            tight_family(-1)

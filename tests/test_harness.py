@@ -2,39 +2,51 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from bdsched import (
+    CaseTrace,
     CheckConfig,
     Finding,
     GridSpec,
     Instance,
     IntervalReport,
+    Packet,
+    QueryEngine,
     RandomConfig,
     chain_family,
     check_instance,
     dump_instance,
+    enumerate_instances,
     gen_random,
+    greedy_baseline,
     greedy_killer,
+    instance_hash,
     load_instance,
     minimize_witness,
+    profit,
     run_exhaustive,
     run_fuzz,
 )
+import bdsched.harness as harness_mod
 from bdsched.cli import main
 from bdsched.harness import (
     compare_algorithms,
     default_workers,
+    evaluate,
     render_rows_csv,
     report_to_json,
 )
 from conftest import mk
 
 SMALL_GRID = GridSpec(horizon=1, max_packets=2, value_grid=(Fraction(1), Fraction(2)))
+ACCEPTANCE_VALUES = (Fraction(1), Fraction(5, 4), Fraction(8, 5), Fraction(2), Fraction(3))
 DEEP = CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True)
+ALL_CHECKS = CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True, cross_check=True)
 
 
 class TestCheckInstance:
@@ -90,6 +102,84 @@ class TestCampaigns:
             if best is None or row.v_opt * best[1] > best[0] * row.v_cp:
                 best = (row.v_opt, row.v_cp)
         assert report.summary.max_ratio == best
+
+
+class TestSummaryOnlyCampaigns:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("horizon,max_packets", [(0, 0), (0, 3), (1, 2), (2, 3)])
+    def test_residue_shards_partition_the_grid(self, horizon, max_packets, workers):
+        spec = GridSpec(horizon=horizon, max_packets=max_packets, value_grid=(Fraction(1), Fraction(2)))
+        shards = [list(harness_mod._grid(spec, workers, r)) for r in range(workers)]
+        union = sorted((pair for shard in shards for pair in shard), key=lambda pair: pair[0])
+        assert [(i, inst.packets) for i, inst in union] == [
+            (i, inst.packets) for i, inst in enumerate(enumerate_instances(spec))
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_only_scan_skips_row_columns(self, workers, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("row-only work in a summary-only campaign")
+
+        monkeypatch.setattr(harness_mod, "greedy_baseline", refuse)
+        monkeypatch.setattr(harness_mod, "instance_hash", refuse)
+        monkeypatch.setattr(IntervalReport, "worst_interval", property(refuse))
+        report = run_exhaustive(GridSpec(horizon=1, max_packets=2, value_grid=ACCEPTANCE_VALUES), workers=workers)
+        assert report.ok and report.summary.instances == 230
+
+    def test_row_columns_equal_eager_computation(self):
+        report = run_fuzz(list(range(50)), keep_rows=True)
+        for res in report.rows:
+            greedy = greedy_baseline(res.instance)
+            worst = evaluate(res.instance)[-1].worst_interval
+            assert res.hash == instance_hash(res.instance)
+            assert res.v_greedy == profit(greedy, res.instance)
+            assert res.worst_interval == ((worst.v_opt, worst.v_cp) if worst else None)
+        assert any(res.v_greedy != res.v_cp for res in report.rows)
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["exhaustive", "--horizon", "1", "--max-packets", "2"],
+                "da0bfbebe52f478ded741f4f1b20ccdfa6e01f7ec692bb16f5fcb0fe64196317",
+            ),
+            (["fuzz", "--seeds", "0..49"], "64cf5606d68a0e258dc76fb4bf17478a4e9baac21ad4713ed811128089917aa5"),
+        ],
+        ids=["exhaustive", "fuzz"],
+    )
+    def test_csv_rows_pinned(self, argv, digest, capsys):
+        # hash, v_greedy and worst-interval columns as computed eagerly before
+        assert main(argv + ["--format", "csv"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_result_holds_no_trace(self):
+        res = check_instance(chain_family("3.2.2"), DEEP)
+        assert not any(isinstance(v, (CaseTrace, QueryEngine)) for v in vars(res).values())
+
+
+class TestTranslationInvariance:
+    """Shifting every packet by s steps shifts the run: the policy idles for
+    s steps, then repeats the unshifted run's cases, and every value,
+    verdict and finding kind is unchanged."""
+
+    @staticmethod
+    def shifted(inst: Instance, s: int) -> Instance:
+        return Instance(Packet(p.id, p.release + s, p.deadline + s, p.value) for p in inst.packets)
+
+    def test_shift_changes_nothing_but_leading_idles(self):
+        grid = enumerate_instances(GridSpec(horizon=1, max_packets=3, value_grid=ACCEPTANCE_VALUES))
+        instances = list(grid) + [gen_random(seed) for seed in range(200)]
+        pairs = 0
+        for inst in instances:
+            base = check_instance(inst, ALL_CHECKS)
+            for s in (1, 2, 3):
+                moved = check_instance(self.shifted(inst, s), ALL_CHECKS)
+                assert (moved.v_cp, moved.v_opt, moved.within_bound) == (base.v_cp, base.v_opt, base.within_bound)
+                assert moved.worst_interval == base.worst_interval
+                assert [f.kind for f in moved.findings] == [f.kind for f in base.findings]
+                assert moved.cases == ("idle",) * s + base.cases
+                pairs += 1
+        assert pairs == 3 * (1770 + 200)
 
 
 class TestWitnessMinimization:
@@ -272,8 +362,6 @@ class TestCli:
         assert witness.packets[0].value == Fraction(7, 3)
 
     def test_witness_minimized_under_campaign_checks(self, tmp_path, monkeypatch):
-        import bdsched.harness as harness_mod
-
         # a forced-opt check that fails whenever a marked packet is present:
         # only a witness minimized under the campaign's own checks shrinks
         real_forced = harness_mod.check_forced_opt
