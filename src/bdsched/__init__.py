@@ -67,7 +67,9 @@ from .generators import (
     GridSpec,
     RandomConfig,
     chain_family,
+    count_bases,
     count_instances,
+    enumerate_bases,
     enumerate_instances,
     gen_random,
     greedy_baseline,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cp import run_cp, trace_to_jsonl
-from .generators import GridSpec, RandomConfig, count_instances, greedy_baseline
+from .generators import GridSpec, RandomConfig, count_bases, count_instances, greedy_baseline
 from .harness import (
     CheckConfig,
     certify,
@@ -213,8 +213,11 @@ def cmd_exhaustive(args) -> int:
     if total > GUARD_LIMIT and not args.yes:
         print(f"grid larger than {GUARD_LIMIT}; pass --yes to proceed", file=sys.stderr)
         return EXIT_INPUT
+    keep_rows = args.format == "csv"
+    checked = total if keep_rows else count_bases(spec)
+    print(f"checked instances: {checked}   translates folded in: {total - checked}", file=sys.stderr)
     checks = CheckConfig(forced_opt=True)
-    report = run_exhaustive(spec, checks, workers=args.workers, keep_rows=args.format == "csv")
+    report = run_exhaustive(spec, checks, workers=args.workers, keep_rows=keep_rows)
     _print_report(report, args.format)
     _emit_witness(args.emit_witness, report.summary, "witness.json", checks)
     return EXIT_OK if report.ok else EXIT_VIOLATION

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import BufferState, Instance, Packet, Rat, Schedule, canonical_key, ge_alpha_times, le_r_times, render_value
+from .model import BufferState, Instance, Packet, Rat, Schedule, ge_alpha_times, le_r_times, render_value
 from .offline import InternalInvariantError, QueryEngine
 
 __all__ = [
@@ -308,13 +308,10 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
             steps.append(StepRecord(t, "commit", pid, None))
         else:
             decision = classify_case(oracle, t, state)
-            p = pending.get(decision.transmit)
-            if p is None:
-                # Documented general fallback: the case named a packet that is
-                # not pending (should be unreachable; kept as a safety net).
-                best = min(pending.values(), key=canonical_key)
-                decision.fallback = (decision.fallback or "") + "+transmit-missing"
-                decision.transmit, decision.commit_next = best.id, None
+            if decision.transmit not in pending:
+                raise InternalInvariantError(
+                    f"t={t}: case {decision.label} transmits packet {decision.transmit}, which is not pending"
+                )
             del pending[decision.transmit]
             slots[t] = decision.transmit
             if decision.commit_next is not None:

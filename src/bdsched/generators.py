@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 
@@ -22,7 +22,9 @@ from .model import Instance, Packet, Rat, Schedule
 __all__ = [
     "GridSpec",
     "enumerate_instances",
+    "enumerate_bases",
     "count_instances",
+    "count_bases",
     "RandomConfig",
     "gen_random",
     "greedy_baseline",
@@ -61,6 +63,8 @@ class GridSpec:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        if self.max_packets < 0:
+            raise ValueError("max_packets must be >= 0")
         _check_value_grid(self.value_grid)
 
 
@@ -91,6 +95,26 @@ def enumerate_instances(spec: GridSpec, workers: int = 1, residue: int = 0):
         yield _from_shapes(shapes)
 
 
+def enumerate_bases(spec: GridSpec, workers: int = 1, residue: int = 0):
+    """(index, instance, translates) for every base instance of the grid.
+
+    A base has a packet released at 0 (the empty instance is its own base).
+    Shifting a base whose largest release is M by s = 1 .. horizon - M steps
+    gives its translates: together with the base they are exactly the grid
+    instances of the same shape up to a shift, so the bases and their
+    translates partition the grid.  A base sorts before its translates, so
+    `index`, its position in the enumerate_instances stream, is the lowest
+    of its class.
+
+    With workers > 1 the stream keeps every workers-th base, starting at
+    the residue-th; the others are skipped as shape tuples, before any
+    Instance is built.
+    """
+    bases = ((i, shapes) for i, shapes in enumerate(_shapes(spec)) if not shapes or shapes[0][0] == 0)
+    for index, shapes in islice(bases, residue, None, workers):
+        yield index, _from_shapes(shapes), spec.horizon - shapes[-1][0] if shapes else 0
+
+
 def _from_shapes(shapes) -> Instance:
     """An instance from (release, deadline, value) shapes; ids follow their order."""
     return Instance(Packet(id=i, release=r, deadline=d, value=v) for i, (r, d, v) in enumerate(shapes))
@@ -112,6 +136,20 @@ def count_instances(spec: GridSpec) -> int:
     if spec.max_packets == 0:
         return 1
     return sum(math.comb(u + k - 1, k) for k in range(1, spec.max_packets + 1))
+
+
+def count_bases(spec: GridSpec) -> int:
+    """Closed-form size of the enumerate_bases stream.
+
+    Shifting back by one step maps the non-empty instances with no release
+    at 0 one to one onto the grid of horizon - 1, so for horizon >= 1 and
+    max_packets >= 1 the bases number count(h, k) - count(h - 1, k).  At
+    horizon 0 every instance is a base, and the empty instance of a zero
+    packet budget is its own.
+    """
+    if spec.horizon == 0 or spec.max_packets == 0:
+        return count_instances(spec)
+    return count_instances(spec) - count_instances(replace(spec, horizon=spec.horizon - 1))
 
 
 @dataclass(frozen=True)

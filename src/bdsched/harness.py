@@ -15,7 +15,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import count
+from itertools import count, zip_longest
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Iterable, Sequence
 
 from .analysis import (
@@ -29,7 +30,7 @@ from .analysis import (
     check_lemma_bounds,
 )
 from .cp import run_cp
-from .generators import GridSpec, RandomConfig, enumerate_instances, gen_random, greedy_baseline
+from .generators import GridSpec, RandomConfig, enumerate_bases, enumerate_instances, gen_random, greedy_baseline
 from .model import (
     Instance,
     Packet,
@@ -62,6 +63,15 @@ __all__ = [
 ]
 
 CSV_HEADER = "instance_hash,v_cp,v_opt,v_greedy,ratio_exact,ratio_decimal,within_bound,worst_interval_ratio,findings"
+
+
+def _reduce_fraction(x: Fraction):
+    return Fraction, (x.numerator, x.denominator)
+
+
+# Pool transfers send a Fraction as its two integers: its own pickle is its
+# string, parsed again on load, which would dominate a rows shard's return.
+ForkingPickler.register(Fraction, _reduce_fraction)
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,15 @@ def cross_check_queries(inst: Instance, trace) -> list[Finding]:
 @dataclass
 class Summary:
     """Campaign aggregate; shards merge to the same result as a serial scan
-    (ratio ties resolved by the lowest instance index)."""
+    (ratio ties resolved by the lowest instance index).
+
+    A result absorbed with `translates` > 0 stands for itself plus that many
+    translates, its copies shifted by 1 .. translates steps (see
+    run_exhaustive): each adds one instance, its verdict, findings and cases
+    again, and s leading `idle` steps, translates*(translates+1)/2 in all.
+    The ratio and the violation order need nothing, because the absorbed
+    result has the lowest index of its class.
+    """
 
     instances: int = 0
     violations: int = 0
@@ -203,19 +221,22 @@ class Summary:
         lhs, rhs = v_opt * cur_cp, cur_opt * v_cp
         return lhs > rhs or (lhs == rhs and index < self.argmax_index)
 
-    def absorb_result(self, res: InstanceResult, index: int = 0) -> None:
-        self.instances += 1
+    def absorb_result(self, res: InstanceResult, index: int = 0, translates: int = 0) -> None:
+        copies = 1 + translates
+        self.instances += copies
         if not res.ok:
-            self.violations += 1
+            self.violations += copies
             if self.first_violation_index is None or index < self.first_violation_index:
                 self.first_violation = res
                 self.first_violation_index = index
         for f in res.findings:
-            self.findings_by_kind[f.kind] = self.findings_by_kind.get(f.kind, 0) + 1
+            self.findings_by_kind[f.kind] = self.findings_by_kind.get(f.kind, 0) + copies
         if not res.within_bound:
-            self.findings_by_kind["global-bound"] = self.findings_by_kind.get("global-bound", 0) + 1
+            self.findings_by_kind["global-bound"] = self.findings_by_kind.get("global-bound", 0) + copies
         for label in res.cases:
-            self.cases_seen[label] = self.cases_seen.get(label, 0) + 1
+            self.cases_seen[label] = self.cases_seen.get(label, 0) + copies
+        if translates:
+            self.cases_seen["idle"] = self.cases_seen.get("idle", 0) + translates * (translates + 1) // 2
         if res.v_cp > 0 and self._beats_max(res.v_opt, res.v_cp, index):
             self.max_ratio = (res.v_opt, res.v_cp)
             self.argmax_index = index
@@ -251,49 +272,54 @@ class Report:
         return self.summary.violations == 0
 
 
-def _scan(indexed: Iterable[tuple[int, Instance]], config: CheckConfig, keep_rows: bool) -> Report:
+def _scan(indexed: Iterable[tuple[int, Instance, int]], config: CheckConfig, keep_rows: bool) -> Report:
     summary = Summary()
     rows: list[InstanceResult] = []
-    for index, inst in indexed:
+    for index, inst, translates in indexed:
         res = check_instance(inst, config)
-        summary.absorb_result(res, index)
+        summary.absorb_result(res, index, translates)
         if keep_rows:
             rows.append(res)
     return Report(summary, rows)
 
 
-def _grid(spec: GridSpec, workers: int, residue: int) -> Iterable[tuple[int, Instance]]:
-    return zip(count(residue, workers), enumerate_instances(spec, workers, residue))
+def _grid(spec: GridSpec, workers: int, residue: int) -> Iterable[tuple[int, Instance, int]]:
+    return ((i, inst, 0) for i, inst in zip(count(residue, workers), enumerate_instances(spec, workers, residue)))
 
 
 def _seeded(
     seeds: Sequence[int], config: RandomConfig, workers: int, residue: int
-) -> Iterable[tuple[int, Instance]]:
-    return ((s, gen_random(s, config)) for s in seeds[residue::workers])
+) -> Iterable[tuple[int, Instance, int]]:
+    return ((s, gen_random(s, config), 0) for s in seeds[residue::workers])
 
 
 def _shard(args: tuple) -> Report:
-    source, config, workers, residue = args
-    return _scan(source(workers, residue), config, keep_rows=False)
+    source, config, workers, residue, keep_rows = args
+    report = _scan(source(workers, residue), config, keep_rows)
+    for res in report.rows:  # the row-only columns too are computed in the worker
+        res.hash, res.v_greedy, res.worst_interval
+    return report
 
 
 def _campaign(
-    source: Callable[[int, int], Iterable[tuple[int, Instance]]],
+    source: Callable[[int, int], Iterable[tuple[int, Instance, int]]],
     config: CheckConfig,
     workers: int,
     keep_rows: bool,
 ) -> Report:
-    """Check every (index, instance) of a picklable source.  With workers > 1
-    each worker builds and checks the instances of one residue class of the
-    source and the shard summaries merge in residue order."""
-    if workers <= 1 or keep_rows:
+    """Check every (index, instance, translates) of a picklable source.
+    With workers > 1 each worker builds and checks the instances of one
+    residue class of the source, the shard summaries merge in residue order
+    and row i comes from shard i mod workers."""
+    if workers <= 1:
         return _scan(source(1, 0), config, keep_rows)
     with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-        shards = pool.map(_shard, [(source, config, workers, r) for r in range(workers)])
+        shards = pool.map(_shard, [(source, config, workers, r, keep_rows) for r in range(workers)])
     merged = Summary()
     for shard in shards:
         merged.merge(shard.summary)
-    return Report(merged)
+    rows = [row for group in zip_longest(*(shard.rows for shard in shards)) for row in group if row is not None]
+    return Report(merged, rows)
 
 
 def default_workers() -> int:
@@ -311,8 +337,40 @@ def run_exhaustive(
     workers: int = 1,
     keep_rows: bool = False,
 ) -> Report:
-    """Check every instance of the grid, indexed by enumeration order."""
-    return _campaign(partial(_grid, spec), config, workers, keep_rows)
+    """Check every instance of the grid, indexed by enumeration order.
+
+    A campaign with rows checks every instance, since each row is its own
+    instance's.  A summary-only campaign checks only the grid's bases, the
+    instances with a packet released at 0, and the summary folds in each
+    base's translates exactly (see enumerate_bases and Summary).  That is
+    sound because every check sees a translate by s steps as its base run
+    after s idle steps:
+
+    * run_cp idles while the buffer is empty, and otherwise compares a
+      release or deadline only with the step time; canonical_key orders
+      packets by value, deadline, release and id, which the shift keeps in
+      order.  So run_cp, opt_full and every partial-optimum query answer
+      with the base's packets at times shifted by s, and the cases repeat
+      after s `idle` steps.
+    * The interval comparison adds one idle span per leading idle step, with
+      zero profit on both timelines (nothing is released before s), so the
+      global and interval bounds, the coverage test and the worst interval
+      are the base's.  check_lemma_bounds skips idle spans.
+    * check_forced_opt fires only on cases 2.2.2.1 and 3.2.2, which repeat
+      at shifted times with shifted selectors and optimum slots.
+    * check_inclusions at t >= s repeats the base's relations at t - s.  At
+      a leading idle time t < s the buffer is empty, so each query's pool is
+      the packets released in [s, t']: empty while t' < s, where every
+      relation holds trivially; when t' = s - 1 and the grown query reaches
+      s, only slot s is usable, so it adds at most one packet to the empty
+      set; and when t' >= s the query equals the one at base s, a relation
+      already checked at t = s (the cross-base relation compares two equal
+      sets, since nothing is sent or expires before s).
+    * cross_check_queries replays the policy's queries, and the policy
+      issues none while idle.
+    """
+    source = _grid if keep_rows else enumerate_bases
+    return _campaign(partial(source, spec), config, workers, keep_rows)
 
 
 def run_fuzz(

@@ -214,6 +214,10 @@ class Instance:
     def __init__(self, packets: Iterable[Packet]):
         object.__setattr__(self, "packets", tuple(packets))
 
+    def __reduce__(self):
+        # pickles as its packets alone; the cached views are rebuilt on first read
+        return Instance, (self.packets,)
+
     @cached_property
     def horizon(self) -> int:
         """Largest deadline; -1 for the empty instance."""

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import bdsched.cp as cp_mod
 from bdsched import (
     Instance,
+    InternalInvariantError,
     build_intervals,
     chain_family,
     check_forced_opt,
@@ -234,6 +236,21 @@ class TestFallbacks:
         _, trace = run_cp(inst)
         for rec in trace.fallback_events():
             assert rec.committed is None
+
+
+    def test_case_naming_a_non_pending_packet_raises(self, monkeypatch):
+        # no silent substitute: a case that names a packet outside the buffer
+        # (here one released only at t=2) is an internal error
+        real_classify = cp_mod.classify_case
+
+        def misnaming(oracle, t, state):
+            decision = real_classify(oracle, t, state)
+            decision.transmit = 1
+            return decision
+
+        monkeypatch.setattr(cp_mod, "classify_case", misnaming)
+        with pytest.raises(InternalInvariantError, match=r"t=0: case 1\.1 transmits packet 1, which is not pending"):
+            run_cp(mk((0, 0, 5), (2, 2, 1)))
 
 
 class TestTraceSerialization:

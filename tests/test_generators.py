@@ -9,8 +9,12 @@ import pytest
 
 from bdsched import (
     GridSpec,
+    Instance,
+    Packet,
     RandomConfig,
+    count_bases,
     count_instances,
+    enumerate_bases,
     enumerate_instances,
     gen_random,
     greedy_baseline,
@@ -60,6 +64,8 @@ class TestEnumerate:
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(horizon=-1, max_packets=1, value_grid=(Fraction(1),))
+        with pytest.raises(ValueError, match="max_packets must be >= 0"):
+            GridSpec(horizon=0, max_packets=-1, value_grid=(Fraction(1),))
         with pytest.raises(ValueError):
             GridSpec(horizon=0, max_packets=1, value_grid=())
         with pytest.raises(ValueError):
@@ -69,6 +75,45 @@ class TestEnumerate:
             RandomConfig(value_grid=())
         with pytest.raises(ValueError, match="value grid must be positive"):
             RandomConfig(value_grid=(Fraction(0), Fraction(1)))
+
+
+def shifted(inst: Instance, s: int) -> Instance:
+    return Instance(Packet(p.id, p.release + s, p.deadline + s, p.value) for p in inst.packets)
+
+
+SMALL_GRIDS = [
+    GridSpec(horizon=h, max_packets=k, value_grid=values)
+    for h in range(3)
+    for k in range(5)
+    for values in ((Fraction(1),), (Fraction(1), Fraction(8, 5)))
+]
+
+
+class TestBases:
+    @pytest.mark.parametrize("spec", SMALL_GRIDS, ids=lambda spec: f"h{spec.horizon}k{spec.max_packets}v{len(spec.value_grid)}")
+    def test_count_matches_closed_form(self, spec):
+        bases = list(enumerate_bases(spec))
+        assert count_bases(spec) == len(bases)
+        assert all(not inst.packets or min(p.release for p in inst.packets) == 0 for _i, inst, _k in bases)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("spec", SMALL_GRIDS[::3], ids=lambda spec: f"h{spec.horizon}k{spec.max_packets}v{len(spec.value_grid)}")
+    def test_base_shards_and_translates_are_the_grid(self, spec, workers):
+        grid = [inst.packets for inst in enumerate_instances(spec)]
+        position = {packets: i for i, packets in enumerate(grid)}
+        serial = list(enumerate_bases(spec))
+        classes = []
+        for r in range(workers):
+            shard = list(enumerate_bases(spec, workers, r))
+            assert [(i, inst.packets, k) for i, inst, k in shard] == [
+                (i, inst.packets, k) for i, inst, k in serial[r::workers]
+            ]
+            for index, base, translates in shard:
+                assert position[base.packets] == index
+                members = [shifted(base, s).packets for s in range(translates + 1)]
+                assert all(position[m] > index for m in members[1:])  # the base is lowest in its class
+                classes += members
+        assert sorted(classes, key=position.__getitem__) == grid
 
 
 class TestGenRandom:

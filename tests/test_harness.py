@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from bdsched import (
     RandomConfig,
     chain_family,
     check_instance,
+    count_bases,
+    count_instances,
     dump_instance,
     enumerate_instances,
     gen_random,
@@ -110,9 +113,9 @@ class TestSummaryOnlyCampaigns:
     def test_residue_shards_partition_the_grid(self, horizon, max_packets, workers):
         spec = GridSpec(horizon=horizon, max_packets=max_packets, value_grid=(Fraction(1), Fraction(2)))
         shards = [list(harness_mod._grid(spec, workers, r)) for r in range(workers)]
-        union = sorted((pair for shard in shards for pair in shard), key=lambda pair: pair[0])
-        assert [(i, inst.packets) for i, inst in union] == [
-            (i, inst.packets) for i, inst in enumerate(enumerate_instances(spec))
+        union = sorted((triple for shard in shards for triple in shard), key=lambda triple: triple[0])
+        assert [(i, inst.packets, k) for i, inst, k in union] == [
+            (i, inst.packets, 0) for i, inst in enumerate(enumerate_instances(spec))
         ]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -180,6 +183,99 @@ class TestTranslationInvariance:
                 assert moved.cases == ("idle",) * s + base.cases
                 pairs += 1
         assert pairs == 3 * (1770 + 200)
+
+
+def full_scan_json(spec: GridSpec, config: CheckConfig) -> str:
+    """The reference summary: every grid instance checked, serially."""
+    return report_to_json(harness_mod._scan(harness_mod._grid(spec, 1, 0), config, keep_rows=False))
+
+
+def quotient_cases(horizons, packet_budgets):
+    return [(h, k, w) for h in horizons for k in packet_budgets for w in (1, 2, 3)]
+
+
+PAIR_VALUES = (Fraction(1), Fraction(8, 5))
+
+
+class TestTranslationQuotient:
+    """A summary-only grid campaign checks only the instances with a release
+    at 0 and folds in their translates; its summary is byte-identical to
+    checking every instance."""
+
+    @pytest.mark.parametrize("horizon,max_packets,workers", quotient_cases(range(3), range(5)))
+    def test_forced_opt_summary_equals_full_scan(self, horizon, max_packets, workers):
+        spec = GridSpec(horizon=horizon, max_packets=max_packets, value_grid=PAIR_VALUES)
+        folded = run_exhaustive(spec, CheckConfig(forced_opt=True), workers=workers)
+        assert report_to_json(folded) == full_scan_json(spec, CheckConfig(forced_opt=True))
+
+    @pytest.mark.parametrize(
+        "horizon,max_packets,workers", quotient_cases(range(2), range(5)) + quotient_cases([2], range(3))
+    )
+    def test_all_checks_summary_equals_full_scan(self, horizon, max_packets, workers):
+        spec = GridSpec(horizon=horizon, max_packets=max_packets, value_grid=PAIR_VALUES)
+        folded = run_exhaustive(spec, ALL_CHECKS, workers=workers)
+        assert report_to_json(folded) == full_scan_json(spec, ALL_CHECKS)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_violations_fold_like_the_full_scan(self, workers, monkeypatch):
+        # a shift-invariant fault: one forced-opt finding per packet of value
+        # 8/5, and a broken global bound whenever the policy earns 13/5
+        def marked_forced(inst, trace, opt_sched):
+            return [Finding("forced-opt", f"marked {p.id}", "-", "-") for p in inst.packets if p.value == Fraction(8, 5)]
+
+        real_bound = IntervalReport.global_within_bound.fget
+        monkeypatch.setattr(harness_mod, "check_forced_opt", marked_forced)
+        monkeypatch.setattr(
+            IntervalReport, "global_within_bound", property(lambda r: real_bound(r) and r.v_cp != Fraction(13, 5))
+        )
+        spec = GridSpec(horizon=2, max_packets=3, value_grid=PAIR_VALUES)
+        folded = run_exhaustive(spec, CheckConfig(forced_opt=True), workers=workers)
+        assert folded.summary.violations > 0 and folded.summary.findings_by_kind["global-bound"] > 0
+        assert report_to_json(folded) == full_scan_json(spec, CheckConfig(forced_opt=True))
+
+    def test_rows_campaign_checks_every_instance(self, monkeypatch):
+        checked = []
+        real_check = harness_mod.check_instance
+
+        def counting_check(inst, config=CheckConfig()):
+            checked.append(inst.packets)
+            return real_check(inst, config)
+
+        monkeypatch.setattr(harness_mod, "check_instance", counting_check)
+        spec = GridSpec(horizon=2, max_packets=2, value_grid=PAIR_VALUES)
+        rows = run_exhaustive(spec, keep_rows=True).rows
+        assert checked == [res.instance.packets for res in rows] == [inst.packets for inst in enumerate_instances(spec)]
+        checked.clear()
+        run_exhaustive(spec)
+        assert len(checked) == count_bases(spec) < count_instances(spec)
+
+
+class TestPooledRows:
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            lambda workers: run_exhaustive(SMALL_GRID, workers=workers, keep_rows=True),
+            lambda workers: run_fuzz(list(range(31)), workers=workers, keep_rows=True),
+        ],
+        ids=["exhaustive", "fuzz"],
+    )
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_rows_come_from_the_pool_in_serial_order(self, campaign, workers, monkeypatch):
+        real_scan = harness_mod._scan
+
+        def tagged_scan(indexed, config, keep_rows):
+            report = real_scan(indexed, config, keep_rows)
+            for res in report.rows:
+                res.pid = os.getpid()
+            return report
+
+        monkeypatch.setattr(harness_mod, "_scan", tagged_scan)
+        serial, pooled = campaign(1), campaign(workers)
+        assert {res.pid for res in serial.rows} == {os.getpid()}
+        assert pooled.rows and os.getpid() not in {res.pid for res in pooled.rows}
+        assert [res.instance for res in pooled.rows] == [res.instance for res in serial.rows]
+        assert report_to_json(pooled) == report_to_json(serial)
+        assert render_rows_csv(pooled.rows) == render_rows_csv(serial.rows)
 
 
 class TestWitnessMinimization:
@@ -322,6 +418,23 @@ class TestCli:
         assert main(["fuzz", "--seeds", "0..20", f"--values={values}"]) == 2
         assert "error: value grid must be positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_exhaustive_rejects_negative_max_packets(self, capsys):
+        assert main(["exhaustive", "--max-packets", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: max_packets must be >= 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_exhaustive_reports_checked_and_folded(self, fmt, capsys):
+        assert main(["exhaustive", "--horizon", "2", "--max-packets", "2", "--format", fmt]) == 0
+        spec = GridSpec(horizon=2, max_packets=2, value_grid=ACCEPTANCE_VALUES)
+        total, bases = count_instances(spec), count_bases(spec)
+        checked = total if fmt == "csv" else bases
+        assert capsys.readouterr().err.splitlines()[:2] == [
+            f"estimated instances: {total}",
+            f"checked instances: {checked}   translates folded in: {total - checked}",
+        ]
 
     def test_exhaustive_guard_requires_yes(self, capsys):
         # 60 packet shapes, up to 8 packets: far beyond the 10^7 guard
