@@ -38,6 +38,7 @@ from .offline import (
     PartialQuery,
     QueryEngine,
     brute_force_partial,
+    dp_partial,
     opt_full,
     solve_partial,
 )

@@ -292,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--workers", type=int, default=default_workers())
     p_fuzz.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_fuzz.add_argument("--emit-witness", metavar="PATH")
-    p_fuzz.add_argument("--cross-check", action="store_true", help="replay queries against the enumeration oracle")
+    p_fuzz.add_argument(
+        "--cross-check", action="store_true", help="replay the policy's queries against the dynamic-programming oracle"
+    )
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_cmp = sub.add_parser("compare", help="policy vs greedy vs optimum on one instance")

@@ -164,7 +164,7 @@ class RandomConfig:
     def __post_init__(self):
         if self.horizon < 0 or self.max_per_step < 1:
             raise ValueError("bad fuzz config")
-        if self.arrival_rate < 0 or self.arrival_rate > self.max_per_step:
+        if not 0 <= self.arrival_rate <= self.max_per_step:
             raise ValueError("arrival_rate must lie in [0, max_per_step]")
         _check_value_grid(self.value_grid)
 

@@ -41,7 +41,7 @@ from .model import (
     render_decimal,
     render_value,
 )
-from .offline import OracleSizeError, PartialQuery, brute_force_partial, opt_full
+from .offline import PartialQuery, dp_partial, opt_full
 
 __all__ = [
     "CheckConfig",
@@ -163,9 +163,10 @@ def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> Insta
 
 def cross_check_queries(inst: Instance, trace) -> list[Finding]:
     """Replay every partial-optimum query the policy issued against the
-    enumeration oracle: the answer the run's query engine gave (the one the
-    policy and the checks consumed) must agree exactly in members and total
-    value.  Queries beyond the oracle's size guard are skipped."""
+    dynamic-programming oracle dp_partial: the answer the run's query engine
+    gave (the one the policy and the checks consumed) must agree exactly in
+    members and total value.  Every logged query is checked, whatever its
+    size; brute_force_partial is dp_partial's reference in the tests."""
     out: list[Finding] = []
     seen: set[tuple[int, int, int]] = set()
     for _now, t, t_arr, t_slot in trace.queries:
@@ -173,19 +174,16 @@ def cross_check_queries(inst: Instance, trace) -> list[Finding]:
         if key in seen or t_arr < t:  # the empty-by-convention query has no content
             continue
         seen.add(key)
-        fast = trace.engine.cache[key]
+        got = trace.engine.cache[key]
         q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
-        try:
-            slow = brute_force_partial(q, inst)
-        except OracleSizeError:
-            continue
-        if fast.member_set != slow.member_set or fast.total_value != slow.total_value:
+        ref = dp_partial(q, inst)
+        if got.member_set != ref.member_set or got.total_value != ref.total_value:
             out.append(
                 Finding(
                     "oracle-mismatch",
                     f"query ({t},{t_arr},{t_slot})",
-                    f"{sorted(fast.member_set)}={render_value(fast.total_value)}",
-                    f"{sorted(slow.member_set)}={render_value(slow.total_value)}",
+                    f"{sorted(got.member_set)}={render_value(got.total_value)}",
+                    f"{sorted(ref.member_set)}={render_value(ref.total_value)}",
                 )
             )
     return out

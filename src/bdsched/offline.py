@@ -25,13 +25,16 @@ engine is bound to one run's buffer history -- and derives the marginal
 packets m_i(t) and q_i(t) from those answers.  A miss is solved from scratch;
 no answer is ever derived from another.
 
-``brute_force_partial`` is the independent oracle: straight enumeration of
-packet subsets with a backtracking matcher, sharing no code path with the
-greedy solver.
+``dp_partial`` is the independent oracle that campaigns run: a max-weight
+dynamic program along the slot path, with its own scan and sort of the
+packets, sharing no code path with the greedy solver.  ``brute_force_partial``
+is its reference: straight enumeration of packet subsets with a backtracking
+matcher, limited to small queries and run only by the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -47,6 +50,7 @@ __all__ = [
     "OracleSizeError",
     "canonical_key",
     "solve_partial",
+    "dp_partial",
     "brute_force_partial",
     "opt_full",
 ]
@@ -200,6 +204,63 @@ def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> bool
         return False
 
     return place(0)
+
+
+def dp_partial(q: PartialQuery, inst: Instance) -> PSet:
+    """Independent oracle: a maximum-weight dynamic program along the slots.
+
+    The eligible packets, read by its own scan of ``inst.packets``, are
+    sorted in canonical order (value descending on integers scaled by the
+    LCM of their denominators, then deadline, release and id) and get
+    integer weights value * scale * 2**n + 2**(n - 1 - rank).  The value
+    dominates, and the low n bits, one per rank, break every tie toward the
+    canonically earlier packet: the unique heaviest feasible set is the
+    canonical one, and its weight spells out its members (the low bits) and
+    its total (the high bits).
+
+    A packet's window clipped to [t, t''] is one slot or two adjacent ones.
+    One pass over the slots keeps two best weights: with slot s free, and
+    with slot s taken by a two-slot packet carried from s - 1.  At s a free
+    slot takes the heaviest packet whose window starts at s, and the heaviest
+    two-slot packet starting at s may be carried to s + 1 beside the
+    heaviest other one.  Raises ValueError if an eligible packet is not
+    2-bounded.
+    """
+    t, t_arr, t_end, base = q.start, q.arrival_end, q.slot_end, q.base_buffer
+    pool = [p for p in inst.packets if (p.id in base or t <= p.release <= t_arr)
+            and max(t, p.release) <= min(t_end, p.deadline)]
+    if not pool:
+        return _EMPTY_PSET
+    n = len(pool)
+    # lists, not generator expressions: generators here raised the peak
+    # resident memory of a 4,800-seed serial campaign by about 0.5 MB
+    scale = math.lcm(*[p.value.denominator for p in pool])
+    ranked = sorted([(-p.value.numerator * (scale // p.value.denominator), p.deadline, p.release, p.id) for p in pool])
+    # first slot -> weights of its heaviest one-slot packet and of its two
+    # heaviest two-slot packets, 0 where there is none
+    tops: dict[int, list[int]] = {}
+    for rank, (neg_value, deadline, release, pid) in enumerate(ranked):
+        if deadline - release > 1:
+            raise ValueError(f"packet {pid} is not 2-bounded: window [{release}, {deadline}]")
+        lo = max(t, release)
+        weight = (-neg_value << n) | (1 << (n - 1 - rank))
+        top = tops.setdefault(lo, [0, 0, 0])
+        if lo < min(t_end, deadline):
+            if not top[1]:
+                top[1] = weight
+            elif not top[2]:
+                top[2] = weight
+        elif not top[0]:
+            top[0] = weight
+    # best weights with slot s free / taken by a packet carried from s - 1;
+    # taken reads 0 when nothing is carried into s, which never beats free
+    free = taken = 0
+    for s in range(t, t_end + 1):
+        one, two, two_next = tops.get(s, (0, 0, 0))
+        free, taken = max(free + max(one, two), taken), (max(free + max(one, two_next), taken) + two if two else 0)
+    mask = free & ((1 << n) - 1)
+    members = tuple([ranked[rank][3] for rank in range(n) if mask >> (n - 1 - rank) & 1])
+    return PSet(members=members, total_value=Fraction(free >> n, scale))
 
 
 def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:

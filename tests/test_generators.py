@@ -75,6 +75,9 @@ class TestEnumerate:
             RandomConfig(value_grid=())
         with pytest.raises(ValueError, match="value grid must be positive"):
             RandomConfig(value_grid=(Fraction(0), Fraction(1)))
+        for rate in (-0.5, 3.5, float("nan")):
+            with pytest.raises(ValueError, match=r"arrival_rate must lie in \[0, max_per_step\]"):
+                RandomConfig(arrival_rate=rate)
 
 
 def shifted(inst: Instance, s: int) -> Instance:

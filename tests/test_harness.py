@@ -16,13 +16,18 @@ from bdsched import (
     GridSpec,
     Instance,
     IntervalReport,
+    OracleSizeError,
     Packet,
+    PartialQuery,
+    PSet,
     QueryEngine,
     RandomConfig,
+    brute_force_partial,
     chain_family,
     check_instance,
     count_bases,
     count_instances,
+    cross_check_queries,
     dump_instance,
     enumerate_instances,
     gen_random,
@@ -67,6 +72,40 @@ class TestCheckInstance:
     def test_oracle_cross_check_clean(self):
         res = check_instance(gen_random(3), CheckConfig(cross_check=True))
         assert not [f for f in res.findings if f.kind == "oracle-mismatch"]
+
+
+class TestCrossCheck:
+    @staticmethod
+    def drop_last_member(inst: Instance, trace, key: tuple[int, int, int]) -> None:
+        """Overwrite a cached engine answer with a set missing one member."""
+        right = trace.engine.cache[key]
+        dropped = inst.by_id(right.members[-1])
+        trace.engine.cache[key] = PSet(right.members[:-1], right.total_value - dropped.value)
+
+    def test_corrupted_answer_is_reported(self):
+        inst = gen_random(3)
+        _, trace, _, _ = evaluate(inst)
+        assert cross_check_queries(inst, trace) == []
+        t, t_arr, t_slot = key = next(
+            (t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries
+            if t_arr >= t and len(trace.engine.cache[(t, t_arr, t_slot)].members) >= 2
+        )
+        self.drop_last_member(inst, trace, key)
+        findings = cross_check_queries(inst, trace)
+        assert [(f.kind, f.detail) for f in findings] == [("oracle-mismatch", f"query ({t},{t_arr},{t_slot})")]
+
+    def test_query_beyond_the_enumeration_limit_is_checked(self):
+        # 24 packets released at 0: the policy's first query P(0, 0, 0)
+        # holds more packets than brute_force_partial accepts
+        inst = Instance(Packet(i, 0, i % 2, Fraction(1 + i % 5)) for i in range(24))
+        _, trace, _, _ = evaluate(inst)
+        assert (0, 0, 0, 0) in trace.queries
+        with pytest.raises(OracleSizeError):
+            brute_force_partial(PartialQuery(0, 0, 0, trace.buffers[0].pending), inst)
+        assert cross_check_queries(inst, trace) == []
+        self.drop_last_member(inst, trace, (0, 0, 0))
+        findings = cross_check_queries(inst, trace)
+        assert [(f.kind, f.detail) for f in findings] == [("oracle-mismatch", "query (0,0,0)")]
 
 
 class TestCampaigns:
@@ -418,6 +457,14 @@ class TestCli:
         assert main(["fuzz", "--seeds", "0..20", f"--values={values}"]) == 2
         assert "error: value grid must be positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_fuzz_rejects_nan_rate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--seeds", "0..4", "--rate", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "error: arrival_rate must lie in [0, max_per_step]" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "witness.json").exists()
 
     def test_exhaustive_rejects_negative_max_packets(self, capsys):
         assert main(["exhaustive", "--max-packets", "-1"]) == 2

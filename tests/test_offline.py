@@ -1,4 +1,5 @@
-"""Partial and full offline optima, checked against the enumeration oracle."""
+"""Partial and full offline optima, checked against the dynamic-programming
+oracle and its reference, the enumeration oracle."""
 
 from __future__ import annotations
 
@@ -17,15 +18,18 @@ from bdsched import (
     PartialQuery,
     PSet,
     QueryEngine,
+    RandomConfig,
     Schedule,
     brute_force_partial,
     check_inclusions,
+    dp_partial,
+    gen_random,
     opt_full,
     profit,
     run_cp,
     solve_partial,
 )
-from bdsched.offline import _edf_assignment
+from bdsched.offline import BRUTE_FORCE_LIMIT, _edf_assignment
 from conftest import mk
 
 B0 = BufferState(0, ())
@@ -167,6 +171,62 @@ class TestBruteForceOracle:
         sched, value = opt_full(inst)
         full = max(inst.horizon, 0)
         assert profit(sched, inst) == value == brute_force_partial(PartialQuery(0, full, full), inst).total_value
+
+
+class TestDPOracle:
+    def test_two_slot_packet_carried_to_make_room(self):
+        # 0 must move to slot 1 so that the expiring 1 fits in slot 0
+        inst = mk((0, 1, 5), (0, 0, 3), (1, 1, 2))
+        q = PartialQuery(0, 1, 1)
+        assert dp_partial(q, inst) == brute_force_partial(q, inst) == PSet((0, 1), Fraction(8))
+
+    def test_ties_go_to_the_canonical_set(self):
+        # equal values: 1 (deadline 0) takes slot 0 before 3 (a higher id),
+        # and 0 (released at 0) takes slot 1 before 2
+        inst = mk((0, 1, 2), (0, 0, 2), (1, 1, 2), (0, 0, 2))
+        q = PartialQuery(0, 1, 1)
+        assert dp_partial(q, inst) == brute_force_partial(q, inst) == PSet((1, 0), Fraction(4))
+
+    def test_window_wider_than_two_slots_rejected(self):
+        inst = Instance([Packet(0, 0, 0, Fraction(1)), Packet(7, 0, 2, Fraction(2))])
+        with pytest.raises(ValueError, match="packet 7 is not 2-bounded"):
+            dp_partial(PartialQuery(0, 0, 0), inst)
+
+    def test_no_size_limit(self):
+        inst = Instance(Packet(i, 0, 1, Fraction(i + 1)) for i in range(BRUTE_FORCE_LIMIT + 5))
+        ps = dp_partial(PartialQuery(0, 0, 1), inst)
+        assert ps.members == (24, 23) and ps.total_value == 49
+
+    @given(small_instances(max_packets=8, max_release=5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dp_equals_enumeration(self, inst, data):
+        # t = 0 or later, a base buffer of packets carried over into t, and
+        # every arrival window with up to two slots beyond it
+        horizon = max(inst.horizon, 0)
+        t = data.draw(st.integers(0, horizon), label="t")
+        carried = sorted(p.id for p in inst.packets if p.release < t <= p.deadline)
+        base = data.draw(st.sets(st.sampled_from(carried)) if carried else st.just(set()), label="base")
+        for t_arr in range(t, horizon + 2):
+            for t_slot in range(t_arr, t_arr + 3):
+                q = PartialQuery(t, t_arr, t_slot, base)
+                assert dp_partial(q, inst) == brute_force_partial(q, inst)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dp_equals_every_cached_answer_of_long_runs(self, seed):
+        # every answer the engine cached (solve_partial's) on instances of
+        # about 60 packets, far more than the property's instances hold
+        inst = gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))
+        assert len(inst) > 40
+        _, trace = run_cp(inst)
+        check_inclusions(inst, trace)
+        checked = 0
+        for (t, t_arr, t_slot), cached in trace.engine.cache.items():
+            if t_arr < t:
+                continue
+            q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
+            assert dp_partial(q, inst) == cached
+            checked += 1
+        assert checked > 100
 
 
 class TestPSetConventions:
