@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .model import Instance, Rat, Schedule, le_r_times, render_value
 from .cp import CaseTrace, StepRecord
@@ -42,6 +42,9 @@ __all__ = [
     "check_forced_opt",
     "check_inclusions",
 ]
+
+#: check_inclusions compares the queries P(t, t', .) for t' up to this many steps after t.
+INCLUSION_WINDOW = 3
 
 #: Case labels that start a one-step interval.
 _SINGLE = {"1.1"}
@@ -144,13 +147,12 @@ def partition_cp(trace: CaseTrace) -> list[tuple[int, int, str]]:
     return spans
 
 
-def _is_two_packet_sent(inst: Instance, sched: Schedule, t: int) -> int | None:
-    """Id of the packet sent at t if it was released at t with deadline t+1."""
-    pid = sched.packet_at(t)
-    if pid is None:
-        return None
-    p = inst.by_id(pid)
-    return pid if p.is_two_packet_at(t) else None
+def _start_shifted(inst: Instance, sent: Mapping[int, int], opt_sched: Schedule, t: int) -> bool:
+    """True if the policy sent at t-1 a packet released at t-1 with deadline
+    t (`sent` maps a time to the id it sent) and the optimum sends that same
+    packet at t."""
+    prev = sent.get(t - 1)
+    return prev is not None and inst.by_id(prev).is_two_packet_at(t - 1) and opt_sched.packet_at(t) == prev
 
 
 def partition_opt(
@@ -163,23 +165,15 @@ def partition_opt(
 
     For a span (t, t'): the start moves to t+1 when the policy sent a
     freshly released one-slack packet at t-1 and the optimum sends that
-    same packet at t; the end moves to t'+1 under the mirrored condition
-    at t'.  The two rules dovetail, so consecutive shifted spans stay
-    disjoint.
+    same packet at t; the end moves to t'+1 when the same holds at t'+1,
+    i.e. when the next span's start moves.  The two rules dovetail, so
+    consecutive shifted spans stay disjoint.
     """
-    out: list[tuple[int, int]] = []
-    for start, end, _trigger in spans:
-        new_start = start
-        if start >= 1:
-            pid = _is_two_packet_sent(inst, cp_sched, start - 1)
-            if pid is not None and opt_sched.packet_at(start) == pid:
-                new_start = start + 1
-        new_end = end
-        pid = _is_two_packet_sent(inst, cp_sched, end)
-        if pid is not None and opt_sched.packet_at(end + 1) == pid:
-            new_end = end + 1
-        out.append((new_start, new_end))
-    return out
+    sent = cp_sched.slots
+    return [
+        (start + _start_shifted(inst, sent, opt_sched, start), end + _start_shifted(inst, sent, opt_sched, end + 1))
+        for start, end, _trigger in spans
+    ]
 
 
 @dataclass(frozen=True)
@@ -327,13 +321,6 @@ def check_forced_opt(inst: Instance, trace: CaseTrace, opt_sched: Schedule) -> l
     forced layout does not apply; such firings are skipped.
     """
     sent = {rec.t: rec.transmitted for rec in trace.steps if rec.transmitted is not None}
-
-    def start_shifted(base: int) -> bool:
-        prev = sent.get(base - 1)
-        if prev is None:
-            return False
-        return inst.by_id(prev).is_two_packet_at(base - 1) and opt_sched.packet_at(base) == prev
-
     out = []
     for rec in trace.steps:
         if rec.case == "2.2.2.1":
@@ -344,7 +331,7 @@ def check_forced_opt(inst: Instance, trace: CaseTrace, opt_sched: Schedule) -> l
             count = 3
         else:
             continue
-        if start_shifted(base):
+        if _start_shifted(inst, sent, opt_sched, base):
             continue
         expected = [trace.engine.m(base, i) for i in range(count)]
         for offset, pkt in enumerate(expected):
@@ -364,7 +351,7 @@ def check_forced_opt(inst: Instance, trace: CaseTrace, opt_sched: Schedule) -> l
     return out
 
 
-def check_inclusions(inst: Instance, trace: CaseTrace, window: int = 3) -> list[Finding]:
+def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
     """Nesting of neighbouring partial-optimum sets along a run.
 
     With P(t, t', t'') the canonical partial-optimum member set computed
@@ -383,7 +370,7 @@ def check_inclusions(inst: Instance, trace: CaseTrace, window: int = 3) -> list[
     unconditional consequence V(t+1, t', t') <= V(t, t', t') is required.
     The value inequality is checked for every pair either way.
 
-    Checked for every recorded t and t' up to `window` steps ahead.
+    Checked for every recorded t and t' up to INCLUSION_WINDOW steps ahead.
     """
     out = []
     times = sorted(trace.buffers)
@@ -392,7 +379,7 @@ def check_inclusions(inst: Instance, trace: CaseTrace, window: int = 3) -> list[
 
     for t in times:
         sent_at_t = {sent[t]} if t in sent else set()
-        for t_arr in range(t, t + window + 1):
+        for t_arr in range(t, t + INCLUSION_WINDOW + 1):
             narrow_ps = query(t, t_arr, t_arr)
             narrow = narrow_ps.member_set
             grown_arr = query(t, t_arr + 1, t_arr + 1).member_set

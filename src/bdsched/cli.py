@@ -65,7 +65,10 @@ def _parse_values(raw: str) -> tuple[Fraction, ...]:
         part = part.strip()
         if not part:
             continue
-        out.append(Fraction(part))
+        try:
+            out.append(Fraction(part))
+        except ZeroDivisionError:
+            raise InstanceFormatError(f"value {part!r} has a zero denominator") from None
     if not out:
         raise InstanceFormatError("empty value list")
     return tuple(out)

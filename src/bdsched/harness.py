@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import count, zip_longest
-from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Iterable, Sequence
 
 from .analysis import (
@@ -65,15 +64,6 @@ __all__ = [
 CSV_HEADER = "instance_hash,v_cp,v_opt,v_greedy,ratio_exact,ratio_decimal,within_bound,worst_interval_ratio,findings"
 
 
-def _reduce_fraction(x: Fraction):
-    return Fraction, (x.numerator, x.denominator)
-
-
-# Pool transfers send a Fraction as its two integers: its own pickle is its
-# string, parsed again on load, which would dominate a rows shard's return.
-ForkingPickler.register(Fraction, _reduce_fraction)
-
-
 @dataclass(frozen=True)
 class CheckConfig:
     """Which per-instance checks a campaign performs."""
@@ -89,8 +79,8 @@ class InstanceResult:
     """Everything measured on one instance.
 
     The fields are what a campaign summary reads.  The row-only columns
-    (``hash``, ``v_greedy``, ``worst_interval``) are computed from the stored
-    instance and intervals the first time a row or a command reads them.
+    (``v_greedy``, ``worst_interval``) are computed from the stored instance
+    and intervals the first time a row or a command reads them.
     """
 
     instance: Instance
@@ -104,10 +94,6 @@ class InstanceResult:
     @property
     def ok(self) -> bool:
         return self.within_bound and not self.findings
-
-    @cached_property
-    def hash(self) -> str:
-        return instance_hash(self.instance)
 
     @cached_property
     def v_greedy(self) -> Rat:
@@ -260,10 +246,11 @@ class Summary:
 
 @dataclass
 class Report:
-    """A campaign's summary plus (optionally) its per-instance rows."""
+    """A campaign's summary plus (optionally) its per-instance rows, each one
+    CSV line rendered by the process that checked its instance."""
 
     summary: Summary
-    rows: list[InstanceResult] = field(default_factory=list)
+    rows: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -272,12 +259,12 @@ class Report:
 
 def _scan(indexed: Iterable[tuple[int, Instance, int]], config: CheckConfig, keep_rows: bool) -> Report:
     summary = Summary()
-    rows: list[InstanceResult] = []
+    rows: list[str] = []
     for index, inst, translates in indexed:
         res = check_instance(inst, config)
         summary.absorb_result(res, index, translates)
         if keep_rows:
-            rows.append(res)
+            rows.append(_row_to_csv(res))
     return Report(summary, rows)
 
 
@@ -293,10 +280,7 @@ def _seeded(
 
 def _shard(args: tuple) -> Report:
     source, config, workers, residue, keep_rows = args
-    report = _scan(source(workers, residue), config, keep_rows)
-    for res in report.rows:  # the row-only columns too are computed in the worker
-        res.hash, res.v_greedy, res.worst_interval
-    return report
+    return _scan(source(workers, residue), config, keep_rows)
 
 
 def _campaign(
@@ -442,7 +426,7 @@ def _row_to_csv(res: InstanceResult) -> str:
         worst = ""
     return ",".join(
         [
-            res.hash,
+            instance_hash(res.instance),
             render_value(res.v_cp),
             render_value(res.v_opt),
             render_value(res.v_greedy),
@@ -455,8 +439,9 @@ def _row_to_csv(res: InstanceResult) -> str:
     )
 
 
-def render_rows_csv(rows: Sequence[InstanceResult]) -> str:
-    return "\n".join([CSV_HEADER] + [_row_to_csv(r) for r in rows]) + "\n"
+def render_rows_csv(rows: Sequence[str]) -> str:
+    """The header and the rendered row lines, one line each."""
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def summary_to_dict(summary: Summary) -> dict:
@@ -486,17 +471,5 @@ def summary_to_dict(summary: Summary) -> dict:
 
 
 def report_to_json(report: Report) -> str:
-    doc = {"summary": summary_to_dict(report.summary)}
-    if report.rows:
-        doc["rows"] = [
-            {
-                "instance_hash": r.hash,
-                "v_cp": render_value(r.v_cp),
-                "v_opt": render_value(r.v_opt),
-                "v_greedy": render_value(r.v_greedy),
-                "within_bound": r.within_bound,
-                "findings": [f.to_dict() for f in r.findings],
-            }
-            for r in report.rows
-        ]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The campaign summary as sorted JSON; rows are emitted only as CSV."""
+    return json.dumps({"summary": summary_to_dict(report.summary)}, indent=2, sort_keys=True) + "\n"

@@ -79,7 +79,10 @@ def parse_value(raw: object) -> Rat:
     if isinstance(raw, str):
         if not _VALUE_RE.match(raw.strip()):
             raise InstanceFormatError(f"cannot parse value {raw!r}; expected 'n' or 'n/d'")
-        return Fraction(raw.strip())
+        try:
+            return Fraction(raw.strip())
+        except ZeroDivisionError:
+            raise InstanceFormatError(f"value {raw!r} has a zero denominator") from None
     raise InstanceFormatError(f"value must be an integer or fraction string, got {type(raw).__name__}")
 
 
@@ -213,10 +216,6 @@ class Instance:
 
     def __init__(self, packets: Iterable[Packet]):
         object.__setattr__(self, "packets", tuple(packets))
-
-    def __reduce__(self):
-        # pickles as its packets alone; the cached views are rebuilt on first read
-        return Instance, (self.packets,)
 
     @cached_property
     def horizon(self) -> int:

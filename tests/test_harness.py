@@ -37,6 +37,8 @@ from bdsched import (
     load_instance,
     minimize_witness,
     profit,
+    render_decimal,
+    render_value,
     run_exhaustive,
     run_fuzz,
 )
@@ -139,10 +141,12 @@ class TestCampaigns:
         report = run_fuzz(list(range(30)), keep_rows=True)
         best = None
         for row in report.rows:
-            if row.v_cp == 0:
+            _hash, v_cp, v_opt, *_rest = row.split(",")
+            v_cp, v_opt = Fraction(v_cp), Fraction(v_opt)
+            if v_cp == 0:
                 continue
-            if best is None or row.v_opt * best[1] > best[0] * row.v_cp:
-                best = (row.v_opt, row.v_cp)
+            if best is None or v_opt * best[1] > best[0] * v_cp:
+                best = (v_opt, v_cp)
         assert report.summary.max_ratio == best
 
 
@@ -169,14 +173,29 @@ class TestSummaryOnlyCampaigns:
         assert report.ok and report.summary.instances == 230
 
     def test_row_columns_equal_eager_computation(self):
-        report = run_fuzz(list(range(50)), keep_rows=True)
-        for res in report.rows:
-            greedy = greedy_baseline(res.instance)
-            worst = evaluate(res.instance)[-1].worst_interval
-            assert res.hash == instance_hash(res.instance)
-            assert res.v_greedy == profit(greedy, res.instance)
-            assert res.worst_interval == ((worst.v_opt, worst.v_cp) if worst else None)
-        assert any(res.v_greedy != res.v_cp for res in report.rows)
+        seeds = list(range(50))
+        report = run_fuzz(seeds, keep_rows=True)
+        assert len(report.rows) == len(seeds)
+        greedy_differs = False
+        for row, seed in zip(report.rows, seeds):
+            inst = gen_random(seed)
+            res = check_instance(inst, DEEP)
+            v_greedy = profit(greedy_baseline(inst), inst)
+            worst = evaluate(inst)[-1].worst_interval
+            ratio = res.v_opt / res.v_cp if res.v_cp else Fraction(0)
+            assert row.split(",") == [
+                instance_hash(inst),
+                render_value(res.v_cp),
+                render_value(res.v_opt),
+                render_value(v_greedy),
+                render_value(ratio),
+                render_decimal(ratio),
+                "yes" if res.within_bound else "no",
+                render_value(worst.v_opt / worst.v_cp) if worst and worst.v_cp else "",
+                str(len(res.findings)),
+            ]
+            greedy_differs |= v_greedy != res.v_cp
+        assert greedy_differs
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -236,6 +255,20 @@ def quotient_cases(horizons, packet_budgets):
 PAIR_VALUES = (Fraction(1), Fraction(8, 5))
 
 
+def inject_shift_invariant_fault(monkeypatch) -> None:
+    """One forced-opt finding per packet of value 8/5, and a broken global
+    bound whenever the policy earns 13/5."""
+
+    def marked_forced(inst, trace, opt_sched):
+        return [Finding("forced-opt", f"marked {p.id}", "-", "-") for p in inst.packets if p.value == Fraction(8, 5)]
+
+    real_bound = IntervalReport.global_within_bound.fget
+    monkeypatch.setattr(harness_mod, "check_forced_opt", marked_forced)
+    monkeypatch.setattr(
+        IntervalReport, "global_within_bound", property(lambda r: real_bound(r) and r.v_cp != Fraction(13, 5))
+    )
+
+
 class TestTranslationQuotient:
     """A summary-only grid campaign checks only the instances with a release
     at 0 and folds in their translates; its summary is byte-identical to
@@ -257,16 +290,7 @@ class TestTranslationQuotient:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_violations_fold_like_the_full_scan(self, workers, monkeypatch):
-        # a shift-invariant fault: one forced-opt finding per packet of value
-        # 8/5, and a broken global bound whenever the policy earns 13/5
-        def marked_forced(inst, trace, opt_sched):
-            return [Finding("forced-opt", f"marked {p.id}", "-", "-") for p in inst.packets if p.value == Fraction(8, 5)]
-
-        real_bound = IntervalReport.global_within_bound.fget
-        monkeypatch.setattr(harness_mod, "check_forced_opt", marked_forced)
-        monkeypatch.setattr(
-            IntervalReport, "global_within_bound", property(lambda r: real_bound(r) and r.v_cp != Fraction(13, 5))
-        )
+        inject_shift_invariant_fault(monkeypatch)
         spec = GridSpec(horizon=2, max_packets=3, value_grid=PAIR_VALUES)
         folded = run_exhaustive(spec, CheckConfig(forced_opt=True), workers=workers)
         assert folded.summary.violations > 0 and folded.summary.findings_by_kind["global-bound"] > 0
@@ -283,13 +307,32 @@ class TestTranslationQuotient:
         monkeypatch.setattr(harness_mod, "check_instance", counting_check)
         spec = GridSpec(horizon=2, max_packets=2, value_grid=PAIR_VALUES)
         rows = run_exhaustive(spec, keep_rows=True).rows
-        assert checked == [res.instance.packets for res in rows] == [inst.packets for inst in enumerate_instances(spec)]
+        grid = list(enumerate_instances(spec))
+        assert checked == [inst.packets for inst in grid]
+        assert [row.split(",")[0] for row in rows] == [instance_hash(inst) for inst in grid]
         checked.clear()
         run_exhaustive(spec)
         assert len(checked) == count_bases(spec) < count_instances(spec)
 
 
 class TestPooledRows:
+    def test_failing_rows_match_check_instance(self, monkeypatch):
+        inject_shift_invariant_fault(monkeypatch)
+        spec = GridSpec(horizon=2, max_packets=3, value_grid=PAIR_VALUES)
+        serial = run_exhaustive(spec, workers=1, keep_rows=True).rows
+        pooled = run_exhaustive(spec, workers=3, keep_rows=True).rows
+        assert pooled == serial
+        config = CheckConfig(forced_opt=True)
+        failing = 0
+        for row, inst in zip(serial, enumerate_instances(spec), strict=True):
+            res = check_instance(inst, config)
+            columns = row.split(",")
+            assert columns[0] == instance_hash(inst)
+            assert columns[6] == ("yes" if res.within_bound else "no")
+            assert columns[8] == str(len(res.findings))
+            failing += columns[6] == "no"
+        assert failing > 0 and any(row.split(",")[8] != "0" for row in serial)
+
     @pytest.mark.parametrize(
         "campaign",
         [
@@ -300,21 +343,20 @@ class TestPooledRows:
     )
     @pytest.mark.parametrize("workers", [2, 3])
     def test_rows_come_from_the_pool_in_serial_order(self, campaign, workers, monkeypatch):
-        real_scan = harness_mod._scan
-
-        def tagged_scan(indexed, config, keep_rows):
-            report = real_scan(indexed, config, keep_rows)
-            for res in report.rows:
-                res.pid = os.getpid()
-            return report
-
-        monkeypatch.setattr(harness_mod, "_scan", tagged_scan)
+        real_row = harness_mod._row_to_csv
+        monkeypatch.setattr(harness_mod, "_row_to_csv", lambda res: f"{os.getpid()}:{real_row(res)}")
         serial, pooled = campaign(1), campaign(workers)
-        assert {res.pid for res in serial.rows} == {os.getpid()}
-        assert pooled.rows and os.getpid() not in {res.pid for res in pooled.rows}
-        assert [res.instance for res in pooled.rows] == [res.instance for res in serial.rows]
+
+        def split(rows):
+            tagged = [row.split(":", 1) for row in rows]
+            return {int(pid) for pid, _ in tagged}, [line for _, line in tagged]
+
+        serial_pids, serial_lines = split(serial.rows)
+        pooled_pids, pooled_lines = split(pooled.rows)
+        assert serial_pids == {os.getpid()}
+        assert pooled_lines and os.getpid() not in pooled_pids
+        assert pooled_lines == serial_lines
         assert report_to_json(pooled) == report_to_json(serial)
-        assert render_rows_csv(pooled.rows) == render_rows_csv(serial.rows)
 
 
 class TestWitnessMinimization:
@@ -342,7 +384,7 @@ class TestWitnessMinimization:
 
 class TestRendering:
     def test_csv_header_and_shape(self):
-        rows = [check_instance(greedy_killer(), DEEP)]
+        rows = [harness_mod._row_to_csv(check_instance(greedy_killer(), DEEP))]
         text = render_rows_csv(rows)
         header, row, trailer = text.split("\n")
         assert header.startswith("instance_hash,v_cp,v_opt,v_greedy,ratio_exact")
@@ -463,6 +505,30 @@ class TestCli:
         assert main(["fuzz", "--seeds", "0..4", "--rate", "nan"]) == 2
         captured = capsys.readouterr()
         assert "error: arrival_rate must lie in [0, max_per_step]" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "witness.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "trace", "compare"])
+    def test_zero_denominator_in_instance_file_rejected(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "inst.json"
+        path.write_text('{"packets": [{"release": 0, "deadline": 1, "value": "1/0"}]}')
+        assert main([command, "--instances", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "zero denominator" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "witness.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fuzz", "--seeds", "0..4"], ["exhaustive", "--horizon", "0", "--max-packets", "1"]],
+        ids=["fuzz", "exhaustive"],
+    )
+    def test_zero_denominator_in_values_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--values", "1,1/0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "zero denominator" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "witness.json").exists()
 

@@ -56,6 +56,11 @@ class TestRat:
         with pytest.raises(InstanceFormatError):
             parse_value(True)
 
+    @pytest.mark.parametrize("raw", ["1/0", "0/0", "-3/00", " 2/0 "])
+    def test_zero_denominator_rejected(self, raw):
+        with pytest.raises(InstanceFormatError, match="zero denominator"):
+            parse_value(raw)
+
     @given(rationals)
     def test_render_parse_round_trip(self, x):
         assert parse_value(render_value(x)) == x
@@ -203,6 +208,10 @@ class TestInstanceFormat:
     def test_reject_float_value(self):
         with pytest.raises(InstanceFormatError, match="float"):
             load_instance('{"packets": [{"release": 0, "deadline": 0, "value": 1.5}]}')
+
+    def test_reject_zero_denominator_value(self):
+        with pytest.raises(InstanceFormatError, match="zero denominator"):
+            load_instance('{"packets": [{"release": 0, "deadline": 0, "value": "1/0"}]}')
 
     def test_reject_bad_json_with_line(self):
         with pytest.raises(InstanceFormatError, match="line"):
