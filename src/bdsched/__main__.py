@@ -1,0 +1,8 @@
+"""``python -m bdsched``: the command line interface of :mod:`bdsched.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

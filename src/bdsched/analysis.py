@@ -217,19 +217,20 @@ def build_intervals(
     """Assemble Interval objects from precomputed runs."""
     spans = partition_cp(trace)
     opt_spans = partition_opt(spans, cp_sched, opt_sched, inst)
-    cp_values = {t: inst.by_id(pid).value for t, pid in cp_sched.slots.items()}
-    opt_values = {t: inst.by_id(pid).value for t, pid in opt_sched.slots.items()}
+    weights, scale = inst.weights, inst.scale
+    cp_weights = {t: weights[pid] for t, pid in cp_sched.slots.items()}
+    opt_weights = {t: weights[pid] for t, pid in opt_sched.slots.items()}
 
     intervals = []
     claimed: set[int] = set()
     for (start, end, trigger), (o_start, o_end) in zip(spans, opt_spans):
-        vi = sum((cp_values.get(t, Fraction(0)) for t in range(start, end + 1)), Fraction(0))
-        vo = Fraction(0)
+        wi = sum([cp_weights.get(t, 0) for t in range(start, end + 1)])
+        wo = 0
         for t in range(o_start, o_end + 1):
-            if t in opt_values and t not in claimed:  # earliest span wins an overlap
+            if t in opt_weights and t not in claimed:  # earliest span wins an overlap
                 claimed.add(t)
-                vo += opt_values[t]
-        intervals.append(Interval((start, end), (o_start, o_end), vi, vo, trigger))
+                wo += opt_weights[t]
+        intervals.append(Interval((start, end), (o_start, o_end), Fraction(wi, scale), Fraction(wo, scale), trigger))
     return IntervalReport(tuple(intervals), v_cp, v_opt)
 
 
@@ -293,15 +294,15 @@ def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport)
         sent_last = inst.by_id(pid)
         slack = sent_last.is_two_packet_at(end)
         slot_end = end + 1 if slack else end
-        bound = trace.engine.p(start, end, slot_end).total_value
-        if iv.v_opt > bound:
+        bound = trace.engine.p(start, end, slot_end)
+        if iv.v_opt.numerator * bound.scale > bound.weight * iv.v_opt.denominator:  # v_opt > V, in integers
             out.append(
                 Finding(
                     "partial-bound",
                     f"interval {i} {iv.trigger} span={iv.cp_span} "
                     f"{'one-slack' if slack else 'no-slack'} V({start},{end},{slot_end})",
                     render_value(iv.v_opt),
-                    render_value(bound),
+                    render_value(bound.total_value),
                 )
             )
     return out
@@ -402,7 +403,7 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
                                    str(sorted(narrow)), str(sorted(grown_slot))))
             if t + 1 in trace.buffers and t_arr >= t + 1:
                 later_ps = query(t + 1, t_arr, t_arr)
-                if later_ps.total_value > narrow_ps.total_value:
+                if later_ps.weight > narrow_ps.weight:  # one engine: one scale
                     out.append(
                         Finding("inclusion", f"V({t + 1},{t_arr},{t_arr}) > V({t},{t_arr},{t_arr})",
                                 render_value(later_ps.total_value), render_value(narrow_ps.total_value))

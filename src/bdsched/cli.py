@@ -16,6 +16,7 @@ from pathlib import Path
 from .cp import run_cp, trace_to_jsonl
 from .generators import GridSpec, RandomConfig, count_bases, count_instances, greedy_baseline
 from .harness import (
+    CRASHES,
     CheckConfig,
     certify,
     check_instance,
@@ -176,7 +177,10 @@ def _emit_witness(path: str | None, summary, default_name: str, checks: CheckCon
         inst = summary.first_violation.instance
 
         def still_bad(candidate: Instance) -> bool:
-            return not check_instance(candidate, checks).ok
+            try:
+                return not check_instance(candidate, checks).ok
+            except CRASHES:
+                return True
 
         witness = minimize_witness(inst, still_bad)
         target = path or default_name

@@ -162,8 +162,10 @@ class RandomConfig:
     value_grid: tuple[Rat, ...] = DEFAULT_VALUE_GRID
 
     def __post_init__(self):
-        if self.horizon < 0 or self.max_per_step < 1:
-            raise ValueError("bad fuzz config")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        if self.max_per_step < 1:
+            raise ValueError("max_per_step must be >= 1")
         if not 0 <= self.arrival_rate <= self.max_per_step:
             raise ValueError("arrival_rate must lie in [0, max_per_step]")
         _check_value_grid(self.value_grid)

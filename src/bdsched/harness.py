@@ -22,6 +22,7 @@ from .analysis import (
     Finding,
     Interval,
     IntervalReport,
+    PartitionError,
     build_intervals,
     check_forced_opt,
     check_inclusions,
@@ -40,7 +41,7 @@ from .model import (
     render_decimal,
     render_value,
 )
-from .offline import PartialQuery, dp_partial, opt_full
+from .offline import InternalInvariantError, PartialQuery, dp_partial, opt_full
 
 __all__ = [
     "CheckConfig",
@@ -50,6 +51,8 @@ __all__ = [
     "evaluate",
     "certify",
     "check_instance",
+    "CRASHES",
+    "check_or_crash",
     "run_exhaustive",
     "run_fuzz",
     "cross_check_queries",
@@ -147,6 +150,22 @@ def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> Insta
     return certify(inst, evaluate(inst), config)
 
 
+#: What a fault of the program on one instance raises: a broken run
+#: invariant, a case chain no interval pattern matches, a failed assertion.
+CRASHES = (InternalInvariantError, PartitionError, AssertionError)
+
+
+def check_or_crash(inst: Instance, config: CheckConfig) -> InstanceResult:
+    """check_instance, with a fault of the program on this instance (one of
+    CRASHES) turned into a `crash` finding that names the exception.  The
+    instance counts as a violation; it adds no cases and no ratio."""
+    try:
+        return check_instance(inst, config)
+    except CRASHES as exc:
+        crash = Finding("crash", f"{type(exc).__name__}: {exc}", "-", "-")
+        return InstanceResult(inst, Fraction(0), Fraction(0), within_bound=True, intervals=(), findings=[crash])
+
+
 def cross_check_queries(inst: Instance, trace) -> list[Finding]:
     """Replay every partial-optimum query the policy issued against the
     dynamic-programming oracle dp_partial: the answer the run's query engine
@@ -163,7 +182,7 @@ def cross_check_queries(inst: Instance, trace) -> list[Finding]:
         got = trace.engine.cache[key]
         q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
         ref = dp_partial(q, inst)
-        if got.member_set != ref.member_set or got.total_value != ref.total_value:
+        if got.member_set != ref.member_set or got.weight * ref.scale != ref.weight * got.scale:
             out.append(
                 Finding(
                     "oracle-mismatch",
@@ -219,7 +238,7 @@ class Summary:
             self.findings_by_kind["global-bound"] = self.findings_by_kind.get("global-bound", 0) + copies
         for label in res.cases:
             self.cases_seen[label] = self.cases_seen.get(label, 0) + copies
-        if translates:
+        if translates and res.cases:  # a crash records no steps, nor do its translates
             self.cases_seen["idle"] = self.cases_seen.get("idle", 0) + translates * (translates + 1) // 2
         if res.v_cp > 0 and self._beats_max(res.v_opt, res.v_cp, index):
             self.max_ratio = (res.v_opt, res.v_cp)
@@ -261,7 +280,7 @@ def _scan(indexed: Iterable[tuple[int, Instance, int]], config: CheckConfig, kee
     summary = Summary()
     rows: list[str] = []
     for index, inst, translates in indexed:
-        res = check_instance(inst, config)
+        res = check_or_crash(inst, config)
         summary.absorb_result(res, index, translates)
         if keep_rows:
             rows.append(_row_to_csv(res))

@@ -5,7 +5,11 @@ certification harness) works over these types.  Two rules keep the whole
 artifact bit-exact:
 
 * packet values, profits and ratios are arbitrary-precision rationals
-  (`fractions.Fraction`, aliased ``Rat``), never floats;
+  (`fractions.Fraction`, aliased ``Rat``), never floats.  Inside a run they
+  are carried as integer weights, value * :attr:`Instance.scale` (the LCM of
+  the instance's value denominators), so sums and comparisons within one
+  instance are integer arithmetic; a ``Fraction`` is built only where a
+  value is reported or compared with another instance's;
 * every threshold test against R = (1+sqrt17)/4 and alpha = (-3+sqrt17)/2
   is x <= R*y (:func:`le_r_times`) or x >= alpha*y (:func:`ge_alpha_times`),
   decided in closed form from cross-multiplied integers; :class:`Quad17`
@@ -238,30 +242,44 @@ class Instance:
         return {t: tuple(ps) for t, ps in grouped.items()}
 
     @cached_property
+    def scale(self) -> int:
+        """The LCM of the value denominators: every value times it is an integer."""
+        return math.lcm(*[p.value.denominator for p in self.packets])
+
+    @cached_property
+    def weights(self) -> dict[int, int]:
+        """Packet id -> its integer weight, value * scale."""
+        scale = self.scale
+        return {pid: p.value.numerator * (scale // p.value.denominator) for pid, p in self._id_map.items()}
+
+    @cached_property
     def release_index(self) -> tuple[int, dict[int, tuple[tuple, ...]], dict[int, tuple]]:
         """The partial solver's view of this instance: (scale, buckets, by_id).
 
         scale is the LCM of the value denominators; buckets maps a release
         time to the entries released then, in canonical order; by_id maps a
         packet id to its entry.  An entry is (canonical rank, id, release,
-        deadline, value * scale).  Packets with an empty window (deadline <
-        release) are left out.  Raises ValueError, naming the packet, if a
-        packet is not 2-bounded or an id repeats: the solver's feasibility
-        test holds only for windows of at most two slots, and base buffers
-        name packets by id.
+        deadline, weight).  The rank sorts on the integer key (-weight,
+        deadline, release, id), the order of :func:`canonical_key`.  Packets
+        with an empty window (deadline < release) are left out.  Raises
+        ValueError, naming the packet, if a packet is not 2-bounded or an id
+        repeats: the solver's feasibility test holds only for windows of at
+        most two slots, and base buffers name packets by id.
         """
-        scale = math.lcm(*(p.value.denominator for p in self.packets))
+        scale = self.scale
+        keyed = sorted([(-p.value.numerator * (scale // p.value.denominator), p.deadline, p.release, p.id)
+                        for p in self.packets])
         buckets: dict[int, list[tuple]] = {}
         by_id: dict[int, tuple] = {}
-        for rank, p in enumerate(sorted(self.packets, key=canonical_key)):
-            if p.deadline - p.release > 1:
-                raise ValueError(f"packet {p.id} is not 2-bounded: window [{p.release}, {p.deadline}]")
-            if p.id in by_id:
-                raise ValueError(f"packet id {p.id} is not unique")
-            if p.deadline >= p.release:
-                entry = (rank, p.id, p.release, p.deadline, p.value.numerator * (scale // p.value.denominator))
-                buckets.setdefault(p.release, []).append(entry)
-                by_id[p.id] = entry
+        for rank, (neg_weight, deadline, release, pid) in enumerate(keyed):
+            if deadline - release > 1:
+                raise ValueError(f"packet {pid} is not 2-bounded: window [{release}, {deadline}]")
+            if pid in by_id:
+                raise ValueError(f"packet id {pid} is not unique")
+            if deadline >= release:
+                entry = (rank, pid, release, deadline, -neg_weight)
+                buckets.setdefault(release, []).append(entry)
+                by_id[pid] = entry
         return scale, {r: tuple(es) for r, es in buckets.items()}, by_id
 
     def __len__(self) -> int:
@@ -335,8 +353,9 @@ def profit(sched: Schedule, inst: Instance) -> Rat:
     schedule repeats a packet or places one outside [release, deadline].
     """
     ids = inst._id_map
+    weights = inst.weights
     seen: set[int] = set()
-    total = Fraction(0)
+    total = 0
     for t in sorted(sched.slots):
         pid = sched.slots[t]
         if pid not in ids:
@@ -349,8 +368,8 @@ def profit(sched: Schedule, inst: Instance) -> Rat:
             raise InfeasibleScheduleError(
                 f"slot {t}: packet {pid} outside its window [{p.release}, {p.deadline}]"
             )
-        total += p.value
-    return total
+        total += weights[pid]
+    return Fraction(total, inst.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ engine is bound to one run's buffer history -- and derives the marginal
 packets m_i(t) and q_i(t) from those answers.  A miss is solved from scratch;
 no answer is ever derived from another.
 
+Answers are exact and integer: a :class:`PSet` carries its total as an
+integer weight at a scale, the instance's :attr:`~bdsched.model.Instance.scale`
+for every answer of the solver, so one engine's answers compare as integers.
+The rational total is built only when it is read.
+
 ``dp_partial`` is the independent oracle that campaigns run: a max-weight
 dynamic program along the slot path, with its own scan and sort of the
 packets, sharing no code path with the greedy solver.  ``brute_force_partial``
@@ -68,6 +73,10 @@ class OracleSizeError(ValueError):
     """brute_force_partial refused a query with too many eligible packets."""
 
 
+def _out_of_order(t: int, arrival_end: int, slot_end: int) -> ValueError:
+    return ValueError(f"query out of order: t={t}, t'={arrival_end}, t''={slot_end}")
+
+
 @dataclass(frozen=True)
 class PartialQuery:
     """A partial-optimum query.
@@ -85,30 +94,55 @@ class PartialQuery:
 
     def __init__(self, start: int, arrival_end: int, slot_end: int, base_buffer: Iterable[int] = ()):
         if not (start <= arrival_end <= slot_end):
-            raise ValueError(f"query out of order: t={start}, t'={arrival_end}, t''={slot_end}")
+            raise _out_of_order(start, arrival_end, slot_end)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "arrival_end", arrival_end)
         object.__setattr__(self, "slot_end", slot_end)
         object.__setattr__(self, "base_buffer", frozenset(base_buffer))
 
 
-@dataclass(frozen=True)
 class PSet:
     """Result of a partial-optimum query.
 
-    members:     kept packet ids in canonical order
-    total_value: exact sum of member values
+    members:    kept packet ids in canonical order
+    weight:     exact sum of member values times scale
+    scale:      the weight's denominator; the solver's answers use the
+                instance's scale, so one engine's weights compare directly
+    member_set: members as a frozenset, built once
+
+    Equality and hashing read the members and the rational total, so answers
+    at different scales compare by value.  A plain slotted class, not a
+    frozen dataclass, because the engine builds one per miss and a frozen
+    __init__ costs three times as much; answers are shared through the
+    engine's cache and never modified.
     """
 
-    members: tuple[int, ...]
-    total_value: Rat
+    __slots__ = ("members", "weight", "scale", "member_set")
+
+    def __init__(self, members: tuple[int, ...], weight: int, scale: int = 1):
+        self.members = members
+        self.weight = weight
+        self.scale = scale
+        self.member_set = frozenset(members)
 
     @property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
+    def total_value(self) -> Rat:
+        """The exact sum of member values, weight / scale."""
+        return Fraction(self.weight, self.scale)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PSet):
+            return NotImplemented
+        return self.members == other.members and self.weight * other.scale == other.weight * self.scale
+
+    def __hash__(self) -> int:
+        return hash((self.members, self.total_value))
+
+    def __repr__(self) -> str:
+        return f"PSet(members={self.members!r}, weight={self.weight!r}, scale={self.scale!r})"
 
 
-_EMPTY_PSET = PSet(members=(), total_value=Fraction(0))
+_EMPTY_PSET = PSet((), 0)
 
 
 def _edf_assignment(kept: Sequence[Packet], q: PartialQuery) -> dict[int, int]:
@@ -143,13 +177,17 @@ def solve_partial(q: PartialQuery, inst: Instance) -> PSet:
     slots (an edge).  The greedy keeps a union-find over slots with each
     component's free slot count: a loop, or an edge inside one component,
     is accepted iff that component has a free slot; an edge joining two
-    components iff they have one between them.  The total is one Fraction
-    over the instance's common denominator.
+    components iff they have one between them.  The total is an integer
+    weight at the instance's scale.
     """
+    return _solve(inst, q.start, q.arrival_end, q.slot_end, q.base_buffer)
+
+
+def _solve(inst: Instance, t: int, t_arr: int, t_end: int, base_buffer: frozenset[int]) -> PSet:
+    """solve_partial's core, for a query t <= t' <= t'' given by its parts."""
     scale, buckets, by_id = inst.release_index
-    t, t_arr, t_end = q.start, q.arrival_end, q.slot_end
     pool = [e for r in range(t, t_arr + 1) for e in buckets.get(r, ())]
-    for pid in q.base_buffer:  # entries are (rank, id, release, deadline, scaled value)
+    for pid in base_buffer:  # entries are (rank, id, release, deadline, weight)
         e = by_id.get(pid)
         # a non-empty window in [t, t''], and not already taken from a bucket
         if e is not None and e[3] >= t and e[2] <= t_end and not t <= e[2] <= t_arr:
@@ -180,7 +218,7 @@ def solve_partial(q: PartialQuery, inst: Instance) -> PSet:
         free[a] = fa - 1
         members.append(pid)
         total += value
-    return PSet(members=tuple(members), total_value=Fraction(total, scale))
+    return PSet(tuple(members), total, scale)
 
 
 def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> bool:
@@ -260,7 +298,7 @@ def dp_partial(q: PartialQuery, inst: Instance) -> PSet:
         free, taken = max(free + max(one, two), taken), (max(free + max(one, two_next), taken) + two if two else 0)
     mask = free & ((1 << n) - 1)
     members = tuple([ranked[rank][3] for rank in range(n) if mask >> (n - 1 - rank) & 1])
-    return PSet(members=members, total_value=Fraction(free >> n, scale))
+    return PSet(members, free >> n, scale)
 
 
 def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:
@@ -293,7 +331,7 @@ def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:
     if best_subset is None or not best_subset:
         return _EMPTY_PSET
     ordered = sorted(best_subset, key=canonical_key)
-    return PSet(members=tuple(p.id for p in ordered), total_value=best_value)
+    return PSet(tuple(p.id for p in ordered), best_value.numerator, best_value.denominator)
 
 
 class QueryEngine:
@@ -303,7 +341,9 @@ class QueryEngine:
     buffers[t].  Answers are cached on (t, t', t''), which names a query
     only within one run's buffer history, so an engine is never reused for
     another instance or run.  The degenerate query (t, t-1, t-1) is the empty
-    set by convention.  ``calls`` counts every lookup, ``hits`` the lookups
+    set by convention.  Every answer's weight is at the instance's scale (the
+    empty set weighs 0 at any scale), so the checks compare answers of one
+    engine as integers.  ``calls`` counts every lookup, ``hits`` the lookups
     answered from the cache.
     """
 
@@ -327,8 +367,10 @@ class QueryEngine:
             raise ValueError(f"buffer snapshot is for time {buffer.time}, query starts at {t}")
         if arrival_end == t - 1 and slot_end == t - 1:
             ps = _EMPTY_PSET
+        elif t <= arrival_end <= slot_end:
+            ps = _solve(self.inst, t, arrival_end, slot_end, buffer.pending)
         else:
-            ps = solve_partial(PartialQuery(t, arrival_end, slot_end, buffer.pending), self.inst)
+            raise _out_of_order(t, arrival_end, slot_end)
         self.cache[key] = ps
         return ps
 

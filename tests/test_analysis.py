@@ -16,6 +16,7 @@ from bdsched import (
     check_inclusions,
     check_interval_bounds,
     check_lemma_bounds,
+    gen_random,
     opt_full,
     partition_cp,
     partition_opt,
@@ -24,6 +25,7 @@ from bdsched import (
 from bdsched.harness import evaluate
 from bdsched.model import profit
 from conftest import mk
+from test_acceptance import CHAIN_VARIANTS
 from test_offline import small_instances
 
 
@@ -204,3 +206,30 @@ class TestLemmaCheckers:
         _, trace, _, report = evaluate(inst)
         assert check_lemma_bounds(inst, trace, report) == []
         assert check_inclusions(inst, trace) == []
+
+
+class TestExactSums:
+    """profit and the interval values sum integer weights; each equals the
+    plain Fraction sum of the packet values it covers."""
+
+    def test_profits_and_interval_values_equal_fraction_sums(self):
+        instances = [gen_random(seed) for seed in range(50)] + [chain_family(v) for v in CHAIN_VARIANTS]
+        intervals = 0
+        for inst in instances:
+            cp_sched, _, opt_sched, report = evaluate(inst)
+
+            def value_sum(sched, times):
+                return sum((inst.by_id(sched.slots[t]).value for t in times if t in sched.slots), Fraction(0))
+
+            for sched in (cp_sched, opt_sched):
+                v = profit(sched, inst)
+                assert type(v) is Fraction and v == value_sum(sched, sched.slots)
+            claimed: set[int] = set()
+            for iv in report.intervals:
+                (start, end), (o_start, o_end) = iv.cp_span, iv.opt_span
+                opt_times = [t for t in range(o_start, o_end + 1) if t not in claimed]
+                claimed.update(opt_times)
+                assert type(iv.v_cp) is Fraction and iv.v_cp == value_sum(cp_sched, range(start, end + 1))
+                assert type(iv.v_opt) is Fraction and iv.v_opt == value_sum(opt_sched, opt_times)
+                intervals += 1
+        assert intervals > 200

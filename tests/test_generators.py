@@ -80,6 +80,15 @@ class TestEnumerate:
                 RandomConfig(arrival_rate=rate)
 
 
+@pytest.mark.parametrize(
+    "kwargs,message", [({"horizon": -1}, "horizon must be >= 0"), ({"max_per_step": 0}, "max_per_step must be >= 1")]
+)
+def test_bad_fuzz_config_names_the_field(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        RandomConfig(**kwargs)
+    assert str(exc.value) == message
+
+
 def shifted(inst: Instance, s: int) -> Instance:
     return Instance(Packet(p.id, p.release + s, p.deadline + s, p.value) for p in inst.packets)
 

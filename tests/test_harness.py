@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from bdsched import (
     Finding,
     GridSpec,
     Instance,
+    InternalInvariantError,
     IntervalReport,
     OracleSizeError,
     Packet,
@@ -50,7 +54,9 @@ from bdsched.harness import (
     evaluate,
     render_rows_csv,
     report_to_json,
+    summary_to_dict,
 )
+from bdsched.model import instance_to_dict
 from conftest import mk
 
 SMALL_GRID = GridSpec(horizon=1, max_packets=2, value_grid=(Fraction(1), Fraction(2)))
@@ -269,6 +275,18 @@ def inject_shift_invariant_fault(monkeypatch) -> None:
     )
 
 
+def inject_crash(monkeypatch, crashes) -> None:
+    """run_cp raises InternalInvariantError on every instance `crashes` accepts."""
+    real_run_cp = harness_mod.run_cp
+
+    def run_cp(inst):
+        if crashes(inst):
+            raise InternalInvariantError("injected")
+        return real_run_cp(inst)
+
+    monkeypatch.setattr(harness_mod, "run_cp", run_cp)
+
+
 class TestTranslationQuotient:
     """A summary-only grid campaign checks only the instances with a release
     at 0 and folds in their translates; its summary is byte-identical to
@@ -294,6 +312,14 @@ class TestTranslationQuotient:
         spec = GridSpec(horizon=2, max_packets=3, value_grid=PAIR_VALUES)
         folded = run_exhaustive(spec, CheckConfig(forced_opt=True), workers=workers)
         assert folded.summary.violations > 0 and folded.summary.findings_by_kind["global-bound"] > 0
+        assert report_to_json(folded) == full_scan_json(spec, CheckConfig(forced_opt=True))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_crashes_fold_like_the_full_scan(self, workers, monkeypatch):
+        inject_crash(monkeypatch, lambda inst: sum(p.value == Fraction(8, 5) for p in inst.packets) >= 2)
+        spec = GridSpec(horizon=2, max_packets=3, value_grid=PAIR_VALUES)
+        folded = run_exhaustive(spec, CheckConfig(forced_opt=True), workers=workers)
+        assert folded.summary.findings_by_kind["crash"] == folded.summary.violations > 0
         assert report_to_json(folded) == full_scan_json(spec, CheckConfig(forced_opt=True))
 
     def test_rows_campaign_checks_every_instance(self, monkeypatch):
@@ -357,6 +383,47 @@ class TestPooledRows:
         assert pooled_lines and os.getpid() not in pooled_pids
         assert pooled_lines == serial_lines
         assert report_to_json(pooled) == report_to_json(serial)
+
+
+class TestCrashes:
+    """A fault of the program on one instance is a `crash` finding, not an
+    aborted campaign."""
+
+    def test_crash_is_a_finding_and_the_campaign_goes_on(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        bad = gen_random(7)
+        inject_crash(monkeypatch, lambda inst: inst == bad)
+        for fmt in ("json", "csv"):
+            outputs = []
+            for workers in ("1", "2"):
+                assert main(["fuzz", "--seeds", "0..19", "--format", fmt, "--workers", workers]) == 1
+                captured = capsys.readouterr()
+                assert "Traceback" not in captured.err
+                outputs.append(captured.out)
+            assert outputs[0] == outputs[1]
+            if fmt == "json":
+                summary = json.loads(outputs[0])["summary"]
+            else:
+                assert outputs[0].splitlines()[1 + 7].split(",")[-1] == "1"
+        assert summary["instances"] == 20 and summary["violations"] == 1
+        assert summary["findings_by_kind"] == {"crash": 1}
+        assert summary["first_violation"] == {
+            "instance": instance_to_dict(bad),
+            "findings": [{"kind": "crash", "detail": "InternalInvariantError: injected", "lhs": "-", "rhs": "-"}],
+        }
+        # the crashed instance adds no cases and no ratio
+        rest = summary_to_dict(run_fuzz([seed for seed in range(20) if seed != 7]).summary)
+        for key in ("cases_seen", "max_ratio", "argmax_instance"):
+            assert summary[key] == rest[key]
+        assert load_instance((tmp_path / "witness.json").read_text()) == bad
+
+    def test_witness_minimized_while_it_crashes(self, tmp_path, monkeypatch):
+        inject_crash(monkeypatch, lambda inst: any(p.value == Fraction(7, 3) for p in inst.packets))
+        assert len(gen_random(0, RandomConfig(value_grid=(Fraction(1), Fraction(7, 3), Fraction(2))))) > 1
+        target = tmp_path / "w.json"
+        argv = ["fuzz", "--seeds", "0..0", "--values", "1,7/3,2", "--workers", "1", "--emit-witness", str(target)]
+        assert main(argv) == 1
+        assert [p.value for p in load_instance(target.read_text()).packets] == [Fraction(7, 3)]
 
 
 class TestWitnessMinimization:
@@ -531,6 +598,20 @@ class TestCli:
         assert captured.err.startswith("error: ") and "zero denominator" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "witness.json").exists()
+
+    def test_fuzz_rejects_negative_horizon(self, capsys):
+        assert main(["fuzz", "--seeds", "0..4", "--horizon", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: horizon must be >= 0\n"
+        assert captured.out == ""
+
+    def test_python_dash_m_bdsched(self):
+        src = str(Path(harness_mod.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "bdsched", "--help"], capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: bdsched")
 
     def test_exhaustive_rejects_negative_max_packets(self, capsys):
         assert main(["exhaustive", "--max-packets", "-1"]) == 2

@@ -27,7 +27,7 @@ from bdsched import (
     render_value,
     validate_instance,
 )
-from bdsched.model import ge_alpha_times, le_r_times
+from bdsched.model import canonical_key, ge_alpha_times, le_r_times
 from conftest import mk
 
 rationals = st.fractions(
@@ -233,3 +233,31 @@ class TestInstanceFormat:
     def test_horizon(self):
         assert mk((0, 1, 1), (2, 3, 1)).horizon == 3
         assert Instance(()).horizon == -1
+
+
+#: Equal values in several spellings and mixed denominators, so canonical
+#: ties and the instance scale both matter.
+MIXED_VALUES = [Fraction(1), Fraction(2, 2), Fraction(3, 2), Fraction(6, 4), Fraction(5, 4), Fraction(13, 8),
+                Fraction(5, 3), Fraction(10, 6), Fraction(7, 6), Fraction(3)]
+
+
+class TestIntegerWeights:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_release_index_rank_is_canonical_order(self, data):
+        shapes = data.draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 1), st.sampled_from(MIXED_VALUES)), max_size=10))
+        ids = data.draw(st.permutations(range(len(shapes))))
+        inst = Instance(Packet(pid, r, r + off, v) for pid, (r, off, v) in zip(ids, shapes))
+        scale, buckets, by_id = inst.release_index
+        ranked = sorted(by_id.values())
+        assert [entry[0] for entry in ranked] == list(range(len(shapes)))
+        assert [entry[1] for entry in ranked] == [p.id for p in sorted(inst.packets, key=canonical_key)]
+        assert all(Fraction(entry[4], scale) == inst.by_id(entry[1]).value for entry in ranked)
+        assert sorted(e for es in buckets.values() for e in es) == ranked
+
+    def test_scale_and_weights(self):
+        inst = mk((0, 0, "3/2"), (0, 1, "5/4"), (1, 1, 2), (1, 2, "7/6"))
+        assert inst.scale == 12
+        assert inst.weights == {0: 18, 1: 15, 2: 24, 3: 14}
+        assert Instance(()).scale == 1 and Instance(()).weights == {}

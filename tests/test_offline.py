@@ -272,6 +272,40 @@ class TestPSetConventions:
             assert cached.total_value == slow.total_value
 
 
+class TestIntegerAnswers:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_run_answers_are_exact(self, seed):
+        # every answer of a long run's engine, the checks' included, holds
+        # its members' value sum at the instance scale and equals the oracle
+        inst = gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))
+        _, trace = run_cp(inst)
+        check_inclusions(inst, trace)
+        checked = 0
+        for (t, t_arr, t_slot), cached in trace.engine.cache.items():
+            if t_arr < t:
+                continue
+            assert cached.scale == inst.scale
+            assert cached.total_value == sum((inst.by_id(pid).value for pid in cached.members), Fraction(0))
+            assert cached == dp_partial(PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending), inst)
+            checked += 1
+        assert checked > 200
+
+    def test_equality_and_hash_across_scales(self):
+        same = [PSet((0, 1), Fraction(8)), PSet((0, 1), 8), PSet((0, 1), 96, 12), PSet((0, 1), 40, 5)]
+        assert all(a == b and hash(a) == hash(b) for a in same for b in same)
+        assert len(set(same)) == 1
+        assert PSet((0, 1), 97, 12) != same[0]
+        assert PSet((1, 0), 8) != same[0]  # members compare in canonical order
+        assert PSet((), 0, 7) == PSet((), 0) and hash(PSet((), 0, 7)) == hash(PSet((), 0))
+        assert same[2].total_value == Fraction(8) and same[2].member_set == {0, 1}
+        assert same[0] != (0, 1)
+
+    def test_engine_out_of_order_query_rejected(self):
+        inst = mk((0, 0, 5))
+        with pytest.raises(ValueError, match="query out of order"):
+            engine(inst).p(0, 1, 0)
+
+
 class TestSelectors:
     def test_m0_is_best_pending(self):
         inst = mk((0, 0, 5), (0, 1, 3))
@@ -296,7 +330,7 @@ class TestSelectors:
     def test_non_singleton_gain_is_an_invariant_error(self):
         inst = mk((0, 1, 5), (0, 1, 4))
         eng = engine(inst)
-        eng.cache[(0, 0, 0)] = PSet(members=(0, 1), total_value=Fraction(9))
+        eng.cache[(0, 0, 0)] = PSet(members=(0, 1), weight=9)
         with pytest.raises(InternalInvariantError):
             eng.m(0, 0)
 
