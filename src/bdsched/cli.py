@@ -25,15 +25,16 @@ from .harness import (
     evaluate,
     minimize_witness,
     render_rows_csv,
+    report_to_json,
     run_exhaustive,
     run_fuzz,
-    summary_to_dict,
 )
 from .model import (
     Instance,
     InstanceFormatError,
     dump_instance,
     load_instance,
+    profit,
     render_decimal,
     render_value,
     validate_instance,
@@ -98,6 +99,7 @@ def cmd_run(args) -> int:
     run = evaluate(inst)
     cp_sched, trace, opt_sched, report = run
     greedy = greedy_baseline(inst)
+    v_greedy = profit(greedy, inst)
     res = certify(inst, run, CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True))
 
     if args.trace_dir:
@@ -113,7 +115,7 @@ def cmd_run(args) -> int:
             "profits": {
                 "cp": render_value(res.v_cp),
                 "opt": render_value(res.v_opt),
-                "greedy": render_value(res.v_greedy),
+                "greedy": render_value(v_greedy),
             },
             "within_bound": res.within_bound,
             "intervals": [
@@ -141,7 +143,7 @@ def cmd_run(args) -> int:
             print(f"  t={rec.t:<3} case {rec.case:<10} {sent}{committed}{extra}")
         print(f"profit  policy:  {render_value(res.v_cp)}")
         print(f"profit  optimum: {render_value(res.v_opt)}")
-        print(f"profit  greedy:  {render_value(res.v_greedy)}")
+        print(f"profit  greedy:  {render_value(v_greedy)}")
         print(f"bound check (v_opt <= R*v_cp): {'ok' if res.within_bound else 'VIOLATED'}")
         print("intervals:")
         for iv in report.intervals:
@@ -193,7 +195,7 @@ def _emit_witness(path: str | None, summary, default_name: str, checks: CheckCon
 def _print_report(report, fmt: str) -> None:
     summary = report.summary
     if fmt == "json":
-        print(json.dumps({"summary": summary_to_dict(summary)}, indent=2, sort_keys=True))
+        sys.stdout.write(report_to_json(report))
         return
     if fmt == "csv":
         sys.stdout.write(render_rows_csv(report.rows))

@@ -10,7 +10,9 @@ may pin the packet to transmit at t+1, or park the marker ``tmp1``/``tmp2``
 meaning "the decision for t+1 is deferred into the case family 2/3".  Leaf
 cases are labelled 1.1 .. 3.2.3; every threshold in their guards is
 compared exactly in Q(sqrt17) by the integer predicates ``le_r_times`` and
-``ge_alpha_times`` of :mod:`bdsched.model` (``Quad17`` is their reference).
+``ge_alpha_times`` of :mod:`bdsched.model` (``Quad17`` is their reference),
+applied to the packets' integer weights at the instance's scale: every
+guard is homogeneous in the values, so the scale changes no outcome.
 
 All selector lookups (the marginal packets of partial-optimum queries) go
 through the run's :class:`~bdsched.offline.QueryEngine`, which memoizes
@@ -18,16 +20,16 @@ them; the checkers later ask the same engine, handed out on the trace.  The
 policy reaches the engine only through a :class:`PartialOracle`, which logs
 every query the policy issues with the step time that issued it, so tests
 can assert the lookahead contract was never violated.  Checker queries are
-never logged.
+never logged.  The log is also the only record of which selectors a case
+consulted: :func:`trace_to_jsonl` reads them back from it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .model import BufferState, Instance, Packet, Rat, Schedule, ge_alpha_times, le_r_times, render_value
+from .model import BufferState, Instance, Packet, Schedule, ge_alpha_times, le_r_times, render_value
 from .offline import InternalInvariantError, QueryEngine
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "StepRecord",
     "CaseTrace",
     "PartialOracle",
-    "CaseDecision",
     "classify_case",
     "run_cp",
     "trace_to_jsonl",
@@ -71,26 +72,15 @@ def commit(pid: int) -> Decision:
     return Decision("commit", pid)
 
 
-@dataclass(frozen=True)
-class SelectorView:
-    """One selector consultation recorded in the trace."""
-
-    name: str  # e.g. "m0", "q1" -- relative to the base time of the family
-    base: int  # the query's base time t
-    packet_id: int | None
-    value: Rat  # 0 when absent
-
-
 @dataclass
 class StepRecord:
-    """What happened at one time step."""
+    """What happened at one time step: the leaf case the policy took, or a
+    commit or idle step."""
 
     t: int
     case: str  # leaf case label, "commit", or "idle"
     transmitted: int | None
     committed: Decision | None  # decision written into s_{t+1}, if any
-    m_consulted: list[SelectorView] = field(default_factory=list)
-    q_consulted: list[SelectorView] = field(default_factory=list)
     fallback: str | None = None  # set when a documented fallback replaced the case action
 
 
@@ -124,6 +114,7 @@ class PartialOracle:
         self._engine = engine
         self._log = log
         self.now = 0
+        self.weights = engine.inst.weights
 
     def m(self, t: int, i: int) -> Packet | None:
         self._log += ((self.now, t, t + i, t + i), (self.now, t, t + i - 1, t + i - 1))
@@ -134,14 +125,10 @@ class PartialOracle:
         return self._engine.q(t, i)
 
 
-def _val(p: Packet | None) -> Rat:
-    """Value of a possibly-absent selector packet; absent counts as zero, so
+def _weight(weights: dict[int, int], p: Packet | None) -> int:
+    """Weight of a possibly-absent selector packet; absent counts as zero, so
     an absent packet can never win a positive threshold test."""
-    return p.value if p is not None else Fraction(0)
-
-
-def _view(name: str, base: int, p: Packet | None) -> SelectorView:
-    return SelectorView(name, base, p.id if p else None, _val(p))
+    return weights[p.id] if p is not None else 0
 
 
 def _same_packet(x: Packet | None, y: Packet | None) -> bool:
@@ -153,43 +140,28 @@ def _same_packet(x: Packet | None, y: Packet | None) -> bool:
     return x.id == y.id
 
 
-@dataclass
-class CaseDecision:
-    """Outcome of classifying one transmission subphase."""
-
-    label: str
-    transmit: int  # packet id to send now
-    commit_next: Decision | None  # what to write into s_{t+1}
-    m_consulted: list[SelectorView]
-    q_consulted: list[SelectorView]
-    fallback: str | None = None
-
-
-def _dispatch_case1(oracle: PartialOracle, t: int) -> CaseDecision:
+def _dispatch_case1(oracle: PartialOracle, t: int) -> StepRecord:
     m0 = oracle.m(t, 0)
     if m0 is None:
         raise InternalInvariantError(f"t={t}: non-empty buffer but no best packet")
-    mv = [_view("m0", t, m0)]
-    qv: list[SelectorView] = []
     if m0.deadline == t:
-        return CaseDecision("1.1", m0.id, None, mv, qv)
+        return StepRecord(t, "1.1", m0.id, None)
 
     m1 = oracle.m(t, 1)
-    mv.append(_view("m1", t, m1))
     if m1 is None:
         # Nothing joins even with the t+1 arrivals: the buffer is just m0.
         # Send it; there is nothing to precommit.
-        return CaseDecision("1.2.2", m0.id, None, mv, qv, fallback="m1-absent")
+        return StepRecord(t, "1.2.2", m0.id, None, fallback="m1-absent")
     if m1.deadline == t:
-        return CaseDecision("1.2.1", m1.id, commit(m0.id), mv, qv)
+        return StepRecord(t, "1.2.1", m1.id, commit(m0.id))
     if m1.deadline == t + 1:
-        return CaseDecision("1.2.2", m0.id, commit(m1.id), mv, qv)
+        return StepRecord(t, "1.2.2", m0.id, commit(m1.id))
 
     q1 = oracle.q(t, 1)
-    qv.append(_view("q1", t, q1))
-    vm0, vm1, vq1 = m0.value, m1.value, _val(q1)
+    w = oracle.weights
+    wm0, wm1, wq1 = w[m0.id], w[m1.id], _weight(w, q1)
 
-    def q1_now(label: str, commit_next: Decision | None) -> CaseDecision:
+    def q1_now(case: str, committed: Decision | None) -> StepRecord:
         # The guard selected q1 for transmission.  q1 exists here (an absent
         # selector has value 0 and cannot pass either positive threshold),
         # but it may be released only at t+1, in which case it cannot be
@@ -197,63 +169,60 @@ def _dispatch_case1(oracle: PartialOracle, t: int) -> CaseDecision:
         # register clear so t+1 re-dispatches with full information.
         assert q1 is not None
         if q1.release <= t:
-            return CaseDecision(label, q1.id, commit_next, mv, qv)
-        return CaseDecision(label, m0.id, None, mv, qv, fallback="q1-unreleased")
+            return StepRecord(t, case, q1.id, committed)
+        return StepRecord(t, case, m0.id, None, fallback="q1-unreleased")
 
-    if vm0 >= vm1:
-        if ge_alpha_times(vq1, vm1):
+    if wm0 >= wm1:
+        if ge_alpha_times(wq1, wm1):
             return q1_now("1.2.3.1", commit(m0.id))
-        return CaseDecision("1.2.3.2", m0.id, commit(m1.id), mv, qv)
-    if le_r_times(vq1 + vm0 + vm1, vm0 + vm1):
-        return CaseDecision("1.2.3.3", m0.id, commit(m1.id), mv, qv)
+        return StepRecord(t, "1.2.3.2", m0.id, commit(m1.id))
+    if le_r_times(wq1 + wm0 + wm1, wm0 + wm1):
+        return StepRecord(t, "1.2.3.3", m0.id, commit(m1.id))
     return q1_now("1.2.3.4", TMP1)
 
 
-def _dispatch_case2(oracle: PartialOracle, t: int) -> CaseDecision:
+def _dispatch_case2(oracle: PartialOracle, t: int) -> StepRecord:
     base = t - 1
     m0, m1, m2 = (oracle.m(base, i) for i in range(3))
     q1, q2 = oracle.q(base, 1), oracle.q(base, 2)
-    mv = [_view("m0", base, m0), _view("m1", base, m1), _view("m2", base, m2)]
-    qv = [_view("q1", base, q1), _view("q2", base, q2)]
     if m0 is None or m1 is None:
         raise InternalInvariantError(f"t={t}: tmp1 state without the packets that created it")
-    vm0, vm1, vm2, vq1, vq2 = m0.value, m1.value, _val(m2), _val(q1), _val(q2)
+    w = oracle.weights
+    wm0, wm1, wm2, wq1, wq2 = w[m0.id], w[m1.id], _weight(w, m2), _weight(w, q1), _weight(w, q2)
 
-    if le_r_times(vm0 + vm1 + vm2, vq1 + vm0 + vm1):
-        return CaseDecision("2.1", m0.id, commit(m1.id), mv, qv)
+    if le_r_times(wm0 + wm1 + wm2, wq1 + wm0 + wm1):
+        return StepRecord(t, "2.1", m0.id, commit(m1.id))
     # beyond here the guard forces a real packet gained from the t+1 arrivals
     assert m2 is not None
     if m2.deadline == t + 1:
-        return CaseDecision("2.2.1", m1.id, commit(m2.id), mv, qv)
+        return StepRecord(t, "2.2.1", m1.id, commit(m2.id))
     if not _same_packet(q2, q1):
-        return CaseDecision("2.2.2.1", m1.id, None, mv, qv)
-    if le_r_times(vq2 + vm0 + vm1 + vm2, vq1 + vm1 + vm2):
-        return CaseDecision("2.2.2.2", m1.id, commit(m2.id), mv, qv)
-    return CaseDecision("2.2.2.3", m0.id, TMP2, mv, qv)
+        return StepRecord(t, "2.2.2.1", m1.id, None)
+    if le_r_times(wq2 + wm0 + wm1 + wm2, wq1 + wm1 + wm2):
+        return StepRecord(t, "2.2.2.2", m1.id, commit(m2.id))
+    return StepRecord(t, "2.2.2.3", m0.id, TMP2)
 
 
-def _dispatch_case3(oracle: PartialOracle, t: int) -> CaseDecision:
+def _dispatch_case3(oracle: PartialOracle, t: int) -> StepRecord:
     base = t - 2
     m0, m1, m2, m3 = (oracle.m(base, i) for i in range(4))
     q1, q3 = oracle.q(base, 1), oracle.q(base, 3)
-    mv = [_view("m0", base, m0), _view("m1", base, m1), _view("m2", base, m2), _view("m3", base, m3)]
-    qv = [_view("q1", base, q1), _view("q3", base, q3)]
     if m1 is None or m2 is None:
         raise InternalInvariantError(f"t={t}: tmp2 state without the packets that created it")
-    vm0, vm1, vm2, vm3 = _val(m0), m1.value, m2.value, _val(m3)
-    vq1 = _val(q1)
+    w = oracle.weights
+    wm0, wm1, wm2, wm3, wq1 = _weight(w, m0), w[m1.id], w[m2.id], _weight(w, m3), _weight(w, q1)
 
-    if le_r_times(vm0 + vm1 + vm2 + vm3, vq1 + vm0 + vm1 + vm2):
-        return CaseDecision("3.1", m1.id, commit(m2.id), mv, qv)
+    if le_r_times(wm0 + wm1 + wm2 + wm3, wq1 + wm0 + wm1 + wm2):
+        return StepRecord(t, "3.1", m1.id, commit(m2.id))
     assert m3 is not None
     if m3.deadline == t + 1:
-        return CaseDecision("3.2.1", m2.id, commit(m3.id), mv, qv)
+        return StepRecord(t, "3.2.1", m2.id, commit(m3.id))
     if not _same_packet(q3, q1):
-        return CaseDecision("3.2.2", m2.id, None, mv, qv)
-    return CaseDecision("3.2.3", m2.id, commit(m3.id), mv, qv)
+        return StepRecord(t, "3.2.2", m2.id, None)
+    return StepRecord(t, "3.2.3", m2.id, commit(m3.id))
 
 
-def classify_case(oracle: PartialOracle, t: int, state: Decision) -> CaseDecision:
+def classify_case(oracle: PartialOracle, t: int, state: Decision) -> StepRecord:
     """Pick the unique leaf case for the transmission subphase at t.
 
     `state` is s_t and must not be a commit (commits are executed directly,
@@ -307,34 +276,23 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
             slots[t] = pid
             steps.append(StepRecord(t, "commit", pid, None))
         else:
-            decision = classify_case(oracle, t, state)
-            if decision.transmit not in pending:
-                raise InternalInvariantError(
-                    f"t={t}: case {decision.label} transmits packet {decision.transmit}, which is not pending"
-                )
-            del pending[decision.transmit]
-            slots[t] = decision.transmit
-            if decision.commit_next is not None:
-                d = decision.commit_next
+            rec = classify_case(oracle, t, state)
+            pid = rec.transmitted
+            if pid not in pending:
+                raise InternalInvariantError(f"t={t}: case {rec.case} transmits packet {pid}, which is not pending")
+            del pending[pid]
+            slots[t] = pid
+            d = rec.committed
+            if d is not None:
                 if d.kind == "commit":
                     target = inst.by_id(d.packet_id)  # type: ignore[arg-type]
                     if not (target.release <= t + 1 <= target.deadline):
                         raise InternalInvariantError(
-                            f"t={t}: case {decision.label} committed packet {d.packet_id} "
+                            f"t={t}: case {rec.case} committed packet {d.packet_id} "
                             f"outside its window for slot {t + 1}"
                         )
                 register[t + 1] = d
-            steps.append(
-                StepRecord(
-                    t,
-                    decision.label,
-                    decision.transmit,
-                    decision.commit_next,
-                    decision.m_consulted,
-                    decision.q_consulted,
-                    decision.fallback,
-                )
-            )
+            steps.append(rec)
 
         pending = {pid: p for pid, p in pending.items() if p.deadline > t}
 
@@ -343,8 +301,27 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
     return Schedule(slots), CaseTrace(steps, buffers, queries, engine)
 
 
+def _consulted(trace: CaseTrace) -> dict[int, dict[str, list[dict]]]:
+    """Step time -> the m and q selectors its case consulted, in order.
+
+    They are read back from the query log: PartialOracle logs two queries per
+    consultation, and the first names the selector, (t, t', t') for m_i and
+    (t, t', t'+1) for q_i with i = t' - t.  The run's engine answers both
+    from its cache, so nothing is solved again.
+    """
+    consulted: dict[int, dict[str, list[dict]]] = {}
+    for now, t, t_arr, t_slot in trace.queries[::2]:
+        kind, i = ("m" if t_slot == t_arr else "q"), t_arr - t
+        p = getattr(trace.engine, kind)(t, i)
+        consulted.setdefault(now, {"m": [], "q": []})[kind].append(
+            {"name": f"{kind}{i}", "base": t, "id": p.id if p else None, "value": render_value(p.value) if p else "0"}
+        )
+    return consulted
+
+
 def trace_to_jsonl(trace: CaseTrace) -> str:
     """One JSON object per time step, newline separated."""
+    consulted = _consulted(trace)
     lines = []
     for rec in trace.steps:
         committed: int | str | None
@@ -359,14 +336,7 @@ def trace_to_jsonl(trace: CaseTrace) -> str:
             "case": rec.case,
             "transmitted": rec.transmitted,
             "committed": committed,
-            "m": [
-                {"name": v.name, "base": v.base, "id": v.packet_id, "value": render_value(v.value)}
-                for v in rec.m_consulted
-            ],
-            "q": [
-                {"name": v.name, "base": v.base, "id": v.packet_id, "value": render_value(v.value)}
-                for v in rec.q_consulted
-            ],
+            **consulted.get(rec.t, {"m": [], "q": []}),
         }
         if rec.fallback:
             doc["fallback"] = rec.fallback

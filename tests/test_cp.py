@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,19 +13,26 @@ import bdsched.cp as cp_mod
 from bdsched import (
     Instance,
     InternalInvariantError,
+    Packet,
     build_intervals,
     chain_family,
     check_forced_opt,
     check_inclusions,
     check_lemma_bounds,
     cross_check_queries,
+    dump_instance,
+    gen_random,
+    greedy_killer,
     opt_full,
     profit,
     run_cp,
+    tight_family,
     trace_to_jsonl,
     validate_instance,
 )
+from bdsched.cli import main
 from conftest import mk
+from test_acceptance import CHAIN_VARIANTS
 from test_offline import small_instances
 
 
@@ -244,19 +253,54 @@ class TestFallbacks:
         real_classify = cp_mod.classify_case
 
         def misnaming(oracle, t, state):
-            decision = real_classify(oracle, t, state)
-            decision.transmit = 1
-            return decision
+            rec = real_classify(oracle, t, state)
+            rec.transmitted = 1
+            return rec
 
         monkeypatch.setattr(cp_mod, "classify_case", misnaming)
         with pytest.raises(InternalInvariantError, match=r"t=0: case 1\.1 transmits packet 1, which is not pending"):
             run_cp(mk((0, 0, 5), (2, 2, 1)))
 
 
+class TestScaleInvariance:
+    """Every guard is homogeneous in the values, so scaling all of them by
+    one positive factor changes no decision of the policy."""
+
+    @given(small_instances(max_packets=8, max_release=5))
+    @settings(max_examples=200, deadline=None)
+    def test_scaling_values_changes_no_decision(self, inst):
+        def decisions(instance):
+            sched, trace = run_cp(instance)
+            steps = [(rec.t, rec.case, rec.transmitted, rec.committed, rec.fallback) for rec in trace.steps]
+            return steps, dict(sched.slots), trace.queries
+
+        expected = decisions(inst)
+        for factor in (Fraction(7, 3), Fraction(1, 6), Fraction(1000003, 999983)):
+            scaled = Instance(
+                Packet(id=p.id, release=p.release, deadline=p.deadline, value=p.value * factor) for p in inst.packets
+            )
+            assert decisions(scaled) == expected
+
+
+#: The instances whose trace and command-line bytes are pinned: every ladder
+#: variant, the greedy killer, the first tight-family members, both fallback
+#: fixtures and the first hundred default random instances.
+def _pinned_instances():
+    yield from (chain_family(v) for v in CHAIN_VARIANTS)
+    yield greedy_killer()
+    yield from (tight_family(n) for n in range(4))
+    yield mk((0, 1, 5))  # m1-absent
+    yield mk((0, 1, 10), (1, 2, 9), (1, 2, 8))  # q1-unreleased
+    yield from (gen_random(seed) for seed in range(100))
+
+
+#: sha256 over, per pinned instance in order, its trace_to_jsonl text and the
+#: stdout of `run --json`, `trace` and `compare --format json` on it.
+PINNED_TRACE_SHA256 = "e1315847a72b26757bd0a7cb63cdf9f70561c4450279ec68e41d7fa6661f8070"
+
+
 class TestTraceSerialization:
     def test_jsonl_fields(self):
-        import json
-
         _, trace = run_cp(mk((0, 1, 5), (0, 0, 4)))
         lines = [json.loads(line) for line in trace_to_jsonl(trace).splitlines()]
         assert lines[0]["t"] == 0
@@ -265,3 +309,25 @@ class TestTraceSerialization:
         assert lines[0]["committed"] == 0
         assert {v["name"] for v in lines[0]["m"]} == {"m0", "m1"}
         assert lines[1] == {"t": 1, "case": "commit", "transmitted": 0, "committed": None, "m": [], "q": []}
+
+    def test_selectors_are_read_back_without_solving(self):
+        _, trace = run_cp(chain_family("3.2.2"))
+        solved = len(trace.engine.cache)
+        lines = [json.loads(line) for line in trace_to_jsonl(trace).splitlines()]
+        assert len(trace.engine.cache) == solved
+        step = lines[2]
+        assert step["case"] == "3.2.2"
+        assert [v["name"] for v in step["m"]] == ["m0", "m1", "m2", "m3"]
+        assert [v["name"] for v in step["q"]] == ["q1", "q3"]
+        assert {v["base"] for v in step["m"] + step["q"]} == {0}
+
+    def test_trace_and_command_bytes_are_pinned(self, tmp_path, capsys):
+        digest = hashlib.sha256()
+        path = tmp_path / "instance.json"
+        for inst in _pinned_instances():
+            digest.update(trace_to_jsonl(run_cp(inst)[1]).encode())
+            path.write_text(dump_instance(inst))
+            for command, *flags in (["run", "--json"], ["trace"], ["compare", "--format", "json"]):
+                assert main([command, "--instances", str(path), *flags]) == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == PINNED_TRACE_SHA256
