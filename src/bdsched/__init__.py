@@ -44,7 +44,6 @@ from .offline import (
 )
 from .cp import (
     CaseTrace,
-    Decision,
     StepRecord,
     classify_case,
     run_cp,

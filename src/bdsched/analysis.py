@@ -1,8 +1,8 @@
 """Interval partition of a run and executable per-instance bound checks.
 
 The policy's timeline [0, tau] (tau = its last transmission) is cut into
-intervals whose length is dictated by the case chain that started them; the
-optimum's timeline is cut into shifted counterparts.  Comparing the two
+intervals drawn by the policy's precommitment register, each one case chain
+of the paper's; the optimum's timeline is cut into shifted counterparts.  Comparing the two
 profit streams interval by interval is what turns the global competitive
 bound into finitely many exact rational-vs-Q(sqrt17) comparisons:
 
@@ -46,18 +46,29 @@ __all__ = [
 #: check_inclusions compares the queries P(t, t', .) for t' up to this many steps after t.
 INCLUSION_WINDOW = 3
 
-#: Case labels that start a one-step interval.
-_SINGLE = {"1.1"}
-#: Case labels that start a two-step interval (commit follows at t+1).
-_PAIR = {"1.2.1", "1.2.2", "1.2.3.1", "1.2.3.2", "1.2.3.3"}
-#: Continuations after 1.2.3.4 at t: case at t+1 -> interval end offset.
-_FAMILY2_END = {"2.1": 2, "2.2.1": 2, "2.2.2.2": 2, "2.2.2.1": 1}
-#: Continuations after 2.2.2.3 at t+1: case at t+2 -> interval end offset.
-_FAMILY3_END = {"3.1": 3, "3.2.1": 3, "3.2.3": 3, "3.2.2": 2}
+#: The paper's interval patterns: trigger (the non-commit case labels of a
+#: case chain, joined by "+") -> the number of steps the interval spans.
+INTERVAL_STEPS = {
+    "1.1": 1,
+    "1.2.1": 2,
+    "1.2.2": 2,
+    "1.2.3.1": 2,
+    "1.2.3.2": 2,
+    "1.2.3.3": 2,
+    "1.2.3.4+2.1": 3,
+    "1.2.3.4+2.2.1": 3,
+    "1.2.3.4+2.2.2.1": 2,
+    "1.2.3.4+2.2.2.2": 3,
+    "1.2.3.4+2.2.2.3+3.1": 4,
+    "1.2.3.4+2.2.2.3+3.2.1": 4,
+    "1.2.3.4+2.2.2.3+3.2.2": 3,
+    "1.2.3.4+2.2.2.3+3.2.3": 4,
+}
 
 
 class PartitionError(RuntimeError):
-    """The trace's case chain matches no known interval pattern."""
+    """The run cannot be cut into intervals: a case chain matches no interval
+    pattern, or two shifted optimum spans overlap."""
 
 
 @dataclass(frozen=True)
@@ -85,65 +96,49 @@ class Interval:
         return self.trigger == "idle"
 
 
-def _span_records(trace: CaseTrace) -> dict[int, StepRecord]:
-    return {rec.t: rec for rec in trace.steps}
+def _close_span(chain: list[StepRecord]) -> tuple[int, int, str]:
+    """(start, end, trigger) of one case chain, checked against INTERVAL_STEPS."""
+    first, last = chain[0], chain[-1]
+    if first.case == "idle":
+        trigger, length = "idle", 1
+    elif first.fallback:
+        trigger, length = f"{first.case}[{first.fallback}]", 1
+    else:
+        trigger = "+".join([rec.case for rec in chain if rec.case != "commit"])
+        length = INTERVAL_STEPS.get(trigger)
+    if len(chain) != length:
+        raise PartitionError(
+            f"case chain {[rec.case for rec in chain]} at t={first.t}..{last.t} matches no interval pattern"
+        )
+    return first.t, last.t, trigger
 
 
 def partition_cp(trace: CaseTrace) -> list[tuple[int, int, str]]:
     """Cut [0, tau] into (start, end, trigger) spans.
 
-    Interval lengths follow the case chain: a 1.1 step stands alone;
-    1.2.x cases incorporate their committed follow-up step; a 1.2.3.4 step
-    absorbs the family-2 step after it, and family 3 after that, per the
-    continuation tables.  Steps where a documented fallback replaced the
-    case action stand alone (they commit nothing).  Idle steps inside
-    [0, tau] become zero-profit singleton spans.
+    The policy's register draws the intervals: a step that wrote s_{t+1}
+    pulls step t+1 into its span, so a span ends at the first step that left
+    the register clear.  Its trigger joins the span's non-commit case labels
+    with "+" and must be one of INTERVAL_STEPS's patterns, spanning exactly
+    that many steps.  A step where a documented fallback replaced the case
+    action stands alone as ``case[fallback]``, and an idle step inside
+    [0, tau] as a zero-profit ``idle`` span.
     """
-    recs = _span_records(trace)
-    tau = max((rec.t for rec in trace.steps if rec.transmitted is not None), default=None)
+    steps = trace.steps
+    tau = max((rec.t for rec in steps if rec.transmitted is not None), default=None)
     if tau is None:
         return []
     spans: list[tuple[int, int, str]] = []
-    t = 0
-    while t <= tau:
-        rec = recs.get(t)
-        if rec is None:
+    start = 0
+    for t in range(tau + 1):
+        rec = steps[t]
+        if rec.t != t:
             raise PartitionError(f"no record at time {t}")
-        if rec.case == "idle":
-            spans.append((t, t, "idle"))
-            t += 1
-            continue
-        if rec.case == "commit":
-            raise PartitionError(f"interval starts on a committed transmission at t={t}")
-        if rec.fallback:
-            spans.append((t, t, f"{rec.case}[{rec.fallback}]"))
-            t += 1
-            continue
-        if rec.case in _SINGLE:
-            spans.append((t, t, rec.case))
-            t += 1
-            continue
-        if rec.case in _PAIR:
-            spans.append((t, t + 1, rec.case))
-            t += 2
-            continue
-        if rec.case == "1.2.3.4":
-            follow = recs.get(t + 1)
-            if follow is None or follow.case not in _FAMILY2_END:
-                if follow is not None and follow.case == "2.2.2.3":
-                    third = recs.get(t + 2)
-                    if third is None or third.case not in _FAMILY3_END:
-                        raise PartitionError(f"unrecognized family-3 continuation at t={t + 2}")
-                    end = t + _FAMILY3_END[third.case]
-                    spans.append((t, end, f"1.2.3.4+2.2.2.3+{third.case}"))
-                    t = end + 1
-                    continue
-                raise PartitionError(f"unrecognized family-2 continuation at t={t + 1}")
-            end = t + _FAMILY2_END[follow.case]
-            spans.append((t, end, f"1.2.3.4+{follow.case}"))
-            t = end + 1
-            continue
-        raise PartitionError(f"interval cannot start with case {rec.case} at t={t}")
+        if rec.committed is None:
+            spans.append(_close_span(steps[start : t + 1]))
+            start = t + 1
+    if start <= tau:
+        raise PartitionError(f"case chain from t={start} still open at tau={tau}")
     return spans
 
 
@@ -222,14 +217,13 @@ def build_intervals(
     opt_weights = {t: weights[pid] for t, pid in opt_sched.slots.items()}
 
     intervals = []
-    claimed: set[int] = set()
+    prev_end = -1
     for (start, end, trigger), (o_start, o_end) in zip(spans, opt_spans):
+        if o_start <= prev_end:
+            raise PartitionError(f"optimum span {(o_start, o_end)} of {trigger} overlaps the previous one")
+        prev_end = o_end
         wi = sum([cp_weights.get(t, 0) for t in range(start, end + 1)])
-        wo = 0
-        for t in range(o_start, o_end + 1):
-            if t in opt_weights and t not in claimed:  # earliest span wins an overlap
-                claimed.add(t)
-                wo += opt_weights[t]
+        wo = sum([opt_weights.get(t, 0) for t in range(o_start, o_end + 1)])
         intervals.append(Interval((start, end), (o_start, o_end), Fraction(wi, scale), Fraction(wo, scale), trigger))
     return IntervalReport(tuple(intervals), v_cp, v_opt)
 

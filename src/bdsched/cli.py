@@ -137,7 +137,8 @@ def cmd_run(args) -> int:
         print(f"packets: {len(inst)}   horizon: {inst.horizon}")
         print("case trace:")
         for rec in trace.steps:
-            committed = f"  commit->{rec.committed}" if rec.committed else ""
+            mark = f"commit({rec.committed})" if isinstance(rec.committed, int) else rec.committed
+            committed = f"  commit->{mark}" if mark else ""
             extra = f"  [{rec.fallback}]" if rec.fallback else ""
             sent = f"sent {rec.transmitted}" if rec.transmitted is not None else "-"
             print(f"  t={rec.t:<3} case {rec.case:<10} {sent}{committed}{extra}")

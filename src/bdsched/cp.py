@@ -33,10 +33,6 @@ from .model import BufferState, Instance, Packet, Schedule, ge_alpha_times, le_r
 from .offline import InternalInvariantError, QueryEngine
 
 __all__ = [
-    "Decision",
-    "NULL",
-    "TMP1",
-    "TMP2",
     "StepRecord",
     "CaseTrace",
     "PartialOracle",
@@ -47,40 +43,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Content of the precommitment register s_t.
-
-    kind is one of "null", "commit", "tmp1", "tmp2"; packet_id is set only
-    for commits.  tmp markers are never transmitted directly: they route
-    the next step into case family 2 or 3.
-    """
-
-    kind: str
-    packet_id: int | None = None
-
-    def __str__(self) -> str:
-        return f"commit({self.packet_id})" if self.kind == "commit" else self.kind
-
-
-NULL = Decision("null")
-TMP1 = Decision("tmp1")
-TMP2 = Decision("tmp2")
-
-
-def commit(pid: int) -> Decision:
-    return Decision("commit", pid)
-
-
 @dataclass
 class StepRecord:
     """What happened at one time step: the leaf case the policy took, or a
-    commit or idle step."""
+    commit or idle step.
+
+    committed is what the step wrote into the register s_{t+1}: a packet id
+    to transmit at t+1, the marker "tmp1"/"tmp2" routing step t+1 into case
+    family 2/3, or None (register left clear).  Markers are never
+    transmitted directly.
+    """
 
     t: int
     case: str  # leaf case label, "commit", or "idle"
     transmitted: int | None
-    committed: Decision | None  # decision written into s_{t+1}, if any
+    committed: int | str | None
     fallback: str | None = None  # set when a documented fallback replaced the case action
 
 
@@ -153,15 +130,15 @@ def _dispatch_case1(oracle: PartialOracle, t: int) -> StepRecord:
         # Send it; there is nothing to precommit.
         return StepRecord(t, "1.2.2", m0.id, None, fallback="m1-absent")
     if m1.deadline == t:
-        return StepRecord(t, "1.2.1", m1.id, commit(m0.id))
+        return StepRecord(t, "1.2.1", m1.id, m0.id)
     if m1.deadline == t + 1:
-        return StepRecord(t, "1.2.2", m0.id, commit(m1.id))
+        return StepRecord(t, "1.2.2", m0.id, m1.id)
 
     q1 = oracle.q(t, 1)
     w = oracle.weights
     wm0, wm1, wq1 = w[m0.id], w[m1.id], _weight(w, q1)
 
-    def q1_now(case: str, committed: Decision | None) -> StepRecord:
+    def q1_now(case: str, committed: int | str) -> StepRecord:
         # The guard selected q1 for transmission.  q1 exists here (an absent
         # selector has value 0 and cannot pass either positive threshold),
         # but it may be released only at t+1, in which case it cannot be
@@ -174,11 +151,11 @@ def _dispatch_case1(oracle: PartialOracle, t: int) -> StepRecord:
 
     if wm0 >= wm1:
         if ge_alpha_times(wq1, wm1):
-            return q1_now("1.2.3.1", commit(m0.id))
-        return StepRecord(t, "1.2.3.2", m0.id, commit(m1.id))
+            return q1_now("1.2.3.1", m0.id)
+        return StepRecord(t, "1.2.3.2", m0.id, m1.id)
     if le_r_times(wq1 + wm0 + wm1, wm0 + wm1):
-        return StepRecord(t, "1.2.3.3", m0.id, commit(m1.id))
-    return q1_now("1.2.3.4", TMP1)
+        return StepRecord(t, "1.2.3.3", m0.id, m1.id)
+    return q1_now("1.2.3.4", "tmp1")
 
 
 def _dispatch_case2(oracle: PartialOracle, t: int) -> StepRecord:
@@ -191,16 +168,16 @@ def _dispatch_case2(oracle: PartialOracle, t: int) -> StepRecord:
     wm0, wm1, wm2, wq1, wq2 = w[m0.id], w[m1.id], _weight(w, m2), _weight(w, q1), _weight(w, q2)
 
     if le_r_times(wm0 + wm1 + wm2, wq1 + wm0 + wm1):
-        return StepRecord(t, "2.1", m0.id, commit(m1.id))
+        return StepRecord(t, "2.1", m0.id, m1.id)
     # beyond here the guard forces a real packet gained from the t+1 arrivals
     assert m2 is not None
     if m2.deadline == t + 1:
-        return StepRecord(t, "2.2.1", m1.id, commit(m2.id))
+        return StepRecord(t, "2.2.1", m1.id, m2.id)
     if not _same_packet(q2, q1):
         return StepRecord(t, "2.2.2.1", m1.id, None)
     if le_r_times(wq2 + wm0 + wm1 + wm2, wq1 + wm1 + wm2):
-        return StepRecord(t, "2.2.2.2", m1.id, commit(m2.id))
-    return StepRecord(t, "2.2.2.3", m0.id, TMP2)
+        return StepRecord(t, "2.2.2.2", m1.id, m2.id)
+    return StepRecord(t, "2.2.2.3", m0.id, "tmp2")
 
 
 def _dispatch_case3(oracle: PartialOracle, t: int) -> StepRecord:
@@ -213,28 +190,28 @@ def _dispatch_case3(oracle: PartialOracle, t: int) -> StepRecord:
     wm0, wm1, wm2, wm3, wq1 = _weight(w, m0), w[m1.id], w[m2.id], _weight(w, m3), _weight(w, q1)
 
     if le_r_times(wm0 + wm1 + wm2 + wm3, wq1 + wm0 + wm1 + wm2):
-        return StepRecord(t, "3.1", m1.id, commit(m2.id))
+        return StepRecord(t, "3.1", m1.id, m2.id)
     assert m3 is not None
     if m3.deadline == t + 1:
-        return StepRecord(t, "3.2.1", m2.id, commit(m3.id))
+        return StepRecord(t, "3.2.1", m2.id, m3.id)
     if not _same_packet(q3, q1):
         return StepRecord(t, "3.2.2", m2.id, None)
-    return StepRecord(t, "3.2.3", m2.id, commit(m3.id))
+    return StepRecord(t, "3.2.3", m2.id, m3.id)
 
 
-def classify_case(oracle: PartialOracle, t: int, state: Decision) -> StepRecord:
+def classify_case(oracle: PartialOracle, t: int, state: str | None) -> StepRecord:
     """Pick the unique leaf case for the transmission subphase at t.
 
     `state` is s_t and must not be a commit (commits are executed directly,
     not classified).
     """
-    if state.kind == "null":
+    if state is None:
         return _dispatch_case1(oracle, t)
-    if state.kind == "tmp1":
+    if state == "tmp1":
         return _dispatch_case2(oracle, t)
-    if state.kind == "tmp2":
+    if state == "tmp2":
         return _dispatch_case3(oracle, t)
-    raise ValueError(f"cannot classify a {state.kind} state")
+    raise ValueError(f"cannot classify a {state!r} state")
 
 
 def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
@@ -252,7 +229,7 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
     oracle = PartialOracle(engine, queries)
     steps: list[StepRecord] = []
     slots: dict[int, int] = {}
-    register: dict[int, Decision] = {}
+    state: int | str | None = None  # s_t; the step at t writes s_{t+1}
     pending: dict[int, Packet] = {}
 
     for t in range(0, inst.horizon + 1):
@@ -260,21 +237,18 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
         for p in arrivals.get(t, ()):
             pending[p.id] = p
         oracle.now = t
-        state = register.pop(t, NULL)
 
         if not pending:
-            if state.kind != "null":
+            if state is not None:
                 raise InternalInvariantError(f"t={t}: empty buffer but s_t = {state}")
-            steps.append(StepRecord(t, "idle", None, None))
-        elif state.kind == "commit":
-            pid = state.packet_id
-            assert pid is not None
-            p = pending.get(pid)
+            rec = StepRecord(t, "idle", None, None)
+        elif isinstance(state, int):
+            p = pending.get(state)
             if p is None or not (p.release <= t <= p.deadline):
-                raise InternalInvariantError(f"t={t}: committed packet {pid} is not transmittable")
-            del pending[pid]
-            slots[t] = pid
-            steps.append(StepRecord(t, "commit", pid, None))
+                raise InternalInvariantError(f"t={t}: committed packet {state} is not transmittable")
+            del pending[state]
+            slots[t] = state
+            rec = StepRecord(t, "commit", state, None)
         else:
             rec = classify_case(oracle, t, state)
             pid = rec.transmitted
@@ -282,22 +256,20 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
                 raise InternalInvariantError(f"t={t}: case {rec.case} transmits packet {pid}, which is not pending")
             del pending[pid]
             slots[t] = pid
-            d = rec.committed
-            if d is not None:
-                if d.kind == "commit":
-                    target = inst.by_id(d.packet_id)  # type: ignore[arg-type]
-                    if not (target.release <= t + 1 <= target.deadline):
-                        raise InternalInvariantError(
-                            f"t={t}: case {rec.case} committed packet {d.packet_id} "
-                            f"outside its window for slot {t + 1}"
-                        )
-                register[t + 1] = d
-            steps.append(rec)
+            if isinstance(rec.committed, int):
+                target = inst.by_id(rec.committed)
+                if not (target.release <= t + 1 <= target.deadline):
+                    raise InternalInvariantError(
+                        f"t={t}: case {rec.case} committed packet {rec.committed} "
+                        f"outside its window for slot {t + 1}"
+                    )
+        steps.append(rec)
+        state = rec.committed
 
         pending = {pid: p for pid, p in pending.items() if p.deadline > t}
 
-    if register:
-        raise InternalInvariantError(f"commitments left beyond the horizon: {register}")
+    if state is not None:
+        raise InternalInvariantError(f"commitment left beyond the horizon: s_{inst.horizon + 1} = {state}")
     return Schedule(slots), CaseTrace(steps, buffers, queries, engine)
 
 
@@ -324,18 +296,11 @@ def trace_to_jsonl(trace: CaseTrace) -> str:
     consulted = _consulted(trace)
     lines = []
     for rec in trace.steps:
-        committed: int | str | None
-        if rec.committed is None:
-            committed = None
-        elif rec.committed.kind == "commit":
-            committed = rec.committed.packet_id
-        else:
-            committed = rec.committed.kind
         doc = {
             "t": rec.t,
             "case": rec.case,
             "transmitted": rec.transmitted,
-            "committed": committed,
+            "committed": rec.committed,
             **consulted.get(rec.t, {"m": [], "q": []}),
         }
         if rec.fallback:

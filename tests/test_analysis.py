@@ -7,7 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import bdsched.analysis as analysis_mod
+import bdsched.cp as cp_mod
 from bdsched import (
+    CheckConfig,
     Instance,
     PartitionError,
     Schedule,
@@ -22,7 +25,7 @@ from bdsched import (
     partition_opt,
     run_cp,
 )
-from bdsched.harness import evaluate
+from bdsched.harness import check_or_crash, evaluate
 from bdsched.model import profit
 from conftest import mk
 from test_acceptance import CHAIN_VARIANTS
@@ -89,6 +92,54 @@ class TestPartitionCp:
             assert start == expected and start <= end
             expected = end + 1
         assert expected == tau + 1
+
+    @given(small_instances(max_packets=8, max_release=5))
+    @settings(max_examples=300, deadline=None)
+    def test_span_ends_at_the_first_clear_register(self, inst):
+        _, trace = run_cp(inst)
+        for start, end, _ in partition_cp(trace):
+            assert [rec.committed is None for rec in trace.steps[start : end + 1]] == [False] * (end - start) + [True]
+
+
+def crash_details(inst, config=CheckConfig()):
+    return [(f.kind, f.detail.split(":")[0]) for f in check_or_crash(inst, config).findings]
+
+
+class TestPartitionFaults:
+    """A case that writes the wrong register value, or optimum spans that
+    overlap, are faults of the program: the instance becomes a crash
+    finding instead of being absorbed into a neighbouring interval."""
+
+    def test_family2_case_that_forgets_its_commit(self, monkeypatch):
+        real = cp_mod._dispatch_case2
+
+        def forgetful(oracle, t):
+            rec = real(oracle, t)
+            if rec.case == "2.1":
+                rec.committed = None
+            return rec
+
+        monkeypatch.setattr(cp_mod, "_dispatch_case2", forgetful)
+        assert crash_details(chain_family("2.1"), CheckConfig(forced_opt=True)) == [("crash", "PartitionError")]
+
+    def test_single_step_case_that_commits(self, monkeypatch):
+        real = cp_mod._dispatch_case1
+
+        def committing(oracle, t):
+            rec = real(oracle, t)
+            if rec.case == "1.1" and t == 0:
+                rec.committed = 1
+            return rec
+
+        monkeypatch.setattr(cp_mod, "_dispatch_case1", committing)
+        assert crash_details(mk((0, 0, 5), (0, 1, 3))) == [("crash", "PartitionError")]
+
+    def test_overlapping_optimum_spans(self, monkeypatch):
+        def overlapping(spans, *_):
+            return [(start, end + 1) for start, end, _ in spans]
+
+        monkeypatch.setattr(analysis_mod, "partition_opt", overlapping)
+        assert crash_details(mk((0, 0, 5), (1, 1, 3))) == [("crash", "PartitionError")]
 
 
 class TestPartitionOpt:

@@ -188,8 +188,8 @@ class TestStateMachineInvariants:
     def test_commitments_honored(self, inst):
         sched, trace = run_cp(inst)
         for rec in trace.steps:
-            if rec.committed is not None and rec.committed.kind == "commit":
-                assert sched.packet_at(rec.t + 1) == rec.committed.packet_id
+            if isinstance(rec.committed, int):
+                assert sched.packet_at(rec.t + 1) == rec.committed
 
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
@@ -297,6 +297,8 @@ def _pinned_instances():
 #: sha256 over, per pinned instance in order, its trace_to_jsonl text and the
 #: stdout of `run --json`, `trace` and `compare --format json` on it.
 PINNED_TRACE_SHA256 = "e1315847a72b26757bd0a7cb63cdf9f70561c4450279ec68e41d7fa6661f8070"
+#: sha256 over the text stdout of `run` on each pinned instance, in order.
+PINNED_RUN_TEXT_SHA256 = "c63ac17d7c23782e200ec3dcc4e63139f2f01c5c0fb260a279c37cae47e3abc3"
 
 
 class TestTraceSerialization:
@@ -322,7 +324,7 @@ class TestTraceSerialization:
         assert {v["base"] for v in step["m"] + step["q"]} == {0}
 
     def test_trace_and_command_bytes_are_pinned(self, tmp_path, capsys):
-        digest = hashlib.sha256()
+        digest, run_text = hashlib.sha256(), hashlib.sha256()
         path = tmp_path / "instance.json"
         for inst in _pinned_instances():
             digest.update(trace_to_jsonl(run_cp(inst)[1]).encode())
@@ -330,4 +332,7 @@ class TestTraceSerialization:
             for command, *flags in (["run", "--json"], ["trace"], ["compare", "--format", "json"]):
                 assert main([command, "--instances", str(path), *flags]) == 0
                 digest.update(capsys.readouterr().out.encode())
+            assert main(["run", "--instances", str(path)]) == 0
+            run_text.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == PINNED_TRACE_SHA256
+        assert run_text.hexdigest() == PINNED_RUN_TEXT_SHA256
