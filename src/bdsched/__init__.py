@@ -26,6 +26,7 @@ from .model import (
     load_instance,
     parse_value,
     profit,
+    profit_weight,
     quad_cmp,
     render_decimal,
     render_value,

@@ -14,6 +14,11 @@ bound into finitely many exact rational-vs-Q(sqrt17) comparisons:
   forced to transmit specific selector packets at specific times;
 * the partial-optimum sets of neighbouring queries nest.
 
+Profits are integer weights at the instance's scale, so every comparison
+above is integer arithmetic; an interval's or a report's rational profits
+(``v_cp``/``v_opt``) are built only when read: by a finding's rendered
+values, and outside this module by ``run``, a CSV row or ``compare``.
+
 Every partial-optimum query goes through the run's query engine
 (``trace.engine``), so a query the policy or another check already asked is
 answered from its memo.
@@ -71,29 +76,52 @@ class PartitionError(RuntimeError):
     pattern, or two shifted optimum spans overlap."""
 
 
-@dataclass(frozen=True)
 class Interval:
     """One segment of the comparison.
 
     cp_span covers the policy's timeline, opt_span the (possibly shifted)
-    optimum's; v_cp / v_opt are the exact profits earned inside them.
+    optimum's; w_cp / w_opt are the exact profits earned inside them, as
+    integer weights at the instance's scale.  The rational profits v_cp /
+    v_opt are built only when read.  A plain slotted class, not a frozen
+    dataclass, because every checked instance builds one per span and a
+    frozen dataclass sets each field through ``object.__setattr__``;
+    intervals are never modified after construction.
     """
 
-    cp_span: tuple[int, int]
-    opt_span: tuple[int, int]
-    v_cp: Rat
-    v_opt: Rat
-    trigger: str
+    __slots__ = ("cp_span", "opt_span", "w_cp", "w_opt", "scale", "trigger")
+
+    def __init__(
+        self, cp_span: tuple[int, int], opt_span: tuple[int, int], w_cp: int, w_opt: int, scale: int, trigger: str
+    ):
+        self.cp_span = cp_span
+        self.opt_span = opt_span
+        self.w_cp = w_cp
+        self.w_opt = w_opt
+        self.scale = scale
+        self.trigger = trigger
+
+    @property
+    def v_cp(self) -> Rat:
+        return Fraction(self.w_cp, self.scale)
+
+    @property
+    def v_opt(self) -> Rat:
+        return Fraction(self.w_opt, self.scale)
 
     @property
     def within_bound(self) -> bool:
-        """Exact v_opt <= R * v_cp, decided by the integer predicate
-        :func:`~bdsched.model.le_r_times` (``Quad17`` is its test reference)."""
-        return le_r_times(self.v_opt, self.v_cp)
+        """Exact v_opt <= R * v_cp, decided on the weights by the integer
+        predicate :func:`~bdsched.model.le_r_times` (``Quad17`` is its test
+        reference); the test is homogeneous, so the scale changes nothing."""
+        return le_r_times(self.w_opt, self.w_cp)
 
     @property
     def is_idle(self) -> bool:
         return self.trigger == "idle"
+
+    def __repr__(self) -> str:
+        return (f"Interval(cp_span={self.cp_span!r}, opt_span={self.opt_span!r}, "
+                f"v_cp={render_value(self.v_cp)}, v_opt={render_value(self.v_opt)}, trigger={self.trigger!r})")
 
 
 def _close_span(chain: list[StepRecord]) -> tuple[int, int, str]:
@@ -171,32 +199,54 @@ def partition_opt(
     ]
 
 
-@dataclass(frozen=True)
 class IntervalReport:
-    """All intervals of one run plus the global exact comparisons."""
+    """All intervals of one run plus the global exact comparisons.
 
-    intervals: tuple[Interval, ...]
-    v_cp: Rat
-    v_opt: Rat
+    w_cp / w_opt are the two timelines' total profits as integer weights at
+    the instance's scale, the scale of every interval; every test below
+    compares those integers, and v_cp / v_opt build the rational profits
+    only when read.
+    """
+
+    __slots__ = ("intervals", "w_cp", "w_opt", "scale")
+
+    def __init__(self, intervals: tuple[Interval, ...], w_cp: int, w_opt: int, scale: int):
+        self.intervals = intervals
+        self.w_cp = w_cp
+        self.w_opt = w_opt
+        self.scale = scale
+
+    @property
+    def v_cp(self) -> Rat:
+        return Fraction(self.w_cp, self.scale)
+
+    @property
+    def v_opt(self) -> Rat:
+        return Fraction(self.w_opt, self.scale)
 
     @property
     def global_within_bound(self) -> bool:
-        return le_r_times(self.v_opt, self.v_cp)
+        return le_r_times(self.w_opt, self.w_cp)
+
+    @property
+    def covered_weight(self) -> int:
+        """The sum of the intervals' w_opt."""
+        return sum([iv.w_opt for iv in self.intervals])
 
     @property
     def opt_covered(self) -> bool:
         """Whole-run sanity: total optimum profit <= sum of interval v_opt."""
-        return self.v_opt <= sum((iv.v_opt for iv in self.intervals), Fraction(0))
+        return self.w_opt <= self.covered_weight
 
     @property
     def worst_interval(self) -> Interval | None:
         worst = None
         for iv in self.intervals:
-            if iv.v_cp == 0:
-                if iv.v_opt > 0:
+            if iv.w_cp == 0:
+                if iv.w_opt > 0:
                     return iv
                 continue
-            if worst is None or iv.v_opt * worst.v_cp > worst.v_opt * iv.v_cp:
+            if worst is None or iv.w_opt * worst.w_cp > worst.w_opt * iv.w_cp:
                 worst = iv
         return worst
 
@@ -206,10 +256,11 @@ def build_intervals(
     trace: CaseTrace,
     cp_sched: Schedule,
     opt_sched: Schedule,
-    v_cp: Rat,
-    v_opt: Rat,
+    w_cp: int,
+    w_opt: int,
 ) -> IntervalReport:
-    """Assemble Interval objects from precomputed runs."""
+    """Assemble Interval objects from precomputed runs; w_cp / w_opt are the
+    two schedules' total profits as weights at the instance's scale."""
     spans = partition_cp(trace)
     opt_spans = partition_opt(spans, cp_sched, opt_sched, inst)
     weights, scale = inst.weights, inst.scale
@@ -224,8 +275,8 @@ def build_intervals(
         prev_end = o_end
         wi = sum([cp_weights.get(t, 0) for t in range(start, end + 1)])
         wo = sum([opt_weights.get(t, 0) for t in range(o_start, o_end + 1)])
-        intervals.append(Interval((start, end), (o_start, o_end), Fraction(wi, scale), Fraction(wo, scale), trigger))
-    return IntervalReport(tuple(intervals), v_cp, v_opt)
+        intervals.append(Interval((start, end), (o_start, o_end), wi, wo, scale, trigger))
+    return IntervalReport(tuple(intervals), w_cp, w_opt, scale)
 
 
 @dataclass(frozen=True)
@@ -262,7 +313,7 @@ def check_interval_bounds(report: IntervalReport) -> list[Finding]:
                 "coverage",
                 "interval opt-profits do not cover the optimum",
                 render_value(report.v_opt),
-                render_value(sum((iv.v_opt for iv in report.intervals), Fraction(0))),
+                render_value(Fraction(report.covered_weight, report.scale)),
             )
         )
     return out
@@ -289,7 +340,7 @@ def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport)
         slack = sent_last.is_two_packet_at(end)
         slot_end = end + 1 if slack else end
         bound = trace.engine.p(start, end, slot_end)
-        if iv.v_opt.numerator * bound.scale > bound.weight * iv.v_opt.denominator:  # v_opt > V, in integers
+        if iv.w_opt * bound.scale > bound.weight * iv.scale:  # v_opt > V, in integers
             out.append(
                 Finding(
                     "partial-bound",

@@ -88,6 +88,12 @@ def _parse_seed_range(raw: str) -> range:
     return range(lo, hi + 1)
 
 
+def _check_workers(workers: int) -> None:
+    """A count below 1 would otherwise run the campaign serially."""
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
+
+
 def _write_trace_dir(trace, directory: str) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -213,6 +219,7 @@ def _print_report(report, fmt: str) -> None:
 
 
 def cmd_exhaustive(args) -> int:
+    _check_workers(args.workers)
     spec = GridSpec(
         horizon=args.horizon,
         max_packets=args.max_packets,
@@ -235,6 +242,7 @@ def cmd_exhaustive(args) -> int:
 
 def cmd_fuzz(args) -> int:
     seeds = _parse_seed_range(args.seeds)
+    _check_workers(args.workers)
     config = RandomConfig(
         horizon=args.horizon,
         arrival_rate=args.rate,

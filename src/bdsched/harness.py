@@ -5,6 +5,12 @@ Campaign outputs are byte-stable: rows are emitted in instance order, all
 numbers render as exact rationals plus a fixed-width decimal, and verdict
 columns come from the exact integer predicates of :mod:`bdsched.model`
 (``Quad17`` is only their reference), never from the decimals.
+
+Results and summaries keep profits as integer weights at each instance's
+scale.  A summary-only campaign builds a ``Fraction`` in two places: the
+optimum's total from :func:`~bdsched.offline.opt_full`, one per instance,
+and ``max_ratio`` when the argmax changes.  Rows, ``run`` and ``compare``
+build the rationals they render.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .model import (
     instance_hash,
     instance_to_dict,
     profit,
+    profit_weight,
     render_decimal,
     render_value,
 )
@@ -81,14 +88,16 @@ class CheckConfig:
 class InstanceResult:
     """Everything measured on one instance.
 
-    The fields are what a campaign summary reads.  The row-only columns
-    (``v_greedy``, ``worst_interval``) are computed from the stored instance
-    and intervals the first time a row or a command reads them.
+    The fields are what a campaign summary reads: the two profits are
+    integer weights at the instance's scale, and v_cp / v_opt build their
+    rationals only when a row or a command reads them.  The row-only
+    columns (``v_greedy``, ``worst_interval``) are computed from the stored
+    instance and intervals the first time a row or a command reads them.
     """
 
     instance: Instance
-    v_cp: Rat
-    v_opt: Rat
+    w_cp: int
+    w_opt: int
     within_bound: bool
     intervals: tuple[Interval, ...]
     findings: list[Finding] = field(default_factory=list)
@@ -98,6 +107,14 @@ class InstanceResult:
     def ok(self) -> bool:
         return self.within_bound and not self.findings
 
+    @property
+    def v_cp(self) -> Rat:
+        return Fraction(self.w_cp, self.instance.scale)
+
+    @property
+    def v_opt(self) -> Rat:
+        return Fraction(self.w_opt, self.instance.scale)
+
     @cached_property
     def v_greedy(self) -> Rat:
         return profit(greedy_baseline(self.instance), self.instance)
@@ -105,7 +122,7 @@ class InstanceResult:
     @cached_property
     def worst_interval(self) -> tuple[Rat, Rat] | None:
         """(v_opt_i, v_cp_i) of the worst interval."""
-        worst = IntervalReport(self.intervals, self.v_cp, self.v_opt).worst_interval
+        worst = IntervalReport(self.intervals, self.w_cp, self.w_opt, self.instance.scale).worst_interval
         return (worst.v_opt, worst.v_cp) if worst else None
 
 
@@ -117,7 +134,8 @@ def evaluate(inst: Instance):
     """
     cp_sched, trace = run_cp(inst)
     opt_sched, v_opt = opt_full(inst)
-    report = build_intervals(inst, trace, cp_sched, opt_sched, profit(cp_sched, inst), v_opt)
+    w_opt = v_opt.numerator * (inst.scale // v_opt.denominator)  # its denominator divides the scale
+    report = build_intervals(inst, trace, cp_sched, opt_sched, profit_weight(cp_sched, inst), w_opt)
     return cp_sched, trace, opt_sched, report
 
 
@@ -136,8 +154,8 @@ def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
 
     return InstanceResult(
         instance=inst,
-        v_cp=report.v_cp,
-        v_opt=report.v_opt,
+        w_cp=report.w_cp,
+        w_opt=report.w_opt,
         within_bound=report.global_within_bound,
         intervals=report.intervals,
         findings=findings,
@@ -163,7 +181,7 @@ def check_or_crash(inst: Instance, config: CheckConfig) -> InstanceResult:
         return check_instance(inst, config)
     except CRASHES as exc:
         crash = Finding("crash", f"{type(exc).__name__}: {exc}", "-", "-")
-        return InstanceResult(inst, Fraction(0), Fraction(0), within_bound=True, intervals=(), findings=[crash])
+        return InstanceResult(inst, 0, 0, within_bound=True, intervals=(), findings=[crash])
 
 
 def cross_check_queries(inst: Instance, trace) -> list[Finding]:
@@ -205,11 +223,17 @@ class Summary:
     again, and s leading `idle` steps, translates*(translates+1)/2 in all.
     The ratio and the violation order need nothing, because the absorbed
     result has the lowest index of its class.
+
+    Ratios compare as integer weights: max_weights is (w_opt, w_cp) at the
+    argmax, at its instance's scale, and two ratios w_opt / w_cp compare by
+    cross-multiplication, in which each instance's scale cancels.  The
+    rational max_ratio is built only when the argmax changes.
     """
 
     instances: int = 0
     violations: int = 0
     max_ratio: tuple[Rat, Rat] | None = None  # (v_opt, v_cp) at the argmax
+    max_weights: tuple[int, int] | None = None  # (w_opt, w_cp) at the argmax
     argmax_index: int | None = None
     argmax_instance: Instance | None = None
     first_violation: InstanceResult | None = None
@@ -217,11 +241,11 @@ class Summary:
     findings_by_kind: dict[str, int] = field(default_factory=dict)
     cases_seen: dict[str, int] = field(default_factory=dict)
 
-    def _beats_max(self, v_opt: Rat, v_cp: Rat, index: int) -> bool:
-        if self.max_ratio is None:
+    def _beats_max(self, w_opt: int, w_cp: int, index: int) -> bool:
+        if self.max_weights is None:
             return True
-        cur_opt, cur_cp = self.max_ratio
-        lhs, rhs = v_opt * cur_cp, cur_opt * v_cp
+        cur_opt, cur_cp = self.max_weights
+        lhs, rhs = w_opt * cur_cp, cur_opt * w_cp
         return lhs > rhs or (lhs == rhs and index < self.argmax_index)
 
     def absorb_result(self, res: InstanceResult, index: int = 0, translates: int = 0) -> None:
@@ -240,7 +264,8 @@ class Summary:
             self.cases_seen[label] = self.cases_seen.get(label, 0) + copies
         if translates and res.cases:  # a crash records no steps, nor do its translates
             self.cases_seen["idle"] = self.cases_seen.get("idle", 0) + translates * (translates + 1) // 2
-        if res.v_cp > 0 and self._beats_max(res.v_opt, res.v_cp, index):
+        if res.w_cp > 0 and self._beats_max(res.w_opt, res.w_cp, index):
+            self.max_weights = (res.w_opt, res.w_cp)
             self.max_ratio = (res.v_opt, res.v_cp)
             self.argmax_index = index
             self.argmax_instance = res.instance
@@ -257,7 +282,8 @@ class Summary:
             self.findings_by_kind[k] = self.findings_by_kind.get(k, 0) + v
         for k, v in other.cases_seen.items():
             self.cases_seen[k] = self.cases_seen.get(k, 0) + v
-        if other.max_ratio is not None and self._beats_max(*other.max_ratio, other.argmax_index):
+        if other.max_weights is not None and self._beats_max(*other.max_weights, other.argmax_index):
+            self.max_weights = other.max_weights
             self.max_ratio = other.max_ratio
             self.argmax_index = other.argmax_index
             self.argmax_instance = other.argmax_instance
@@ -438,7 +464,7 @@ def compare_algorithms(inst: Instance) -> list[dict[str, str]]:
 
 
 def _row_to_csv(res: InstanceResult) -> str:
-    ratio = res.v_opt / res.v_cp if res.v_cp else Fraction(0)
+    ratio = Fraction(res.w_opt, res.w_cp) if res.w_cp else Fraction(0)
     if res.worst_interval and res.worst_interval[1]:
         worst = render_value(res.worst_interval[0] / res.worst_interval[1])
     else:

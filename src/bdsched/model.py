@@ -8,8 +8,10 @@ artifact bit-exact:
   (`fractions.Fraction`, aliased ``Rat``), never floats.  Inside a run they
   are carried as integer weights, value * :attr:`Instance.scale` (the LCM of
   the instance's value denominators), so sums and comparisons within one
-  instance are integer arithmetic; a ``Fraction`` is built only where a
-  value is reported or compared with another instance's;
+  instance are integer arithmetic, and two instances' ratios compare by
+  cross-multiplying weights.  In this module a ``Fraction`` is built only
+  by :func:`parse_value` and by :func:`profit`, whose integer core is
+  :func:`profit_weight`; downstream, only where a value is rendered;
 * every threshold test against R = (1+sqrt17)/4 and alpha = (-3+sqrt17)/2
   is x <= R*y (:func:`le_r_times`) or x >= alpha*y (:func:`ge_alpha_times`),
   decided in closed form from cross-multiplied integers; :class:`Quad17`
@@ -24,7 +26,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "Violation",
     "validate_instance",
     "profit",
+    "profit_weight",
     "InfeasibleScheduleError",
     "InstanceFormatError",
     "instance_from_dict",
@@ -212,47 +214,47 @@ def canonical_key(p: Packet) -> tuple:
     return (-p.value, p.deadline, p.release, p.id)
 
 
-@dataclass(frozen=True)
 class Instance:
-    """An immutable input: a sequence of packets, ids unique."""
+    """An input: a sequence of packets, ids unique.
 
-    packets: tuple[Packet, ...]
+    The constructor indexes the packets in one pass, so every per-instance
+    view below is a plain attribute read; it never raises, whatever the
+    packets.  Only :attr:`release_index`, which raises on a packet it cannot
+    index, is built on its first read.  Equality, hashing, ``repr`` and
+    pickling read only ``packets``.  A plain slotted class, not a frozen
+    dataclass, because a frozen dataclass sets each field through
+    ``object.__setattr__`` and a grid campaign builds one instance per base;
+    instances are never modified after construction.
+
+    * ``horizon``: the largest deadline; -1 for the empty instance.
+    * ``arrivals``: release time -> the packets released then, in order.
+    * ``scale``: the LCM of the value denominators; 1 for the empty instance.
+    * ``weights``: packet id -> its integer weight, value * scale.
+    """
+
+    __slots__ = ("packets", "horizon", "_id_map", "arrivals", "scale", "weights", "_release_index")
 
     def __init__(self, packets: Iterable[Packet]):
-        object.__setattr__(self, "packets", tuple(packets))
-
-    @cached_property
-    def horizon(self) -> int:
-        """Largest deadline; -1 for the empty instance."""
-        return max((p.deadline for p in self.packets), default=-1)
+        self.packets = packets = tuple(packets)
+        id_map: dict[int, Packet] = {}
+        grouped: dict[int, list[Packet]] = {}
+        horizon = -1
+        for p in packets:
+            id_map[p.id] = p
+            grouped.setdefault(p.release, []).append(p)
+            if p.deadline > horizon:
+                horizon = p.deadline
+        self.horizon = horizon
+        self._id_map = id_map
+        self.arrivals = {t: tuple(ps) for t, ps in grouped.items()}
+        self.scale = scale = math.lcm(*[p.value.denominator for p in packets])
+        self.weights = {pid: p.value.numerator * (scale // p.value.denominator) for pid, p in id_map.items()}
+        self._release_index = None
 
     def by_id(self, pid: int) -> Packet:
         return self._id_map[pid]
 
-    @cached_property
-    def _id_map(self) -> dict[int, Packet]:
-        return {p.id: p for p in self.packets}
-
-    @cached_property
-    def arrivals(self) -> dict[int, tuple[Packet, ...]]:
-        """Packets grouped by release time."""
-        grouped: dict[int, list[Packet]] = {}
-        for p in self.packets:
-            grouped.setdefault(p.release, []).append(p)
-        return {t: tuple(ps) for t, ps in grouped.items()}
-
-    @cached_property
-    def scale(self) -> int:
-        """The LCM of the value denominators: every value times it is an integer."""
-        return math.lcm(*[p.value.denominator for p in self.packets])
-
-    @cached_property
-    def weights(self) -> dict[int, int]:
-        """Packet id -> its integer weight, value * scale."""
-        scale = self.scale
-        return {pid: p.value.numerator * (scale // p.value.denominator) for pid, p in self._id_map.items()}
-
-    @cached_property
+    @property
     def release_index(self) -> tuple[int, dict[int, tuple[tuple, ...]], dict[int, tuple]]:
         """The partial solver's view of this instance: (scale, buckets, by_id).
 
@@ -264,8 +266,11 @@ class Instance:
         with an empty window (deadline < release) are left out.  Raises
         ValueError, naming the packet, if a packet is not 2-bounded or an id
         repeats: the solver's feasibility test holds only for windows of at
-        most two slots, and base buffers name packets by id.
+        most two slots, and base buffers name packets by id.  Built on the
+        first read and kept.
         """
+        if self._release_index is not None:
+            return self._release_index
         scale = self.scale
         keyed = sorted([(-p.value.numerator * (scale // p.value.denominator), p.deadline, p.release, p.id)
                         for p in self.packets])
@@ -280,10 +285,25 @@ class Instance:
                 entry = (rank, pid, release, deadline, -neg_weight)
                 buckets.setdefault(release, []).append(entry)
                 by_id[pid] = entry
-        return scale, {r: tuple(es) for r, es in buckets.items()}, by_id
+        self._release_index = scale, {r: tuple(es) for r, es in buckets.items()}, by_id
+        return self._release_index
 
     def __len__(self) -> int:
         return len(self.packets)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.packets == other.packets
+
+    def __hash__(self) -> int:
+        return hash((self.packets,))
+
+    def __repr__(self) -> str:
+        return f"Instance(packets={self.packets!r})"
+
+    def __reduce__(self):
+        return Instance, (self.packets,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +366,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
     return out
 
 
-def profit(sched: Schedule, inst: Instance) -> Rat:
-    """Exact total value of the scheduled packets.
+def profit_weight(sched: Schedule, inst: Instance) -> int:
+    """Exact total weight of the scheduled packets, at the instance's scale.
 
     Raises InfeasibleScheduleError (naming the offending slot) if the
     schedule repeats a packet or places one outside [release, deadline].
@@ -369,7 +389,13 @@ def profit(sched: Schedule, inst: Instance) -> Rat:
                 f"slot {t}: packet {pid} outside its window [{p.release}, {p.deadline}]"
             )
         total += weights[pid]
-    return Fraction(total, inst.scale)
+    return total
+
+
+def profit(sched: Schedule, inst: Instance) -> Rat:
+    """Exact total value of the scheduled packets: :func:`profit_weight`
+    divided by the instance's scale, with the same feasibility checks."""
+    return Fraction(profit_weight(sched, inst), inst.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -145,19 +145,20 @@ class PSet:
 _EMPTY_PSET = PSet((), 0)
 
 
-def _edf_assignment(kept: Sequence[Packet], q: PartialQuery) -> dict[int, int]:
-    """Assign kept packets to slots: sweep slots in time order, at each slot
-    transmit the available packet with the earliest deadline (ties by id).
+def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[int, int]:
+    """Assign kept packets to slots [start, slot_end]: sweep slots in time
+    order, at each slot transmit the available packet with the earliest
+    deadline (ties by id).
 
     Availability windows are contiguous, so this realizes an assignment
     whenever one exists.
     """
     unassigned = {p.id: p for p in kept}
     out: dict[int, int] = {}
-    for s in range(q.start, q.slot_end + 1):
+    for s in range(start, slot_end + 1):
         best: Packet | None = None
         for p in unassigned.values():
-            if max(q.start, p.release) <= s <= p.deadline:
+            if max(start, p.release) <= s <= p.deadline:
                 if best is None or (p.deadline, p.id) < (best.deadline, best.id):
                     best = p
         if best is not None:
@@ -392,9 +393,14 @@ class QueryEngine:
 
 
 def opt_full(inst: Instance) -> tuple[Schedule, Rat]:
-    """Canonical clairvoyant optimum over slots [0, horizon]."""
+    """Canonical clairvoyant optimum over slots [0, horizon]: the partial
+    query P(0, horizon, horizon) from an empty buffer, laid out by
+    :func:`_edf_assignment`."""
     if not inst.packets:
         return Schedule({}), Fraction(0)
-    q = PartialQuery(0, inst.horizon, inst.horizon, ())
-    ps = solve_partial(q, inst)
-    return Schedule(_edf_assignment([inst.by_id(i) for i in ps.members], q)), ps.total_value
+    horizon = inst.horizon
+    if horizon < 0:
+        raise _out_of_order(0, horizon, horizon)
+    ps = _solve(inst, 0, horizon, horizon, frozenset())
+    by_id = inst.by_id
+    return Schedule(_edf_assignment([by_id(i) for i in ps.members], 0, horizon)), ps.total_value

@@ -6,13 +6,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdsched.analysis as analysis_mod
 import bdsched.cp as cp_mod
 from bdsched import (
     CheckConfig,
     Instance,
+    Interval,
+    IntervalReport,
     PartitionError,
+    Quad17,
+    R,
+    RandomConfig,
     Schedule,
     chain_family,
     check_forced_opt,
@@ -24,6 +30,7 @@ from bdsched import (
     partition_cp,
     partition_opt,
     run_cp,
+    tight_family,
 )
 from bdsched.harness import check_or_crash, evaluate
 from bdsched.model import profit
@@ -284,3 +291,73 @@ class TestExactSums:
                 assert type(iv.v_opt) is Fraction and iv.v_opt == value_sum(opt_sched, opt_times)
                 intervals += 1
         assert intervals > 200
+
+
+def reference_worst(pairs: list[tuple[Fraction, Fraction]]) -> int | None:
+    """The worst interval's position, found on rational (v_opt, v_cp) pairs."""
+    worst = None
+    for i, (v_opt, v_cp) in enumerate(pairs):
+        if v_cp == 0:
+            if v_opt > 0:
+                return i
+            continue
+        if worst is None or v_opt * pairs[worst][1] > pairs[worst][0] * v_cp:
+            worst = i
+    return worst
+
+
+class TestIntegerVerdicts:
+    """Every interval and report verdict, decided on integer weights, equals
+    the one a Fraction/Quad17 reference decides on the rational profits."""
+
+    def test_verdicts_equal_the_rational_reference(self):
+        instances = (
+            [gen_random(seed) for seed in range(200)]
+            + [gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5)) for seed in range(200)]
+            + [chain_family(v) for v in CHAIN_VARIANTS]
+            + [tight_family(n) for n in range(6)]
+            + [mk((0, 0, "3/2"), (0, 1, "5/4"), (1, 1, "7/6"), (1, 2, "5/3"), (2, 2, 2))]  # scale 12
+        )
+        intervals = 0
+        for inst in instances:
+            cp_sched, _, opt_sched, report = evaluate(inst)
+            v_cp, (_, v_opt) = profit(cp_sched, inst), opt_full(inst)
+            assert (report.v_cp, report.v_opt) == (v_cp, v_opt)
+            assert report.global_within_bound == (Quad17.of(v_opt) <= R * v_cp)
+            pairs = []
+            for iv in report.intervals:
+                (start, end), (o_start, o_end) = iv.cp_span, iv.opt_span
+                ref_cp = sum((inst.by_id(cp_sched.slots[t]).value for t in range(start, end + 1)
+                              if t in cp_sched.slots), Fraction(0))
+                ref_opt = sum((inst.by_id(opt_sched.slots[t]).value for t in range(o_start, o_end + 1)
+                               if t in opt_sched.slots), Fraction(0))
+                assert (iv.v_cp, iv.v_opt) == (ref_cp, ref_opt)
+                assert iv.within_bound == (Quad17.of(ref_opt) <= R * ref_cp)
+                pairs.append((ref_opt, ref_cp))
+                intervals += 1
+            assert report.opt_covered == (v_opt <= sum((v for v, _ in pairs), Fraction(0)))
+            worst = reference_worst(pairs)
+            assert report.worst_interval is (None if worst is None else report.intervals[worst])
+        assert intervals > 5000
+
+    @given(
+        st.integers(1, 12),
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=6),
+        st.integers(0, 200),
+        st.integers(0, 260),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_failing_verdicts_equal_the_rational_reference(self, scale, weights, w_cp, w_opt):
+        # weights near the threshold, e.g. 41/32 > R > 32/25, so verdicts fail too
+        intervals = tuple(Interval((i, i), (i, i), wc, wo, scale, "1.1") for i, (wc, wo) in enumerate(weights))
+        report = IntervalReport(intervals, w_cp, w_opt, scale)
+        pairs = [(Fraction(wo, scale), Fraction(wc, scale)) for wc, wo in weights]
+        for iv, (v_opt, v_cp) in zip(intervals, pairs):
+            assert (iv.v_opt, iv.v_cp) == (v_opt, v_cp)
+            assert iv.within_bound == (Quad17.of(v_opt) <= R * v_cp)
+        v_cp, v_opt = Fraction(w_cp, scale), Fraction(w_opt, scale)
+        assert (report.v_cp, report.v_opt) == (v_cp, v_opt)
+        assert report.global_within_bound == (Quad17.of(v_opt) <= R * v_cp)
+        assert report.opt_covered == (v_opt <= sum((v for v, _ in pairs), Fraction(0)))
+        worst = reference_worst(pairs)
+        assert report.worst_interval is (None if worst is None else intervals[worst])

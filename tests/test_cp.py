@@ -25,6 +25,7 @@ from bdsched import (
     greedy_killer,
     opt_full,
     profit,
+    profit_weight,
     run_cp,
     tight_family,
     trace_to_jsonl,
@@ -151,8 +152,9 @@ class TestSharedQueryEngine:
         cp_sched, trace = run_cp(inst)
         assert trace.queries == CHAIN_QUERY_LOGS[variant]
         hits = trace.engine.hits
-        opt_sched, v_opt = opt_full(inst)
-        report = build_intervals(inst, trace, cp_sched, opt_sched, profit(cp_sched, inst), v_opt)
+        opt_sched, _ = opt_full(inst)
+        w_cp, w_opt = profit_weight(cp_sched, inst), profit_weight(opt_sched, inst)
+        report = build_intervals(inst, trace, cp_sched, opt_sched, w_cp, w_opt)
         findings = (
             check_lemma_bounds(inst, trace, report)
             + check_forced_opt(inst, trace, opt_sched)

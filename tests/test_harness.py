@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +20,9 @@ from bdsched import (
     Finding,
     GridSpec,
     Instance,
+    InstanceResult,
     InternalInvariantError,
+    Interval,
     IntervalReport,
     OracleSizeError,
     Packet,
@@ -26,6 +30,7 @@ from bdsched import (
     PSet,
     QueryEngine,
     RandomConfig,
+    Summary,
     brute_force_partial,
     chain_family,
     check_instance,
@@ -222,6 +227,74 @@ class TestSummaryOnlyCampaigns:
     def test_result_holds_no_trace(self):
         res = check_instance(chain_family("3.2.2"), DEEP)
         assert not any(isinstance(v, (CaseTrace, QueryEngine)) for v in vars(res).values())
+
+
+def result_at(w_opt: int, w_cp: int, scale: int) -> InstanceResult:
+    """A clean result whose profits are the weights w_opt and w_cp at `scale`."""
+    inst = Instance([Packet(0, 0, 0, Fraction(1, scale))])
+    return InstanceResult(inst, w_cp, w_opt, within_bound=True, intervals=())
+
+
+def summaries_of(indexed: list[tuple[int, InstanceResult]]) -> list[Summary]:
+    """The serial summary, then the residue-order merges of 2 and 3 shards."""
+    out = []
+    for workers in (1, 2, 3):
+        merged = Summary()
+        for residue in range(workers):
+            shard = Summary()
+            for index, res in sorted(indexed, key=lambda pair: pair[0]):
+                if index % workers == residue:
+                    shard.absorb_result(res, index)
+            merged.merge(shard)
+        out.append(merged)
+    return out
+
+
+class TestIntegerSummary:
+    """The summary compares ratios w_opt / w_cp by integer cross-multiplication;
+    its argmax equals the one a Fraction reference picks."""
+
+    def test_equal_ratios_at_different_scales_lowest_index_wins(self):
+        # 5/4 at scale 4, 10/8 and 20/16 at scale 8: one ratio, three results
+        results = [result_at(5, 4, 4), result_at(10, 8, 8), result_at(20, 16, 8)]
+        for order in itertools.permutations(range(3)):
+            indexed = list(zip((7, 11, 12), [results[i] for i in order]))
+            lowest = indexed[0][1]
+            serial = Summary()
+            for index, res in reversed(indexed):  # the highest index first
+                serial.absorb_result(res, index)
+            for summary in [serial, *summaries_of(indexed)]:
+                assert summary.argmax_index == 7
+                assert summary.argmax_instance is lowest.instance
+                assert summary.max_ratio == (lowest.v_opt, lowest.v_cp)
+                assert summary.max_weights == (lowest.w_opt, lowest.w_cp)
+
+    def test_argmax_equals_the_rational_reference(self):
+        rng = random.Random(0)
+        indexed = [(index, result_at(rng.randint(0, 9), rng.randint(0, 6), rng.choice((1, 2, 3, 4, 6, 8))))
+                   for index in rng.sample(range(1000), 300)]
+        ratios = [(Fraction(res.w_opt, res.w_cp), -index) for index, res in indexed if res.w_cp]
+        _, neg_index = max(ratios)
+        best = dict(indexed)[-neg_index]
+        for summary in summaries_of(indexed):
+            assert summary.argmax_index == -neg_index
+            assert summary.max_ratio == (best.v_opt, best.v_cp)
+            assert summary.instances == 300
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_only_campaign_builds_no_interval_fraction(self, workers, monkeypatch):
+        spec = GridSpec(horizon=1, max_packets=3, value_grid=ACCEPTANCE_VALUES)
+        expected = report_to_json(run_exhaustive(spec))
+
+        def refuse(*_args):
+            raise AssertionError("an interval's rational profit was built in a summary-only campaign")
+
+        for cls in (Interval, IntervalReport):
+            monkeypatch.setattr(cls, "v_cp", property(refuse))
+            monkeypatch.setattr(cls, "v_opt", property(refuse))
+        report = run_exhaustive(spec, workers=workers)
+        assert report.ok and report.summary.instances == count_instances(spec)
+        assert report_to_json(report) == expected
 
 
 class TestTranslationInvariance:
@@ -612,6 +685,19 @@ class TestCli:
                              timeout=60)
         assert out.returncode == 0
         assert out.stdout.startswith("usage: bdsched")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv", [["fuzz", "--seeds", "0..4"], ["exhaustive", "--horizon", "1", "--max-packets", "2"]],
+        ids=["fuzz", "exhaustive"],
+    )
+    def test_rejects_workers_below_one(self, argv, workers, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --workers must be >= 1, got {workers}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_exhaustive_rejects_negative_max_packets(self, capsys):
         assert main(["exhaustive", "--max-packets", "-1"]) == 2

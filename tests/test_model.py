@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -261,3 +263,78 @@ class TestIntegerWeights:
         assert inst.scale == 12
         assert inst.weights == {0: 18, 1: 15, 2: 24, 3: 14}
         assert Instance(()).scale == 1 and Instance(()).weights == {}
+
+
+def defined_views(packets: tuple[Packet, ...]) -> dict:
+    """The per-instance views by their definitions, each computed on its own:
+    the reference for the constructor's one pass."""
+    id_map = {p.id: p for p in packets}
+    grouped: dict[int, list[Packet]] = {}
+    for p in packets:
+        grouped.setdefault(p.release, []).append(p)
+    scale = math.lcm(*[p.value.denominator for p in packets])
+    return {
+        "horizon": max((p.deadline for p in packets), default=-1),
+        "_id_map": id_map,
+        "arrivals": {t: tuple(ps) for t, ps in grouped.items()},
+        "scale": scale,
+        "weights": {pid: p.value.numerator * (scale // p.value.denominator) for pid, p in id_map.items()},
+    }
+
+
+#: Packets of any window, 2-bounded or not, empty or not, with repeated ids.
+any_packets = st.lists(
+    st.builds(
+        lambda pid, release, offset, value: Packet(pid, release, release + offset, value),
+        st.integers(0, 4), st.integers(0, 4), st.integers(-1, 3), st.sampled_from(MIXED_VALUES),
+    ),
+    max_size=8,
+).map(tuple)
+
+
+class TestEagerInstance:
+    """The constructor builds every view in one pass; each equals its
+    definition, and construction never raises."""
+
+    @given(any_packets)
+    @settings(max_examples=300, deadline=None)
+    def test_views_equal_their_definitions(self, packets):
+        inst = Instance(iter(packets))
+        assert inst.packets == packets
+        for name, want in defined_views(packets).items():
+            got = getattr(inst, name)
+            assert got == want
+            if isinstance(want, dict):
+                assert list(got) == list(want)  # same key order
+        assert [inst.by_id(p.id) for p in packets] == [defined_views(packets)["_id_map"][p.id] for p in packets]
+
+    @given(any_packets)
+    @settings(max_examples=300, deadline=None)
+    def test_release_index_raises_only_on_what_it_cannot_index(self, packets):
+        inst = Instance(packets)
+        not_2_bounded = [p for p in packets if p.deadline - p.release > 1]
+        windowed = [p.id for p in packets if p.deadline >= p.release]  # an empty window is left out
+        if not_2_bounded or len(set(windowed)) < len(windowed):
+            with pytest.raises(ValueError, match=r"^packet (id )?\d+ is not"):
+                inst.release_index
+        elif len({p.id for p in packets}) == len(packets):
+            scale, _buckets, _by_id = inst.release_index
+            assert scale == inst.scale and inst.release_index is inst.release_index
+
+    @given(any_packets)
+    @settings(max_examples=200, deadline=None)
+    def test_equality_hash_and_pickle(self, packets):
+        inst = Instance(packets)
+        same = Instance(list(packets))
+        assert inst == same and hash(inst) == hash(same) == hash((packets,))
+        assert inst != Instance(packets + (Packet(9, 0, 0, Fraction(1)),))
+        assert inst != packets and repr(inst) == f"Instance(packets={packets!r})"
+        again = pickle.loads(pickle.dumps(inst))
+        assert again == inst and hash(again) == hash(inst)
+        for name, want in defined_views(packets).items():
+            assert getattr(again, name) == want
+
+    def test_empty_instance(self):
+        inst = Instance(())
+        assert (inst.horizon, inst.scale, inst.weights, inst.arrivals, len(inst)) == (-1, 1, {}, {}, 0)
+        assert inst.release_index == (1, {}, {})

@@ -42,7 +42,7 @@ def engine(inst: Instance, buffer: BufferState = B0) -> QueryEngine:
 
 def layout(ps: PSet, q: PartialQuery, inst: Instance) -> dict[int, int]:
     """The earliest-deadline-first slot layout opt_full gives a kept set."""
-    return _edf_assignment([inst.by_id(i) for i in ps.members], q)
+    return _edf_assignment([inst.by_id(i) for i in ps.members], q.start, q.slot_end)
 
 
 def small_instances(max_packets=6, max_release=3):
