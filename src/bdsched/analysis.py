@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .model import Instance, Rat, Schedule, le_r_times, render_value
 from .cp import CaseTrace, StepRecord
@@ -170,11 +170,10 @@ def partition_cp(trace: CaseTrace) -> list[tuple[int, int, str]]:
     return spans
 
 
-def _start_shifted(inst: Instance, sent: Mapping[int, int], opt_sched: Schedule, t: int) -> bool:
-    """True if the policy sent at t-1 a packet released at t-1 with deadline
-    t (`sent` maps a time to the id it sent) and the optimum sends that same
+def _start_shifted(inst: Instance, prev: int | None, opt_sched: Schedule, t: int) -> bool:
+    """True if `prev`, the id the policy sent at t-1 (None if nothing), is a
+    packet released at t-1 with deadline t and the optimum sends that same
     packet at t."""
-    prev = sent.get(t - 1)
     return prev is not None and inst.by_id(prev).is_two_packet_at(t - 1) and opt_sched.packet_at(t) == prev
 
 
@@ -192,9 +191,10 @@ def partition_opt(
     i.e. when the next span's start moves.  The two rules dovetail, so
     consecutive shifted spans stay disjoint.
     """
-    sent = cp_sched.slots
+    sent = cp_sched.packet_at
     return [
-        (start + _start_shifted(inst, sent, opt_sched, start), end + _start_shifted(inst, sent, opt_sched, end + 1))
+        (start + _start_shifted(inst, sent(start - 1), opt_sched, start),
+         end + _start_shifted(inst, sent(end), opt_sched, end + 1))
         for start, end, _trigger in spans
     ]
 
@@ -328,12 +328,11 @@ def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport)
     slot, V(t, t', t'+1); otherwise by V(t, t', t').  Idle spans are skipped.
     """
     out = []
-    sched_values = {rec.t: rec.transmitted for rec in trace.steps}
     for i, iv in enumerate(report.intervals):
         if iv.is_idle:
             continue
         start, end = iv.cp_span
-        pid = sched_values.get(end)
+        pid = trace.steps[end].transmitted
         if pid is None:
             continue
         sent_last = inst.by_id(pid)
@@ -366,9 +365,9 @@ def check_forced_opt(inst: Instance, trace: CaseTrace, opt_sched: Schedule) -> l
     comparison), the optimum's first slot is already spoken for and the
     forced layout does not apply; such firings are skipped.
     """
-    sent = {rec.t: rec.transmitted for rec in trace.steps if rec.transmitted is not None}
+    steps = trace.steps
     out = []
-    for rec in trace.steps:
+    for rec in steps:
         if rec.case == "2.2.2.1":
             base = rec.t - 1
             count = 2
@@ -377,7 +376,7 @@ def check_forced_opt(inst: Instance, trace: CaseTrace, opt_sched: Schedule) -> l
             count = 3
         else:
             continue
-        if _start_shifted(inst, sent, opt_sched, base):
+        if base > 0 and _start_shifted(inst, steps[base - 1].transmitted, opt_sched, base):
             continue
         expected = [trace.engine.m(base, i) for i in range(count)]
         for offset, pkt in enumerate(expected):
@@ -420,11 +419,10 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
     """
     out = []
     times = sorted(trace.buffers)
-    sent = {rec.t: rec.transmitted for rec in trace.steps if rec.transmitted is not None}
     query = trace.engine.p
 
     for t in times:
-        sent_at_t = {sent[t]} if t in sent else set()
+        sent_at_t = trace.steps[t].transmitted
         for t_arr in range(t, t + INCLUSION_WINDOW + 1):
             narrow_ps = query(t, t_arr, t_arr)
             narrow = narrow_ps.member_set
@@ -454,7 +452,7 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
                                 render_value(later_ps.total_value), render_value(narrow_ps.total_value))
                     )
                 members_left = any(
-                    pid in sent_at_t or inst.by_id(pid).deadline == t for pid in narrow
+                    pid == sent_at_t or inst.by_id(pid).deadline == t for pid in narrow
                 )
                 if not members_left and not later_ps.member_set <= narrow:
                     out.append(

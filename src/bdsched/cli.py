@@ -16,10 +16,9 @@ from pathlib import Path
 from .cp import run_cp, trace_to_jsonl
 from .generators import GridSpec, RandomConfig, count_bases, count_instances, greedy_baseline
 from .harness import (
-    CRASHES,
     CheckConfig,
     certify,
-    check_instance,
+    check_or_crash,
     compare_algorithms,
     default_workers,
     evaluate,
@@ -119,11 +118,11 @@ def cmd_run(args) -> int:
                 "greedy": {str(t): pid for t, pid in sorted(greedy.slots.items())},
             },
             "profits": {
-                "cp": render_value(res.v_cp),
-                "opt": render_value(res.v_opt),
+                "cp": render_value(report.v_cp),
+                "opt": render_value(report.v_opt),
                 "greedy": render_value(v_greedy),
             },
-            "within_bound": res.within_bound,
+            "within_bound": report.global_within_bound,
             "intervals": [
                 {
                     "cp_span": list(iv.cp_span),
@@ -148,10 +147,10 @@ def cmd_run(args) -> int:
             extra = f"  [{rec.fallback}]" if rec.fallback else ""
             sent = f"sent {rec.transmitted}" if rec.transmitted is not None else "-"
             print(f"  t={rec.t:<3} case {rec.case:<10} {sent}{committed}{extra}")
-        print(f"profit  policy:  {render_value(res.v_cp)}")
-        print(f"profit  optimum: {render_value(res.v_opt)}")
+        print(f"profit  policy:  {render_value(report.v_cp)}")
+        print(f"profit  optimum: {render_value(report.v_opt)}")
         print(f"profit  greedy:  {render_value(v_greedy)}")
-        print(f"bound check (v_opt <= R*v_cp): {'ok' if res.within_bound else 'VIOLATED'}")
+        print(f"bound check (v_opt <= R*v_cp): {'ok' if report.global_within_bound else 'VIOLATED'}")
         print("intervals:")
         for iv in report.intervals:
             verdict = "ok" if iv.within_bound else "VIOLATED"
@@ -184,14 +183,7 @@ def _emit_witness(path: str | None, summary, default_name: str, checks: CheckCon
     or else (when a path is given) the argmax instance."""
     if summary.first_violation is not None:
         inst = summary.first_violation.instance
-
-        def still_bad(candidate: Instance) -> bool:
-            try:
-                return not check_instance(candidate, checks).ok
-            except CRASHES:
-                return True
-
-        witness = minimize_witness(inst, still_bad)
+        witness = minimize_witness(inst, lambda candidate: not check_or_crash(candidate, checks).ok)
         target = path or default_name
         Path(target).write_text(dump_instance(witness))
         print(f"violation witness written to {target}", file=sys.stderr)
@@ -209,8 +201,9 @@ def _print_report(report, fmt: str) -> None:
         return
     print(f"instances:  {summary.instances}")
     print(f"violations: {summary.violations}")
-    if summary.max_ratio:
-        v_opt, v_cp = summary.max_ratio
+    max_ratio = summary.max_ratio
+    if max_ratio:
+        v_opt, v_cp = max_ratio
         ratio = v_opt / v_cp
         print(f"max ratio:  ({render_value(v_opt)}) / ({render_value(v_cp)}) = {render_decimal(ratio)}")
     if summary.cases_seen:

@@ -64,7 +64,9 @@ class StepRecord:
 @dataclass
 class CaseTrace:
     """Full run record: per-step records, buffer history, the policy's query
-    log, and the run's query engine for the checkers to reuse."""
+    log, and the run's query engine for the checkers to reuse.  run_cp
+    records exactly one step per time 0..horizon, so steps[t] is the step at
+    t, and the checks read what the policy sent from it."""
 
     steps: list[StepRecord]
     buffers: dict[int, BufferState]  # B(t): pending ids before arrivals at t
@@ -218,9 +220,9 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
     """Simulate the policy over the whole instance.
 
     Returns the transmission schedule plus a trace with one record per time
-    step, the buffer history B(t) needed to replay any selector query, the
-    policy's query log for lookahead audits, and the query engine that
-    answered it.
+    step 0..horizon, the buffer history B(t) needed to replay any selector
+    query, the policy's query log for lookahead audits, and the query engine
+    that answered it.
     """
     arrivals = inst.arrivals
     buffers: dict[int, BufferState] = {}

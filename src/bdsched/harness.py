@@ -7,10 +7,11 @@ columns come from the exact integer predicates of :mod:`bdsched.model`
 (``Quad17`` is only their reference), never from the decimals.
 
 Results and summaries keep profits as integer weights at each instance's
-scale.  A summary-only campaign builds a ``Fraction`` in two places: the
-optimum's total from :func:`~bdsched.offline.opt_full`, one per instance,
-and ``max_ratio`` when the argmax changes.  Rows, ``run`` and ``compare``
-build the rationals they render.
+scale: a result holds its :class:`~bdsched.analysis.IntervalReport`,
+:func:`~bdsched.offline.opt_full` totals the optimum as a weight, and a
+summary derives ``max_ratio`` from its ``max_weights`` when read.  So a
+summary-only campaign builds no ``Fraction`` until it renders; rows,
+``run`` and ``compare`` build the rationals they render.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Callable, Iterable, Sequence
 
 from .analysis import (
     Finding,
-    Interval,
     IntervalReport,
     PartitionError,
     build_intervals,
@@ -88,42 +88,24 @@ class CheckConfig:
 class InstanceResult:
     """Everything measured on one instance.
 
-    The fields are what a campaign summary reads: the two profits are
-    integer weights at the instance's scale, and v_cp / v_opt build their
-    rationals only when a row or a command reads them.  The row-only
-    columns (``v_greedy``, ``worst_interval``) are computed from the stored
-    instance and intervals the first time a row or a command reads them.
+    ``report`` holds the two profits and the intervals as integer weights at
+    the instance's scale, and the global verdict; a crash carries an empty
+    report.  The row-only column ``v_greedy`` is computed from the stored
+    instance the first time a row or a command reads it.
     """
 
     instance: Instance
-    w_cp: int
-    w_opt: int
-    within_bound: bool
-    intervals: tuple[Interval, ...]
+    report: IntervalReport
     findings: list[Finding] = field(default_factory=list)
     cases: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return self.within_bound and not self.findings
-
-    @property
-    def v_cp(self) -> Rat:
-        return Fraction(self.w_cp, self.instance.scale)
-
-    @property
-    def v_opt(self) -> Rat:
-        return Fraction(self.w_opt, self.instance.scale)
+        return self.report.global_within_bound and not self.findings
 
     @cached_property
     def v_greedy(self) -> Rat:
         return profit(greedy_baseline(self.instance), self.instance)
-
-    @cached_property
-    def worst_interval(self) -> tuple[Rat, Rat] | None:
-        """(v_opt_i, v_cp_i) of the worst interval."""
-        worst = IntervalReport(self.intervals, self.w_cp, self.w_opt, self.instance.scale).worst_interval
-        return (worst.v_opt, worst.v_cp) if worst else None
 
 
 def evaluate(inst: Instance):
@@ -133,8 +115,7 @@ def evaluate(inst: Instance):
     Returns (cp_sched, trace, opt_sched, interval_report).
     """
     cp_sched, trace = run_cp(inst)
-    opt_sched, v_opt = opt_full(inst)
-    w_opt = v_opt.numerator * (inst.scale // v_opt.denominator)  # its denominator divides the scale
+    opt_sched, w_opt = opt_full(inst)
     report = build_intervals(inst, trace, cp_sched, opt_sched, profit_weight(cp_sched, inst), w_opt)
     return cp_sched, trace, opt_sched, report
 
@@ -152,15 +133,7 @@ def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
     if config.cross_check:
         findings += cross_check_queries(inst, trace)
 
-    return InstanceResult(
-        instance=inst,
-        w_cp=report.w_cp,
-        w_opt=report.w_opt,
-        within_bound=report.global_within_bound,
-        intervals=report.intervals,
-        findings=findings,
-        cases=tuple(rec.case for rec in trace.steps),
-    )
+    return InstanceResult(inst, report, findings, tuple(rec.case for rec in trace.steps))
 
 
 def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> InstanceResult:
@@ -181,7 +154,7 @@ def check_or_crash(inst: Instance, config: CheckConfig) -> InstanceResult:
         return check_instance(inst, config)
     except CRASHES as exc:
         crash = Finding("crash", f"{type(exc).__name__}: {exc}", "-", "-")
-        return InstanceResult(inst, 0, 0, within_bound=True, intervals=(), findings=[crash])
+        return InstanceResult(inst, IntervalReport((), 0, 0, inst.scale), [crash])
 
 
 def cross_check_queries(inst: Instance, trace) -> list[Finding]:
@@ -227,12 +200,11 @@ class Summary:
     Ratios compare as integer weights: max_weights is (w_opt, w_cp) at the
     argmax, at its instance's scale, and two ratios w_opt / w_cp compare by
     cross-multiplication, in which each instance's scale cancels.  The
-    rational max_ratio is built only when the argmax changes.
+    rational max_ratio is derived from them each time it is read.
     """
 
     instances: int = 0
     violations: int = 0
-    max_ratio: tuple[Rat, Rat] | None = None  # (v_opt, v_cp) at the argmax
     max_weights: tuple[int, int] | None = None  # (w_opt, w_cp) at the argmax
     argmax_index: int | None = None
     argmax_instance: Instance | None = None
@@ -240,6 +212,16 @@ class Summary:
     first_violation_index: int | None = None
     findings_by_kind: dict[str, int] = field(default_factory=dict)
     cases_seen: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def max_ratio(self) -> tuple[Rat, Rat] | None:
+        """(v_opt, v_cp) at the argmax, or None before any result with a
+        positive policy profit."""
+        if self.max_weights is None:
+            return None
+        w_opt, w_cp = self.max_weights
+        scale = self.argmax_instance.scale
+        return Fraction(w_opt, scale), Fraction(w_cp, scale)
 
     def _beats_max(self, w_opt: int, w_cp: int, index: int) -> bool:
         if self.max_weights is None:
@@ -258,15 +240,15 @@ class Summary:
                 self.first_violation_index = index
         for f in res.findings:
             self.findings_by_kind[f.kind] = self.findings_by_kind.get(f.kind, 0) + copies
-        if not res.within_bound:
+        report = res.report
+        if not report.global_within_bound:
             self.findings_by_kind["global-bound"] = self.findings_by_kind.get("global-bound", 0) + copies
         for label in res.cases:
             self.cases_seen[label] = self.cases_seen.get(label, 0) + copies
         if translates and res.cases:  # a crash records no steps, nor do its translates
             self.cases_seen["idle"] = self.cases_seen.get("idle", 0) + translates * (translates + 1) // 2
-        if res.w_cp > 0 and self._beats_max(res.w_opt, res.w_cp, index):
-            self.max_weights = (res.w_opt, res.w_cp)
-            self.max_ratio = (res.v_opt, res.v_cp)
+        if report.w_cp > 0 and self._beats_max(report.w_opt, report.w_cp, index):
+            self.max_weights = (report.w_opt, report.w_cp)
             self.argmax_index = index
             self.argmax_instance = res.instance
 
@@ -284,7 +266,6 @@ class Summary:
             self.cases_seen[k] = self.cases_seen.get(k, 0) + v
         if other.max_weights is not None and self._beats_max(*other.max_weights, other.argmax_index):
             self.max_weights = other.max_weights
-            self.max_ratio = other.max_ratio
             self.argmax_index = other.argmax_index
             self.argmax_instance = other.argmax_instance
 
@@ -448,9 +429,10 @@ def minimize_witness(inst: Instance, still_bad: Callable[[Instance], bool]) -> I
 def compare_algorithms(inst: Instance) -> list[dict[str, str]]:
     """Exact profits and optimum-vs-algorithm ratios for the comparison table."""
     res = check_instance(inst)
+    v_opt = res.report.v_opt
     rows = []
-    for name, value in (("cp", res.v_cp), ("greedy", res.v_greedy), ("opt", res.v_opt)):
-        ratio = res.v_opt / value if value else Fraction(0)
+    for name, value in (("cp", res.report.v_cp), ("greedy", res.v_greedy), ("opt", v_opt)):
+        ratio = v_opt / value if value else Fraction(0)
         rows.append(
             {
                 "algorithm": name,
@@ -464,21 +446,19 @@ def compare_algorithms(inst: Instance) -> list[dict[str, str]]:
 
 
 def _row_to_csv(res: InstanceResult) -> str:
-    ratio = Fraction(res.w_opt, res.w_cp) if res.w_cp else Fraction(0)
-    if res.worst_interval and res.worst_interval[1]:
-        worst = render_value(res.worst_interval[0] / res.worst_interval[1])
-    else:
-        worst = ""
+    report = res.report
+    ratio = Fraction(report.w_opt, report.w_cp) if report.w_cp else Fraction(0)
+    worst = report.worst_interval
     return ",".join(
         [
             instance_hash(res.instance),
-            render_value(res.v_cp),
-            render_value(res.v_opt),
+            render_value(report.v_cp),
+            render_value(report.v_opt),
             render_value(res.v_greedy),
             render_value(ratio),
             render_decimal(ratio),
-            "yes" if res.within_bound else "no",
-            worst,
+            "yes" if report.global_within_bound else "no",
+            render_value(Fraction(worst.w_opt, worst.w_cp)) if worst and worst.w_cp else "",
             str(len(res.findings)),
         ]
     )
@@ -496,8 +476,9 @@ def summary_to_dict(summary: Summary) -> dict:
         "findings_by_kind": dict(sorted(summary.findings_by_kind.items())),
         "cases_seen": dict(sorted(summary.cases_seen.items())),
     }
-    if summary.max_ratio is not None:
-        v_opt, v_cp = summary.max_ratio
+    max_ratio = summary.max_ratio
+    if max_ratio is not None:
+        v_opt, v_cp = max_ratio
         ratio = v_opt / v_cp
         doc["max_ratio"] = {
             "v_opt": render_value(v_opt),

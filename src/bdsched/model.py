@@ -11,7 +11,11 @@ artifact bit-exact:
   instance are integer arithmetic, and two instances' ratios compare by
   cross-multiplying weights.  In this module a ``Fraction`` is built only
   by :func:`parse_value` and by :func:`profit`, whose integer core is
-  :func:`profit_weight`; downstream, only where a value is rendered;
+  :func:`profit_weight`; downstream, only where a packet value is made (a
+  value grid, an instance family, a witness's simplified value) or a value
+  is rendered (a finding, a row, a summary, ``run``, ``compare``), and in
+  the enumeration oracle the tests run.  The optimum's total and a
+  summary's argmax stay integer weights;
 * every threshold test against R = (1+sqrt17)/4 and alpha = (-3+sqrt17)/2
   is x <= R*y (:func:`le_r_times`) or x >= alpha*y (:func:`ge_alpha_times`),
   decided in closed form from cross-multiplied integers; :class:`Quad17`
@@ -255,37 +259,41 @@ class Instance:
         return self._id_map[pid]
 
     @property
-    def release_index(self) -> tuple[int, dict[int, tuple[tuple, ...]], dict[int, tuple]]:
-        """The partial solver's view of this instance: (scale, buckets, by_id).
+    def release_index(self) -> tuple[dict[int, tuple[tuple, ...]], dict[int, tuple]]:
+        """The partial solver's view of this instance: (buckets, by_id).
 
-        scale is the LCM of the value denominators; buckets maps a release
-        time to the entries released then, in canonical order; by_id maps a
-        packet id to its entry.  An entry is (canonical rank, id, release,
-        deadline, weight).  The rank sorts on the integer key (-weight,
+        buckets maps a release time to the entries released then, in
+        canonical order; by_id maps a packet id to its entry.  An entry is
+        (canonical rank, id, release, deadline, weight), the weight read from
+        :attr:`weights`.  The rank sorts on the integer key (-weight,
         deadline, release, id), the order of :func:`canonical_key`.  Packets
         with an empty window (deadline < release) are left out.  Raises
-        ValueError, naming the packet, if a packet is not 2-bounded or an id
-        repeats: the solver's feasibility test holds only for windows of at
-        most two slots, and base buffers name packets by id.  Built on the
-        first read and kept.
+        ValueError, naming the packet, if an id repeats, whatever the
+        windows, or a packet is not 2-bounded: base buffers name packets by
+        id, and the solver's feasibility test holds only for windows of at
+        most two slots.  Built on the first read and kept.
         """
         if self._release_index is not None:
             return self._release_index
-        scale = self.scale
-        keyed = sorted([(-p.value.numerator * (scale // p.value.denominator), p.deadline, p.release, p.id)
-                        for p in self.packets])
+        packets = self.packets
+        if len(self._id_map) < len(packets):
+            seen: set[int] = set()
+            for p in packets:
+                if p.id in seen:
+                    raise ValueError(f"packet id {p.id} is not unique")
+                seen.add(p.id)
+        weights = self.weights
+        keyed = sorted([(-weights[p.id], p.deadline, p.release, p.id) for p in packets])
         buckets: dict[int, list[tuple]] = {}
         by_id: dict[int, tuple] = {}
         for rank, (neg_weight, deadline, release, pid) in enumerate(keyed):
             if deadline - release > 1:
                 raise ValueError(f"packet {pid} is not 2-bounded: window [{release}, {deadline}]")
-            if pid in by_id:
-                raise ValueError(f"packet id {pid} is not unique")
             if deadline >= release:
                 entry = (rank, pid, release, deadline, -neg_weight)
                 buckets.setdefault(release, []).append(entry)
                 by_id[pid] = entry
-        self._release_index = scale, {r: tuple(es) for r, es in buckets.items()}, by_id
+        self._release_index = {r: tuple(es) for r, es in buckets.items()}, by_id
         return self._release_index
 
     def __len__(self) -> int:

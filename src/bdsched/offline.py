@@ -186,7 +186,7 @@ def solve_partial(q: PartialQuery, inst: Instance) -> PSet:
 
 def _solve(inst: Instance, t: int, t_arr: int, t_end: int, base_buffer: frozenset[int]) -> PSet:
     """solve_partial's core, for a query t <= t' <= t'' given by its parts."""
-    scale, buckets, by_id = inst.release_index
+    buckets, by_id = inst.release_index
     pool = [e for r in range(t, t_arr + 1) for e in buckets.get(r, ())]
     for pid in base_buffer:  # entries are (rank, id, release, deadline, weight)
         e = by_id.get(pid)
@@ -219,7 +219,7 @@ def _solve(inst: Instance, t: int, t_arr: int, t_end: int, base_buffer: frozense
         free[a] = fa - 1
         members.append(pid)
         total += value
-    return PSet(tuple(members), total, scale)
+    return PSet(tuple(members), total, inst.scale)
 
 
 def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> bool:
@@ -392,15 +392,16 @@ class QueryEngine:
         return self._gain(self.p(t, t + i, t + i + 1), self.p(t, t + i, t + i), "q", t, i)
 
 
-def opt_full(inst: Instance) -> tuple[Schedule, Rat]:
+def opt_full(inst: Instance) -> tuple[Schedule, int]:
     """Canonical clairvoyant optimum over slots [0, horizon]: the partial
     query P(0, horizon, horizon) from an empty buffer, laid out by
-    :func:`_edf_assignment`."""
+    :func:`_edf_assignment`.  Its total is an integer weight at the
+    instance's scale, as :func:`~bdsched.model.profit_weight` returns one."""
     if not inst.packets:
-        return Schedule({}), Fraction(0)
+        return Schedule({}), 0
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
     ps = _solve(inst, 0, horizon, horizon, frozenset())
     by_id = inst.by_id
-    return Schedule(_edf_assignment([by_id(i) for i in ps.members], 0, horizon)), ps.total_value
+    return Schedule(_edf_assignment([by_id(i) for i in ps.members], 0, horizon)), ps.weight

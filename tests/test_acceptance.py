@@ -185,7 +185,8 @@ class TestCriterion7BaselineSeparation:
         v_greedy = profit(greedy_baseline(inst), inst)
         cp_sched, _ = run_cp(inst)
         v_cp = profit(cp_sched, inst)
-        _, v_opt = opt_full(inst)
+        _, w_opt = opt_full(inst)
+        v_opt = Fraction(w_opt, inst.scale)
         assert v_opt * 10 > v_greedy * 19  # opt/greedy > 1.9, exact cross-multiplied
         assert Quad17.of(v_opt) <= R * v_cp
         _announce(
@@ -226,7 +227,7 @@ class TestCriterion8TightnessProbe:
             res = check_instance(tight_family(n), all_checks)
             assert res.ok, (n, res.findings)
             assert "1.2.3.3" in res.cases
-            ratios.append(res.v_opt / res.v_cp)
+            ratios.append(res.report.v_opt / res.report.v_cp)
         assert ratios[:3] == [Fraction(5, 4), Fraction(333, 260), Fraction(21973, 17156)]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert all(le_r_times(r, 1) for r in ratios)

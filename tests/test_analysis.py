@@ -321,7 +321,7 @@ class TestIntegerVerdicts:
         intervals = 0
         for inst in instances:
             cp_sched, _, opt_sched, report = evaluate(inst)
-            v_cp, (_, v_opt) = profit(cp_sched, inst), opt_full(inst)
+            v_cp, v_opt = profit(cp_sched, inst), Fraction(opt_full(inst)[1], inst.scale)
             assert (report.v_cp, report.v_opt) == (v_cp, v_opt)
             assert report.global_within_bound == (Quad17.of(v_opt) <= R * v_cp)
             pairs = []

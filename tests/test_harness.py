@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -74,13 +75,13 @@ class TestCheckInstance:
     def test_killer_row(self):
         res = check_instance(greedy_killer(), DEEP)
         assert res.ok
-        assert res.v_cp == Fraction(201, 100)
-        assert res.v_opt == Fraction(201, 100)
+        assert res.report.v_cp == Fraction(201, 100)
+        assert res.report.v_opt == Fraction(201, 100)
         assert res.v_greedy == Fraction(101, 100)
 
     def test_empty_instance(self):
         res = check_instance(Instance(()), DEEP)
-        assert res.ok and res.v_cp == 0 and res.worst_interval is None
+        assert res.ok and res.report.v_cp == 0 and res.report.worst_interval is None
 
     def test_oracle_cross_check_clean(self):
         res = check_instance(gen_random(3), CheckConfig(cross_check=True))
@@ -193,19 +194,20 @@ class TestSummaryOnlyCampaigns:
             res = check_instance(inst, DEEP)
             v_greedy = profit(greedy_baseline(inst), inst)
             worst = evaluate(inst)[-1].worst_interval
-            ratio = res.v_opt / res.v_cp if res.v_cp else Fraction(0)
+            v_cp, v_opt = res.report.v_cp, res.report.v_opt
+            ratio = v_opt / v_cp if v_cp else Fraction(0)
             assert row.split(",") == [
                 instance_hash(inst),
-                render_value(res.v_cp),
-                render_value(res.v_opt),
+                render_value(v_cp),
+                render_value(v_opt),
                 render_value(v_greedy),
                 render_value(ratio),
                 render_decimal(ratio),
-                "yes" if res.within_bound else "no",
+                "yes" if res.report.global_within_bound else "no",
                 render_value(worst.v_opt / worst.v_cp) if worst and worst.v_cp else "",
                 str(len(res.findings)),
             ]
-            greedy_differs |= v_greedy != res.v_cp
+            greedy_differs |= v_greedy != v_cp
         assert greedy_differs
 
     @pytest.mark.parametrize(
@@ -232,7 +234,7 @@ class TestSummaryOnlyCampaigns:
 def result_at(w_opt: int, w_cp: int, scale: int) -> InstanceResult:
     """A clean result whose profits are the weights w_opt and w_cp at `scale`."""
     inst = Instance([Packet(0, 0, 0, Fraction(1, scale))])
-    return InstanceResult(inst, w_cp, w_opt, within_bound=True, intervals=())
+    return InstanceResult(inst, IntervalReport((), w_cp, w_opt, scale))
 
 
 def summaries_of(indexed: list[tuple[int, InstanceResult]]) -> list[Summary]:
@@ -266,20 +268,36 @@ class TestIntegerSummary:
             for summary in [serial, *summaries_of(indexed)]:
                 assert summary.argmax_index == 7
                 assert summary.argmax_instance is lowest.instance
-                assert summary.max_ratio == (lowest.v_opt, lowest.v_cp)
-                assert summary.max_weights == (lowest.w_opt, lowest.w_cp)
+                assert summary.max_ratio == (lowest.report.v_opt, lowest.report.v_cp)
+                assert summary.max_weights == (lowest.report.w_opt, lowest.report.w_cp)
 
     def test_argmax_equals_the_rational_reference(self):
         rng = random.Random(0)
         indexed = [(index, result_at(rng.randint(0, 9), rng.randint(0, 6), rng.choice((1, 2, 3, 4, 6, 8))))
                    for index in rng.sample(range(1000), 300)]
-        ratios = [(Fraction(res.w_opt, res.w_cp), -index) for index, res in indexed if res.w_cp]
+        ratios = [(Fraction(res.report.w_opt, res.report.w_cp), -index) for index, res in indexed if res.report.w_cp]
         _, neg_index = max(ratios)
         best = dict(indexed)[-neg_index]
         for summary in summaries_of(indexed):
             assert summary.argmax_index == -neg_index
-            assert summary.max_ratio == (best.v_opt, best.v_cp)
+            assert summary.max_ratio == (best.report.v_opt, best.report.v_cp)
             assert summary.instances == 300
+
+    def test_max_ratio_is_read_from_the_argmax_weights(self):
+        rng = random.Random(1)
+        indexed = [(index, result_at(rng.randint(0, 9), rng.randint(0, 6), rng.choice((1, 2, 3, 4, 6, 8))))
+                   for index in range(60)]
+        assert Summary().max_ratio is None
+        for summary in summaries_of(indexed):
+            w_opt, w_cp = summary.max_weights
+            s = summary.argmax_instance.scale
+            assert summary.max_ratio == (Fraction(w_opt, s), Fraction(w_cp, s))
+            argmax = dict(indexed)[summary.argmax_index]
+            assert (w_opt, w_cp) == (argmax.report.w_opt, argmax.report.w_cp)
+
+    def test_each_fact_is_stored_once(self):
+        assert [f.name for f in dataclasses.fields(InstanceResult)] == ["instance", "report", "findings", "cases"]
+        assert "max_ratio" not in [f.name for f in dataclasses.fields(Summary)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_summary_only_campaign_builds_no_interval_fraction(self, workers, monkeypatch):
@@ -287,12 +305,15 @@ class TestIntegerSummary:
         expected = report_to_json(run_exhaustive(spec))
 
         def refuse(*_args):
-            raise AssertionError("an interval's rational profit was built in a summary-only campaign")
+            raise AssertionError("a rational value was built in a summary-only campaign")
 
-        for cls in (Interval, IntervalReport):
-            monkeypatch.setattr(cls, "v_cp", property(refuse))
-            monkeypatch.setattr(cls, "v_opt", property(refuse))
-        report = run_exhaustive(spec, workers=workers)
+        with monkeypatch.context() as patched:
+            for cls in (Interval, IntervalReport):
+                patched.setattr(cls, "v_cp", property(refuse))
+                patched.setattr(cls, "v_opt", property(refuse))
+            patched.setattr(PSet, "total_value", property(refuse))
+            patched.setattr(Summary, "max_ratio", property(refuse))
+            report = run_exhaustive(spec, workers=workers)
         assert report.ok and report.summary.instances == count_instances(spec)
         assert report_to_json(report) == expected
 
@@ -309,13 +330,17 @@ class TestTranslationInvariance:
     def test_shift_changes_nothing_but_leading_idles(self):
         grid = enumerate_instances(GridSpec(horizon=1, max_packets=3, value_grid=ACCEPTANCE_VALUES))
         instances = list(grid) + [gen_random(seed) for seed in range(200)]
+
+        def values(res: InstanceResult) -> tuple:
+            report, worst = res.report, res.report.worst_interval
+            return report.v_cp, report.v_opt, report.global_within_bound, worst and (worst.v_opt, worst.v_cp)
+
         pairs = 0
         for inst in instances:
             base = check_instance(inst, ALL_CHECKS)
             for s in (1, 2, 3):
                 moved = check_instance(self.shifted(inst, s), ALL_CHECKS)
-                assert (moved.v_cp, moved.v_opt, moved.within_bound) == (base.v_cp, base.v_opt, base.within_bound)
-                assert moved.worst_interval == base.worst_interval
+                assert values(moved) == values(base)
                 assert [f.kind for f in moved.findings] == [f.kind for f in base.findings]
                 assert moved.cases == ("idle",) * s + base.cases
                 pairs += 1
@@ -427,7 +452,7 @@ class TestPooledRows:
             res = check_instance(inst, config)
             columns = row.split(",")
             assert columns[0] == instance_hash(inst)
-            assert columns[6] == ("yes" if res.within_bound else "no")
+            assert columns[6] == ("yes" if res.report.global_within_bound else "no")
             assert columns[8] == str(len(res.findings))
             failing += columns[6] == "no"
         assert failing > 0 and any(row.split(",")[8] != "0" for row in serial)
@@ -615,7 +640,7 @@ class TestCli:
         emitted = load_instance(witness.read_text())
         # re-running the emitted witness reproduces the reported worst ratio
         res = check_instance(emitted)
-        assert f"{res.v_opt / res.v_cp}" == str(Fraction(doc["summary"]["max_ratio"]["exact"]))
+        assert f"{res.report.v_opt / res.report.v_cp}" == str(Fraction(doc["summary"]["max_ratio"]["exact"]))
 
     def test_fuzz_seed_range_inclusive(self, capsys):
         code = main(["fuzz", "--seeds", "0..9", "--format", "json"])
@@ -740,14 +765,15 @@ class TestCli:
         summary.first_violation = check_instance(inst)
         summary.first_violation_index = 0
 
-        real_check = cli_mod.check_instance
+        real_check = harness_mod.check_instance
 
         def fake_check(candidate, config=CheckConfig()):
             out = real_check(candidate, config)
-            out.within_bound = not any(p.value == Fraction(7, 3) for p in candidate.packets)
+            if any(p.value == Fraction(7, 3) for p in candidate.packets):
+                out.findings.append(Finding("forced-opt", "marked packet present", "-", "-"))
             return out
 
-        monkeypatch.setattr(cli_mod, "check_instance", fake_check)
+        monkeypatch.setattr(harness_mod, "check_instance", fake_check)
         target = tmp_path / "w.json"
         cli_mod._emit_witness(str(target), summary, "unused.json", CheckConfig())
         witness = load_instance(target.read_text())

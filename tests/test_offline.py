@@ -168,9 +168,9 @@ class TestBruteForceOracle:
         fast, slow = solve_partial(q, inst), brute_force_partial(q, inst)
         assert fast.members == slow.members
         assert fast.total_value == slow.total_value
-        sched, value = opt_full(inst)
+        sched, weight = opt_full(inst)
         full = max(inst.horizon, 0)
-        assert profit(sched, inst) == value == brute_force_partial(PartialQuery(0, full, full), inst).total_value
+        assert profit(sched, inst) == Fraction(weight, inst.scale) == brute_force_partial(PartialQuery(0, full, full), inst).total_value
 
 
 class TestDPOracle:
@@ -352,23 +352,23 @@ class TestSelectors:
 class TestOptFull:
     def test_forced_order(self):
         inst = mk((0, 0, 1), (0, 1, 2))
-        sched, value = opt_full(inst)
-        assert value == 3
+        sched, weight = opt_full(inst)
+        assert type(weight) is int and weight == 3 * inst.scale
         assert dict(sched.slots) == {0: 0, 1: 1}
 
     def test_tie_broken_by_id(self):
         inst = mk((0, 1, 1), (0, 1, 2))
-        sched, value = opt_full(inst)
-        assert value == 3
+        sched, weight = opt_full(inst)
+        assert weight == 3 * inst.scale
         assert dict(sched.slots) == {0: 0, 1: 1}
 
     def test_empty(self):
-        sched, value = opt_full(Instance(()))
-        assert value == 0 and dict(sched.slots) == {}
+        sched, weight = opt_full(Instance(()))
+        assert type(weight) is int and weight == 0 and dict(sched.slots) == {}
 
     @given(small_instances())
     @settings(max_examples=150, deadline=None)
     def test_opt_at_least_any_single_packet(self, inst):
-        _, value = opt_full(inst)
+        _, weight = opt_full(inst)
         for p in inst.packets:
-            assert value >= p.value
+            assert weight >= inst.weights[p.id]
