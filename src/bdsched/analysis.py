@@ -35,6 +35,7 @@ from typing import Sequence
 
 from .model import Instance, Rat, Schedule, le_r_times, render_value
 from .cp import CaseTrace, StepRecord
+from .offline import PSet
 
 __all__ = [
     "Interval",
@@ -416,17 +417,28 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
     The value inequality is checked for every pair either way.
 
     Checked for every recorded t and t' up to INCLUSION_WINDOW steps ahead.
+    Each of a base time's nine answers is read from the engine once: its row
+    P(t, a, a) is read as the cross-base row of base t-1.
     """
     out = []
-    times = sorted(trace.buffers)
+    buffers = trace.buffers
     query = trace.engine.p
+    width = INCLUSION_WINDOW + 1  # arrival ends t .. t + INCLUSION_WINDOW
 
-    for t in times:
+    def diagonal(u: int) -> list[PSet]:
+        """P(u, a, a) for a = u .. u + width."""
+        return [query(u, a, a) for a in range(u, u + width + 1)]
+
+    later: list[PSet] | None = None  # base t's row, when read as base t-1's cross-base row
+    for t in sorted(buffers):
+        row = later if later is not None else diagonal(t)
+        later = diagonal(t + 1) if t + 1 in buffers else None
         sent_at_t = trace.steps[t].transmitted
-        for t_arr in range(t, t + INCLUSION_WINDOW + 1):
-            narrow_ps = query(t, t_arr, t_arr)
+        for k in range(width):
+            t_arr = t + k
+            narrow_ps = row[k]
             narrow = narrow_ps.member_set
-            grown_arr = query(t, t_arr + 1, t_arr + 1).member_set
+            grown_arr = row[k + 1].member_set
             grown_slot = query(t, t_arr, t_arr + 1).member_set
             if not narrow <= grown_arr:
                 out.append(
@@ -444,17 +456,16 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
             if len(grown_slot) - len(narrow) > 1:
                 out.append(Finding("inclusion", f"P({t},{t_arr},{t_arr + 1}) adds >1 over P({t},{t_arr},{t_arr})",
                                    str(sorted(narrow)), str(sorted(grown_slot))))
-            if t + 1 in trace.buffers and t_arr >= t + 1:
-                later_ps = query(t + 1, t_arr, t_arr)
+            if later is not None and k:
+                later_ps = later[k - 1]
                 if later_ps.weight > narrow_ps.weight:  # one engine: one scale
                     out.append(
                         Finding("inclusion", f"V({t + 1},{t_arr},{t_arr}) > V({t},{t_arr},{t_arr})",
                                 render_value(later_ps.total_value), render_value(narrow_ps.total_value))
                     )
-                members_left = any(
+                if not later_ps.member_set <= narrow and not any(
                     pid == sent_at_t or inst.by_id(pid).deadline == t for pid in narrow
-                )
-                if not members_left and not later_ps.member_set <= narrow:
+                ):
                     out.append(
                         Finding("inclusion", f"P({t + 1},{t_arr},{t_arr}) !<= P({t},{t_arr},{t_arr})",
                                 str(sorted(later_ps.member_set)), str(sorted(narrow)))

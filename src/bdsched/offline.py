@@ -16,14 +16,18 @@ Every instance is 2-bounded, so each clipped window is one slot or two
 adjacent slots and the matroid is bicircular on the slot line: a set fits
 iff no connected component of slots holds more packets than slots, which
 the solver tests with a union-find over slots.  Only :func:`opt_full` lays
-its kept set out in slots, earliest-deadline-first.
+its kept set out in slots, earliest-deadline-first, with a heap.
 
 :class:`QueryEngine` is the one front end through which the policy and every
 checker ask partial-optimum queries P(t, t', t'') over a run's online
 buffers B(t).  It memoizes every answer on (t, t', t'') -- sound because an
 engine is bound to one run's buffer history -- and derives the marginal
-packets m_i(t) and q_i(t) from those answers.  A miss is solved from scratch;
-no answer is ever derived from another.
+packets m_i(t) and q_i(t) from those answers.  What it shares between
+queries is their input: the rank-sorted candidate pool of (t, t'), built
+once and read by every query P(t, t', .), and extended by one release
+bucket into the pool of (t, t'+1).  What it never shares is an answer: each
+miss runs its own greedy from an empty union-find, and no answer is ever
+derived from another.
 
 Answers are exact and integer: a :class:`PSet` carries its total as an
 integer weight at a scale, the instance's :attr:`~bdsched.model.Instance.scale`
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -150,22 +155,28 @@ def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[i
     order, at each slot transmit the available packet with the earliest
     deadline (ties by id).
 
-    Availability windows are contiguous, so this realizes an assignment
-    whenever one exists.
+    The packets enter a heap keyed on (deadline, id) at the first slot of
+    their window clipped to start, and a packet still in the heap after its
+    deadline is dropped, so the sweep takes O(n log n + T) for n packets and
+    T slots.  Availability windows are contiguous, so this realizes an
+    assignment whenever one exists; otherwise it raises AssertionError
+    naming every packet left unassigned.
     """
-    unassigned = {p.id: p for p in kept}
+    arriving = sorted([(p.release if p.release > start else start, p.deadline, p.id) for p in kept], reverse=True)
+    ready: list[tuple[int, int]] = []  # (deadline, id) of the packets whose window has opened
+    missed: list[int] = []
     out: dict[int, int] = {}
     for s in range(start, slot_end + 1):
-        best: Packet | None = None
-        for p in unassigned.values():
-            if max(start, p.release) <= s <= p.deadline:
-                if best is None or (p.deadline, p.id) < (best.deadline, best.id):
-                    best = p
-        if best is not None:
-            out[s] = best.id
-            del unassigned[best.id]
-    if unassigned:
-        raise AssertionError(f"earliest-deadline assignment failed for {sorted(unassigned)}")
+        while arriving and arriving[-1][0] <= s:
+            _, deadline, pid = arriving.pop()
+            heappush(ready, (deadline, pid))
+        while ready and ready[0][0] < s:
+            missed.append(heappop(ready)[1])
+        if ready:
+            out[s] = heappop(ready)[1]
+    missed += [pid for _, pid in ready] + [pid for _, _, pid in arriving]
+    if missed:
+        raise AssertionError(f"earliest-deadline assignment failed for {sorted(missed)}")
     return out
 
 
@@ -173,32 +184,75 @@ def solve_partial(q: PartialQuery, inst: Instance) -> PSet:
     """Canonical maximum-value feasible packet set for a partial query.
 
     The pool is the base-buffer packets plus the packets released in
-    [t, t'] (read from ``inst.release_index``), sorted by canonical rank.
-    Each window clipped to [t, t''] is one slot (a loop) or two adjacent
-    slots (an edge).  The greedy keeps a union-find over slots with each
-    component's free slot count: a loop, or an edge inside one component,
-    is accepted iff that component has a free slot; an edge joining two
-    components iff they have one between them.  The total is an integer
-    weight at the instance's scale.
+    [t, t'] (read from ``inst.release_index``), sorted by canonical rank
+    (see :func:`_pool`).  Each window clipped to [t, t''] is one slot (a
+    loop) or two adjacent slots (an edge).  The greedy keeps a union-find
+    over slots with each component's free slot count: a loop, or an edge
+    inside one component, is accepted iff that component has a free slot;
+    an edge joining two components iff they have one between them.  The
+    total is an integer weight at the instance's scale.
     """
-    return _solve(inst, q.start, q.arrival_end, q.slot_end, q.base_buffer)
+    pool = _pool(inst, q.start, q.arrival_end, q.base_buffer)
+    return _solve(inst.scale, q.start, q.slot_end, pool)
 
 
-def _solve(inst: Instance, t: int, t_arr: int, t_end: int, base_buffer: frozenset[int]) -> PSet:
-    """solve_partial's core, for a query t <= t' <= t'' given by its parts."""
+#: A candidate pool: the rank-sorted entries every query P(t, t', .) draws
+#: from, and apart from them the base entries released after t'.
+Pool = tuple[list[tuple], tuple[tuple, ...]]
+
+
+def _pool(inst: Instance, t: int, t_arr: int, base_buffer: Iterable[int], shorter: Pool | None = None) -> Pool:
+    """The candidates of the queries P(t, t_arr, .) seeded with base_buffer.
+
+    Entries, (rank, id, release, deadline, weight) from
+    ``inst.release_index``, sorted by rank: the base packets released before
+    t that are still live at t, plus the release buckets [t, t_arr].  Apart
+    from them go the base packets released after t_arr, which a query takes
+    only when its slots reach their release; a genuine buffer B(t) holds
+    none.  Unknown base ids are ignored, and a base packet released in
+    [t, t_arr] is taken once, from its bucket.  Given `shorter`, the pool of
+    (t, t_arr - 1), the pool is that one with bucket t_arr merged in.
+    """
     buckets, by_id = inst.release_index
-    pool = [e for r in range(t, t_arr + 1) for e in buckets.get(r, ())]
-    for pid in base_buffer:  # entries are (rank, id, release, deadline, weight)
+    if shorter is not None:
+        bucket = buckets.get(t_arr)
+        if not bucket:
+            return shorter
+        entries, ahead = shorter
+        entries = [*entries, *bucket]
+        entries.sort()
+        return entries, tuple([e for e in ahead if e[2] > t_arr])
+    entries: list[tuple] = []
+    for r in range(t, t_arr + 1):  # a loop, not a comprehension: most pools read one or two buckets
+        bucket = buckets.get(r)
+        if bucket:
+            entries += bucket
+    ahead = []
+    for pid in base_buffer:
         e = by_id.get(pid)
-        # a non-empty window in [t, t''], and not already taken from a bucket
-        if e is not None and e[3] >= t and e[2] <= t_end and not t <= e[2] <= t_arr:
-            pool.append(e)
-    pool.sort()
+        if e is not None and e[3] >= t:
+            if e[2] < t:
+                entries.append(e)
+            elif e[2] > t_arr:
+                ahead.append(e)
+    entries.sort()
+    return entries, tuple(ahead) if ahead else ()
+
+
+def _solve(scale: int, t: int, t_end: int, pool: Pool) -> PSet:
+    """solve_partial's core: the greedy over a pool of the queries P(t, t', .),
+    for the last slot t'' = t_end >= t'.  Each call starts from an empty
+    union-find; only the pool is shared."""
+    entries, ahead = pool
+    if ahead:
+        late = [e for e in ahead if e[2] <= t_end]
+        if late:
+            entries = sorted(entries + late)
     parent: dict[int, int] = {}  # slot -> a slot nearer its component's root
     free: dict[int, int] = {}  # root -> free slots; an untouched slot is a root with one
     members: list[int] = []
     total = 0
-    for _, pid, release, deadline, value in pool:
+    for _, pid, release, deadline, value in entries:
         lo = release if release > t else t
         a = lo
         while a in parent:
@@ -219,7 +273,7 @@ def _solve(inst: Instance, t: int, t_arr: int, t_end: int, base_buffer: frozense
         free[a] = fa - 1
         members.append(pid)
         total += value
-    return PSet(tuple(members), total, inst.scale)
+    return PSet(tuple(members), total, scale)
 
 
 def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> bool:
@@ -341,22 +395,28 @@ class QueryEngine:
     P(t, t', t'') is the canonical partial optimum seeded with B(t) =
     buffers[t].  Answers are cached on (t, t', t''), which names a query
     only within one run's buffer history, so an engine is never reused for
-    another instance or run.  The degenerate query (t, t-1, t-1) is the empty
-    set by convention.  Every answer's weight is at the instance's scale (the
-    empty set weighs 0 at any scale), so the checks compare answers of one
-    engine as integers.  ``calls`` counts every lookup, ``hits`` the lookups
-    answered from the cache.
+    another instance or run.  The candidate pools are cached on (t, t'): a
+    pool is built directly, or from the pool of (t, t'-1) when that one
+    exists, and every query P(t, t', .) reads it; a miss still runs its own
+    greedy over it, so no answer depends on which queries came first.  The
+    degenerate query (t, t-1, t-1) is the empty set by convention.  Every
+    answer's weight is at the instance's scale (the empty set weighs 0 at any
+    scale), so the checks compare answers of one engine as integers.
+    ``calls`` counts every lookup, ``hits`` the lookups answered from the
+    cache.
     """
 
     def __init__(self, inst: Instance, buffers: Mapping[int, BufferState]):
         self.inst = inst
         self.buffers = buffers
         self.cache: dict[tuple[int, int, int], PSet] = {}
+        self.pools: dict[tuple[int, int], Pool] = {}
         self.calls = 0
         self.hits = 0
 
     def p(self, t: int, arrival_end: int, slot_end: int) -> PSet:
-        """P(t, t', t''): from the cache, or solved from scratch on a miss."""
+        """P(t, t', t''): from the cache, or on a miss solved by a fresh greedy
+        over the pool of (t, t')."""
         self.calls += 1
         key = (t, arrival_end, slot_end)
         ps = self.cache.get(key)
@@ -369,7 +429,12 @@ class QueryEngine:
         if arrival_end == t - 1 and slot_end == t - 1:
             ps = _EMPTY_PSET
         elif t <= arrival_end <= slot_end:
-            ps = _solve(self.inst, t, arrival_end, slot_end, buffer.pending)
+            pools = self.pools
+            pool = pools.get((t, arrival_end))
+            if pool is None:
+                shorter = pools.get((t, arrival_end - 1)) if arrival_end > t else None
+                pool = pools[t, arrival_end] = _pool(self.inst, t, arrival_end, buffer.pending, shorter)
+            ps = _solve(self.inst.scale, t, slot_end, pool)
         else:
             raise _out_of_order(t, arrival_end, slot_end)
         self.cache[key] = ps
@@ -402,6 +467,6 @@ def opt_full(inst: Instance) -> tuple[Schedule, int]:
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
-    ps = _solve(inst, 0, horizon, horizon, frozenset())
+    ps = _solve(inst.scale, 0, horizon, _pool(inst, 0, horizon, ()))
     by_id = inst.by_id
     return Schedule(_edf_assignment([by_id(i) for i in ps.members], 0, horizon)), ps.weight

@@ -16,6 +16,7 @@ from bdsched import (
     Interval,
     IntervalReport,
     PartitionError,
+    PSet,
     Quad17,
     R,
     RandomConfig,
@@ -264,6 +265,55 @@ class TestLemmaCheckers:
         _, trace, _, report = evaluate(inst)
         assert check_lemma_bounds(inst, trace, report) == []
         assert check_inclusions(inst, trace) == []
+
+
+class TestCrossBaseExemption:
+    """The cross-base relation P(t+1, t', t') <= P(t, t', t') of
+    check_inclusions is waived when a member of P(t, t', t') was sent at t
+    or expires at t; the value relation V(t+1, t', t') <= V(t, t', t') is
+    never waived.  Engine answers are overwritten so that P(1, 1, 1) holds
+    packet 3, which P(0, 1, 1) lacks."""
+
+    # packet 0 expires at 0, the policy sends packet 1 at 0, and packets 2
+    # and 3 arrive at 1; P(0, 1, 1) = {1, 2} and P(1, 1, 1) = {2}
+    INST = mk((0, 0, 1), (0, 1, 3), (1, 1, 2), (1, 2, 1))
+    SUBSET = "P(1,1,1) !<= P(0,1,1)"
+    VALUE = "V(1,1,1) > V(0,1,1)"
+
+    def cross_findings(self, narrow: tuple[int, ...] | None, raise_weight: bool) -> list[tuple[str, str, str]]:
+        """The cross-base findings at (t, t') = (0, 1) once P(0, 1, 1) holds
+        `narrow` (None keeps the solved answer) and P(1, 1, 1) holds packet
+        3, weighing one more than P(0, 1, 1) if `raise_weight`."""
+        inst = self.INST
+        _, trace = run_cp(inst)
+        assert trace.steps[0].transmitted == 1
+        cache = trace.engine.cache
+        if narrow is not None:
+            cache[(0, 1, 1)] = PSet(narrow, sum(inst.weights[pid] for pid in narrow))
+        narrow_weight = cache[(0, 1, 1)].weight
+        cache[(1, 1, 1)] = PSet((3,), narrow_weight + 1 if raise_weight else inst.weights[3])
+        return [(f.detail, f.lhs, f.rhs) for f in check_inclusions(inst, trace) if f.detail in (self.SUBSET, self.VALUE)]
+
+    def test_unmodified_run_is_clean(self):
+        _, trace = run_cp(self.INST)
+        assert trace.engine.p(0, 1, 1).members == (1, 2)
+        assert check_inclusions(self.INST, trace) == []
+
+    def test_member_sent_at_t_waives_the_subset(self):
+        assert self.cross_findings(None, raise_weight=False) == []
+
+    def test_member_expiring_at_t_waives_the_subset(self):
+        # packet 0 expires at 0; packet 1, sent at 0, is not a member
+        assert self.cross_findings((0, 2), raise_weight=False) == []
+
+    def test_subset_reported_when_no_member_left(self):
+        assert self.cross_findings((2,), raise_weight=False) == [(self.SUBSET, "[3]", "[2]")]
+
+    @pytest.mark.parametrize("narrow, weight", [(None, 5), ((0, 2), 3), ((2,), 2)])
+    def test_raised_weight_is_reported_in_every_case(self, narrow, weight):
+        findings = self.cross_findings(narrow, raise_weight=True)
+        assert findings[0] == (self.VALUE, str(weight + 1), str(weight))
+        assert findings[1:] == ([(self.SUBSET, "[3]", "[2]")] if narrow == (2,) else [])
 
 
 class TestExactSums:

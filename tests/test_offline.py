@@ -3,6 +3,7 @@ oracle and its reference, the enumeration oracle."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,16 +22,20 @@ from bdsched import (
     RandomConfig,
     Schedule,
     brute_force_partial,
+    chain_family,
     check_inclusions,
     dp_partial,
+    enumerate_bases,
     gen_random,
     opt_full,
     profit,
     run_cp,
     solve_partial,
 )
+import bdsched.offline as offline_mod
 from bdsched.offline import BRUTE_FORCE_LIMIT, _edf_assignment
 from conftest import mk
+from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 
 B0 = BufferState(0, ())
 
@@ -372,3 +377,122 @@ class TestOptFull:
         _, weight = opt_full(inst)
         for p in inst.packets:
             assert weight >= inst.weights[p.id]
+
+
+def sweep_assignment(kept, start: int, slot_end: int) -> dict[int, int]:
+    """Reference for _edf_assignment: at every slot, scan every unassigned
+    packet for the available one with the earliest deadline (ties by id)."""
+    unassigned = {p.id: p for p in kept}
+    out: dict[int, int] = {}
+    for s in range(start, slot_end + 1):
+        best = None
+        for p in unassigned.values():
+            if max(start, p.release) <= s <= p.deadline:
+                if best is None or (p.deadline, p.id) < (best.deadline, best.id):
+                    best = p
+        if best is not None:
+            out[s] = best.id
+            del unassigned[best.id]
+    if unassigned:
+        raise AssertionError(f"earliest-deadline assignment failed for {sorted(unassigned)}")
+    return out
+
+
+def optimum_kept(inst: Instance) -> list[Packet]:
+    """The packets of the clairvoyant optimum P(0, horizon, horizon)."""
+    ps = solve_partial(PartialQuery(0, inst.horizon, inst.horizon), inst)
+    return [inst.by_id(pid) for pid in ps.members]
+
+
+
+class TestHeapLayout:
+    @pytest.mark.parametrize("horizon", [6, 40])
+    def test_equals_the_sweep_on_fuzzed_optima(self, horizon):
+        config = RandomConfig(horizon=horizon, arrival_rate=1.5) if horizon == 40 else RandomConfig()
+        for seed in range(200):
+            inst = gen_random(seed, config)
+            if not inst.packets:
+                continue
+            kept = optimum_kept(inst)
+            slots = _edf_assignment(kept, 0, inst.horizon)
+            assert slots == sweep_assignment(kept, 0, inst.horizon), seed
+            assert slots == dict(opt_full(inst)[0].slots)
+
+    def test_equals_the_sweep_on_every_grid_base(self):
+        bases = 0
+        for _, inst, _ in enumerate_bases(SWEEP_GRID):
+            bases += 1
+            if inst.packets:
+                kept = optimum_kept(inst)
+                assert _edf_assignment(kept, 0, inst.horizon) == sweep_assignment(kept, 0, inst.horizon), inst
+        assert bases == 35_750
+
+    @pytest.mark.parametrize(
+        "shapes, start, slot_end, left",
+        [
+            # two packets whose only slot is 0: the second by id is left over
+            (((0, 0, 1), (0, 0, 2)), 0, 0, [1]),
+            (((0, 0, 1), (0, 0, 2)), 0, 3, [1]),
+            # a third packet for slot 0 leaves two over, both named
+            (((0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 1, 1)), 0, 1, [1, 2]),
+            # windows before the start or after the last slot
+            (((0, 0, 1), (0, 0, 2)), 1, 2, [0, 1]),
+            (((0, 1, 1), (3, 3, 2)), 0, 2, [1]),
+        ],
+    )
+    def test_infeasible_set_raises_like_the_sweep(self, shapes, start, slot_end, left):
+        kept = list(mk(*shapes).packets)
+        message = f"earliest-deadline assignment failed for {left}"
+        for assign in (_edf_assignment, sweep_assignment):
+            with pytest.raises(AssertionError) as excinfo:
+                assign(kept, start, slot_end)
+            assert str(excinfo.value) == message
+
+
+def order_runs():
+    """(label, instance) of the runs whose engine answers are replayed."""
+    runs = [(f"h6-seed{seed}", gen_random(seed)) for seed in range(40)]
+    runs += [(f"h40-seed{seed}", gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))) for seed in range(4)]
+    runs += [(f"chain-{variant}", chain_family(variant)) for variant in CHAIN_VARIANTS]
+    return runs
+
+
+class TestSharedPools:
+    @pytest.mark.parametrize("label, inst", order_runs(), ids=[label for label, _ in order_runs()])
+    def test_answers_do_not_depend_on_query_order(self, label, inst, monkeypatch):
+        # a fresh engine asked the run's keys in a shuffled order builds some
+        # pools directly and extends others, and still gives every answer
+        _, trace = run_cp(inst)
+        check_inclusions(inst, trace)
+        keys = list(trace.engine.cache)
+        random.Random(label).shuffle(keys)
+        built = []
+
+        def recording_pool(inst, t, t_arr, base_buffer, shorter=None):
+            built.append(shorter is None)
+            return pool(inst, t, t_arr, base_buffer, shorter)
+
+        pool = offline_mod._pool
+        monkeypatch.setattr(offline_mod, "_pool", recording_pool)
+        fresh = QueryEngine(inst, trace.buffers)
+        for key in keys:
+            got, want = fresh.p(*key), trace.engine.cache[key]
+            assert (got.members, got.weight, got.scale) == (want.members, want.weight, want.scale), key
+        assert len(built) == len(fresh.pools) == len(trace.engine.pools)
+        assert True in built and False in built
+
+    @given(small_instances(max_packets=8, max_release=5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hand_built_buffers_in_any_order(self, inst, data):
+        # a base buffer of any ids, released before, inside or after the
+        # arrival window, or unknown; every query of one base time, asked in
+        # a drawn order, equals the directly built solve and the oracle
+        horizon = max(inst.horizon, 0)
+        t = data.draw(st.integers(0, horizon), label="t")
+        base = data.draw(st.sets(st.sampled_from([p.id for p in inst.packets] + [99])), label="base")
+        keys = [(t, t_arr, t_slot) for t_arr in range(t, horizon + 2) for t_slot in range(t_arr, t_arr + 3)]
+        eng = engine(inst, BufferState(t, base))
+        for key in data.draw(st.permutations(keys), label="order"):
+            q = PartialQuery(*key, base)
+            got = eng.p(*key)
+            assert got == solve_partial(q, inst) == dp_partial(q, inst), key
