@@ -449,16 +449,16 @@ class TestHeapLayout:
             assert str(excinfo.value) == message
 
 
-def order_runs():
-    """(label, instance) of the runs whose engine answers are replayed."""
-    runs = [(f"h6-seed{seed}", gen_random(seed)) for seed in range(40)]
-    runs += [(f"h40-seed{seed}", gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))) for seed in range(4)]
-    runs += [(f"chain-{variant}", chain_family(variant)) for variant in CHAIN_VARIANTS]
-    return runs
+#: (label, instance) of the runs whose engine answers are replayed.
+ORDER_RUNS = (
+    [(f"h6-seed{seed}", gen_random(seed)) for seed in range(40)]
+    + [(f"h40-seed{seed}", gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))) for seed in range(4)]
+    + [(f"chain-{variant}", chain_family(variant)) for variant in CHAIN_VARIANTS]
+)
 
 
 class TestSharedPools:
-    @pytest.mark.parametrize("label, inst", order_runs(), ids=[label for label, _ in order_runs()])
+    @pytest.mark.parametrize("label, inst", ORDER_RUNS, ids=[label for label, _ in ORDER_RUNS])
     def test_answers_do_not_depend_on_query_order(self, label, inst, monkeypatch):
         # a fresh engine asked the run's keys in a shuffled order builds some
         # pools directly and extends others, and still gives every answer
@@ -467,12 +467,12 @@ class TestSharedPools:
         keys = list(trace.engine.cache)
         random.Random(label).shuffle(keys)
         built = []
+        pool = offline_mod._pool
 
         def recording_pool(inst, t, t_arr, base_buffer, shorter=None):
             built.append(shorter is None)
             return pool(inst, t, t_arr, base_buffer, shorter)
 
-        pool = offline_mod._pool
         monkeypatch.setattr(offline_mod, "_pool", recording_pool)
         fresh = QueryEngine(inst, trace.buffers)
         for key in keys:
