@@ -11,7 +11,6 @@ checked instance.
 
 from .model import (
     ALPHA,
-    BufferState,
     InfeasibleScheduleError,
     Instance,
     InstanceFormatError,

@@ -401,8 +401,8 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
     """Nesting of neighbouring partial-optimum sets along a run.
 
     With P(t, t', t'') the canonical partial-optimum member set computed
-    from the run's genuine buffers B(t) (each solved on its own by the query
-    engine, never derived from the set it is compared with):
+    from the run's carries (each solved on its own by the query engine,
+    never derived from the set it is compared with):
 
       (1) P(t, t', t')   is contained in P(t, t'+1, t'+1)
       (2) P(t, t', t')   is contained in P(t, t', t'+1)
@@ -416,12 +416,12 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
     unconditional consequence V(t+1, t', t') <= V(t, t', t') is required.
     The value inequality is checked for every pair either way.
 
-    Checked for every recorded t and t' up to INCLUSION_WINDOW steps ahead.
+    Checked for every step time t and t' up to INCLUSION_WINDOW steps ahead.
     Each of a base time's nine answers is read from the engine once: its row
     P(t, a, a) is read as the cross-base row of base t-1.
     """
     out = []
-    buffers = trace.buffers
+    steps = trace.steps
     query = trace.engine.p
     width = INCLUSION_WINDOW + 1  # arrival ends t .. t + INCLUSION_WINDOW
 
@@ -430,10 +430,10 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
         return [query(u, a, a) for a in range(u, u + width + 1)]
 
     later: list[PSet] | None = None  # base t's row, when read as base t-1's cross-base row
-    for t in sorted(buffers):
+    for t in range(len(steps)):
         row = later if later is not None else diagonal(t)
-        later = diagonal(t + 1) if t + 1 in buffers else None
-        sent_at_t = trace.steps[t].transmitted
+        later = diagonal(t + 1) if t + 1 < len(steps) else None
+        sent_at_t = steps[t].transmitted
         for k in range(width):
             t_arr = t + k
             narrow_ps = row[k]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import BufferState, Instance, Packet, Schedule, ge_alpha_times, le_r_times, render_value
+from .model import Instance, Packet, Schedule, ge_alpha_times, le_r_times, render_value
 from .offline import InternalInvariantError, QueryEngine
 
 __all__ = [
@@ -63,13 +63,17 @@ class StepRecord:
 
 @dataclass
 class CaseTrace:
-    """Full run record: per-step records, buffer history, the policy's query
+    """Full run record: per-step records, the carries, the policy's query
     log, and the run's query engine for the checkers to reuse.  run_cp
     records exactly one step per time 0..horizon, so steps[t] is the step at
-    t, and the checks read what the policy sent from it."""
+    t, and the checks read what the policy sent from it.  carry[t] is the
+    best-ranked packet of B(t), the packets pending before the arrivals at
+    t, or None: all of B(t) a partial optimum can use (see
+    :func:`bdsched.offline._pool`).  A time the run never reached raises
+    KeyError."""
 
     steps: list[StepRecord]
-    buffers: dict[int, BufferState]  # B(t): pending ids before arrivals at t
+    carry: dict[int, int | None]
     queries: list[tuple[int, int, int, int]]  # (step time, t, t', t'')
     engine: QueryEngine
 
@@ -220,14 +224,14 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
     """Simulate the policy over the whole instance.
 
     Returns the transmission schedule plus a trace with one record per time
-    step 0..horizon, the buffer history B(t) needed to replay any selector
+    step 0..horizon, the carry of each time needed to replay any selector
     query, the policy's query log for lookahead audits, and the query engine
     that answered it.
     """
     arrivals = inst.arrivals
-    buffers: dict[int, BufferState] = {}
+    carry: dict[int, int | None] = {}
     queries: list[tuple[int, int, int, int]] = []
-    engine = QueryEngine(inst, buffers)
+    engine = QueryEngine(inst, carry)
     oracle = PartialOracle(engine, queries)
     steps: list[StepRecord] = []
     slots: dict[int, int] = {}
@@ -235,7 +239,8 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
     pending: dict[int, Packet] = {}
 
     for t in range(0, inst.horizon + 1):
-        buffers[t] = BufferState(t, pending.keys())
+        # B(t)'s best entry by canonical rank; the step that left it pending built the index
+        carry[t] = min([inst.release_index[1][pid] for pid in pending])[1] if pending else None
         for p in arrivals.get(t, ()):
             pending[p.id] = p
         oracle.now = t
@@ -272,7 +277,7 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
 
     if state is not None:
         raise InternalInvariantError(f"commitment left beyond the horizon: s_{inst.horizon + 1} = {state}")
-    return Schedule(slots), CaseTrace(steps, buffers, queries, engine)
+    return Schedule(slots), CaseTrace(steps, carry, queries, engine)
 
 
 def _consulted(trace: CaseTrace) -> dict[int, dict[str, list[dict]]]:

@@ -157,22 +157,37 @@ def check_or_crash(inst: Instance, config: CheckConfig) -> InstanceResult:
         return InstanceResult(inst, IntervalReport((), 0, 0, inst.scale), [crash])
 
 
+def online_buffers(inst: Instance, trace) -> dict[int, set[int]]:
+    """B(t) for every time t at which it is non-empty, by a scan of its own:
+    the packets released before t, with deadline >= t, that no step of
+    `trace` sent before t.  It reads neither the run's carries nor the
+    2-bounded shape the carry rests on."""
+    sent = {rec.transmitted: rec.t for rec in trace.steps if rec.transmitted is not None}
+    buffers: dict[int, set[int]] = {}
+    for p in inst.packets:
+        for t in range(p.release + 1, min(p.deadline, sent.get(p.id, p.deadline)) + 1):
+            buffers.setdefault(t, set()).add(p.id)
+    return buffers
+
+
 def cross_check_queries(inst: Instance, trace) -> list[Finding]:
     """Replay every partial-optimum query the policy issued against the
-    dynamic-programming oracle dp_partial: the answer the run's query engine
-    gave (the one the policy and the checks consumed) must agree exactly in
-    members and total value.  Every logged query is checked, whatever its
-    size; brute_force_partial is dp_partial's reference in the tests."""
+    dynamic-programming oracle dp_partial, seeded with all of B(t) from
+    online_buffers: the answer the run's query engine gave (the one the
+    policy and the checks consumed, seeded with the carry alone) must agree
+    exactly in members and total value, so the reduction to the carry is
+    checked too.  Every logged query is checked, whatever its size;
+    brute_force_partial is dp_partial's reference in the tests."""
     out: list[Finding] = []
     seen: set[tuple[int, int, int]] = set()
+    buffers = online_buffers(inst, trace)
     for _now, t, t_arr, t_slot in trace.queries:
         key = (t, t_arr, t_slot)
         if key in seen or t_arr < t:  # the empty-by-convention query has no content
             continue
         seen.add(key)
         got = trace.engine.cache[key]
-        q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
-        ref = dp_partial(q, inst)
+        ref = dp_partial(PartialQuery(t, t_arr, t_slot), inst, buffers.get(t, ()))
         if got.member_set != ref.member_set or got.weight * ref.scale != ref.weight * got.scale:
             out.append(
                 Finding(
@@ -367,7 +382,7 @@ def run_exhaustive(
     * check_forced_opt fires only on cases 2.2.2.1 and 3.2.2, which repeat
       at shifted times with shifted selectors and optimum slots.
     * check_inclusions at t >= s repeats the base's relations at t - s.  At
-      a leading idle time t < s the buffer is empty, so each query's pool is
+      a leading idle time t < s there is no carry, so each query's pool is
       the packets released in [s, t']: empty while t' < s, where every
       relation holds trivially; when t' = s - 1 and the grown query reaches
       s, only slot s is usable, so it adds at most one packet to the empty

@@ -47,7 +47,6 @@ __all__ = [
     "canonical_key",
     "Instance",
     "Schedule",
-    "BufferState",
     "Violation",
     "validate_instance",
     "profit",
@@ -269,8 +268,8 @@ class Instance:
         deadline, release, id), the order of :func:`canonical_key`.  Packets
         with an empty window (deadline < release) are left out.  Raises
         ValueError, naming the packet, if an id repeats, whatever the
-        windows, or a packet is not 2-bounded: base buffers name packets by
-        id, and the solver's feasibility test holds only for windows of at
+        windows, or a packet is not 2-bounded: a run's carries name packets
+        by id, and the solver's feasibility test holds only for windows of at
         most two slots.  Built on the first read and kept.
         """
         if self._release_index is not None:
@@ -328,23 +327,6 @@ class Schedule:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Schedule) and dict(self.slots) == dict(other.slots)
-
-
-@dataclass(frozen=True)
-class BufferState:
-    """The pending set immediately before the arrival subphase at `time`.
-
-    Every pending packet was released strictly before `time`, has not been
-    transmitted, and has deadline >= time; packets released exactly at
-    `time` join during the arrival subphase, not here.
-    """
-
-    time: int
-    pending: frozenset[int]
-
-    def __init__(self, time: int, pending: Iterable[int]):
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "pending", frozenset(pending))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """Offline optima: the full clairvoyant optimum, the partial solver and the
 per-run query engine.
 
-The partial solver answers queries "seeded with buffer B at time t, fed the
+The partial solver answers queries "seeded with the carry of time t, fed the
 arrivals of [t, t'], transmitting only in slots [t, t''], what is the best
-packet set?".  Feasible packet sets form a transversal matroid (packets
-matchable into distinct slots of their availability windows), so a greedy
-sweep in one fixed canonical order, accepting a packet whenever the kept
-set stays matchable, is optimal.  The single global canonical order --
-value descending, deadline ascending, release ascending, id ascending --
-also pins down every tie, which makes the nesting relations between
-neighbouring queries and the uniqueness of their set differences hold by
-construction rather than by luck.
+packet set?".  The carry is the best packet of the online buffer B(t), or
+none, and stands for all of B(t) (see :func:`_pool`).  Feasible packet sets
+form a transversal matroid (packets matchable into distinct slots of their
+availability windows), so a greedy sweep in one fixed canonical order,
+accepting a packet whenever the kept set stays matchable, is optimal.  The
+single global canonical order -- value descending, deadline ascending,
+release ascending, id ascending -- also pins down every tie, which makes the
+nesting relations between neighbouring queries and the uniqueness of their
+set differences hold by construction rather than by luck.
 
 Every instance is 2-bounded, so each clipped window is one slot or two
 adjacent slots and the matroid is bicircular on the slot line: a set fits
@@ -19,15 +20,14 @@ the solver tests with a union-find over slots.  Only :func:`opt_full` lays
 its kept set out in slots, earliest-deadline-first, with a heap.
 
 :class:`QueryEngine` is the one front end through which the policy and every
-checker ask partial-optimum queries P(t, t', t'') over a run's online
-buffers B(t).  It memoizes every answer on (t, t', t'') -- sound because an
-engine is bound to one run's buffer history -- and derives the marginal
-packets m_i(t) and q_i(t) from those answers.  What it shares between
-queries is their input: the rank-sorted candidate pool of (t, t'), built
-once and read by every query P(t, t', .), and extended by one release
-bucket into the pool of (t, t'+1).  What it never shares is an answer: each
-miss runs its own greedy from an empty union-find, and no answer is ever
-derived from another.
+checker ask partial-optimum queries P(t, t', t'') over a run's carries.  It
+memoizes every answer on (t, t', t'') -- sound because an engine is bound to
+one run's carries -- and derives the marginal packets m_i(t) and q_i(t) from
+those answers.  What it shares between queries is their input: the
+rank-sorted candidate pool of (t, t'), built once and read by every query
+P(t, t', .), and extended by one release bucket into the pool of (t, t'+1).
+What it never shares is an answer: each miss runs its own greedy from an
+empty union-find, and no answer is ever derived from another.
 
 Answers are exact and integer: a :class:`PSet` carries its total as an
 integer weight at a scale, the instance's :attr:`~bdsched.model.Instance.scale`
@@ -38,7 +38,9 @@ The rational total is built only when it is read.
 dynamic program along the slot path, with its own scan and sort of the
 packets, sharing no code path with the greedy solver.  ``brute_force_partial``
 is its reference: straight enumeration of packet subsets with a backtracking
-matcher, limited to small queries and run only by the tests.
+matcher, limited to small queries and run only by the tests.  Both oracles
+are seeded with the whole pending set B(t), not the carry, so they check the
+reduction to the carry on every query they answer.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from .model import BufferState, Instance, Packet, Rat, Schedule, canonical_key
+from .model import Instance, Packet, Rat, Schedule, canonical_key
 
 __all__ = [
     "PartialQuery",
@@ -84,26 +86,20 @@ def _out_of_order(t: int, arrival_end: int, slot_end: int) -> ValueError:
 
 @dataclass(frozen=True)
 class PartialQuery:
-    """A partial-optimum query.
+    """The window of a partial-optimum query; its seed is passed beside it.
 
-    start:       first transmission slot t (the seeded buffer is B(t))
+    start:       first transmission slot t
     arrival_end: last arrival time t' fed to the solver (t <= t')
     slot_end:    last transmission slot t'' (t' <= t'')
-    base_buffer: packet ids pending immediately before the arrivals at t
     """
 
     start: int
     arrival_end: int
     slot_end: int
-    base_buffer: frozenset[int]
 
-    def __init__(self, start: int, arrival_end: int, slot_end: int, base_buffer: Iterable[int] = ()):
-        if not (start <= arrival_end <= slot_end):
-            raise _out_of_order(start, arrival_end, slot_end)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "arrival_end", arrival_end)
-        object.__setattr__(self, "slot_end", slot_end)
-        object.__setattr__(self, "base_buffer", frozenset(base_buffer))
+    def __post_init__(self):
+        if not (self.start <= self.arrival_end <= self.slot_end):
+            raise _out_of_order(self.start, self.arrival_end, self.slot_end)
 
 
 class PSet:
@@ -180,74 +176,67 @@ def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[i
     return out
 
 
-def solve_partial(q: PartialQuery, inst: Instance) -> PSet:
-    """Canonical maximum-value feasible packet set for a partial query.
+def solve_partial(q: PartialQuery, inst: Instance, carry: int | None = None) -> PSet:
+    """Canonical maximum-value feasible packet set for a partial query seeded
+    with `carry`, the best packet of B(t) or None.
 
-    The pool is the base-buffer packets plus the packets released in
-    [t, t'] (read from ``inst.release_index``), sorted by canonical rank
-    (see :func:`_pool`).  Each window clipped to [t, t''] is one slot (a
-    loop) or two adjacent slots (an edge).  The greedy keeps a union-find
-    over slots with each component's free slot count: a loop, or an edge
-    inside one component, is accepted iff that component has a free slot;
-    an edge joining two components iff they have one between them.  The
-    total is an integer weight at the instance's scale.
+    The pool is the carry plus the packets released in [t, t'] (read from
+    ``inst.release_index``), sorted by canonical rank (see :func:`_pool`).
+    Each window clipped to [t, t''] is one slot (a loop) or two adjacent
+    slots (an edge).  The greedy keeps a union-find over slots with each
+    component's free slot count: a loop, or an edge inside one component, is
+    accepted iff that component has a free slot; an edge joining two
+    components iff they have one between them.  The total is an integer
+    weight at the instance's scale.
     """
-    pool = _pool(inst, q.start, q.arrival_end, q.base_buffer)
-    return _solve(inst.scale, q.start, q.slot_end, pool)
+    return _solve(inst.scale, q.start, q.slot_end, _pool(inst, q.start, q.arrival_end, carry))
 
 
-#: A candidate pool: the rank-sorted entries every query P(t, t', .) draws
-#: from, and apart from them the base entries released after t'.
-Pool = tuple[list[tuple], tuple[tuple, ...]]
-
-
-def _pool(inst: Instance, t: int, t_arr: int, base_buffer: Iterable[int], shorter: Pool | None = None) -> Pool:
-    """The candidates of the queries P(t, t_arr, .) seeded with base_buffer.
+def _pool(inst: Instance, t: int, t_arr: int, carry: int | None, shorter: list[tuple] | None = None) -> list[tuple]:
+    """The candidates of the queries P(t, t_arr, .) seeded with `carry`.
 
     Entries, (rank, id, release, deadline, weight) from
-    ``inst.release_index``, sorted by rank: the base packets released before
-    t that are still live at t, plus the release buckets [t, t_arr].  Apart
-    from them go the base packets released after t_arr, which a query takes
-    only when its slots reach their release; a genuine buffer B(t) holds
-    none.  Unknown base ids are ignored, and a base packet released in
-    [t, t_arr] is taken once, from its bucket.  Given `shorter`, the pool of
-    (t, t_arr - 1), the pool is that one with bucket t_arr merged in.
+    ``inst.release_index``, sorted by rank: the release buckets [t, t_arr]
+    and the carry's entry.  Given `shorter`, the pool of (t, t_arr - 1), the
+    pool is that one with bucket t_arr merged in.
+
+    Why one carry stands for the whole buffer B(t): every packet is
+    2-bounded, so a packet still pending before the arrivals at t was
+    released at t-1 with deadline t, and every query from base t sees it as
+    a loop at slot t.  Two loops at one slot never fit together, so at most
+    one packet of B(t) joins any partial optimum, and the canonical greedy
+    meets the best-ranked one first: it joins exactly when any of them
+    could.  The others never join.
+
+    Raises ValueError naming the carry if it is not an instance packet
+    released at t-1 with deadline t.
     """
     buckets, by_id = inst.release_index
     if shorter is not None:
         bucket = buckets.get(t_arr)
         if not bucket:
             return shorter
-        entries, ahead = shorter
-        entries = [*entries, *bucket]
+        entries = [*shorter, *bucket]
         entries.sort()
-        return entries, tuple([e for e in ahead if e[2] > t_arr])
+        return entries
     entries: list[tuple] = []
     for r in range(t, t_arr + 1):  # a loop, not a comprehension: most pools read one or two buckets
         bucket = buckets.get(r)
         if bucket:
             entries += bucket
-    ahead = []
-    for pid in base_buffer:
-        e = by_id.get(pid)
-        if e is not None and e[3] >= t:
-            if e[2] < t:
-                entries.append(e)
-            elif e[2] > t_arr:
-                ahead.append(e)
+    if carry is not None:
+        e = by_id.get(carry)
+        if e is None or e[2] != t - 1 or e[3] != t:
+            raise ValueError(f"carry {carry} is not a packet released at {t - 1} with deadline {t}")
+        entries.append(e)
     entries.sort()
-    return entries, tuple(ahead) if ahead else ()
+    return entries
 
 
-def _solve(scale: int, t: int, t_end: int, pool: Pool) -> PSet:
+def _solve(scale: int, t: int, t_end: int, entries: list[tuple]) -> PSet:
     """solve_partial's core: the greedy over a pool of the queries P(t, t', .),
     for the last slot t'' = t_end >= t'.  Each call starts from an empty
     union-find; only the pool is shared."""
-    entries, ahead = pool
-    if ahead:
-        late = [e for e in ahead if e[2] <= t_end]
-        if late:
-            entries = sorted(entries + late)
     parent: dict[int, int] = {}  # slot -> a slot nearer its component's root
     free: dict[int, int] = {}  # root -> free slots; an untouched slot is a root with one
     members: list[int] = []
@@ -299,8 +288,9 @@ def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> bool
     return place(0)
 
 
-def dp_partial(q: PartialQuery, inst: Instance) -> PSet:
-    """Independent oracle: a maximum-weight dynamic program along the slots.
+def dp_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -> PSet:
+    """Independent oracle: a maximum-weight dynamic program along the slots,
+    seeded with the ids `pending` before the arrivals at t, all of B(t).
 
     The eligible packets, read by its own scan of ``inst.packets``, are
     sorted in canonical order (value descending on integers scaled by the
@@ -319,8 +309,8 @@ def dp_partial(q: PartialQuery, inst: Instance) -> PSet:
     heaviest other one.  Raises ValueError if an eligible packet is not
     2-bounded.
     """
-    t, t_arr, t_end, base = q.start, q.arrival_end, q.slot_end, q.base_buffer
-    pool = [p for p in inst.packets if (p.id in base or t <= p.release <= t_arr)
+    t, t_arr, t_end = q.start, q.arrival_end, q.slot_end
+    pool = [p for p in inst.packets if (p.id in pending or t <= p.release <= t_arr)
             and max(t, p.release) <= min(t_end, p.deadline)]
     if not pool:
         return _EMPTY_PSET
@@ -356,15 +346,16 @@ def dp_partial(q: PartialQuery, inst: Instance) -> PSet:
     return PSet(members, free >> n, scale)
 
 
-def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:
+def brute_force_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -> PSet:
     """Independent oracle: enumerate every packet subset, keep the feasible
-    one of maximum total value, ties resolved by the canonical order.
+    one of maximum total value, ties resolved by the canonical order.  Seeded
+    like dp_partial with all of B(t), the ids `pending`.
 
     Refuses queries with more than BRUTE_FORCE_LIMIT eligible packets.
     """
     # Its own scan and sort, not _eligible: the oracle never trusts the
     # instance's presorted order that the greedy solver filters.
-    pool = sorted((p for p in inst.packets if (p.id in q.base_buffer or q.start <= p.release <= q.arrival_end)
+    pool = sorted((p for p in inst.packets if (p.id in pending or q.start <= p.release <= q.arrival_end)
                    and max(q.start, p.release) <= min(q.slot_end, p.deadline)), key=canonical_key)
     if len(pool) > BRUTE_FORCE_LIMIT:
         raise OracleSizeError(f"{len(pool)} eligible packets exceeds the oracle limit of {BRUTE_FORCE_LIMIT}")
@@ -390,27 +381,27 @@ def brute_force_partial(q: PartialQuery, inst: Instance) -> PSet:
 
 
 class QueryEngine:
-    """Memoized partial-optimum queries over one run's online buffers.
+    """Memoized partial-optimum queries over one run's carries.
 
-    P(t, t', t'') is the canonical partial optimum seeded with B(t) =
-    buffers[t].  Answers are cached on (t, t', t''), which names a query
-    only within one run's buffer history, so an engine is never reused for
-    another instance or run.  The candidate pools are cached on (t, t'): a
-    pool is built directly, or from the pool of (t, t'-1) when that one
-    exists, and every query P(t, t', .) reads it; a miss still runs its own
-    greedy over it, so no answer depends on which queries came first.  The
-    degenerate query (t, t-1, t-1) is the empty set by convention.  Every
-    answer's weight is at the instance's scale (the empty set weighs 0 at any
-    scale), so the checks compare answers of one engine as integers.
-    ``calls`` counts every lookup, ``hits`` the lookups answered from the
-    cache.
+    P(t, t', t'') is the canonical partial optimum seeded with carry[t], the
+    best packet of B(t) or None; a time missing from `carry` raises KeyError.
+    Answers are cached on (t, t', t''), which names a query only within one
+    run's carries, so an engine is never reused for another instance or run.
+    The candidate pools are cached on (t, t'): a pool is built directly, or
+    from the pool of (t, t'-1) when that one exists, and every query
+    P(t, t', .) reads it; a miss still runs its own greedy over it, so no
+    answer depends on which queries came first.  The degenerate query
+    (t, t-1, t-1) is the empty set by convention.  Every answer's weight is
+    at the instance's scale (the empty set weighs 0 at any scale), so the
+    checks compare answers of one engine as integers.  ``calls`` counts every
+    lookup, ``hits`` the lookups answered from the cache.
     """
 
-    def __init__(self, inst: Instance, buffers: Mapping[int, BufferState]):
+    def __init__(self, inst: Instance, carry: Mapping[int, int | None]):
         self.inst = inst
-        self.buffers = buffers
+        self.carry = carry
         self.cache: dict[tuple[int, int, int], PSet] = {}
-        self.pools: dict[tuple[int, int], Pool] = {}
+        self.pools: dict[tuple[int, int], list[tuple]] = {}
         self.calls = 0
         self.hits = 0
 
@@ -423,9 +414,7 @@ class QueryEngine:
         if ps is not None:
             self.hits += 1
             return ps
-        buffer = self.buffers[t]
-        if buffer.time != t:
-            raise ValueError(f"buffer snapshot is for time {buffer.time}, query starts at {t}")
+        carry = self.carry[t]
         if arrival_end == t - 1 and slot_end == t - 1:
             ps = _EMPTY_PSET
         elif t <= arrival_end <= slot_end:
@@ -433,7 +422,7 @@ class QueryEngine:
             pool = pools.get((t, arrival_end))
             if pool is None:
                 shorter = pools.get((t, arrival_end - 1)) if arrival_end > t else None
-                pool = pools[t, arrival_end] = _pool(self.inst, t, arrival_end, buffer.pending, shorter)
+                pool = pools[t, arrival_end] = _pool(self.inst, t, arrival_end, carry, shorter)
             ps = _solve(self.inst.scale, t, slot_end, pool)
         else:
             raise _out_of_order(t, arrival_end, slot_end)
@@ -459,7 +448,7 @@ class QueryEngine:
 
 def opt_full(inst: Instance) -> tuple[Schedule, int]:
     """Canonical clairvoyant optimum over slots [0, horizon]: the partial
-    query P(0, horizon, horizon) from an empty buffer, laid out by
+    query P(0, horizon, horizon) with no carry, laid out by
     :func:`_edf_assignment`.  Its total is an integer weight at the
     instance's scale, as :func:`~bdsched.model.profit_weight` returns one."""
     if not inst.packets:
@@ -467,6 +456,6 @@ def opt_full(inst: Instance) -> tuple[Schedule, int]:
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
-    ps = _solve(inst.scale, 0, horizon, _pool(inst, 0, horizon, ()))
+    ps = _solve(inst.scale, 0, horizon, _pool(inst, 0, horizon, None))
     by_id = inst.by_id
     return Schedule(_edf_assignment([by_id(i) for i in ps.members], 0, horizon)), ps.weight

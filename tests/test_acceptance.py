@@ -36,6 +36,7 @@ from bdsched import (
     run_fuzz,
 )
 from bdsched.generators import chain_family, tight_family
+from bdsched.harness import online_buffers
 from bdsched.model import le_r_times
 from bdsched.offline import BRUTE_FORCE_LIMIT
 
@@ -133,10 +134,11 @@ class TestCriterion4OracleEquivalence:
         compared = 0
         for res in fuzz_1k_results:
             _, trace = run_cp(res.instance)
+            buffers = online_buffers(res.instance, trace)
             for t, t_arr, t_slot in {(t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries if t_arr >= t}:
-                q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
+                q = PartialQuery(t, t_arr, t_slot)
                 try:
-                    slow = brute_force_partial(q, res.instance)
+                    slow = brute_force_partial(q, res.instance, buffers.get(t, ()))
                 except OracleSizeError:
                     continue
                 assert trace.engine.cache[(t, t_arr, t_slot)] == slow, (res.instance, q)

@@ -115,7 +115,7 @@ class TestCrossCheck:
         _, trace, _, _ = evaluate(inst)
         assert (0, 0, 0, 0) in trace.queries
         with pytest.raises(OracleSizeError):
-            brute_force_partial(PartialQuery(0, 0, 0, trace.buffers[0].pending), inst)
+            brute_force_partial(PartialQuery(0, 0, 0), inst)
         assert cross_check_queries(inst, trace) == []
         self.drop_last_member(inst, trace, (0, 0, 0))
         findings = cross_check_queries(inst, trace)

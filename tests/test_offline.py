@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdsched import (
-    BufferState,
     Instance,
     InternalInvariantError,
     OracleSizeError,
@@ -33,16 +32,21 @@ from bdsched import (
     solve_partial,
 )
 import bdsched.offline as offline_mod
+from bdsched.harness import online_buffers
+from bdsched.model import canonical_key
 from bdsched.offline import BRUTE_FORCE_LIMIT, _edf_assignment
 from conftest import mk
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 
-B0 = BufferState(0, ())
+
+def engine(inst: Instance) -> QueryEngine:
+    """A query engine for base time 0, where nothing is carried."""
+    return QueryEngine(inst, {0: None})
 
 
-def engine(inst: Instance, buffer: BufferState = B0) -> QueryEngine:
-    """A query engine over a one-snapshot buffer history."""
-    return QueryEngine(inst, {buffer.time: buffer})
+def best(inst: Instance, pending) -> int | None:
+    """The canonically best of the ids `pending`, the carry of that buffer."""
+    return min(pending, key=lambda pid: canonical_key(inst.by_id(pid)), default=None)
 
 
 def layout(ps: PSet, q: PartialQuery, inst: Instance) -> dict[int, int]:
@@ -88,8 +92,22 @@ class TestSolvePartial:
     def test_base_buffer_feeds_the_pool(self):
         # packet 0 released at 0 sits in the buffer at time 1
         inst = mk((0, 1, 5), (1, 1, 3))
-        ps = solve_partial(PartialQuery(1, 1, 1, base_buffer=(0,)), inst)
+        ps = solve_partial(PartialQuery(1, 1, 1), inst, carry=0)
         assert ps.member_set == {0}
+
+    def test_best_of_three_pending_joins(self):
+        # packet 0 takes slot 0, so B(1) holds 1, 2 and 3, all loops at slot
+        # 1: only the best of them, 2, can join, beside 4 in slot 2
+        inst = mk((0, 0, 9), (0, 1, 2), (0, 1, 5), (0, 1, 3), (1, 2, 4))
+        _, trace = run_cp(inst)
+        pending = online_buffers(inst, trace)[1]
+        assert trace.steps[0].transmitted == 0 and pending == {1, 2, 3}
+        assert trace.carry[1] == 2
+        q = PartialQuery(1, 1, 2)
+        got = trace.engine.p(1, 1, 2)
+        assert got.members == (2, 4) and got.total_value == 9
+        assert got == solve_partial(q, inst, 2) == dp_partial(q, inst, pending) == brute_force_partial(q, inst, pending)
+        assert solve_partial(q, inst, 3).total_value == 7  # a worse carry loses
 
     def test_query_order_enforced(self):
         with pytest.raises(ValueError):
@@ -110,16 +128,32 @@ class TestSolvePartial:
         with pytest.raises(ValueError, match="packet id 3 is not unique"):
             solve_partial(PartialQuery(0, 1, 1), inst)
 
+    def test_bad_carry_rejected(self):
+        # a carry of t = 1 must be released at 0 with deadline 1: not an
+        # unknown id, a packet released in the window or one expired at 0
+        inst = mk((0, 1, 5), (1, 2, 5), (0, 0, 3))
+        for carry in (42, 1, 2):
+            with pytest.raises(ValueError, match=f"carry {carry} is not a packet released at 0 with deadline 1"):
+                solve_partial(PartialQuery(1, 1, 2), inst, carry)
+            with pytest.raises(ValueError, match=f"carry {carry} is not"):
+                QueryEngine(inst, {1: carry}).p(1, 1, 1)
+        assert solve_partial(PartialQuery(1, 1, 2), inst, 0).members == (0, 1)
+
     def test_unknown_base_ids_are_ignored(self):
+        # the oracles take all of B(t); an id no packet has adds nothing
         inst = mk((0, 1, 5), (1, 1, 3))
-        with_unknown = solve_partial(PartialQuery(1, 1, 1, base_buffer=(0, 42)), inst)
-        assert with_unknown == solve_partial(PartialQuery(1, 1, 1, base_buffer=(0,)), inst)
+        q = PartialQuery(1, 1, 1)
+        for oracle in (dp_partial, brute_force_partial):
+            assert oracle(q, inst, (0, 42)) == oracle(q, inst, (0,)) == solve_partial(q, inst, 0)
 
     def test_base_id_released_in_window_counted_once(self):
-        # packet 0 is both in the base buffer and released in [t, t']
+        # packet 0 is both in the oracles' base buffer and released in [t, t']
         inst = mk((1, 2, 5))
-        ps = solve_partial(PartialQuery(1, 1, 2, base_buffer=(0,)), inst)
-        assert ps.members == (0,) and ps.total_value == 5
+        q = PartialQuery(1, 1, 2)
+        for oracle in (dp_partial, brute_force_partial):
+            ps = oracle(q, inst, (0,))
+            assert ps.members == (0,) and ps.total_value == 5
+            assert ps == solve_partial(q, inst)
 
 
 class TestBruteForceOracle:
@@ -169,8 +203,9 @@ class TestBruteForceOracle:
         base = data.draw(st.sets(st.sampled_from(carried)) if carried else st.just(set()), label="base")
         t_arr = data.draw(st.integers(t, horizon), label="t'")
         t_slot = data.draw(st.integers(t_arr, t_arr + 2), label="t''")
-        q = PartialQuery(t, t_arr, t_slot, base)
-        fast, slow = solve_partial(q, inst), brute_force_partial(q, inst)
+        q = PartialQuery(t, t_arr, t_slot)
+        # the solver is seeded with the best of the base, the oracle with all of it
+        fast, slow = solve_partial(q, inst, best(inst, base)), brute_force_partial(q, inst, base)
         assert fast.members == slow.members
         assert fast.total_value == slow.total_value
         sched, weight = opt_full(inst)
@@ -213,23 +248,25 @@ class TestDPOracle:
         base = data.draw(st.sets(st.sampled_from(carried)) if carried else st.just(set()), label="base")
         for t_arr in range(t, horizon + 2):
             for t_slot in range(t_arr, t_arr + 3):
-                q = PartialQuery(t, t_arr, t_slot, base)
-                assert dp_partial(q, inst) == brute_force_partial(q, inst)
+                q = PartialQuery(t, t_arr, t_slot)
+                assert dp_partial(q, inst, base) == brute_force_partial(q, inst, base)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dp_equals_every_cached_answer_of_long_runs(self, seed):
-        # every answer the engine cached (solve_partial's) on instances of
-        # about 60 packets, far more than the property's instances hold
+        # every answer the engine cached (solve_partial's, seeded with the
+        # carry) on instances of about 60 packets, far more than the
+        # property's instances hold, equals the DP seeded with all of B(t)
         inst = gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))
         assert len(inst) > 40
         _, trace = run_cp(inst)
         check_inclusions(inst, trace)
+        buffers = online_buffers(inst, trace)
         checked = 0
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
             if t_arr < t:
                 continue
-            q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
-            assert dp_partial(q, inst) == cached
+            q = PartialQuery(t, t_arr, t_slot)
+            assert dp_partial(q, inst, buffers.get(t, ())) == cached
             checked += 1
         assert checked > 100
 
@@ -239,10 +276,10 @@ class TestPSetConventions:
         inst = mk((0, 0, 5))
         assert engine(inst).p(0, -1, -1).member_set == set()
 
-    def test_p_set_uses_buffer_time_guard(self):
+    def test_unreached_time_raises(self):
         inst = mk((0, 0, 5))
-        with pytest.raises(ValueError):
-            QueryEngine(inst, {0: BufferState(1, ())}).p(0, 0, 0)
+        with pytest.raises(KeyError):
+            QueryEngine(inst, {0: None}).p(1, 1, 1)
 
     def test_simple_p_set(self):
         inst = mk((0, 0, 5), (0, 1, 3))
@@ -258,19 +295,23 @@ class TestPSetConventions:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=150, deadline=None)
     def test_cached_answers_equal_fresh_solves(self, inst):
-        # The memo key omits the buffer; every answer the policy and the
+        # The memo key omits the carry; every answer the policy and the
         # inclusion checks got must still be the query solved from scratch
-        # on that run's buffer B(t), and agree with the enumeration oracle.
+        # with the best packet of that run's buffer B(t), and agree with the
+        # enumeration oracle seeded with all of B(t).
         _, trace = run_cp(inst)
         check_inclusions(inst, trace)
+        buffers = online_buffers(inst, trace)
+        assert trace.carry == {t: best(inst, buffers.get(t, ())) for t in range(len(trace.steps))}
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
             if t_arr < t:
                 assert cached.member_set == set()
                 continue
-            q = PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending)
-            assert cached == solve_partial(q, inst)
+            q = PartialQuery(t, t_arr, t_slot)
+            pending = buffers.get(t, ())
+            assert cached == solve_partial(q, inst, best(inst, pending))
             try:
-                slow = brute_force_partial(q, inst)
+                slow = brute_force_partial(q, inst, pending)
             except OracleSizeError:
                 continue
             assert cached.member_set == slow.member_set
@@ -280,18 +321,22 @@ class TestPSetConventions:
 class TestIntegerAnswers:
     @pytest.mark.parametrize("seed", range(4))
     def test_long_run_answers_are_exact(self, seed):
-        # every answer of a long run's engine, the checks' included, holds
-        # its members' value sum at the instance scale and equals the oracle
+        # every answer of a long run's engine, the checks' included, on
+        # instances of about 60 packets, far more than the properties' hold,
+        # holds its members' value sum at the instance scale and equals the
+        # oracle seeded with all of B(t)
         inst = gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))
+        assert len(inst) > 40
         _, trace = run_cp(inst)
         check_inclusions(inst, trace)
+        buffers = online_buffers(inst, trace)
         checked = 0
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
             if t_arr < t:
                 continue
             assert cached.scale == inst.scale
             assert cached.total_value == sum((inst.by_id(pid).value for pid in cached.members), Fraction(0))
-            assert cached == dp_partial(PartialQuery(t, t_arr, t_slot, trace.buffers[t].pending), inst)
+            assert cached == dp_partial(PartialQuery(t, t_arr, t_slot), inst, buffers.get(t, ()))
             checked += 1
         assert checked > 200
 
@@ -469,12 +514,12 @@ class TestSharedPools:
         built = []
         pool = offline_mod._pool
 
-        def recording_pool(inst, t, t_arr, base_buffer, shorter=None):
+        def recording_pool(inst, t, t_arr, carry, shorter=None):
             built.append(shorter is None)
-            return pool(inst, t, t_arr, base_buffer, shorter)
+            return pool(inst, t, t_arr, carry, shorter)
 
         monkeypatch.setattr(offline_mod, "_pool", recording_pool)
-        fresh = QueryEngine(inst, trace.buffers)
+        fresh = QueryEngine(inst, trace.carry)
         for key in keys:
             got, want = fresh.p(*key), trace.engine.cache[key]
             assert (got.members, got.weight, got.scale) == (want.members, want.weight, want.scale), key
@@ -484,15 +529,18 @@ class TestSharedPools:
     @given(small_instances(max_packets=8, max_release=5), st.data())
     @settings(max_examples=200, deadline=None)
     def test_hand_built_buffers_in_any_order(self, inst, data):
-        # a base buffer of any ids, released before, inside or after the
-        # arrival window, or unknown; every query of one base time, asked in
-        # a drawn order, equals the directly built solve and the oracle
+        # a buffer B(t) drawn among the packets released at t-1 with
+        # deadline t, and its best packet carried; every query of one base
+        # time, asked in a drawn order, equals the directly built solve and
+        # the oracle seeded with all of B(t)
         horizon = max(inst.horizon, 0)
         t = data.draw(st.integers(0, horizon), label="t")
-        base = data.draw(st.sets(st.sampled_from([p.id for p in inst.packets] + [99])), label="base")
+        shaped = [p.id for p in inst.packets if p.release == t - 1 and p.deadline == t]
+        pending = data.draw(st.sets(st.sampled_from(shaped)) if shaped else st.just(set()), label="B(t)")
+        carry = best(inst, pending)
         keys = [(t, t_arr, t_slot) for t_arr in range(t, horizon + 2) for t_slot in range(t_arr, t_arr + 3)]
-        eng = engine(inst, BufferState(t, base))
+        eng = QueryEngine(inst, {t: carry})
         for key in data.draw(st.permutations(keys), label="order"):
-            q = PartialQuery(*key, base)
+            q = PartialQuery(*key)
             got = eng.p(*key)
-            assert got == solve_partial(q, inst) == dp_partial(q, inst), key
+            assert got == solve_partial(q, inst, carry) == dp_partial(q, inst, pending), key
