@@ -40,13 +40,13 @@ from .offline import (
     brute_force_partial,
     dp_partial,
     opt_full,
-    solve_partial,
 )
 from .cp import (
     CaseTrace,
     StepRecord,
     classify_case,
     run_cp,
+    trace_records,
     trace_to_jsonl,
 )
 from .analysis import (

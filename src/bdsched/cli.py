@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cp import run_cp, trace_to_jsonl
+from .cp import run_cp, trace_records, trace_to_jsonl
 from .generators import GridSpec, RandomConfig, count_bases, count_instances, greedy_baseline
 from .harness import (
     CheckConfig,
@@ -135,7 +135,7 @@ def cmd_run(args) -> int:
                 for iv in report.intervals
             ],
             "findings": [f.to_dict() for f in res.findings],
-            "trace": [json.loads(line) for line in trace_to_jsonl(trace).splitlines()],
+            "trace": trace_records(trace),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

@@ -18,10 +18,10 @@ All selector lookups (the marginal packets of partial-optimum queries) go
 through the run's :class:`~bdsched.offline.QueryEngine`, which memoizes
 them; the checkers later ask the same engine, handed out on the trace.  The
 policy reaches the engine only through a :class:`PartialOracle`, which logs
-every query the policy issues with the step time that issued it, so tests
-can assert the lookahead contract was never violated.  Checker queries are
-never logged.  The log is also the only record of which selectors a case
-consulted: :func:`trace_to_jsonl` reads them back from it.
+every selector the policy consults with the step time that consulted it,
+so tests can assert the lookahead contract was never violated.  Checker
+queries are never logged.  The log is also the only record of which
+selectors a case consulted: :func:`trace_records` reads them back from it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 
 from .model import Instance, Packet, Schedule, ge_alpha_times, le_r_times, render_value
-from .offline import InternalInvariantError, QueryEngine
+from .offline import InternalInvariantError, QueryEngine, selector_windows
 
 __all__ = [
     "StepRecord",
@@ -38,6 +38,7 @@ __all__ = [
     "PartialOracle",
     "classify_case",
     "run_cp",
+    "trace_records",
     "trace_to_jsonl",
     "InternalInvariantError",
 ]
@@ -63,48 +64,53 @@ class StepRecord:
 
 @dataclass
 class CaseTrace:
-    """Full run record: per-step records, the carries, the policy's query
-    log, and the run's query engine for the checkers to reuse.  run_cp
-    records exactly one step per time 0..horizon, so steps[t] is the step at
-    t, and the checks read what the policy sent from it.  carry[t] is the
-    best-ranked packet of B(t), the packets pending before the arrivals at
-    t, or None: all of B(t) a partial optimum can use (see
+    """Full run record: per-step records, the carries, the selectors the
+    policy consulted, and the run's query engine for the checkers to reuse.
+    run_cp records exactly one step per time 0..horizon, so steps[t] is the
+    step at t, and the checks read what the policy sent from it.  carry[t]
+    is the best-ranked packet of B(t), the packets pending before the
+    arrivals at t, or None: all of B(t) a partial optimum can use (see
     :func:`bdsched.offline._pool`).  A time the run never reached raises
     KeyError."""
 
     steps: list[StepRecord]
     carry: dict[int, int | None]
-    queries: list[tuple[int, int, int, int]]  # (step time, t, t', t'')
+    consulted: list[tuple[int, str, int, int]]  # (step time, kind, base, i)
     engine: QueryEngine
+
+    @property
+    def queries(self) -> list[tuple[int, int, int, int]]:
+        """(step time, t, t', t''): each consultation's wide, then narrow window."""
+        return [(now, *w) for now, kind, base, i in self.consulted for w in selector_windows(kind, base, i) if w]
 
     def fallback_events(self) -> list[StepRecord]:
         return [rec for rec in self.steps if rec.fallback]
 
     def max_lookahead(self) -> int:
-        """Largest arrival_end - step_time over all issued queries."""
-        return max((t_arr - now for now, _, t_arr, _ in self.queries), default=0)
+        """Largest arrival end base + i of a selector minus its step time."""
+        return max((base + i - now for now, _, base, i in self.consulted), default=0)
 
 
 class PartialOracle:
     """The policy's view of the run's query engine.
 
-    Every query the policy issues is logged with the step time that issued
-    it, so the lookahead contract (arrival window never beyond step time + 1)
+    Every selector the policy consults is logged as (step time, kind, base,
+    i), so the lookahead contract (arrival window never beyond step time + 1)
     is checkable after the fact.
     """
 
-    def __init__(self, engine: QueryEngine, log: list[tuple[int, int, int, int]]):
+    def __init__(self, engine: QueryEngine, log: list[tuple[int, str, int, int]]):
         self._engine = engine
         self._log = log
         self.now = 0
         self.weights = engine.inst.weights
 
     def m(self, t: int, i: int) -> Packet | None:
-        self._log += ((self.now, t, t + i, t + i), (self.now, t, t + i - 1, t + i - 1))
+        self._log.append((self.now, "m", t, i))
         return self._engine.m(t, i)
 
     def q(self, t: int, i: int) -> Packet | None:
-        self._log += ((self.now, t, t + i, t + i + 1), (self.now, t, t + i, t + i))
+        self._log.append((self.now, "q", t, i))
         return self._engine.q(t, i)
 
 
@@ -112,15 +118,6 @@ def _weight(weights: dict[int, int], p: Packet | None) -> int:
     """Weight of a possibly-absent selector packet; absent counts as zero, so
     an absent packet can never win a positive threshold test."""
     return weights[p.id] if p is not None else 0
-
-
-def _same_packet(x: Packet | None, y: Packet | None) -> bool:
-    """Identity test on selector packets: compares ids; two absences agree."""
-    if x is None and y is None:
-        return True
-    if x is None or y is None:
-        return False
-    return x.id == y.id
 
 
 def _dispatch_case1(oracle: PartialOracle, t: int) -> StepRecord:
@@ -179,7 +176,7 @@ def _dispatch_case2(oracle: PartialOracle, t: int) -> StepRecord:
     assert m2 is not None
     if m2.deadline == t + 1:
         return StepRecord(t, "2.2.1", m1.id, m2.id)
-    if not _same_packet(q2, q1):
+    if q2 != q1:
         return StepRecord(t, "2.2.2.1", m1.id, None)
     if le_r_times(wq2 + wm0 + wm1 + wm2, wq1 + wm1 + wm2):
         return StepRecord(t, "2.2.2.2", m1.id, m2.id)
@@ -200,7 +197,7 @@ def _dispatch_case3(oracle: PartialOracle, t: int) -> StepRecord:
     assert m3 is not None
     if m3.deadline == t + 1:
         return StepRecord(t, "3.2.1", m2.id, m3.id)
-    if not _same_packet(q3, q1):
+    if q3 != q1:
         return StepRecord(t, "3.2.2", m2.id, None)
     return StepRecord(t, "3.2.3", m2.id, m3.id)
 
@@ -225,14 +222,14 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
 
     Returns the transmission schedule plus a trace with one record per time
     step 0..horizon, the carry of each time needed to replay any selector
-    query, the policy's query log for lookahead audits, and the query engine
-    that answered it.
+    query, the policy's log of consulted selectors for lookahead audits, and
+    the query engine that answered it.
     """
     arrivals = inst.arrivals
     carry: dict[int, int | None] = {}
-    queries: list[tuple[int, int, int, int]] = []
+    consulted: list[tuple[int, str, int, int]] = []
     engine = QueryEngine(inst, carry)
-    oracle = PartialOracle(engine, queries)
+    oracle = PartialOracle(engine, consulted)
     steps: list[StepRecord] = []
     slots: dict[int, int] = {}
     state: int | str | None = None  # s_t; the step at t writes s_{t+1}
@@ -277,31 +274,27 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
 
     if state is not None:
         raise InternalInvariantError(f"commitment left beyond the horizon: s_{inst.horizon + 1} = {state}")
-    return Schedule(slots), CaseTrace(steps, carry, queries, engine)
+    return Schedule(slots), CaseTrace(steps, carry, consulted, engine)
 
 
 def _consulted(trace: CaseTrace) -> dict[int, dict[str, list[dict]]]:
-    """Step time -> the m and q selectors its case consulted, in order.
-
-    They are read back from the query log: PartialOracle logs two queries per
-    consultation, and the first names the selector, (t, t', t') for m_i and
-    (t, t', t'+1) for q_i with i = t' - t.  The run's engine answers both
-    from its cache, so nothing is solved again.
-    """
+    """Step time -> the m and q selectors its case consulted, in order, read
+    from the policy's log.  The run's engine answers each from its cache, so
+    nothing is solved again."""
     consulted: dict[int, dict[str, list[dict]]] = {}
-    for now, t, t_arr, t_slot in trace.queries[::2]:
-        kind, i = ("m" if t_slot == t_arr else "q"), t_arr - t
-        p = getattr(trace.engine, kind)(t, i)
+    for now, kind, base, i in trace.consulted:
+        p = trace.engine.gain(kind, base, i)
         consulted.setdefault(now, {"m": [], "q": []})[kind].append(
-            {"name": f"{kind}{i}", "base": t, "id": p.id if p else None, "value": render_value(p.value) if p else "0"}
+            {"name": f"{kind}{i}", "base": base, "id": p.id if p else None,
+             "value": render_value(p.value) if p else "0"}
         )
     return consulted
 
 
-def trace_to_jsonl(trace: CaseTrace) -> str:
-    """One JSON object per time step, newline separated."""
+def trace_records(trace: CaseTrace) -> list[dict]:
+    """One record per time step: the step and the selectors it consulted."""
     consulted = _consulted(trace)
-    lines = []
+    records = []
     for rec in trace.steps:
         doc = {
             "t": rec.t,
@@ -312,5 +305,10 @@ def trace_to_jsonl(trace: CaseTrace) -> str:
         }
         if rec.fallback:
             doc["fallback"] = rec.fallback
-        lines.append(json.dumps(doc, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+        records.append(doc)
+    return records
+
+
+def trace_to_jsonl(trace: CaseTrace) -> str:
+    """trace_records as one JSON object per time step, newline separated."""
+    return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in trace_records(trace))

@@ -1,43 +1,43 @@
-"""Offline optima: the full clairvoyant optimum, the partial solver and the
-per-run query engine.
+"""Offline optima: the full clairvoyant optimum, the partial-optimum greedy
+and the per-run query engine.
 
-The partial solver answers queries "seeded with the carry of time t, fed the
-arrivals of [t, t'], transmitting only in slots [t, t''], what is the best
-packet set?".  The carry is the best packet of the online buffer B(t), or
-none, and stands for all of B(t) (see :func:`_pool`).  Feasible packet sets
-form a transversal matroid (packets matchable into distinct slots of their
-availability windows), so a greedy sweep in one fixed canonical order,
-accepting a packet whenever the kept set stays matchable, is optimal.  The
-single global canonical order -- value descending, deadline ascending,
-release ascending, id ascending -- also pins down every tie, which makes the
-nesting relations between neighbouring queries and the uniqueness of their
-set differences hold by construction rather than by luck.
+A partial query P(t, t', t''), t <= t' <= t'', asks "seeded with the carry
+of time t, fed the arrivals of [t, t'], transmitting only in slots
+[t, t''], what is the best packet set?".  The carry is the best packet of
+B(t), or none, and stands for all of B(t) (see :func:`_pool`).  Feasible
+packet sets form a transversal matroid (packets matchable into distinct
+slots of their availability windows), so a greedy sweep in one fixed
+canonical order, accepting a packet whenever the kept set stays matchable,
+is optimal.  The single global canonical order -- value descending, deadline
+ascending, release ascending, id ascending -- also pins down every tie, which
+makes the nesting relations between neighbouring queries and the uniqueness
+of their set differences hold by construction rather than by luck.
 
 Every instance is 2-bounded, so each clipped window is one slot or two
 adjacent slots and the matroid is bicircular on the slot line: a set fits
 iff no connected component of slots holds more packets than slots, which
-the solver tests with a union-find over slots.  Only :func:`opt_full` lays
+the greedy tests with a union-find over slots.  Only :func:`opt_full` lays
 its kept set out in slots, earliest-deadline-first, with a heap.
 
-:class:`QueryEngine` is the one front end through which the policy and every
-checker ask partial-optimum queries P(t, t', t'') over a run's carries.  It
-memoizes every answer on (t, t', t'') -- sound because an engine is bound to
-one run's carries -- and derives the marginal packets m_i(t) and q_i(t) from
-those answers.  What it shares between queries is their input: the
-rank-sorted candidate pool of (t, t'), built once and read by every query
-P(t, t', .), and extended by one release bucket into the pool of (t, t'+1).
-What it never shares is an answer: each miss runs its own greedy from an
-empty union-find, and no answer is ever derived from another.
+:class:`QueryEngine` is the only front end through which the policy and
+every checker ask partial queries over a run's carries.  It memoizes every
+answer on (t, t', t'') -- sound because an engine is bound to one run's
+carries -- and derives from them the selectors m_i(t) and q_i(t), whose
+windows :func:`selector_windows` alone writes down.  What it shares between
+queries is their input: the rank-sorted candidate pool of (t, t'), built
+once and read by every query P(t, t', .), and extended by one release bucket
+into the pool of (t, t'+1).  What it never shares is an answer: each miss
+runs its own greedy from an empty union-find.
 
 Answers are exact and integer: a :class:`PSet` carries its total as an
 integer weight at a scale, the instance's :attr:`~bdsched.model.Instance.scale`
-for every answer of the solver, so one engine's answers compare as integers.
+for every answer of the greedy, so one engine's answers compare as integers.
 The rational total is built only when it is read.
 
 ``dp_partial`` is the independent oracle that campaigns run: a max-weight
 dynamic program along the slot path, with its own scan and sort of the
-packets, sharing no code path with the greedy solver.  ``brute_force_partial``
-is its reference: straight enumeration of packet subsets with a backtracking
+packets, sharing no code path with the greedy.  ``brute_force_partial`` is
+its reference: straight enumeration of packet subsets with a backtracking
 matcher, limited to small queries and run only by the tests.  Both oracles
 are seeded with the whole pending set B(t), not the carry, so they check the
 reduction to the carry on every query they answer.
@@ -61,7 +61,7 @@ __all__ = [
     "InternalInvariantError",
     "OracleSizeError",
     "canonical_key",
-    "solve_partial",
+    "selector_windows",
     "dp_partial",
     "brute_force_partial",
     "opt_full",
@@ -176,22 +176,6 @@ def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[i
     return out
 
 
-def solve_partial(q: PartialQuery, inst: Instance, carry: int | None = None) -> PSet:
-    """Canonical maximum-value feasible packet set for a partial query seeded
-    with `carry`, the best packet of B(t) or None.
-
-    The pool is the carry plus the packets released in [t, t'] (read from
-    ``inst.release_index``), sorted by canonical rank (see :func:`_pool`).
-    Each window clipped to [t, t''] is one slot (a loop) or two adjacent
-    slots (an edge).  The greedy keeps a union-find over slots with each
-    component's free slot count: a loop, or an edge inside one component, is
-    accepted iff that component has a free slot; an edge joining two
-    components iff they have one between them.  The total is an integer
-    weight at the instance's scale.
-    """
-    return _solve(inst.scale, q.start, q.slot_end, _pool(inst, q.start, q.arrival_end, carry))
-
-
 def _pool(inst: Instance, t: int, t_arr: int, carry: int | None, shorter: list[tuple] | None = None) -> list[tuple]:
     """The candidates of the queries P(t, t_arr, .) seeded with `carry`.
 
@@ -234,9 +218,13 @@ def _pool(inst: Instance, t: int, t_arr: int, carry: int | None, shorter: list[t
 
 
 def _solve(scale: int, t: int, t_end: int, entries: list[tuple]) -> PSet:
-    """solve_partial's core: the greedy over a pool of the queries P(t, t', .),
-    for the last slot t'' = t_end >= t'.  Each call starts from an empty
-    union-find; only the pool is shared."""
+    """The canonical partial optimum over a pool of the queries P(t, t', .),
+    for the last slot t'' = t_end >= t'.  Each window clipped to [t, t''] is
+    one slot (a loop) or two adjacent slots (an edge).  A union-find over
+    slots keeps each component's free slot count: a loop, or an edge inside
+    one component, is accepted iff that component has a free slot; an edge
+    joining two components iff they have one between them.  Each call
+    starts from an empty union-find.  The total is a weight at `scale`."""
     parent: dict[int, int] = {}  # slot -> a slot nearer its component's root
     free: dict[int, int] = {}  # root -> free slots; an untouched slot is a root with one
     members: list[int] = []
@@ -380,21 +368,32 @@ def brute_force_partial(q: PartialQuery, inst: Instance, pending: Collection[int
     return PSet(tuple(p.id for p in ordered), best_value.numerator, best_value.denominator)
 
 
+def selector_windows(kind: str, t: int, i: int) -> tuple[tuple[int, int, int], tuple[int, int, int] | None]:
+    """(wide, narrow): the windows (t, t', t'') whose difference is selector
+    `kind` ("m" or "q") at base t.  m_i(t) widens both windows from t+i-1 to
+    t+i, and m_0 is all of P(t, t, t); q_i(t) adds slot t+i+1 to P(t, t+i, t+i)."""
+    end = t + i
+    if kind == "m":
+        return (t, end, end), ((t, end - 1, end - 1) if i else None)
+    if kind == "q":
+        return (t, end, end + 1), (t, end, end)
+    raise ValueError(f"unknown selector kind {kind!r}")
+
+
 class QueryEngine:
     """Memoized partial-optimum queries over one run's carries.
 
-    P(t, t', t'') is the canonical partial optimum seeded with carry[t], the
-    best packet of B(t) or None; a time missing from `carry` raises KeyError.
-    Answers are cached on (t, t', t''), which names a query only within one
-    run's carries, so an engine is never reused for another instance or run.
-    The candidate pools are cached on (t, t'): a pool is built directly, or
-    from the pool of (t, t'-1) when that one exists, and every query
-    P(t, t', .) reads it; a miss still runs its own greedy over it, so no
-    answer depends on which queries came first.  The degenerate query
-    (t, t-1, t-1) is the empty set by convention.  Every answer's weight is
-    at the instance's scale (the empty set weighs 0 at any scale), so the
-    checks compare answers of one engine as integers.  ``calls`` counts every
-    lookup, ``hits`` the lookups answered from the cache.
+    P(t, t', t''), t <= t' <= t'', is the canonical partial optimum seeded
+    with carry[t], the best packet of B(t) or None; a time missing from
+    `carry` raises KeyError.  Answers are cached on (t, t', t''), which names
+    a query only within one run's carries, so an engine is never reused for
+    another instance or run.  The candidate pools are cached on (t, t'): a
+    pool is built directly, or from the pool of (t, t'-1) when that one
+    exists, and every query P(t, t', .) reads it; a miss still runs its own
+    greedy over it, so no answer depends on which queries came first.  Every
+    answer's weight is at the instance's scale, so the checks compare answers
+    of one engine as integers.  ``calls`` counts every lookup, ``hits`` the
+    lookups answered from the cache.
     """
 
     def __init__(self, inst: Instance, carry: Mapping[int, int | None]):
@@ -415,35 +414,31 @@ class QueryEngine:
             self.hits += 1
             return ps
         carry = self.carry[t]
-        if arrival_end == t - 1 and slot_end == t - 1:
-            ps = _EMPTY_PSET
-        elif t <= arrival_end <= slot_end:
-            pools = self.pools
-            pool = pools.get((t, arrival_end))
-            if pool is None:
-                shorter = pools.get((t, arrival_end - 1)) if arrival_end > t else None
-                pool = pools[t, arrival_end] = _pool(self.inst, t, arrival_end, carry, shorter)
-            ps = _solve(self.inst.scale, t, slot_end, pool)
-        else:
+        if not t <= arrival_end <= slot_end:
             raise _out_of_order(t, arrival_end, slot_end)
-        self.cache[key] = ps
+        pools = self.pools
+        pool = pools.get((t, arrival_end))
+        if pool is None:
+            shorter = pools.get((t, arrival_end - 1)) if arrival_end > t else None
+            pool = pools[t, arrival_end] = _pool(self.inst, t, arrival_end, carry, shorter)
+        ps = self.cache[key] = _solve(self.inst.scale, t, slot_end, pool)
         return ps
 
-    def _gain(self, wide: PSet, narrow: PSet, name: str, t: int, i: int) -> Packet | None:
-        diff = wide.member_set - narrow.member_set
+    def gain(self, kind: str, t: int, i: int) -> Packet | None:
+        """The packet selector `kind`_i(t) gains, or None if it gains none."""
+        wide, narrow = selector_windows(kind, t, i)
+        diff = self.p(*wide).member_set
+        if narrow is not None:
+            diff = diff - self.p(*narrow).member_set
         if len(diff) > 1:
-            raise InternalInvariantError(f"{name}_{i}({t}) is not a singleton: {sorted(diff)}")
+            raise InternalInvariantError(f"{kind}_{i}({t}) is not a singleton: {sorted(diff)}")
         return self.inst.by_id(next(iter(diff))) if diff else None
 
     def m(self, t: int, i: int) -> Packet | None:
-        """The packet gained by widening both the arrival and slot windows from
-        t+i-1 to t+i; None if nothing is gained."""
-        return self._gain(self.p(t, t + i, t + i), self.p(t, t + i - 1, t + i - 1), "m", t, i)
+        return self.gain("m", t, i)
 
     def q(self, t: int, i: int) -> Packet | None:
-        """The packet gained by one extra transmission slot beyond the arrival
-        window, t+i+1 instead of t+i; None if nothing is gained."""
-        return self._gain(self.p(t, t + i, t + i + 1), self.p(t, t + i, t + i), "q", t, i)
+        return self.gain("q", t, i)
 
 
 def opt_full(inst: Instance) -> tuple[Schedule, int]:

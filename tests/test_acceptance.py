@@ -135,7 +135,7 @@ class TestCriterion4OracleEquivalence:
         for res in fuzz_1k_results:
             _, trace = run_cp(res.instance)
             buffers = online_buffers(res.instance, trace)
-            for t, t_arr, t_slot in {(t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries if t_arr >= t}:
+            for t, t_arr, t_slot in {(t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries}:
                 q = PartialQuery(t, t_arr, t_slot)
                 try:
                     slow = brute_force_partial(q, res.instance, buffers.get(t, ()))

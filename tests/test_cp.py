@@ -118,22 +118,16 @@ class TestCaseChains:
         assert str(by_t[1].committed) == "tmp2"
 
 
-#: The policy's query log on the ladder instances, (step time, t, t', t''),
-#: in blocks of one selector consultation each: m0/m1/q1 of case 1 at t=0,
-#: m0..m2/q1/q2 of family 2 at t=1, m0..m3/q1/q3 of family 3 at t=2, and the
-#: m0/m1 of case 1 at t=2 or t=3.
-_CASE1_AT0 = [(0, 0, 0, 0), (0, 0, -1, -1), (0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 1, 1)]
-_FAMILY2_AT1 = [
-    (1, 0, 0, 0), (1, 0, -1, -1), (1, 0, 1, 1), (1, 0, 0, 0), (1, 0, 2, 2), (1, 0, 1, 1),
-    (1, 0, 1, 2), (1, 0, 1, 1), (1, 0, 2, 3), (1, 0, 2, 2),
-]
-_FAMILY3_AT2 = [
-    (2, 0, 0, 0), (2, 0, -1, -1), (2, 0, 1, 1), (2, 0, 0, 0), (2, 0, 2, 2), (2, 0, 1, 1),
-    (2, 0, 3, 3), (2, 0, 2, 2), (2, 0, 1, 2), (2, 0, 1, 1), (2, 0, 3, 4), (2, 0, 3, 3),
-]
-_CASE1_AT2 = [(2, 2, 2, 2), (2, 2, 1, 1), (2, 2, 3, 3), (2, 2, 2, 2)]
-_CASE1_AT3 = [(3, 3, 3, 3), (3, 3, 2, 2), (3, 3, 4, 4), (3, 3, 3, 3)]
-CHAIN_QUERY_LOGS = {
+#: The selectors the policy consulted on the ladder instances, (step time,
+#: kind, base, i): m0/m1/q1 of case 1 at t=0, m0..m2/q1/q2 of family 2 at
+#: t=1, m0..m3/q1/q3 of family 3 at t=2, and the m0/m1 of case 1 at t=2 or
+#: t=3.
+_CASE1_AT0 = [(0, "m", 0, 0), (0, "m", 0, 1), (0, "q", 0, 1)]
+_FAMILY2_AT1 = [(1, "m", 0, 0), (1, "m", 0, 1), (1, "m", 0, 2), (1, "q", 0, 1), (1, "q", 0, 2)]
+_FAMILY3_AT2 = [(2, "m", 0, 0), (2, "m", 0, 1), (2, "m", 0, 2), (2, "m", 0, 3), (2, "q", 0, 1), (2, "q", 0, 3)]
+_CASE1_AT2 = [(2, "m", 2, 0), (2, "m", 2, 1)]
+_CASE1_AT3 = [(3, "m", 3, 0), (3, "m", 3, 1)]
+CHAIN_CONSULTED = {
     "2.1": _CASE1_AT0 + _FAMILY2_AT1,
     "2.2.1": _CASE1_AT0 + _FAMILY2_AT1,
     "2.2.2.1": _CASE1_AT0 + _FAMILY2_AT1 + _CASE1_AT2,
@@ -143,14 +137,24 @@ CHAIN_QUERY_LOGS = {
     "3.2.2": _CASE1_AT0 + _FAMILY2_AT1 + _FAMILY3_AT2 + _CASE1_AT3,
     "3.2.3": _CASE1_AT0 + _FAMILY2_AT1 + _FAMILY3_AT2,
 }
+#: The windows (step time, t, t', t'') those consultations ask on the 3.2.2
+#: ladder, per selector its wide query, then its narrow one; m0 has none.
+CHAIN_322_QUERIES = [
+    (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 1, 1),
+    (1, 0, 0, 0), (1, 0, 1, 1), (1, 0, 0, 0), (1, 0, 2, 2), (1, 0, 1, 1), (1, 0, 1, 2), (1, 0, 1, 1),
+    (1, 0, 2, 3), (1, 0, 2, 2),
+    (2, 0, 0, 0), (2, 0, 1, 1), (2, 0, 0, 0), (2, 0, 2, 2), (2, 0, 1, 1), (2, 0, 3, 3), (2, 0, 2, 2),
+    (2, 0, 1, 2), (2, 0, 1, 1), (2, 0, 3, 4), (2, 0, 3, 3),
+    (3, 3, 3, 3), (3, 3, 4, 4), (3, 3, 3, 3),
+]
 
 
 class TestSharedQueryEngine:
-    @pytest.mark.parametrize("variant", sorted(CHAIN_QUERY_LOGS))
+    @pytest.mark.parametrize("variant", sorted(CHAIN_CONSULTED))
     def test_policy_log_unchanged_and_checks_hit_the_memo(self, variant):
         inst = chain_family(variant)
         cp_sched, trace = run_cp(inst)
-        assert trace.queries == CHAIN_QUERY_LOGS[variant]
+        assert trace.consulted == CHAIN_CONSULTED[variant]
         hits = trace.engine.hits
         opt_sched, _ = opt_full(inst)
         w_cp, w_opt = profit_weight(cp_sched, inst), profit_weight(opt_sched, inst)
@@ -163,8 +167,13 @@ class TestSharedQueryEngine:
         )
         assert findings == []
         # the checks reuse the policy's answers and log nothing
-        assert trace.queries == CHAIN_QUERY_LOGS[variant]
+        assert trace.consulted == CHAIN_CONSULTED[variant]
         assert trace.engine.hits > hits > 0
+
+    def test_query_windows_derive_from_the_consultations(self):
+        _, trace = run_cp(chain_family("3.2.2"))
+        assert trace.queries == CHAIN_322_QUERIES
+        assert trace.max_lookahead() == 1
 
 
 class TestStateMachineInvariants:

@@ -29,7 +29,6 @@ from bdsched import (
     opt_full,
     profit,
     run_cp,
-    solve_partial,
 )
 import bdsched.offline as offline_mod
 from bdsched.harness import online_buffers
@@ -42,6 +41,12 @@ from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 def engine(inst: Instance) -> QueryEngine:
     """A query engine for base time 0, where nothing is carried."""
     return QueryEngine(inst, {0: None})
+
+
+def solve(q: PartialQuery, inst: Instance, carry: int | None = None) -> PSet:
+    """The query q seeded with `carry`, asked of a fresh engine, which
+    builds its pool directly."""
+    return QueryEngine(inst, {q.start: carry}).p(q.start, q.arrival_end, q.slot_end)
 
 
 def best(inst: Instance, pending) -> int | None:
@@ -69,15 +74,17 @@ def small_instances(max_packets=6, max_release=3):
 
 
 class TestSolvePartial:
+    """The engine's greedy, each query asked of a fresh engine."""
+
     def test_single_slot_prefers_max_value(self):
         inst = mk((0, 0, 5), (0, 1, 3))
-        ps = solve_partial(PartialQuery(0, 0, 0), inst)
+        ps = solve(PartialQuery(0, 0, 0), inst)
         assert ps.member_set == {0} and ps.total_value == 5
 
     def test_two_slots_take_both(self):
         inst = mk((0, 1, 5), (1, 1, 10))
         q = PartialQuery(0, 1, 1)
-        ps = solve_partial(q, inst)
+        ps = solve(q, inst)
         assert ps.member_set == {0, 1}
         assert ps.total_value == 15
         assert layout(ps, q, inst) == {0: 0, 1: 1}
@@ -85,14 +92,14 @@ class TestSolvePartial:
     def test_extra_slot_may_stay_empty(self):
         inst = mk((0, 0, 5))
         q = PartialQuery(0, 0, 1)
-        ps = solve_partial(q, inst)
+        ps = solve(q, inst)
         assert ps.member_set == {0} and ps.total_value == 5
         assert layout(ps, q, inst) == {0: 0}
 
     def test_base_buffer_feeds_the_pool(self):
         # packet 0 released at 0 sits in the buffer at time 1
         inst = mk((0, 1, 5), (1, 1, 3))
-        ps = solve_partial(PartialQuery(1, 1, 1), inst, carry=0)
+        ps = solve(PartialQuery(1, 1, 1), inst, carry=0)
         assert ps.member_set == {0}
 
     def test_best_of_three_pending_joins(self):
@@ -106,8 +113,8 @@ class TestSolvePartial:
         q = PartialQuery(1, 1, 2)
         got = trace.engine.p(1, 1, 2)
         assert got.members == (2, 4) and got.total_value == 9
-        assert got == solve_partial(q, inst, 2) == dp_partial(q, inst, pending) == brute_force_partial(q, inst, pending)
-        assert solve_partial(q, inst, 3).total_value == 7  # a worse carry loses
+        assert got == solve(q, inst, 2) == dp_partial(q, inst, pending) == brute_force_partial(q, inst, pending)
+        assert solve(q, inst, 3).total_value == 7  # a worse carry loses
 
     def test_query_order_enforced(self):
         with pytest.raises(ValueError):
@@ -116,17 +123,17 @@ class TestSolvePartial:
     def test_assignment_earliest_deadline_then_id(self):
         inst = mk((0, 1, 1), (0, 1, 2))
         q = PartialQuery(0, 1, 1)
-        assert layout(solve_partial(q, inst), q, inst) == {0: 0, 1: 1}
+        assert layout(solve(q, inst), q, inst) == {0: 0, 1: 1}
 
     def test_window_wider_than_two_slots_rejected(self):
         inst = Instance([Packet(0, 0, 0, Fraction(1)), Packet(7, 0, 2, Fraction(2))])
         with pytest.raises(ValueError, match="packet 7 is not 2-bounded"):
-            solve_partial(PartialQuery(0, 0, 0), inst)
+            solve(PartialQuery(0, 0, 0), inst)
 
     def test_repeated_id_rejected(self):
         inst = Instance([Packet(3, 0, 0, Fraction(1)), Packet(3, 1, 1, Fraction(2))])
         with pytest.raises(ValueError, match="packet id 3 is not unique"):
-            solve_partial(PartialQuery(0, 1, 1), inst)
+            solve(PartialQuery(0, 1, 1), inst)
 
     def test_bad_carry_rejected(self):
         # a carry of t = 1 must be released at 0 with deadline 1: not an
@@ -134,17 +141,15 @@ class TestSolvePartial:
         inst = mk((0, 1, 5), (1, 2, 5), (0, 0, 3))
         for carry in (42, 1, 2):
             with pytest.raises(ValueError, match=f"carry {carry} is not a packet released at 0 with deadline 1"):
-                solve_partial(PartialQuery(1, 1, 2), inst, carry)
-            with pytest.raises(ValueError, match=f"carry {carry} is not"):
-                QueryEngine(inst, {1: carry}).p(1, 1, 1)
-        assert solve_partial(PartialQuery(1, 1, 2), inst, 0).members == (0, 1)
+                solve(PartialQuery(1, 1, 2), inst, carry)
+        assert solve(PartialQuery(1, 1, 2), inst, 0).members == (0, 1)
 
     def test_unknown_base_ids_are_ignored(self):
         # the oracles take all of B(t); an id no packet has adds nothing
         inst = mk((0, 1, 5), (1, 1, 3))
         q = PartialQuery(1, 1, 1)
         for oracle in (dp_partial, brute_force_partial):
-            assert oracle(q, inst, (0, 42)) == oracle(q, inst, (0,)) == solve_partial(q, inst, 0)
+            assert oracle(q, inst, (0, 42)) == oracle(q, inst, (0,)) == solve(q, inst, 0)
 
     def test_base_id_released_in_window_counted_once(self):
         # packet 0 is both in the oracles' base buffer and released in [t, t']
@@ -153,7 +158,7 @@ class TestSolvePartial:
         for oracle in (dp_partial, brute_force_partial):
             ps = oracle(q, inst, (0,))
             assert ps.members == (0,) and ps.total_value == 5
-            assert ps == solve_partial(q, inst)
+            assert ps == solve(q, inst)
 
 
 class TestBruteForceOracle:
@@ -164,7 +169,7 @@ class TestBruteForceOracle:
     def test_matches_solver_on_example(self):
         inst = mk((0, 1, 5), (1, 1, 10))
         q = PartialQuery(0, 1, 1)
-        assert brute_force_partial(q, inst).member_set == solve_partial(q, inst).member_set
+        assert brute_force_partial(q, inst).member_set == solve(q, inst).member_set
         assert brute_force_partial(q, inst).total_value == 15
 
     def test_size_guard(self):
@@ -179,7 +184,7 @@ class TestBruteForceOracle:
         for t_arr in range(0, horizon + 1):
             for t_slot in range(t_arr, min(t_arr + 2, horizon + 1) + 1):
                 q = PartialQuery(0, t_arr, t_slot)
-                fast = solve_partial(q, inst)
+                fast = solve(q, inst)
                 slow = brute_force_partial(q, inst)
                 assert fast.member_set == slow.member_set
                 assert fast.total_value == slow.total_value
@@ -189,7 +194,7 @@ class TestBruteForceOracle:
     def test_solver_assignment_always_feasible(self, inst):
         horizon = max(inst.horizon, 0)
         q = PartialQuery(0, horizon, horizon)
-        ps = solve_partial(q, inst)
+        ps = solve(q, inst)
         assert profit(Schedule(layout(ps, q, inst)), inst) == ps.total_value
 
     @given(small_instances(max_packets=8, max_release=5), st.data())
@@ -205,7 +210,7 @@ class TestBruteForceOracle:
         t_slot = data.draw(st.integers(t_arr, t_arr + 2), label="t''")
         q = PartialQuery(t, t_arr, t_slot)
         # the solver is seeded with the best of the base, the oracle with all of it
-        fast, slow = solve_partial(q, inst, best(inst, base)), brute_force_partial(q, inst, base)
+        fast, slow = solve(q, inst, best(inst, base)), brute_force_partial(q, inst, base)
         assert fast.members == slow.members
         assert fast.total_value == slow.total_value
         sched, weight = opt_full(inst)
@@ -251,31 +256,8 @@ class TestDPOracle:
                 q = PartialQuery(t, t_arr, t_slot)
                 assert dp_partial(q, inst, base) == brute_force_partial(q, inst, base)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_dp_equals_every_cached_answer_of_long_runs(self, seed):
-        # every answer the engine cached (solve_partial's, seeded with the
-        # carry) on instances of about 60 packets, far more than the
-        # property's instances hold, equals the DP seeded with all of B(t)
-        inst = gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))
-        assert len(inst) > 40
-        _, trace = run_cp(inst)
-        check_inclusions(inst, trace)
-        buffers = online_buffers(inst, trace)
-        checked = 0
-        for (t, t_arr, t_slot), cached in trace.engine.cache.items():
-            if t_arr < t:
-                continue
-            q = PartialQuery(t, t_arr, t_slot)
-            assert dp_partial(q, inst, buffers.get(t, ())) == cached
-            checked += 1
-        assert checked > 100
-
 
 class TestPSetConventions:
-    def test_degenerate_query_is_empty(self):
-        inst = mk((0, 0, 5))
-        assert engine(inst).p(0, -1, -1).member_set == set()
-
     def test_unreached_time_raises(self):
         inst = mk((0, 0, 5))
         with pytest.raises(KeyError):
@@ -304,12 +286,9 @@ class TestPSetConventions:
         buffers = online_buffers(inst, trace)
         assert trace.carry == {t: best(inst, buffers.get(t, ())) for t in range(len(trace.steps))}
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
-            if t_arr < t:
-                assert cached.member_set == set()
-                continue
             q = PartialQuery(t, t_arr, t_slot)
             pending = buffers.get(t, ())
-            assert cached == solve_partial(q, inst, best(inst, pending))
+            assert cached == solve(q, inst, best(inst, pending))
             try:
                 slow = brute_force_partial(q, inst, pending)
             except OracleSizeError:
@@ -332,8 +311,6 @@ class TestIntegerAnswers:
         buffers = online_buffers(inst, trace)
         checked = 0
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
-            if t_arr < t:
-                continue
             assert cached.scale == inst.scale
             assert cached.total_value == sum((inst.by_id(pid).value for pid in cached.members), Fraction(0))
             assert cached == dp_partial(PartialQuery(t, t_arr, t_slot), inst, buffers.get(t, ()))
@@ -351,9 +328,11 @@ class TestIntegerAnswers:
         assert same[0] != (0, 1)
 
     def test_engine_out_of_order_query_rejected(self):
+        # every query is a window t <= t' <= t''; P(t, t-1, t-1) is no query
         inst = mk((0, 0, 5))
-        with pytest.raises(ValueError, match="query out of order"):
-            engine(inst).p(0, 1, 0)
+        for window in ((0, 1, 0), (0, -1, -1)):
+            with pytest.raises(ValueError, match="query out of order"):
+                engine(inst).p(*window)
 
 
 class TestSelectors:
@@ -371,6 +350,13 @@ class TestSelectors:
         # P(0,1,1) = {0, 1}; the extra slot admits the expiring packet 2
         inst = mk((0, 1, 5), (1, 2, 4), (0, 0, 3))
         assert engine(inst).q(0, 1).id == 2
+
+    def test_m0_asks_one_query(self):
+        # m_0 has no narrow window: it is all of P(t, t, t)
+        inst = mk((0, 1, 5), (1, 1, 3))
+        eng = QueryEngine(inst, {1: 0})
+        assert eng.m(1, 0).id == 0
+        assert eng.calls == 1 and list(eng.cache) == [(1, 1, 1)]
 
     def test_absent_selector_is_none(self):
         inst = mk((0, 0, 5))
@@ -391,7 +377,7 @@ class TestSelectors:
         values = {}
         for t_arr in range(0, horizon + 1):
             for t_slot in range(t_arr, horizon + 2):
-                values[(t_arr, t_slot)] = solve_partial(PartialQuery(0, t_arr, t_slot), inst).total_value
+                values[(t_arr, t_slot)] = solve(PartialQuery(0, t_arr, t_slot), inst).total_value
         for (t_arr, t_slot), v in values.items():
             if (t_arr + 1, t_slot) in values:
                 assert values[(t_arr + 1, t_slot)] >= v
@@ -445,7 +431,7 @@ def sweep_assignment(kept, start: int, slot_end: int) -> dict[int, int]:
 
 def optimum_kept(inst: Instance) -> list[Packet]:
     """The packets of the clairvoyant optimum P(0, horizon, horizon)."""
-    ps = solve_partial(PartialQuery(0, inst.horizon, inst.horizon), inst)
+    ps = solve(PartialQuery(0, inst.horizon, inst.horizon), inst)
     return [inst.by_id(pid) for pid in ps.members]
 
 
@@ -543,4 +529,4 @@ class TestSharedPools:
         for key in data.draw(st.permutations(keys), label="order"):
             q = PartialQuery(*key)
             got = eng.p(*key)
-            assert got == solve_partial(q, inst, carry) == dp_partial(q, inst, pending), key
+            assert got == solve(q, inst, carry) == dp_partial(q, inst, pending), key
