@@ -60,7 +60,6 @@ from .analysis import (
     check_interval_bounds,
     check_lemma_bounds,
     partition_cp,
-    partition_opt,
 )
 from .generators import (
     DEFAULT_VALUE_GRID,

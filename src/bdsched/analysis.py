@@ -1,17 +1,20 @@
 """Interval partition of a run and executable per-instance bound checks.
 
-The policy's timeline [0, tau] (tau = its last transmission) is cut into
-intervals drawn by the policy's precommitment register, each one case chain
-of the paper's; the optimum's timeline is cut into shifted counterparts.  Comparing the two
-profit streams interval by interval is what turns the global competitive
-bound into finitely many exact rational-vs-Q(sqrt17) comparisons:
+One pass, :func:`build_intervals`, cuts both timelines at the same
+boundaries: the policy's [0, tau] (tau = its last transmission) into the
+case chains its precommitment register draws, the optimum's with a boundary
+moved one step later where the optimum replays the one-slack packet the
+policy sent just before it.  The checks read those intervals.  Comparing
+the two profit streams interval by interval is what turns the global
+competitive bound into finitely many exact rational-vs-Q(sqrt17)
+comparisons:
 
 * per interval, opt profit <= R * policy profit;
 * per interval, opt profit is bounded by a partial-optimum value whose
   query shape depends on whether the interval's last transmission was a
   freshly released packet with one slot of slack (a "2_t packet");
-* whenever case 2.2.2.1 (resp. 3.2.2) fires, the canonical optimum is
-  forced to transmit specific selector packets at specific times;
+* on an interval cut short by case 2.2.2.1 or 3.2.2, the canonical
+  optimum is forced to send the first step's selector packets, one per step;
 * the partial-optimum sets of neighbouring queries nest.
 
 Profits are integer weights at the instance's scale, so every comparison
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .model import Instance, Rat, Schedule, le_r_times, render_value
 from .cp import CaseTrace, StepRecord
@@ -41,7 +43,6 @@ __all__ = [
     "Interval",
     "PartitionError",
     "partition_cp",
-    "partition_opt",
     "IntervalReport",
     "Finding",
     "check_lemma_bounds",
@@ -71,10 +72,17 @@ INTERVAL_STEPS = {
     "1.2.3.4+2.2.2.3+3.2.3": 4,
 }
 
+#: The two chains cut short by case 2.2.2.1 or 3.2.2, whose firing forces the
+#: optimum's layout: trigger -> the case label a forced-opt finding names.
+FORCED_CASES = {
+    "1.2.3.4+2.2.2.1": "2.2.2.1",
+    "1.2.3.4+2.2.2.3+3.2.2": "3.2.2",
+}
+
 
 class PartitionError(RuntimeError):
     """The run cannot be cut into intervals: a case chain matches no interval
-    pattern, or two shifted optimum spans overlap."""
+    pattern."""
 
 
 class Interval:
@@ -115,10 +123,6 @@ class Interval:
         predicate :func:`~bdsched.model.le_r_times` (``Quad17`` is its test
         reference); the test is homogeneous, so the scale changes nothing."""
         return le_r_times(self.w_opt, self.w_cp)
-
-    @property
-    def is_idle(self) -> bool:
-        return self.trigger == "idle"
 
     def __repr__(self) -> str:
         return (f"Interval(cp_span={self.cp_span!r}, opt_span={self.opt_span!r}, "
@@ -169,35 +173,6 @@ def partition_cp(trace: CaseTrace) -> list[tuple[int, int, str]]:
     if start <= tau:
         raise PartitionError(f"case chain from t={start} still open at tau={tau}")
     return spans
-
-
-def _start_shifted(inst: Instance, prev: int | None, opt_sched: Schedule, t: int) -> bool:
-    """True if `prev`, the id the policy sent at t-1 (None if nothing), is a
-    packet released at t-1 with deadline t and the optimum sends that same
-    packet at t."""
-    return prev is not None and inst.by_id(prev).is_two_packet_at(t - 1) and opt_sched.packet_at(t) == prev
-
-
-def partition_opt(
-    spans: Sequence[tuple[int, int, str]],
-    cp_sched: Schedule,
-    opt_sched: Schedule,
-    inst: Instance,
-) -> list[tuple[int, int]]:
-    """Shifted counterpart spans on the optimum's timeline.
-
-    For a span (t, t'): the start moves to t+1 when the policy sent a
-    freshly released one-slack packet at t-1 and the optimum sends that
-    same packet at t; the end moves to t'+1 when the same holds at t'+1,
-    i.e. when the next span's start moves.  The two rules dovetail, so
-    consecutive shifted spans stay disjoint.
-    """
-    sent = cp_sched.packet_at
-    return [
-        (start + _start_shifted(inst, sent(start - 1), opt_sched, start),
-         end + _start_shifted(inst, sent(end), opt_sched, end + 1))
-        for start, end, _trigger in spans
-    ]
 
 
 class IntervalReport:
@@ -260,23 +235,30 @@ def build_intervals(
     w_cp: int,
     w_opt: int,
 ) -> IntervalReport:
-    """Assemble Interval objects from precomputed runs; w_cp / w_opt are the
-    two schedules' total profits as weights at the instance's scale."""
-    spans = partition_cp(trace)
-    opt_spans = partition_opt(spans, cp_sched, opt_sched, inst)
+    """Both timelines' intervals from precomputed runs; w_cp / w_opt are the
+    two schedules' total profits as weights at the instance's scale.
+
+    Each boundary t of partition_cp's spans (each span's start, then tau+1)
+    is cut once: at t+1 when the policy sent at t-1 a packet released at t-1
+    with deadline t and the optimum sends it at t, else at t.  Optimum span
+    k runs from cut k to cut k+1 minus one, so those spans tile from 0.
+    """
     weights, scale = inst.weights, inst.scale
     cp_weights = {t: weights[pid] for t, pid in cp_sched.slots.items()}
     opt_weights = {t: weights[pid] for t, pid in opt_sched.slots.items()}
 
+    def cut(t: int) -> int:
+        prev = cp_sched.packet_at(t - 1)
+        return t + (prev is not None and inst.by_id(prev).is_two_packet_at(t - 1) and opt_sched.packet_at(t) == prev)
+
     intervals = []
-    prev_end = -1
-    for (start, end, trigger), (o_start, o_end) in zip(spans, opt_spans):
-        if o_start <= prev_end:
-            raise PartitionError(f"optimum span {(o_start, o_end)} of {trigger} overlaps the previous one")
-        prev_end = o_end
+    o_start = 0  # nothing is sent before 0, so boundary 0 never moves
+    for start, end, trigger in partition_cp(trace):
+        o_next = cut(end + 1)
         wi = sum([cp_weights.get(t, 0) for t in range(start, end + 1)])
-        wo = sum([opt_weights.get(t, 0) for t in range(o_start, o_end + 1)])
-        intervals.append(Interval((start, end), (o_start, o_end), wi, wo, scale, trigger))
+        wo = sum([opt_weights.get(t, 0) for t in range(o_start, o_next)])
+        intervals.append(Interval((start, end), (o_start, o_next - 1), wi, wo, scale, trigger))
+        o_start = o_next
     return IntervalReport(tuple(intervals), w_cp, w_opt, scale)
 
 
@@ -326,12 +308,11 @@ def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport)
     For an interval (t, t'): if the packet the policy sent at t' still had a
     slot of slack (released at t' with deadline t'+1), the optimum profit of
     the shifted span is bounded by the partial optimum allowed one extra
-    slot, V(t, t', t'+1); otherwise by V(t, t', t').  Idle spans are skipped.
+    slot, V(t, t', t'+1); otherwise by V(t, t', t').  Idle spans, whose last
+    step sent nothing, are skipped.
     """
     out = []
     for i, iv in enumerate(report.intervals):
-        if iv.is_idle:
-            continue
         start, end = iv.cp_span
         pid = trace.steps[end].transmitted
         if pid is None:
@@ -353,43 +334,34 @@ def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport)
     return out
 
 
-def check_forced_opt(inst: Instance, trace: CaseTrace, opt_sched: Schedule) -> list[Finding]:
+def check_forced_opt(trace: CaseTrace, report: IntervalReport, opt_sched: Schedule) -> list[Finding]:
     """Forced transmissions of the canonical optimum.
 
-    When case 2.2.2.1 fires at u, the optimum must send the two packets
-    gained at base time u-1 exactly at u-1 and u; when 3.2.2 fires at u,
-    the three packets gained at base u-2 go at u-2, u-1, u.
+    On an interval cut short (FORCED_CASES) the optimum must send the
+    selectors m_0, m_1, ... of the interval's first step, its base, at the
+    base, base+1, ...: two packets for 2.2.2.1, three for 3.2.2.
 
-    The claim presumes the optimum's slot at the base time is free.  If the
-    policy sent a one-slack packet at base-1 and the optimum replays that
-    same packet at the base time (the start-shift situation of the interval
-    comparison), the optimum's first slot is already spoken for and the
-    forced layout does not apply; such firings are skipped.
+    The claim presumes the optimum's slot at the base is free, so an
+    interval whose optimum span starts after its base (the optimum replays
+    there the one-slack packet the policy sent at base-1) is skipped.
     """
-    steps = trace.steps
     out = []
-    for rec in steps:
-        if rec.case == "2.2.2.1":
-            base = rec.t - 1
-            count = 2
-        elif rec.case == "3.2.2":
-            base = rec.t - 2
-            count = 3
-        else:
+    for iv in report.intervals:
+        case = FORCED_CASES.get(iv.trigger)
+        base, end = iv.cp_span
+        if case is None or iv.opt_span[0] > base:
             continue
-        if base > 0 and _start_shifted(inst, steps[base - 1].transmitted, opt_sched, base):
-            continue
-        expected = [trace.engine.m(base, i) for i in range(count)]
-        for offset, pkt in enumerate(expected):
+        for offset in range(end - base + 1):
+            pkt = trace.engine.m(base, offset)
             if pkt is None:
-                out.append(Finding("forced-opt", f"case {rec.case} at t={rec.t}: selector {offset} absent", "-", "-"))
+                out.append(Finding("forced-opt", f"case {case} at t={end}: selector {offset} absent", "-", "-"))
                 continue
             got = opt_sched.packet_at(base + offset)
             if got != pkt.id:
                 out.append(
                     Finding(
                         "forced-opt",
-                        f"case {rec.case} at t={rec.t}: optimum sends {got} at {base + offset}",
+                        f"case {case} at t={end}: optimum sends {got} at {base + offset}",
                         str(got),
                         str(pkt.id),
                     )

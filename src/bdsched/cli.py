@@ -2,7 +2,8 @@
 
 Subcommands: run, trace, exhaustive, fuzz, compare.  Exit codes: 0 all
 checks pass, 1 a property violation was found (a witness instance is
-emitted), 2 input or usage error.
+emitted), 2 input or usage error, a path that cannot be read or written
+included.
 """
 
 from __future__ import annotations
@@ -48,11 +49,7 @@ GUARD_LIMIT = 10**7
 
 
 def _load_instance_file(path: str) -> Instance:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read {path}: {exc}") from None
-    inst = load_instance(text)
+    inst = load_instance(Path(path).read_text())
     violations = validate_instance(inst)
     if violations:
         msgs = "; ".join(f"packet {v.packet_id}: {v.reason}" for v in violations)
@@ -321,10 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # InstanceFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -83,9 +83,6 @@ class CaseTrace:
         """(step time, t, t', t''): each consultation's wide, then narrow window."""
         return [(now, *w) for now, kind, base, i in self.consulted for w in selector_windows(kind, base, i) if w]
 
-    def fallback_events(self) -> list[StepRecord]:
-        return [rec for rec in self.steps if rec.fallback]
-
     def max_lookahead(self) -> int:
         """Largest arrival end base + i of a selector minus its step time."""
         return max((base + i - now for now, _, base, i in self.consulted), default=0)

@@ -127,7 +127,7 @@ def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
     if config.lemma_bounds:
         findings += check_lemma_bounds(inst, trace, report)
     if config.forced_opt:
-        findings += check_forced_opt(inst, trace, opt_sched)
+        findings += check_forced_opt(trace, report, opt_sched)
     if config.inclusions:
         findings += check_inclusions(inst, trace)
     if config.cross_check:
@@ -379,8 +379,9 @@ def run_exhaustive(
       zero profit on both timelines (nothing is released before s), so the
       global and interval bounds, the coverage test and the worst interval
       are the base's.  check_lemma_bounds skips idle spans.
-    * check_forced_opt fires only on cases 2.2.2.1 and 3.2.2, which repeat
-      at shifted times with shifted selectors and optimum slots.
+    * check_forced_opt reads only the intervals cut short by cases 2.2.2.1
+      and 3.2.2, which repeat at shifted times with shifted selectors and
+      shifted optimum spans, so an interval it skips is skipped in the base.
     * check_inclusions at t >= s repeats the base's relations at t - s.  At
       a leading idle time t < s there is no carry, so each query's pool is
       the packets released in [s, t']: empty while t' < s, where every

@@ -102,16 +102,20 @@ def render_value(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def render_decimal(x: Rat, digits: int = 12) -> str:
-    """Round-half-even decimal rendering with a fixed number of places.
+#: Places after the point in every rendered decimal.
+DECIMAL_PLACES = 12
+
+
+def render_decimal(x: Rat) -> str:
+    """Round-half-even decimal rendering with DECIMAL_PLACES places.
 
     Purely presentational: verdicts are never derived from this output.
     """
-    scaled = round(x * 10**digits)  # Fraction rounding is exact (banker's)
+    scaled = round(x * 10**DECIMAL_PLACES)  # Fraction rounding is exact (banker's)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    whole, frac = divmod(scaled, 10**DECIMAL_PLACES)
+    return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bdsched.analysis as analysis_mod
 import bdsched.cp as cp_mod
 from bdsched import (
     CheckConfig,
@@ -21,22 +20,24 @@ from bdsched import (
     R,
     RandomConfig,
     Schedule,
+    build_intervals,
     chain_family,
     check_forced_opt,
     check_inclusions,
     check_interval_bounds,
     check_lemma_bounds,
+    enumerate_bases,
     gen_random,
     opt_full,
     partition_cp,
-    partition_opt,
     run_cp,
     tight_family,
 )
+from bdsched.analysis import FORCED_CASES
 from bdsched.harness import check_or_crash, evaluate
 from bdsched.model import profit
 from conftest import mk
-from test_acceptance import CHAIN_VARIANTS
+from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 from test_offline import small_instances
 
 
@@ -48,6 +49,10 @@ def interval_report(inst):
 def spans_of(inst):
     _, trace = run_cp(inst)
     return [(s, e) for s, e, _ in partition_cp(trace)]
+
+
+def opt_spans_of(inst):
+    return [iv.opt_span for iv in interval_report(inst).intervals]
 
 
 class TestPartitionCp:
@@ -114,9 +119,9 @@ def crash_details(inst, config=CheckConfig()):
 
 
 class TestPartitionFaults:
-    """A case that writes the wrong register value, or optimum spans that
-    overlap, are faults of the program: the instance becomes a crash
-    finding instead of being absorbed into a neighbouring interval."""
+    """A case that writes the wrong register value is a fault of the
+    program: the instance becomes a crash finding instead of being absorbed
+    into a neighbouring interval."""
 
     def test_family2_case_that_forgets_its_commit(self, monkeypatch):
         real = cp_mod._dispatch_case2
@@ -142,52 +147,32 @@ class TestPartitionFaults:
         monkeypatch.setattr(cp_mod, "_dispatch_case1", committing)
         assert crash_details(mk((0, 0, 5), (0, 1, 3))) == [("crash", "PartitionError")]
 
-    def test_overlapping_optimum_spans(self, monkeypatch):
-        def overlapping(spans, *_):
-            return [(start, end + 1) for start, end, _ in spans]
-
-        monkeypatch.setattr(analysis_mod, "partition_opt", overlapping)
-        assert crash_details(mk((0, 0, 5), (1, 1, 3))) == [("crash", "PartitionError")]
-
 
 class TestPartitionOpt:
     def test_no_shift_when_packets_disjoint(self):
-        inst = mk((0, 0, 5), (1, 1, 3))
-        cp_sched, trace = run_cp(inst)
-        opt_sched, _ = opt_full(inst)
-        spans = partition_cp(trace)
-        assert partition_opt(spans, cp_sched, opt_sched, inst) == [(0, 0), (1, 1)]
+        assert opt_spans_of(mk((0, 0, 5), (1, 1, 3))) == [(0, 0), (1, 1)]
 
     def test_end_shift_when_opt_defers_the_fresh_packet(self):
         # policy sends packet 2 (released 1, deadline 2) at t=1; optimum at t=2
         inst = mk((0, 0, 1), (0, 1, 2), (1, 2, 2))
-        cp_sched, trace = run_cp(inst)
         opt_sched, _ = opt_full(inst)
         assert opt_sched.packet_at(2) == 2
-        spans = partition_cp(trace)
-        assert [(s, e) for s, e, _ in spans] == [(0, 1)]
-        assert partition_opt(spans, cp_sched, opt_sched, inst) == [(0, 2)]
+        assert spans_of(inst) == [(0, 1)]
+        assert opt_spans_of(inst) == [(0, 2)]
 
     def test_start_shift_dovetails_with_end_shift(self):
-        # consecutive intervals: the end shift of one implies the start shift
-        # of the next, so shifted spans stay disjoint
+        # consecutive intervals: the end shift of one is the start shift of
+        # the next, here leaving the second optimum span empty
         inst = mk((0, 1, 2), (1, 2, 2), (1, 1, 1), (2, 2, 1))
-        cp_sched, trace = run_cp(inst)
-        opt_sched, _ = opt_full(inst)
-        spans = partition_cp(trace)
-        shifted = partition_opt(spans, cp_sched, opt_sched, inst)
-        for (_, prev_end), (next_start, _) in zip(shifted, shifted[1:]):
-            assert next_start == prev_end + 1
+        assert spans_of(inst) == [(0, 1), (2, 2)]
+        assert opt_spans_of(inst) == [(0, 2), (3, 2)]
 
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_every_opt_transmission_is_covered(self, inst):
-        cp_sched, trace = run_cp(inst)
         opt_sched, _ = opt_full(inst)
-        spans = partition_cp(trace)
-        shifted = partition_opt(spans, cp_sched, opt_sched, inst)
         covered = set()
-        for start, end in shifted:
+        for start, end in opt_spans_of(inst):
             covered.update(range(start, end + 1))
         for t in opt_sched.slots:
             assert t in covered
@@ -195,9 +180,9 @@ class TestPartitionOpt:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_shifted_spans_disjoint(self, inst):
-        cp_sched, trace = run_cp(inst)
-        opt_sched, _ = opt_full(inst)
-        shifted = partition_opt(partition_cp(trace), cp_sched, opt_sched, inst)
+        shifted = opt_spans_of(inst)
+        # the spans tile from 0: each starts one step after the previous ends
+        assert [start for start, _ in shifted] == [0, *(end + 1 for _, end in shifted)][: len(shifted)]
         seen = set()
         for start, end in shifted:
             for t in range(start, end + 1):
@@ -249,7 +234,7 @@ class TestLemmaCheckers:
         ):
             _, trace, opt_sched, report = evaluate(inst)
             assert check_lemma_bounds(inst, trace, report) == []
-            assert check_forced_opt(inst, trace, opt_sched) == []
+            assert check_forced_opt(trace, report, opt_sched) == []
             assert check_inclusions(inst, trace) == []
 
     def test_forced_opt_detects_divergence(self):
@@ -257,7 +242,7 @@ class TestLemmaCheckers:
         inst = chain_family("2.2.2.1")
         cp_sched, trace = run_cp(inst)
         wrong = Schedule({0: 0, 1: 1, 2: 2})  # not sending the gained packets at 0/1
-        findings = check_forced_opt(inst, trace, wrong)
+        findings = check_forced_opt(trace, build_intervals(inst, trace, cp_sched, wrong, 0, 0), wrong)
         assert findings and all(f.kind == "forced-opt" for f in findings)
 
     def test_empty_instance_no_findings(self):
@@ -265,6 +250,93 @@ class TestLemmaCheckers:
         _, trace, _, report = evaluate(inst)
         assert check_lemma_bounds(inst, trace, report) == []
         assert check_inclusions(inst, trace) == []
+
+
+def reference_forced_opt(inst, trace, opt_sched):
+    """The step-scanning check_forced_opt that the interval-reading one
+    replaced, kept as its reference: it finds each firing of 2.2.2.1 or
+    3.2.2 in the trace, derives the base and the count from the case, and
+    skips a firing whose base the optimum's span starts after."""
+    steps = trace.steps
+    out = []
+    for rec in steps:
+        if rec.case == "2.2.2.1":
+            base = rec.t - 1
+            count = 2
+        elif rec.case == "3.2.2":
+            base = rec.t - 2
+            count = 3
+        else:
+            continue
+        prev = steps[base - 1].transmitted if base > 0 else None
+        if prev is not None and inst.by_id(prev).is_two_packet_at(base - 1) and opt_sched.packet_at(base) == prev:
+            continue
+        expected = [trace.engine.m(base, i) for i in range(count)]
+        for offset, pkt in enumerate(expected):
+            if pkt is None:
+                out.append((f"case {rec.case} at t={rec.t}: selector {offset} absent", "-", "-"))
+                continue
+            got = opt_sched.packet_at(base + offset)
+            if got != pkt.id:
+                detail = f"case {rec.case} at t={rec.t}: optimum sends {got} at {base + offset}"
+                out.append((detail, str(got), str(pkt.id)))
+    return out
+
+
+#: A 2.2.2.1 interval at 2..3 whose optimum span starts at 3: the policy
+#: sends packet 2 (released 1, deadline 2) at 1 and the optimum sends it at
+#: 2.  Found by a random search at horizon 12, then shrunk and moved to 0.
+START_SHIFTED = mk((0, 1, 3), (0, 1, "13/8"), (1, 2, 3), (1, 2, "5/4"), (2, 3, "13/8"), (3, 4, 2), (4, 5, 2), (4, 5, 3))
+
+
+class TestForcedOptReference:
+    """check_forced_opt, reading the intervals, finds exactly what the
+    step-scanning reference finds, with the real optimum and with two
+    corrupted ones: the policy's own schedule, and the optimum one step
+    late, whose spans start late wherever the optimum sent a fresh one-slack
+    packet when the policy did.  Each report is built from the schedule
+    checked; its totals are not read, so they are 0.
+
+    With the real optimum no interval cut short is skipped in the fuzz, long
+    or grid sets; START_SHIFTED has one."""
+
+    def compare(self, instances) -> tuple[int, int, int]:
+        """(intervals cut short, of them skipped, findings) over every schedule."""
+        fired = skipped = found = 0
+        for inst in instances:
+            cp_sched, trace, opt_sched, _ = evaluate(inst)
+            late = Schedule({t + 1: pid for t, pid in opt_sched.slots.items()})
+            for sched in (opt_sched, cp_sched, late):
+                report = build_intervals(inst, trace, cp_sched, sched, 0, 0)
+                got = [(f.detail, f.lhs, f.rhs) for f in check_forced_opt(trace, report, sched)]
+                assert got == reference_forced_opt(inst, trace, sched), inst
+                short = [iv for iv in report.intervals if iv.trigger in FORCED_CASES]
+                fired += len(short)
+                skipped += sum(iv.opt_span[0] > iv.cp_span[0] for iv in short)
+                found += len(got)
+        return fired, skipped, found
+
+    def test_fuzz_and_long_runs(self):
+        fired, skipped, found = self.compare(
+            [gen_random(seed) for seed in range(1000)]
+            + [gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5)) for seed in range(200)]
+        )
+        assert fired and found
+
+    def test_chain_family(self):
+        fired, skipped, found = self.compare([chain_family(v) for v in CHAIN_VARIANTS] + [START_SHIFTED])
+        assert fired and skipped and found
+
+    def test_start_shifted_interval_is_skipped(self):
+        _, trace, opt_sched, report = evaluate(START_SHIFTED)
+        short = [(iv.cp_span, iv.opt_span) for iv in report.intervals if iv.trigger in FORCED_CASES]
+        assert short == [((2, 3), (3, 3))]
+        # the optimum's slot 2 is spoken for, so the forced layout fails there
+        assert opt_sched.packet_at(2) == 2 != trace.engine.m(2, 0).id
+        assert check_forced_opt(trace, report, opt_sched) == []
+
+    def test_h2_k4_bases(self):
+        self.compare(inst for _, inst, _ in enumerate_bases(SWEEP_GRID))
 
 
 class TestCrossBaseExemption:

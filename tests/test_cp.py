@@ -161,7 +161,7 @@ class TestSharedQueryEngine:
         report = build_intervals(inst, trace, cp_sched, opt_sched, w_cp, w_opt)
         findings = (
             check_lemma_bounds(inst, trace, report)
-            + check_forced_opt(inst, trace, opt_sched)
+            + check_forced_opt(trace, report, opt_sched)
             + check_inclusions(inst, trace)
             + cross_check_queries(inst, trace)
         )
@@ -254,8 +254,9 @@ class TestFallbacks:
     @settings(max_examples=300, deadline=None)
     def test_fallbacks_never_commit(self, inst):
         _, trace = run_cp(inst)
-        for rec in trace.fallback_events():
-            assert rec.committed is None
+        for rec in trace.steps:
+            if rec.fallback:
+                assert rec.committed is None
 
 
     def test_case_naming_a_non_pending_packet_raises(self, monkeypatch):

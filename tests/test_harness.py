@@ -363,8 +363,9 @@ def inject_shift_invariant_fault(monkeypatch) -> None:
     """One forced-opt finding per packet of value 8/5, and a broken global
     bound whenever the policy earns 13/5."""
 
-    def marked_forced(inst, trace, opt_sched):
-        return [Finding("forced-opt", f"marked {p.id}", "-", "-") for p in inst.packets if p.value == Fraction(8, 5)]
+    def marked_forced(trace, report, opt_sched):
+        packets = trace.engine.inst.packets
+        return [Finding("forced-opt", f"marked {p.id}", "-", "-") for p in packets if p.value == Fraction(8, 5)]
 
     real_bound = IntervalReport.global_within_bound.fget
     monkeypatch.setattr(harness_mod, "check_forced_opt", marked_forced)
@@ -609,6 +610,19 @@ class TestCli:
     def test_run_rejects_missing_file(self, capsys):
         assert main(["run", "--instances", "/nonexistent/x.json"]) == 2
 
+    def test_run_unwritable_trace_dir_is_an_input_error(self, killer_file, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        assert main(["run", "--instances", killer_file, "--trace-dir", str(blocker / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_fuzz_unwritable_witness_path_is_an_input_error(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        argv = ["fuzz", "--seeds", "0..3", "--workers", "1", "--emit-witness", str(blocker / "w.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_trace_jsonl_and_dir(self, killer_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
         assert main(["trace", "--instances", killer_file, "--trace-dir", str(out_dir)]) == 0
@@ -785,10 +799,10 @@ class TestCli:
         # only a witness minimized under the campaign's own checks shrinks
         real_forced = harness_mod.check_forced_opt
 
-        def marked_forced(inst, trace, opt_sched):
-            if any(p.value == Fraction(7, 3) for p in inst.packets):
+        def marked_forced(trace, report, opt_sched):
+            if any(p.value == Fraction(7, 3) for p in trace.engine.inst.packets):
                 return [Finding("forced-opt", "marked packet present", "-", "-")]
-            return real_forced(inst, trace, opt_sched)
+            return real_forced(trace, report, opt_sched)
 
         monkeypatch.setattr(harness_mod, "check_forced_opt", marked_forced)
         values = (Fraction(1), Fraction(7, 3), Fraction(2))
