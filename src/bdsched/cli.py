@@ -21,7 +21,6 @@ from .harness import (
     certify,
     check_or_crash,
     compare_algorithms,
-    default_workers,
     evaluate,
     minimize_witness,
     render_rows_csv,
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--horizon", type=int, default=2)
     p_ex.add_argument("--max-packets", type=int, default=3)
     p_ex.add_argument("--values", default="1,5/4,8/5,2,3")
-    p_ex.add_argument("--workers", type=int, default=default_workers())
+    p_ex.add_argument("--workers", type=int, default=1)
     p_ex.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_ex.add_argument("--emit-witness", metavar="PATH")
     p_ex.add_argument("--yes", action="store_true", help="proceed past the instance-count guard")
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--horizon", type=int, default=6)
     p_fuzz.add_argument("--rate", type=float, default=1.2, help="expected packets per step")
     p_fuzz.add_argument("--values", default="1,5/4,13/8,2,3")
-    p_fuzz.add_argument("--workers", type=int, default=default_workers())
+    p_fuzz.add_argument("--workers", type=int, default=1)
     p_fuzz.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_fuzz.add_argument("--emit-witness", metavar="PATH")
     p_fuzz.add_argument(

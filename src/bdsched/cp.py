@@ -16,7 +16,8 @@ guard is homogeneous in the values, so the scale changes no outcome.
 
 All selector lookups (the marginal packets of partial-optimum queries) go
 through the run's :class:`~bdsched.offline.QueryEngine`, which memoizes
-them; the checkers later ask the same engine, handed out on the trace.  The
+them; the checkers later ask the same engine, handed out on the trace.
+The engine reads each carry off the run's steps, as the schedule is.  The
 policy reaches the engine only through a :class:`PartialOracle`, which logs
 every selector the policy consults with the step time that consulted it,
 so tests can assert the lookahead contract was never violated.  Checker
@@ -64,17 +65,14 @@ class StepRecord:
 
 @dataclass
 class CaseTrace:
-    """Full run record: per-step records, the carries, the selectors the
-    policy consulted, and the run's query engine for the checkers to reuse.
+    """Full run record: per-step records, the selectors the policy
+    consulted, and the run's query engine for the checkers to reuse.
     run_cp records exactly one step per time 0..horizon, so steps[t] is the
-    step at t, and the checks read what the policy sent from it.  carry[t]
-    is the best-ranked packet of B(t), the packets pending before the
-    arrivals at t, or None: all of B(t) a partial optimum can use (see
-    :func:`bdsched.offline._pool`).  A time the run never reached raises
-    KeyError."""
+    step at t.  The steps are the one record of what the policy sent: the
+    checks read it from them, and the engine derives each carry from them
+    (see :meth:`bdsched.offline.QueryEngine.carry`)."""
 
     steps: list[StepRecord]
-    carry: dict[int, int | None]
     consulted: list[tuple[int, str, int, int]]  # (step time, kind, base, i)
     engine: QueryEngine
 
@@ -217,24 +215,19 @@ def classify_case(oracle: PartialOracle, t: int, state: str | None) -> StepRecor
 def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
     """Simulate the policy over the whole instance.
 
-    Returns the transmission schedule plus a trace with one record per time
-    step 0..horizon, the carry of each time needed to replay any selector
-    query, the policy's log of consulted selectors for lookahead audits, and
-    the query engine that answered it.
+    Returns the schedule read from the steps, plus a trace with one record
+    per time step 0..horizon, the policy's log of consulted selectors for
+    lookahead audits, and the query engine that answered it.
     """
     arrivals = inst.arrivals
-    carry: dict[int, int | None] = {}
     consulted: list[tuple[int, str, int, int]] = []
-    engine = QueryEngine(inst, carry)
-    oracle = PartialOracle(engine, consulted)
     steps: list[StepRecord] = []
-    slots: dict[int, int] = {}
+    engine = QueryEngine(inst, steps)
+    oracle = PartialOracle(engine, consulted)
     state: int | str | None = None  # s_t; the step at t writes s_{t+1}
     pending: dict[int, Packet] = {}
 
     for t in range(0, inst.horizon + 1):
-        # B(t)'s best entry by canonical rank; the step that left it pending built the index
-        carry[t] = min([inst.release_index[1][pid] for pid in pending])[1] if pending else None
         for p in arrivals.get(t, ()):
             pending[p.id] = p
         oracle.now = t
@@ -248,7 +241,6 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
             if p is None or not (p.release <= t <= p.deadline):
                 raise InternalInvariantError(f"t={t}: committed packet {state} is not transmittable")
             del pending[state]
-            slots[t] = state
             rec = StepRecord(t, "commit", state, None)
         else:
             rec = classify_case(oracle, t, state)
@@ -256,7 +248,6 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
             if pid not in pending:
                 raise InternalInvariantError(f"t={t}: case {rec.case} transmits packet {pid}, which is not pending")
             del pending[pid]
-            slots[t] = pid
             if isinstance(rec.committed, int):
                 target = inst.by_id(rec.committed)
                 if not (target.release <= t + 1 <= target.deadline):
@@ -271,7 +262,8 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
 
     if state is not None:
         raise InternalInvariantError(f"commitment left beyond the horizon: s_{inst.horizon + 1} = {state}")
-    return Schedule(slots), CaseTrace(steps, carry, consulted, engine)
+    slots = {rec.t: rec.transmitted for rec in steps if rec.transmitted is not None}
+    return Schedule(slots), CaseTrace(steps, consulted, engine)
 
 
 def _consulted(trace: CaseTrace) -> dict[int, dict[str, list[dict]]]:

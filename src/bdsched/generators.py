@@ -152,32 +152,33 @@ def count_bases(spec: GridSpec) -> int:
     return count_instances(spec) - count_instances(replace(spec, horizon=spec.horizon - 1))
 
 
+#: Arrival trials per time step; each succeeds with probability rate / MAX_PER_STEP.
+MAX_PER_STEP = 3
+
+
 @dataclass(frozen=True)
 class RandomConfig:
     """Knobs for the seeded fuzzer."""
 
     horizon: int = 6
     arrival_rate: float = 1.2  # expected packets per time step
-    max_per_step: int = 3
     value_grid: tuple[Rat, ...] = DEFAULT_VALUE_GRID
 
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if self.max_per_step < 1:
-            raise ValueError("max_per_step must be >= 1")
-        if not 0 <= self.arrival_rate <= self.max_per_step:
-            raise ValueError("arrival_rate must lie in [0, max_per_step]")
+        if not 0 <= self.arrival_rate <= MAX_PER_STEP:
+            raise ValueError(f"arrival_rate must lie in [0, {MAX_PER_STEP}]")
         _check_value_grid(self.value_grid)
 
 
 def gen_random(seed: int, config: RandomConfig = RandomConfig()) -> Instance:
     """Reproducible random instance: same seed, same instance."""
     rng = random.Random(seed)
-    prob = config.arrival_rate / config.max_per_step
+    prob = config.arrival_rate / MAX_PER_STEP
     packets: list[Packet] = []
     for t in range(config.horizon + 1):
-        for _ in range(config.max_per_step):
+        for _ in range(MAX_PER_STEP):
             if rng.random() < prob:
                 offset = rng.choice((0, 1))
                 value = rng.choice(config.value_grid)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -68,7 +67,6 @@ __all__ = [
     "render_rows_csv",
     "summary_to_dict",
     "report_to_json",
-    "default_workers",
 ]
 
 CSV_HEADER = "instance_hash,v_cp,v_opt,v_greedy,ratio_exact,ratio_decimal,within_bound,worst_interval_ratio,findings"
@@ -343,15 +341,6 @@ def _campaign(
         merged.merge(shard.summary)
     rows = [row for group in zip_longest(*(shard.rows for shard in shards)) for row in group if row is not None]
     return Report(merged, rows)
-
-
-def default_workers() -> int:
-    """--workers default: the BDSCHED_WORKERS environment variable, else 1."""
-    raw = os.environ.get("BDSCHED_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def run_exhaustive(

@@ -2,16 +2,17 @@
 and the per-run query engine.
 
 A partial query P(t, t', t''), t <= t' <= t'', asks "seeded with the carry
-of time t, fed the arrivals of [t, t'], transmitting only in slots
-[t, t''], what is the best packet set?".  The carry is the best packet of
-B(t), or none, and stands for all of B(t) (see :func:`_pool`).  Feasible
-packet sets form a transversal matroid (packets matchable into distinct
-slots of their availability windows), so a greedy sweep in one fixed
-canonical order, accepting a packet whenever the kept set stays matchable,
-is optimal.  The single global canonical order -- value descending, deadline
-ascending, release ascending, id ascending -- also pins down every tie, which
-makes the nesting relations between neighbouring queries and the uniqueness
-of their set differences hold by construction rather than by luck.
+of time t, fed the arrivals of [t, t'], transmitting only in slots [t, t''],
+what is the best packet set?".  The carry is the best packet of B(t), or
+none, stands for all of B(t) and is derived from the run's steps (see
+:meth:`QueryEngine.carry`).  Feasible packet sets form a transversal matroid
+(packets matchable into distinct slots of their availability windows), so a
+greedy sweep in one fixed canonical order, accepting a packet whenever the
+kept set stays matchable, is optimal.  The single global canonical order --
+value descending, deadline ascending, release ascending, id ascending --
+also pins down every tie, which makes the nesting relations between
+neighbouring queries and the uniqueness of their set differences hold by
+construction rather than by luck.
 
 Every instance is 2-bounded, so each clipped window is one slot or two
 adjacent slots and the matroid is bicircular on the slot line: a set fits
@@ -20,14 +21,15 @@ the greedy tests with a union-find over slots.  Only :func:`opt_full` lays
 its kept set out in slots, earliest-deadline-first, with a heap.
 
 :class:`QueryEngine` is the only front end through which the policy and
-every checker ask partial queries over a run's carries.  It memoizes every
-answer on (t, t', t'') -- sound because an engine is bound to one run's
-carries -- and derives from them the selectors m_i(t) and q_i(t), whose
-windows :func:`selector_windows` alone writes down.  What it shares between
-queries is their input: the rank-sorted candidate pool of (t, t'), built
-once and read by every query P(t, t', .), and extended by one release bucket
-into the pool of (t, t'+1).  What it never shares is an answer: each miss
-runs its own greedy from an empty union-find.
+every checker ask partial queries over a run.  It reads the run's step
+list, derives each carry from it, memoizes every answer on (t, t', t'') --
+sound because an engine is bound to one run -- and derives from them the
+selectors m_i(t) and q_i(t), whose windows :func:`selector_windows` alone
+writes down.  What it shares between queries is their input: the
+rank-sorted candidate pool of (t, t'), built one way only, release bucket t
+plus the carry at t' = t and the pool of (t, t'-1) with bucket t' merged in
+after that, and read by every query P(t, t', .).  What it never shares is an
+answer: each miss runs its own greedy from an empty union-find.
 
 Answers are exact and integer: a :class:`PSet` carries its total as an
 integer weight at a scale, the instance's :attr:`~bdsched.model.Instance.scale`
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
 from .model import Instance, Packet, Rat, Schedule, canonical_key
 
@@ -176,48 +178,7 @@ def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[i
     return out
 
 
-def _pool(inst: Instance, t: int, t_arr: int, carry: int | None, shorter: list[tuple] | None = None) -> list[tuple]:
-    """The candidates of the queries P(t, t_arr, .) seeded with `carry`.
-
-    Entries, (rank, id, release, deadline, weight) from
-    ``inst.release_index``, sorted by rank: the release buckets [t, t_arr]
-    and the carry's entry.  Given `shorter`, the pool of (t, t_arr - 1), the
-    pool is that one with bucket t_arr merged in.
-
-    Why one carry stands for the whole buffer B(t): every packet is
-    2-bounded, so a packet still pending before the arrivals at t was
-    released at t-1 with deadline t, and every query from base t sees it as
-    a loop at slot t.  Two loops at one slot never fit together, so at most
-    one packet of B(t) joins any partial optimum, and the canonical greedy
-    meets the best-ranked one first: it joins exactly when any of them
-    could.  The others never join.
-
-    Raises ValueError naming the carry if it is not an instance packet
-    released at t-1 with deadline t.
-    """
-    buckets, by_id = inst.release_index
-    if shorter is not None:
-        bucket = buckets.get(t_arr)
-        if not bucket:
-            return shorter
-        entries = [*shorter, *bucket]
-        entries.sort()
-        return entries
-    entries: list[tuple] = []
-    for r in range(t, t_arr + 1):  # a loop, not a comprehension: most pools read one or two buckets
-        bucket = buckets.get(r)
-        if bucket:
-            entries += bucket
-    if carry is not None:
-        e = by_id.get(carry)
-        if e is None or e[2] != t - 1 or e[3] != t:
-            raise ValueError(f"carry {carry} is not a packet released at {t - 1} with deadline {t}")
-        entries.append(e)
-    entries.sort()
-    return entries
-
-
-def _solve(scale: int, t: int, t_end: int, entries: list[tuple]) -> PSet:
+def _solve(scale: int, t: int, t_end: int, entries: Sequence[tuple]) -> PSet:
     """The canonical partial optimum over a pool of the queries P(t, t', .),
     for the last slot t'' = t_end >= t'.  Each window clipped to [t, t''] is
     one slot (a loop) or two adjacent slots (an edge).  A union-find over
@@ -381,28 +342,71 @@ def selector_windows(kind: str, t: int, i: int) -> tuple[tuple[int, int, int], t
 
 
 class QueryEngine:
-    """Memoized partial-optimum queries over one run's carries.
+    """Memoized partial-optimum queries over one run.
 
     P(t, t', t''), t <= t' <= t'', is the canonical partial optimum seeded
-    with carry[t], the best packet of B(t) or None; a time missing from
-    `carry` raises KeyError.  Answers are cached on (t, t', t''), which names
-    a query only within one run's carries, so an engine is never reused for
-    another instance or run.  The candidate pools are cached on (t, t'): a
-    pool is built directly, or from the pool of (t, t'-1) when that one
-    exists, and every query P(t, t', .) reads it; a miss still runs its own
-    greedy over it, so no answer depends on which queries came first.  Every
-    answer's weight is at the instance's scale, so the checks compare answers
-    of one engine as integers.  ``calls`` counts every lookup, ``hits`` the
-    lookups answered from the cache.
+    with :meth:`carry` (t), derived from `steps`, the run's step records
+    (a list that may grow while the run goes on).  Answers are cached on (t, t', t''), which names a query
+    only within one run, so an engine is never reused for another instance
+    or run.  The candidate pools are cached on (t, t'), each built once by
+    :meth:`pool` and read by every query P(t, t', .); a miss still runs its
+    own greedy over it, so no answer depends on which queries came first.
+    Every answer's weight is at the instance's scale, so the checks compare
+    answers of one engine as integers.  ``calls`` counts every lookup,
+    ``hits`` the lookups answered from the cache.
     """
 
-    def __init__(self, inst: Instance, carry: Mapping[int, int | None]):
+    def __init__(self, inst: Instance, steps: Sequence):
         self.inst = inst
-        self.carry = carry
+        self.steps = steps
         self.cache: dict[tuple[int, int, int], PSet] = {}
-        self.pools: dict[tuple[int, int], list[tuple]] = {}
+        self.pools: dict[tuple[int, int], Sequence[tuple]] = {}
         self.calls = 0
         self.hits = 0
+
+    def carry(self, t: int) -> int | None:
+        """The best-ranked packet of B(t), the packets pending before the
+        arrivals at t, or None; t < 0, or a t whose step t-1 is not
+        recorded, raises KeyError.
+
+        Every packet is 2-bounded, so B(t) is the packets released at t-1
+        with deadline t that step t-1, the only step that could, did not
+        send.  Every query from base t sees them as loops at slot t, and two
+        loops at one slot never fit together, so at most one of them joins
+        any partial optimum.  The canonical greedy meets the best-ranked one
+        first, and it joins exactly when any of them could: the carry stands
+        for all of B(t).
+        """
+        if not 0 <= t <= len(self.steps):
+            raise KeyError(t)
+        if t == 0:
+            return None
+        sent = self.steps[t - 1].transmitted
+        for _, pid, _, deadline, _ in self.inst.release_index[0].get(t - 1, ()):  # in rank order
+            if deadline == t and pid != sent:
+                return pid
+        return None
+
+    def pool(self, t: int, arrival_end: int) -> Sequence[tuple]:
+        """The candidates of the queries P(t, t', .): entries (rank, id,
+        release, deadline, weight) from ``inst.release_index``, sorted by
+        rank.  The pool of (t, t) is release bucket t and the carry's entry;
+        the pool of (t, t') is that of (t, t'-1) with bucket t' merged in."""
+        pool = self.pools.get((t, arrival_end))
+        if pool is None:
+            buckets, by_id = self.inst.release_index
+            if arrival_end == t:
+                pool = buckets.get(t, ())
+                carry = self.carry(t)
+                if carry is not None:
+                    pool = sorted([*pool, by_id[carry]])
+            else:
+                pool = self.pool(t, arrival_end - 1)
+                bucket = buckets.get(arrival_end)
+                if bucket:
+                    pool = sorted([*pool, *bucket])
+            self.pools[t, arrival_end] = pool
+        return pool
 
     def p(self, t: int, arrival_end: int, slot_end: int) -> PSet:
         """P(t, t', t''): from the cache, or on a miss solved by a fresh greedy
@@ -413,15 +417,9 @@ class QueryEngine:
         if ps is not None:
             self.hits += 1
             return ps
-        carry = self.carry[t]
         if not t <= arrival_end <= slot_end:
             raise _out_of_order(t, arrival_end, slot_end)
-        pools = self.pools
-        pool = pools.get((t, arrival_end))
-        if pool is None:
-            shorter = pools.get((t, arrival_end - 1)) if arrival_end > t else None
-            pool = pools[t, arrival_end] = _pool(self.inst, t, arrival_end, carry, shorter)
-        ps = self.cache[key] = _solve(self.inst.scale, t, slot_end, pool)
+        ps = self.cache[key] = _solve(self.inst.scale, t, slot_end, self.pool(t, arrival_end))
         return ps
 
     def gain(self, kind: str, t: int, i: int) -> Packet | None:
@@ -451,6 +449,6 @@ def opt_full(inst: Instance) -> tuple[Schedule, int]:
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
-    ps = _solve(inst.scale, 0, horizon, _pool(inst, 0, horizon, None))
+    ps = _solve(inst.scale, 0, horizon, sorted([e for r, es in inst.release_index[0].items() if r >= 0 for e in es]))
     by_id = inst.by_id
     return Schedule(_edf_assignment([by_id(i) for i in ps.members], 0, horizon)), ps.weight

@@ -56,7 +56,6 @@ import bdsched.harness as harness_mod
 from bdsched.cli import main
 from bdsched.harness import (
     compare_algorithms,
-    default_workers,
     evaluate,
     render_rows_csv,
     report_to_json,
@@ -569,14 +568,6 @@ class TestRendering:
         assert by_name["greedy"]["opt_ratio"] == "201/101"
         assert by_name["cp"]["opt_ratio"] == "1"
 
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.setenv("BDSCHED_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("BDSCHED_WORKERS", "junk")
-        assert default_workers() == 1
-        monkeypatch.delenv("BDSCHED_WORKERS")
-        assert default_workers() == 1
-
 
 @pytest.fixture
 def killer_file(tmp_path):
@@ -683,7 +674,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["fuzz", "--seeds", "0..4", "--rate", "nan"]) == 2
         captured = capsys.readouterr()
-        assert "error: arrival_rate must lie in [0, max_per_step]" in captured.err
+        assert "error: arrival_rate must lie in [0, 3]" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "witness.json").exists()
 

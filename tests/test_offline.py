@@ -20,6 +20,7 @@ from bdsched import (
     QueryEngine,
     RandomConfig,
     Schedule,
+    StepRecord,
     brute_force_partial,
     chain_family,
     check_inclusions,
@@ -30,7 +31,6 @@ from bdsched import (
     profit,
     run_cp,
 )
-import bdsched.offline as offline_mod
 from bdsched.harness import online_buffers
 from bdsched.model import canonical_key
 from bdsched.offline import BRUTE_FORCE_LIMIT, _edf_assignment
@@ -38,15 +38,20 @@ from conftest import mk
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 
 
-def engine(inst: Instance) -> QueryEngine:
-    """A query engine for base time 0, where nothing is carried."""
-    return QueryEngine(inst, {0: None})
+def engine(inst: Instance, t: int = 0, sent: int | None = None) -> QueryEngine:
+    """A query engine over the steps 0..t-1, in which step t-1 sent `sent`,
+    or nothing, and every earlier step nothing: its carry at t is the best
+    of release bucket t-1's deadline-t packets but `sent`."""
+    steps = [StepRecord(s, "idle", None, None) for s in range(t)]
+    if t:
+        steps[-1].transmitted = sent
+    return QueryEngine(inst, steps)
 
 
-def solve(q: PartialQuery, inst: Instance, carry: int | None = None) -> PSet:
-    """The query q seeded with `carry`, asked of a fresh engine, which
-    builds its pool directly."""
-    return QueryEngine(inst, {q.start: carry}).p(q.start, q.arrival_end, q.slot_end)
+def solve(q: PartialQuery, inst: Instance, sent: int | None = None) -> PSet:
+    """The query q asked of a fresh engine whose step q.start - 1 sent
+    `sent`, or nothing."""
+    return engine(inst, q.start, sent).p(q.start, q.arrival_end, q.slot_end)
 
 
 def best(inst: Instance, pending) -> int | None:
@@ -99,7 +104,7 @@ class TestSolvePartial:
     def test_base_buffer_feeds_the_pool(self):
         # packet 0 released at 0 sits in the buffer at time 1
         inst = mk((0, 1, 5), (1, 1, 3))
-        ps = solve(PartialQuery(1, 1, 1), inst, carry=0)
+        ps = solve(PartialQuery(1, 1, 1), inst)
         assert ps.member_set == {0}
 
     def test_best_of_three_pending_joins(self):
@@ -109,12 +114,13 @@ class TestSolvePartial:
         _, trace = run_cp(inst)
         pending = online_buffers(inst, trace)[1]
         assert trace.steps[0].transmitted == 0 and pending == {1, 2, 3}
-        assert trace.carry[1] == 2
+        assert trace.engine.carry(1) == 2
         q = PartialQuery(1, 1, 2)
         got = trace.engine.p(1, 1, 2)
         assert got.members == (2, 4) and got.total_value == 9
-        assert got == solve(q, inst, 2) == dp_partial(q, inst, pending) == brute_force_partial(q, inst, pending)
-        assert solve(q, inst, 3).total_value == 7  # a worse carry loses
+        assert got == solve(q, inst, 0) == dp_partial(q, inst, pending) == brute_force_partial(q, inst, pending)
+        # had step 0 sent 2, the carry would be 3, which loses
+        assert engine(inst, 1, 2).carry(1) == 3 and solve(q, inst, 2).total_value == 7
 
     def test_query_order_enforced(self):
         with pytest.raises(ValueError):
@@ -135,21 +141,12 @@ class TestSolvePartial:
         with pytest.raises(ValueError, match="packet id 3 is not unique"):
             solve(PartialQuery(0, 1, 1), inst)
 
-    def test_bad_carry_rejected(self):
-        # a carry of t = 1 must be released at 0 with deadline 1: not an
-        # unknown id, a packet released in the window or one expired at 0
-        inst = mk((0, 1, 5), (1, 2, 5), (0, 0, 3))
-        for carry in (42, 1, 2):
-            with pytest.raises(ValueError, match=f"carry {carry} is not a packet released at 0 with deadline 1"):
-                solve(PartialQuery(1, 1, 2), inst, carry)
-        assert solve(PartialQuery(1, 1, 2), inst, 0).members == (0, 1)
-
     def test_unknown_base_ids_are_ignored(self):
         # the oracles take all of B(t); an id no packet has adds nothing
         inst = mk((0, 1, 5), (1, 1, 3))
         q = PartialQuery(1, 1, 1)
         for oracle in (dp_partial, brute_force_partial):
-            assert oracle(q, inst, (0, 42)) == oracle(q, inst, (0,)) == solve(q, inst, 0)
+            assert oracle(q, inst, (0, 42)) == oracle(q, inst, (0,)) == solve(q, inst)
 
     def test_base_id_released_in_window_counted_once(self):
         # packet 0 is both in the oracles' base buffer and released in [t, t']
@@ -200,17 +197,18 @@ class TestBruteForceOracle:
     @given(small_instances(max_packets=8, max_release=5), st.data())
     @settings(max_examples=300, deadline=None)
     def test_solver_equals_oracle_off_origin(self, inst, data):
-        # start > 0, a base buffer of packets carried over into t, and up to
-        # two slots beyond the arrival window
+        # start > 0, step t-1 sending one packet of its window or nothing, and
+        # up to two slots beyond the arrival window
         horizon = max(inst.horizon, 1)
         t = data.draw(st.integers(1, horizon), label="t")
-        carried = sorted(p.id for p in inst.packets if p.release < t <= p.deadline)
-        base = data.draw(st.sets(st.sampled_from(carried)) if carried else st.just(set()), label="base")
+        sendable = [p.id for p in inst.packets if p.release <= t - 1 <= p.deadline]
+        sent = data.draw(st.sampled_from([None, *sendable]), label="sent at t-1")
+        base = {p.id for p in inst.packets if p.release < t <= p.deadline} - {sent}
         t_arr = data.draw(st.integers(t, horizon), label="t'")
         t_slot = data.draw(st.integers(t_arr, t_arr + 2), label="t''")
         q = PartialQuery(t, t_arr, t_slot)
-        # the solver is seeded with the best of the base, the oracle with all of it
-        fast, slow = solve(q, inst, best(inst, base)), brute_force_partial(q, inst, base)
+        # the solver is seeded with the best of B(t), the oracle with all of it
+        fast, slow = solve(q, inst, sent), brute_force_partial(q, inst, base)
         assert fast.members == slow.members
         assert fast.total_value == slow.total_value
         sched, weight = opt_full(inst)
@@ -259,9 +257,14 @@ class TestDPOracle:
 
 class TestPSetConventions:
     def test_unreached_time_raises(self):
+        # no step is recorded, so only base 0 is reached
         inst = mk((0, 0, 5))
-        with pytest.raises(KeyError):
-            QueryEngine(inst, {0: None}).p(1, 1, 1)
+        for t in (1, -1):
+            with pytest.raises(KeyError):
+                engine(inst).p(t, t, t)
+            with pytest.raises(KeyError):
+                engine(inst).carry(t)
+        assert engine(inst).carry(0) is None
 
     def test_simple_p_set(self):
         inst = mk((0, 0, 5), (0, 1, 3))
@@ -279,16 +282,18 @@ class TestPSetConventions:
     def test_cached_answers_equal_fresh_solves(self, inst):
         # The memo key omits the carry; every answer the policy and the
         # inclusion checks got must still be the query solved from scratch
-        # with the best packet of that run's buffer B(t), and agree with the
-        # enumeration oracle seeded with all of B(t).
+        # by an engine whose step t-1 sent what the run's did, and agree
+        # with the enumeration oracle seeded with all of B(t).  The carry
+        # derived from the steps is the best packet of that B(t).
         _, trace = run_cp(inst)
         check_inclusions(inst, trace)
         buffers = online_buffers(inst, trace)
-        assert trace.carry == {t: best(inst, buffers.get(t, ())) for t in range(len(trace.steps))}
+        for t in range(len(trace.steps)):
+            assert trace.engine.carry(t) == best(inst, buffers.get(t, ())), t
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
             q = PartialQuery(t, t_arr, t_slot)
             pending = buffers.get(t, ())
-            assert cached == solve(q, inst, best(inst, pending))
+            assert cached == solve(q, inst, trace.steps[t - 1].transmitted if t else None)
             try:
                 slow = brute_force_partial(q, inst, pending)
             except OracleSizeError:
@@ -354,7 +359,7 @@ class TestSelectors:
     def test_m0_asks_one_query(self):
         # m_0 has no narrow window: it is all of P(t, t, t)
         inst = mk((0, 1, 5), (1, 1, 3))
-        eng = QueryEngine(inst, {1: 0})
+        eng = engine(inst, 1)
         assert eng.m(1, 0).id == 0
         assert eng.calls == 1 and list(eng.cache) == [(1, 1, 1)]
 
@@ -490,43 +495,61 @@ ORDER_RUNS = (
 
 class TestSharedPools:
     @pytest.mark.parametrize("label, inst", ORDER_RUNS, ids=[label for label, _ in ORDER_RUNS])
-    def test_answers_do_not_depend_on_query_order(self, label, inst, monkeypatch):
-        # a fresh engine asked the run's keys in a shuffled order builds some
-        # pools directly and extends others, and still gives every answer
+    def test_answers_do_not_depend_on_query_order(self, label, inst):
+        # a fresh engine over the run's steps, asked the run's keys in a
+        # shuffled order, builds the same pools and gives every answer
         _, trace = run_cp(inst)
         check_inclusions(inst, trace)
         keys = list(trace.engine.cache)
         random.Random(label).shuffle(keys)
-        built = []
-        pool = offline_mod._pool
-
-        def recording_pool(inst, t, t_arr, carry, shorter=None):
-            built.append(shorter is None)
-            return pool(inst, t, t_arr, carry, shorter)
-
-        monkeypatch.setattr(offline_mod, "_pool", recording_pool)
-        fresh = QueryEngine(inst, trace.carry)
+        fresh = QueryEngine(inst, trace.steps)
         for key in keys:
             got, want = fresh.p(*key), trace.engine.cache[key]
             assert (got.members, got.weight, got.scale) == (want.members, want.weight, want.scale), key
-        assert len(built) == len(fresh.pools) == len(trace.engine.pools)
-        assert True in built and False in built
+        assert fresh.pools.keys() == trace.engine.pools.keys()
 
     @given(small_instances(max_packets=8, max_release=5), st.data())
     @settings(max_examples=200, deadline=None)
     def test_hand_built_buffers_in_any_order(self, inst, data):
-        # a buffer B(t) drawn among the packets released at t-1 with
-        # deadline t, and its best packet carried; every query of one base
-        # time, asked in a drawn order, equals the directly built solve and
-        # the oracle seeded with all of B(t)
+        # step t-1 sends one of the packets released at t-1 with deadline t,
+        # or nothing, and B(t) is the rest of them; every query of one base
+        # time, asked in a drawn order, equals the query asked alone and the
+        # oracle seeded with all of B(t)
         horizon = max(inst.horizon, 0)
         t = data.draw(st.integers(0, horizon), label="t")
         shaped = [p.id for p in inst.packets if p.release == t - 1 and p.deadline == t]
-        pending = data.draw(st.sets(st.sampled_from(shaped)) if shaped else st.just(set()), label="B(t)")
-        carry = best(inst, pending)
+        sent = data.draw(st.sampled_from([None, *shaped]), label="sent at t-1")
+        pending = set(shaped) - {sent}
         keys = [(t, t_arr, t_slot) for t_arr in range(t, horizon + 2) for t_slot in range(t_arr, t_arr + 3)]
-        eng = QueryEngine(inst, {t: carry})
+        eng = engine(inst, t, sent)
+        assert eng.carry(t) == best(inst, pending)
         for key in data.draw(st.permutations(keys), label="order"):
             q = PartialQuery(*key)
             got = eng.p(*key)
-            assert got == solve(q, inst, carry) == dp_partial(q, inst, pending), key
+            assert got == solve(q, inst, sent) == dp_partial(q, inst, pending), key
+
+
+#: label -> (instances of a campaign, how many) whose derived carries are checked.
+CARRY_CAMPAIGNS = {
+    "fuzz-0..999": (lambda: (gen_random(seed) for seed in range(1_000)), 1_000),
+    "h40-0..199": (lambda: (gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5)) for seed in range(200)), 200),
+    "chains": (lambda: (chain_family(variant) for variant in CHAIN_VARIANTS), len(CHAIN_VARIANTS)),
+    "h2k4-bases": (lambda: (inst for _, inst, _ in enumerate_bases(SWEEP_GRID)), 35_750),
+}
+
+
+class TestDerivedCarry:
+    @pytest.mark.parametrize("label", list(CARRY_CAMPAIGNS))
+    def test_carry_is_the_best_of_the_online_buffer(self, label):
+        # at every time of every run, the carry the engine derives from what
+        # step t-1 sent is the canonically best packet of B(t) as
+        # online_buffers scans it, reading nothing of the 2-bounded shape
+        instances, expected = CARRY_CAMPAIGNS[label]
+        runs = 0
+        for inst in instances():
+            _, trace = run_cp(inst)
+            buffers = online_buffers(inst, trace)
+            for t in range(inst.horizon + 1):
+                assert trace.engine.carry(t) == best(inst, buffers.get(t, ())), (inst, t)
+            runs += 1
+        assert runs == expected
