@@ -33,11 +33,9 @@ from .model import (
 )
 from .offline import (
     InternalInvariantError,
-    OracleSizeError,
     PSet,
     PartialQuery,
     QueryEngine,
-    brute_force_partial,
     dp_partial,
     opt_full,
 )

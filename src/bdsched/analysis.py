@@ -390,7 +390,10 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
 
     Checked for every step time t and t' up to INCLUSION_WINDOW steps ahead.
     Each of a base time's nine answers is read from the engine once: its row
-    P(t, a, a) is read as the cross-base row of base t-1.
+    P(t, a, a) is read as the cross-base row of base t-1.  One engine's
+    answers are masks over one rank table, so each inclusion is a bit test
+    and each "adds at most one" compares bit counts; member ids are decoded
+    only for a finding or for the exemption of a failed cross-base subset.
     """
     out = []
     steps = trace.steps
@@ -401,6 +404,9 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
         """P(u, a, a) for a = u .. u + width."""
         return [query(u, a, a) for a in range(u, u + width + 1)]
 
+    def ids(ps: PSet) -> str:
+        return str(sorted(ps.members))
+
     later: list[PSet] | None = None  # base t's row, when read as base t-1's cross-base row
     for t in range(len(steps)):
         row = later if later is not None else diagonal(t)
@@ -408,26 +414,22 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
         sent_at_t = steps[t].transmitted
         for k in range(width):
             t_arr = t + k
-            narrow_ps = row[k]
-            narrow = narrow_ps.member_set
-            grown_arr = row[k + 1].member_set
-            grown_slot = query(t, t_arr, t_arr + 1).member_set
-            if not narrow <= grown_arr:
-                out.append(
-                    Finding("inclusion", f"P({t},{t_arr},{t_arr}) !<= P({t},{t_arr + 1},{t_arr + 1})",
-                            str(sorted(narrow)), str(sorted(grown_arr)))
-                )
-            if not narrow <= grown_slot:
-                out.append(
-                    Finding("inclusion", f"P({t},{t_arr},{t_arr}) !<= P({t},{t_arr},{t_arr + 1})",
-                            str(sorted(narrow)), str(sorted(grown_slot)))
-                )
-            if len(grown_arr) - len(narrow) > 1:
+            narrow_ps, arr_ps = row[k], row[k + 1]
+            slot_ps = query(t, t_arr, t_arr + 1)
+            narrow = narrow_ps.mask
+            size = narrow.bit_count()
+            if narrow & ~arr_ps.mask:
+                out.append(Finding("inclusion", f"P({t},{t_arr},{t_arr}) !<= P({t},{t_arr + 1},{t_arr + 1})",
+                                   ids(narrow_ps), ids(arr_ps)))
+            if narrow & ~slot_ps.mask:
+                out.append(Finding("inclusion", f"P({t},{t_arr},{t_arr}) !<= P({t},{t_arr},{t_arr + 1})",
+                                   ids(narrow_ps), ids(slot_ps)))
+            if arr_ps.mask.bit_count() - size > 1:
                 out.append(Finding("inclusion", f"P({t},{t_arr + 1},{t_arr + 1}) adds >1 over P({t},{t_arr},{t_arr})",
-                                   str(sorted(narrow)), str(sorted(grown_arr))))
-            if len(grown_slot) - len(narrow) > 1:
+                                   ids(narrow_ps), ids(arr_ps)))
+            if slot_ps.mask.bit_count() - size > 1:
                 out.append(Finding("inclusion", f"P({t},{t_arr},{t_arr + 1}) adds >1 over P({t},{t_arr},{t_arr})",
-                                   str(sorted(narrow)), str(sorted(grown_slot))))
+                                   ids(narrow_ps), ids(slot_ps)))
             if later is not None and k:
                 later_ps = later[k - 1]
                 if later_ps.weight > narrow_ps.weight:  # one engine: one scale
@@ -435,11 +437,9 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
                         Finding("inclusion", f"V({t + 1},{t_arr},{t_arr}) > V({t},{t_arr},{t_arr})",
                                 render_value(later_ps.total_value), render_value(narrow_ps.total_value))
                     )
-                if not later_ps.member_set <= narrow and not any(
-                    pid == sent_at_t or inst.by_id(pid).deadline == t for pid in narrow
+                if later_ps.mask & ~narrow and not any(
+                    pid == sent_at_t or inst.by_id(pid).deadline == t for pid in narrow_ps.members
                 ):
-                    out.append(
-                        Finding("inclusion", f"P({t + 1},{t_arr},{t_arr}) !<= P({t},{t_arr},{t_arr})",
-                                str(sorted(later_ps.member_set)), str(sorted(narrow)))
-                    )
+                    out.append(Finding("inclusion", f"P({t + 1},{t_arr},{t_arr}) !<= P({t},{t_arr},{t_arr})",
+                                       ids(later_ps), ids(narrow_ps)))
     return out

@@ -17,7 +17,6 @@ summary-only campaign builds no ``Fraction`` until it renders; rows,
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -174,8 +173,8 @@ def cross_check_queries(inst: Instance, trace) -> list[Finding]:
     online_buffers: the answer the run's query engine gave (the one the
     policy and the checks consumed, seeded with the carry alone) must agree
     exactly in members and total value, so the reduction to the carry is
-    checked too.  Every logged query is checked, whatever its size;
-    brute_force_partial is dp_partial's reference in the tests."""
+    checked too.  Every logged query is checked, whatever its size; the
+    tests hold a subset enumeration as dp_partial's reference."""
     out: list[Finding] = []
     seen: set[tuple[int, int, int]] = set()
     buffers = online_buffers(inst, trace)
@@ -334,6 +333,8 @@ def _campaign(
     and row i comes from shard i mod workers."""
     if workers <= 1:
         return _scan(source(1, 0), config, keep_rows)
+    import multiprocessing  # here, not at the top: a serial campaign never pays for it
+
     with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
         shards = pool.map(_shard, [(source, config, workers, r, keep_rows) for r in range(workers)])
     merged = Summary()

@@ -262,15 +262,16 @@ class Instance:
         return self._id_map[pid]
 
     @property
-    def release_index(self) -> tuple[dict[int, tuple[tuple, ...]], dict[int, tuple]]:
-        """The partial solver's view of this instance: (buckets, by_id).
+    def release_index(self) -> tuple[dict[int, tuple[tuple, ...]], dict[int, tuple], tuple[int, ...]]:
+        """The partial solver's view of this instance: (buckets, by_id, ids).
 
         buckets maps a release time to the entries released then, in
-        canonical order; by_id maps a packet id to its entry.  An entry is
-        (canonical rank, id, release, deadline, weight), the weight read from
-        :attr:`weights`.  The rank sorts on the integer key (-weight,
-        deadline, release, id), the order of :func:`canonical_key`.  Packets
-        with an empty window (deadline < release) are left out.  Raises
+        canonical order; by_id maps a packet id to its entry; ids maps a
+        canonical rank to its packet id.  An entry is (canonical rank, id,
+        release, deadline, weight), the weight read from :attr:`weights`.
+        The rank sorts on the integer key (-weight, deadline, release, id),
+        the order of :func:`canonical_key`.  Packets with an empty window
+        (deadline < release) are left out of buckets and by_id.  Raises
         ValueError, naming the packet, if an id repeats, whatever the
         windows, or a packet is not 2-bounded: a run's carries name packets
         by id, and the solver's feasibility test holds only for windows of at
@@ -296,7 +297,7 @@ class Instance:
                 entry = (rank, pid, release, deadline, -neg_weight)
                 buckets.setdefault(release, []).append(entry)
                 by_id[pid] = entry
-        self._release_index = {r: tuple(es) for r, es in buckets.items()}, by_id
+        self._release_index = {r: tuple(es) for r, es in buckets.items()}, by_id, tuple([key[3] for key in keyed])
         return self._release_index
 
     def __len__(self) -> int:

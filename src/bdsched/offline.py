@@ -17,8 +17,10 @@ construction rather than by luck.
 Every instance is 2-bounded, so each clipped window is one slot or two
 adjacent slots and the matroid is bicircular on the slot line: a set fits
 iff no connected component of slots holds more packets than slots, which
-the greedy tests with a union-find over slots.  Only :func:`opt_full` lays
-its kept set out in slots, earliest-deadline-first, with a heap.
+the greedy tests with a union-find over slots.  A fitting set never holds
+more packets than [t, t''] has slots, so the greedy stops as soon as its
+kept set fills them all.  Only :func:`opt_full` lays its kept set out in
+slots, earliest-deadline-first, with a heap.
 
 :class:`QueryEngine` is the only front end through which the policy and
 every checker ask partial queries over a run.  It reads the run's step
@@ -31,18 +33,18 @@ plus the carry at t' = t and the pool of (t, t'-1) with bucket t' merged in
 after that, and read by every query P(t, t', .).  What it never shares is an
 answer: each miss runs its own greedy from an empty union-find.
 
-Answers are exact and integer: a :class:`PSet` carries its total as an
-integer weight at a scale, the instance's :attr:`~bdsched.model.Instance.scale`
-for every answer of the greedy, so one engine's answers compare as integers.
-The rational total is built only when it is read.
+Answers are exact and integer: a :class:`PSet` from the greedy is a pair of
+integers, a bitmask over the instance's canonical ranks and its total as a
+weight at the instance's :attr:`~bdsched.model.Instance.scale`, so the
+selectors and the nesting checks compare one engine's answers with integer
+and bit operations.  Member ids and the rational total are decoded only
+when they are read: by a report, by the oracle cross-check or by a test.
 
 ``dp_partial`` is the independent oracle that campaigns run: a max-weight
 dynamic program along the slot path, with its own scan and sort of the
-packets, sharing no code path with the greedy.  ``brute_force_partial`` is
-its reference: straight enumeration of packet subsets with a backtracking
-matcher, limited to small queries and run only by the tests.  Both oracles
-are seeded with the whole pending set B(t), not the carry, so they check the
-reduction to the carry on every query they answer.
+packets, sharing no code path with the greedy.  It is seeded with the whole
+pending set B(t), not the carry, so it checks the reduction to the carry on
+every query it answers.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
 from typing import Collection, Sequence
 
 from .model import Instance, Packet, Rat, Schedule, canonical_key
@@ -61,25 +62,16 @@ __all__ = [
     "PSet",
     "QueryEngine",
     "InternalInvariantError",
-    "OracleSizeError",
     "canonical_key",
     "selector_windows",
     "dp_partial",
-    "brute_force_partial",
     "opt_full",
 ]
-
-#: Guard for the enumeration oracle.
-BRUTE_FORCE_LIMIT = 20
 
 
 class InternalInvariantError(RuntimeError):
     """A run reached a configuration its invariants forbid, e.g. a marginal
     packet set with two or more members."""
-
-
-class OracleSizeError(ValueError):
-    """brute_force_partial refused a query with too many eligible packets."""
 
 
 def _out_of_order(t: int, arrival_end: int, slot_end: int) -> ValueError:
@@ -104,29 +96,68 @@ class PartialQuery:
             raise _out_of_order(self.start, self.arrival_end, self.slot_end)
 
 
+def _decode(mask: int, ids: Sequence[int]) -> tuple[int, ...]:
+    """The ids of the ranks set in `mask`, in ascending rank: canonical order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
 class PSet:
     """Result of a partial-optimum query.
 
-    members:    kept packet ids in canonical order
+    mask:       bit r set iff the packet of canonical rank r is a member;
+                None for an answer built from member ids
     weight:     exact sum of member values times scale
     scale:      the weight's denominator; the solver's answers use the
                 instance's scale, so one engine's weights compare directly
-    member_set: members as a frozenset, built once
+    ids:        the instance's rank -> id table that `mask` indexes (the
+                third field of ``release_index``), or None
+    members:    kept packet ids in canonical order, decoded from the mask on
+                first read
+    member_set: members as a frozenset
 
-    Equality and hashing read the members and the rational total, so answers
-    at different scales compare by value.  A plain slotted class, not a
-    frozen dataclass, because the engine builds one per miss and a frozen
-    __init__ costs three times as much; answers are shared through the
-    engine's cache and never modified.
+    The query engine builds its answers with :meth:`from_mask`, and two
+    answers of one engine nest iff their masks do.  ``dp_partial`` builds
+    its answers from member ids.  Equality and hashing read the members and
+    the rational total, so answers of either kind, at any scale, compare by
+    value.  A plain slotted class, not a frozen dataclass, because the
+    engine builds one per miss; answers are shared through the engine's
+    cache and never modified.
     """
 
-    __slots__ = ("members", "weight", "scale", "member_set")
+    __slots__ = ("mask", "weight", "scale", "ids", "_members")
 
-    def __init__(self, members: tuple[int, ...], weight: int, scale: int = 1):
-        self.members = members
+    def __init__(self, members: Sequence[int], weight: int, scale: int = 1):
+        self.mask = self.ids = None
+        self._members = tuple(members)
         self.weight = weight
         self.scale = scale
-        self.member_set = frozenset(members)
+
+    @classmethod
+    def from_mask(cls, mask: int, weight: int, scale: int, ids: Sequence[int]) -> PSet:
+        """The answer whose members are the ranks set in `mask` over `ids`."""
+        ps = object.__new__(cls)
+        ps.mask = mask
+        ps.weight = weight
+        ps.scale = scale
+        ps.ids = ids
+        ps._members = None
+        return ps
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        members = self._members
+        if members is None:
+            members = self._members = _decode(self.mask, self.ids)
+        return members
+
+    @property
+    def member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
 
     @property
     def total_value(self) -> Rat:
@@ -178,19 +209,24 @@ def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[i
     return out
 
 
-def _solve(scale: int, t: int, t_end: int, entries: Sequence[tuple]) -> PSet:
+def _solve(scale: int, ids: Sequence[int], t: int, t_end: int, entries: Sequence[tuple]) -> PSet:
     """The canonical partial optimum over a pool of the queries P(t, t', .),
     for the last slot t'' = t_end >= t'.  Each window clipped to [t, t''] is
     one slot (a loop) or two adjacent slots (an edge).  A union-find over
     slots keeps each component's free slot count: a loop, or an edge inside
     one component, is accepted iff that component has a free slot; an edge
     joining two components iff they have one between them.  Each call
-    starts from an empty union-find.  The total is a weight at `scale`."""
+    starts from an empty union-find.
+
+    Every entry's clipped window lies in [t, t''], so once the kept set
+    fills every slot no later entry can join, and the sweep stops there.
+    The answer is the mask of the kept ranks over the rank table `ids` and
+    their total as a weight at `scale`."""
     parent: dict[int, int] = {}  # slot -> a slot nearer its component's root
     free: dict[int, int] = {}  # root -> free slots; an untouched slot is a root with one
-    members: list[int] = []
-    total = 0
-    for _, pid, release, deadline, value in entries:
+    room = t_end - t + 1  # slots not yet filled
+    mask = total = 0
+    for rank, _, release, deadline, value in entries:
         lo = release if release > t else t
         a = lo
         while a in parent:
@@ -209,32 +245,12 @@ def _solve(scale: int, t: int, t_end: int, entries: Sequence[tuple]) -> PSet:
         if fa < 1:
             continue
         free[a] = fa - 1
-        members.append(pid)
+        mask |= 1 << rank
         total += value
-    return PSet(tuple(members), total, scale)
-
-
-def _matchable(packets: Sequence[Packet], slots: Sequence[int], lo: int) -> bool:
-    """Backtracking exact matcher used only by the enumeration oracle.
-
-    Tries every slot choice for every packet, in (packet id, slot) order.
-    """
-    slot_free = {s: True for s in slots}
-    ordered = sorted(packets, key=lambda p: p.id)
-
-    def place(i: int) -> bool:
-        if i == len(ordered):
-            return True
-        p = ordered[i]
-        for s in slots:
-            if slot_free[s] and max(lo, p.release) <= s <= p.deadline:
-                slot_free[s] = False
-                if place(i + 1):
-                    return True
-                slot_free[s] = True
-        return False
-
-    return place(0)
+        room -= 1
+        if not room:
+            break
+    return PSet.from_mask(mask, total, scale, ids)
 
 
 def dp_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -> PSet:
@@ -295,40 +311,6 @@ def dp_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -
     return PSet(members, free >> n, scale)
 
 
-def brute_force_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -> PSet:
-    """Independent oracle: enumerate every packet subset, keep the feasible
-    one of maximum total value, ties resolved by the canonical order.  Seeded
-    like dp_partial with all of B(t), the ids `pending`.
-
-    Refuses queries with more than BRUTE_FORCE_LIMIT eligible packets.
-    """
-    # Its own scan and sort, not _eligible: the oracle never trusts the
-    # instance's presorted order that the greedy solver filters.
-    pool = sorted((p for p in inst.packets if (p.id in pending or q.start <= p.release <= q.arrival_end)
-                   and max(q.start, p.release) <= min(q.slot_end, p.deadline)), key=canonical_key)
-    if len(pool) > BRUTE_FORCE_LIMIT:
-        raise OracleSizeError(f"{len(pool)} eligible packets exceeds the oracle limit of {BRUTE_FORCE_LIMIT}")
-    slots = list(range(q.start, q.slot_end + 1))
-    positions = {p.id: i for i, p in enumerate(pool)}
-
-    best_subset: tuple[Packet, ...] | None = None
-    best_value = Fraction(-1)
-    best_rank: tuple[int, ...] = ()
-    max_size = min(len(pool), len(slots))
-    for size in range(0, max_size + 1):
-        for subset in combinations(pool, size):
-            if not _matchable(subset, slots, q.start):
-                continue
-            value = sum((p.value for p in subset), Fraction(0))
-            rank = tuple(sorted(positions[p.id] for p in subset))
-            if value > best_value or (value == best_value and best_subset is not None and rank < best_rank):
-                best_subset, best_value, best_rank = subset, value, rank
-    if best_subset is None or not best_subset:
-        return _EMPTY_PSET
-    ordered = sorted(best_subset, key=canonical_key)
-    return PSet(tuple(p.id for p in ordered), best_value.numerator, best_value.denominator)
-
-
 def selector_windows(kind: str, t: int, i: int) -> tuple[tuple[int, int, int], tuple[int, int, int] | None]:
     """(wide, narrow): the windows (t, t', t'') whose difference is selector
     `kind` ("m" or "q") at base t.  m_i(t) widens both windows from t+i-1 to
@@ -345,20 +327,25 @@ class QueryEngine:
     """Memoized partial-optimum queries over one run.
 
     P(t, t', t''), t <= t' <= t'', is the canonical partial optimum seeded
-    with :meth:`carry` (t), derived from `steps`, the run's step records
-    (a list that may grow while the run goes on).  Answers are cached on (t, t', t''), which names a query
-    only within one run, so an engine is never reused for another instance
-    or run.  The candidate pools are cached on (t, t'), each built once by
-    :meth:`pool` and read by every query P(t, t', .); a miss still runs its
-    own greedy over it, so no answer depends on which queries came first.
-    Every answer's weight is at the instance's scale, so the checks compare
-    answers of one engine as integers.  ``calls`` counts every lookup,
-    ``hits`` the lookups answered from the cache.
+    with :meth:`carry` (t), derived from `steps`, the run's step records (a
+    list that may grow while the run goes on).  The instance's
+    ``release_index`` -- its buckets, its entries by id and its rank -> id
+    table ``ids`` -- is read once, here.  Answers are cached on
+    (t, t', t''), which names a query only within one run, so an engine is
+    never reused for another instance or run.  The candidate pools are
+    cached on (t, t'), each built once by :meth:`pool` and read by every
+    query P(t, t', .); a miss still runs its own greedy over it, so no
+    answer depends on which queries came first.  Every answer is a mask
+    over ``ids`` with a weight at the instance's scale, so the checks
+    compare answers of one engine with integer and bit operations.
+    ``calls`` counts every lookup, ``hits`` the lookups answered from the
+    cache.
     """
 
     def __init__(self, inst: Instance, steps: Sequence):
         self.inst = inst
         self.steps = steps
+        self.buckets, self.entries, self.ids = inst.release_index
         self.cache: dict[tuple[int, int, int], PSet] = {}
         self.pools: dict[tuple[int, int], Sequence[tuple]] = {}
         self.calls = 0
@@ -382,7 +369,7 @@ class QueryEngine:
         if t == 0:
             return None
         sent = self.steps[t - 1].transmitted
-        for _, pid, _, deadline, _ in self.inst.release_index[0].get(t - 1, ()):  # in rank order
+        for _, pid, _, deadline, _ in self.buckets.get(t - 1, ()):  # in rank order
             if deadline == t and pid != sent:
                 return pid
         return None
@@ -394,15 +381,14 @@ class QueryEngine:
         the pool of (t, t') is that of (t, t'-1) with bucket t' merged in."""
         pool = self.pools.get((t, arrival_end))
         if pool is None:
-            buckets, by_id = self.inst.release_index
             if arrival_end == t:
-                pool = buckets.get(t, ())
+                pool = self.buckets.get(t, ())
                 carry = self.carry(t)
                 if carry is not None:
-                    pool = sorted([*pool, by_id[carry]])
+                    pool = sorted([*pool, self.entries[carry]])
             else:
                 pool = self.pool(t, arrival_end - 1)
-                bucket = buckets.get(arrival_end)
+                bucket = self.buckets.get(arrival_end)
                 if bucket:
                     pool = sorted([*pool, *bucket])
             self.pools[t, arrival_end] = pool
@@ -419,18 +405,20 @@ class QueryEngine:
             return ps
         if not t <= arrival_end <= slot_end:
             raise _out_of_order(t, arrival_end, slot_end)
-        ps = self.cache[key] = _solve(self.inst.scale, t, slot_end, self.pool(t, arrival_end))
+        ps = self.cache[key] = _solve(self.inst.scale, self.ids, t, slot_end, self.pool(t, arrival_end))
         return ps
 
     def gain(self, kind: str, t: int, i: int) -> Packet | None:
-        """The packet selector `kind`_i(t) gains, or None if it gains none."""
+        """The packet selector `kind`_i(t) gains, or None if it gains none:
+        the wide window's mask less the narrow one's, which must be a single
+        bit or none."""
         wide, narrow = selector_windows(kind, t, i)
-        diff = self.p(*wide).member_set
+        gained = self.p(*wide).mask
         if narrow is not None:
-            diff = diff - self.p(*narrow).member_set
-        if len(diff) > 1:
-            raise InternalInvariantError(f"{kind}_{i}({t}) is not a singleton: {sorted(diff)}")
-        return self.inst.by_id(next(iter(diff))) if diff else None
+            gained &= ~self.p(*narrow).mask
+        if gained & (gained - 1):
+            raise InternalInvariantError(f"{kind}_{i}({t}) is not a singleton: {sorted(_decode(gained, self.ids))}")
+        return self.inst.by_id(self.ids[gained.bit_length() - 1]) if gained else None
 
     def m(self, t: int, i: int) -> Packet | None:
         return self.gain("m", t, i)
@@ -449,6 +437,7 @@ def opt_full(inst: Instance) -> tuple[Schedule, int]:
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
-    ps = _solve(inst.scale, 0, horizon, sorted([e for r, es in inst.release_index[0].items() if r >= 0 for e in es]))
+    buckets, _, ids = inst.release_index
+    ps = _solve(inst.scale, ids, 0, horizon, sorted([e for r, es in buckets.items() if r >= 0 for e in es]))
     by_id = inst.by_id
     return Schedule(_edf_assignment([by_id(i) for i in ps.members], 0, horizon)), ps.weight

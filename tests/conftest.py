@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from bdsched import Instance, Packet
+from bdsched import Instance, Packet, PSet, QueryEngine
 
 
 def mk(*shapes) -> Instance:
@@ -11,3 +11,11 @@ def mk(*shapes) -> Instance:
     return Instance(
         Packet(id=i, release=r, deadline=d, value=Fraction(v)) for i, (r, d, v) in enumerate(shapes)
     )
+
+
+def answer(engine: QueryEngine, members, weight: int) -> PSet:
+    """An answer to inject into `engine`'s cache: the ids `members`, with
+    the weight `weight` at the instance's scale, as a mask over the engine's
+    rank table, the form of the engine's own answers."""
+    rank = {pid: r for r, pid in enumerate(engine.ids)}
+    return PSet.from_mask(sum([1 << rank[pid] for pid in members]), weight, engine.inst.scale, engine.ids)

@@ -17,12 +17,10 @@ from bdsched import (
     CheckConfig,
     GridSpec,
     Instance,
-    OracleSizeError,
     Packet,
     PartialQuery,
     Quad17,
     R,
-    brute_force_partial,
     check_instance,
     gen_random,
     greedy_baseline,
@@ -38,7 +36,7 @@ from bdsched import (
 from bdsched.generators import chain_family, tight_family
 from bdsched.harness import online_buffers
 from bdsched.model import le_r_times
-from bdsched.offline import BRUTE_FORCE_LIMIT
+from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 
 SWEEP_GRID = GridSpec(
     horizon=2,

@@ -15,7 +15,6 @@ from bdsched import (
     Interval,
     IntervalReport,
     PartitionError,
-    PSet,
     Quad17,
     R,
     RandomConfig,
@@ -35,8 +34,8 @@ from bdsched import (
 )
 from bdsched.analysis import FORCED_CASES
 from bdsched.harness import check_or_crash, evaluate
-from bdsched.model import profit
-from conftest import mk
+from bdsched.model import profit, render_value
+from conftest import answer, mk
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 from test_offline import small_instances
 
@@ -359,11 +358,12 @@ class TestCrossBaseExemption:
         inst = self.INST
         _, trace = run_cp(inst)
         assert trace.steps[0].transmitted == 1
-        cache = trace.engine.cache
+        engine = trace.engine
+        cache = engine.cache
         if narrow is not None:
-            cache[(0, 1, 1)] = PSet(narrow, sum(inst.weights[pid] for pid in narrow))
+            cache[(0, 1, 1)] = answer(engine, narrow, sum(inst.weights[pid] for pid in narrow))
         narrow_weight = cache[(0, 1, 1)].weight
-        cache[(1, 1, 1)] = PSet((3,), narrow_weight + 1 if raise_weight else inst.weights[3])
+        cache[(1, 1, 1)] = answer(engine, (3,), narrow_weight + 1 if raise_weight else inst.weights[3])
         return [(f.detail, f.lhs, f.rhs) for f in check_inclusions(inst, trace) if f.detail in (self.SUBSET, self.VALUE)]
 
     def test_unmodified_run_is_clean(self):
@@ -386,6 +386,41 @@ class TestCrossBaseExemption:
         findings = self.cross_findings(narrow, raise_weight=True)
         assert findings[0] == (self.VALUE, str(weight + 1), str(weight))
         assert findings[1:] == ([(self.SUBSET, "[3]", "[2]")] if narrow == (2,) else [])
+
+
+class TestWeakerChecksAreCaught:
+    """An injected engine answer that only the full check can tell from a
+    sound one: each test fails if its check is weakened to what every
+    campaign would still pass."""
+
+    def test_slot_gain_of_two_is_reported(self):
+        # P(0, 0, 0) = {0}; P(0, 0, 1) holds 0 and gains both 1 and 2, a set
+        # that still contains P(0, 0, 0), so only the "adds >1" test sees it
+        inst = mk((0, 0, 5), (0, 1, 3), (0, 1, 2))
+        _, trace = run_cp(inst)
+        engine = trace.engine
+        assert engine.p(0, 0, 0).members == (0,) and engine.p(0, 0, 1).members == (0, 1)
+        assert check_inclusions(inst, trace) == []
+        engine.cache[(0, 0, 1)] = answer(engine, (0, 1, 2), sum(inst.weights.values()))
+        found = [(f.kind, f.detail, f.lhs, f.rhs) for f in check_inclusions(inst, trace)]
+        assert found == [("inclusion", "P(0,0,1) adds >1 over P(0,0,0)", "[0]", "[0, 1, 2]")]
+
+    def test_no_slack_interval_reads_the_no_slack_bound(self):
+        # the interval 0..0 sends packet 0, which has no slack, so its bound is
+        # V(0, 0, 0); lowered below opt_i it is reported, while the one-slack
+        # V(0, 0, 1) still covers opt_i
+        inst = mk((0, 0, 5), (0, 1, 3), (1, 1, 4))
+        _, trace, _, report = evaluate(inst)
+        first = report.intervals[0]
+        assert (first.cp_span, first.trigger, trace.steps[0].transmitted) == ((0, 0), "1.1", 0)
+        assert check_lemma_bounds(inst, trace, report) == []
+        engine = trace.engine
+        lowered = first.w_opt - 1
+        assert engine.p(0, 0, 1).weight >= first.w_opt > lowered
+        engine.cache[(0, 0, 0)] = answer(engine, engine.p(0, 0, 0).members, lowered)
+        found = [(f.kind, f.detail, f.lhs, f.rhs) for f in check_lemma_bounds(inst, trace, report)]
+        assert found == [("partial-bound", "interval 0 1.1 span=(0, 0) no-slack V(0,0,0)",
+                          render_value(first.v_opt), render_value(Fraction(lowered, inst.scale)))]
 
 
 class TestExactSums:

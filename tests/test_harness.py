@@ -25,14 +25,12 @@ from bdsched import (
     InternalInvariantError,
     Interval,
     IntervalReport,
-    OracleSizeError,
     Packet,
     PartialQuery,
     PSet,
     QueryEngine,
     RandomConfig,
     Summary,
-    brute_force_partial,
     chain_family,
     check_instance,
     count_bases,
@@ -63,6 +61,7 @@ from bdsched.harness import (
 )
 from bdsched.model import instance_to_dict
 from conftest import mk
+from enumeration import OracleSizeError, brute_force_partial
 
 SMALL_GRID = GridSpec(horizon=1, max_packets=2, value_grid=(Fraction(1), Fraction(2)))
 ACCEPTANCE_VALUES = (Fraction(1), Fraction(5, 4), Fraction(8, 5), Fraction(2), Fraction(3))
@@ -715,6 +714,15 @@ class TestCli:
                              timeout=60)
         assert out.returncode == 0
         assert out.stdout.startswith("usage: bdsched")
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only a campaign on two or more workers imports multiprocessing
+        src = str(Path(harness_mod.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, bdsched, bdsched.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize(

@@ -251,8 +251,9 @@ class TestIntegerWeights:
             st.tuples(st.integers(0, 3), st.integers(0, 1), st.sampled_from(MIXED_VALUES)), max_size=10))
         ids = data.draw(st.permutations(range(len(shapes))))
         inst = Instance(Packet(pid, r, r + off, v) for pid, (r, off, v) in zip(ids, shapes))
-        buckets, by_id = inst.release_index
+        buckets, by_id, ids = inst.release_index
         ranked = sorted(by_id.values())
+        assert ids == tuple([p.id for p in sorted(inst.packets, key=canonical_key)])
         assert [entry[0] for entry in ranked] == list(range(len(shapes)))
         assert [entry[1] for entry in ranked] == [p.id for p in sorted(inst.packets, key=canonical_key)]
         assert all(Fraction(entry[4], inst.scale) == inst.by_id(entry[1]).value for entry in ranked)
@@ -324,7 +325,7 @@ class TestEagerInstance:
             with pytest.raises(ValueError, match=r"^packet (id )?\d+ is not"):
                 inst.release_index
         else:
-            _buckets, by_id = inst.release_index
+            _buckets, by_id, _ids = inst.release_index
             assert inst.release_index is inst.release_index
             assert {pid: entry[4] for pid, entry in by_id.items()} == {
                 p.id: inst.weights[p.id] for p in packets if p.deadline >= p.release
@@ -346,4 +347,4 @@ class TestEagerInstance:
     def test_empty_instance(self):
         inst = Instance(())
         assert (inst.horizon, inst.scale, inst.weights, inst.arrivals, len(inst)) == (-1, 1, {}, {}, 0)
-        assert inst.release_index == ({}, {})
+        assert inst.release_index == ({}, {}, ())

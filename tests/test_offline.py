@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from bdsched import (
     Instance,
     InternalInvariantError,
-    OracleSizeError,
     Packet,
     PartialQuery,
     PSet,
@@ -21,7 +20,6 @@ from bdsched import (
     RandomConfig,
     Schedule,
     StepRecord,
-    brute_force_partial,
     chain_family,
     check_inclusions,
     dp_partial,
@@ -33,8 +31,9 @@ from bdsched import (
 )
 from bdsched.harness import online_buffers
 from bdsched.model import canonical_key
-from bdsched.offline import BRUTE_FORCE_LIMIT, _edf_assignment
-from conftest import mk
+from bdsched.offline import _edf_assignment, _solve
+from conftest import answer, mk
+from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 
 
@@ -322,6 +321,44 @@ class TestIntegerAnswers:
             checked += 1
         assert checked > 200
 
+    @given(st.one_of(small_instances(max_packets=8, max_release=5), small_instances(max_packets=60, max_release=40)))
+    @settings(max_examples=120, deadline=None)
+    def test_every_answer_decodes_to_its_members(self, inst):
+        # every answer of a run's engine, the checks' included, is a mask
+        # over the instance's canonical ranks: its members decode in
+        # ascending rank, it weighs its members' weights, and it equals the
+        # oracle seeded with all of B(t)
+        _, trace = run_cp(inst)
+        check_inclusions(inst, trace)
+        buffers = online_buffers(inst, trace)
+        entries = trace.engine.entries
+        for (t, t_arr, t_slot), cached in trace.engine.cache.items():
+            ranks = [entries[pid][0] for pid in cached.members]
+            assert ranks == sorted(ranks) and cached.mask == sum([1 << rank for rank in ranks])
+            assert list(cached.members) == sorted(cached.members, key=lambda pid: canonical_key(inst.by_id(pid)))
+            assert cached.member_set == set(cached.members)
+            assert (cached.weight, cached.scale) == (sum([inst.weights[pid] for pid in cached.members]), inst.scale)
+            assert cached == dp_partial(PartialQuery(t, t_arr, t_slot), inst, buffers.get(t, ()))
+
+    def test_filled_slots_stop_the_sweep(self):
+        # P(0, 1, 1): packets 0 and 1 fill slots 0 and 1, so the greedy stops
+        # there and never reads packets 2 and 3, which could join no longer
+        inst = mk((0, 1, 5), (1, 1, 4), (0, 1, 3), (1, 1, 2))
+        pool = engine(inst).pool(0, 1)
+        assert [entry[1] for entry in pool] == [0, 1, 2, 3]
+        read = []
+
+        def entries():
+            for entry in pool:
+                read.append(entry[1])
+                yield entry
+
+        got = _solve(inst.scale, inst.release_index[2], 0, 1, entries())
+        assert read == [0, 1]
+        q = PartialQuery(0, 1, 1)
+        assert got.members == (0, 1) and got.total_value == 9
+        assert got == solve(q, inst) == dp_partial(q, inst) == brute_force_partial(q, inst)
+
     def test_equality_and_hash_across_scales(self):
         same = [PSet((0, 1), Fraction(8)), PSet((0, 1), 8), PSet((0, 1), 96, 12), PSet((0, 1), 40, 5)]
         assert all(a == b and hash(a) == hash(b) for a in same for b in same)
@@ -371,8 +408,8 @@ class TestSelectors:
     def test_non_singleton_gain_is_an_invariant_error(self):
         inst = mk((0, 1, 5), (0, 1, 4))
         eng = engine(inst)
-        eng.cache[(0, 0, 0)] = PSet(members=(0, 1), weight=9)
-        with pytest.raises(InternalInvariantError):
+        eng.cache[(0, 0, 0)] = answer(eng, (0, 1), 9)
+        with pytest.raises(InternalInvariantError, match=r"m_0\(0\) is not a singleton: \[0, 1\]"):
             eng.m(0, 0)
 
     @given(small_instances())
