@@ -34,7 +34,6 @@ from .model import (
 from .offline import (
     InternalInvariantError,
     PSet,
-    PartialQuery,
     QueryEngine,
     dp_partial,
     opt_full,

@@ -188,7 +188,9 @@ def gen_random(seed: int, config: RandomConfig = RandomConfig()) -> Instance:
 
 def greedy_baseline(inst: Instance) -> Schedule:
     """No-lookahead contrast algorithm: at each step transmit the pending
-    packet of maximum value (ties: deadline ascending, then id)."""
+    packet of maximum value (ties: deadline ascending, then id).  The tie
+    rule is deliberately its own, not model.rank_key: this is a contrast
+    baseline, not an optimum."""
     arrivals = inst.arrivals
     pending: dict[int, Packet] = {}
     slots: dict[int, int] = {}

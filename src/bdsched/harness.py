@@ -46,7 +46,7 @@ from .model import (
     render_decimal,
     render_value,
 )
-from .offline import InternalInvariantError, PartialQuery, dp_partial, opt_full
+from .offline import InternalInvariantError, dp_partial, opt_full
 
 __all__ = [
     "CheckConfig",
@@ -184,7 +184,7 @@ def cross_check_queries(inst: Instance, trace) -> list[Finding]:
             continue
         seen.add(key)
         got = trace.engine.cache[key]
-        ref = dp_partial(PartialQuery(t, t_arr, t_slot), inst, buffers.get(t, ()))
+        ref = dp_partial(key, inst, buffers.get(t, ()))
         if got != ref:
             out.append(
                 Finding(
@@ -360,11 +360,11 @@ def run_exhaustive(
     after s idle steps:
 
     * run_cp idles while the buffer is empty, and otherwise compares a
-      release or deadline only with the step time; canonical_key orders
-      packets by value, deadline, release and id, which the shift keeps in
-      order.  So run_cp, opt_full and every partial-optimum query answer
-      with the base's packets at times shifted by s, and the cases repeat
-      after s `idle` steps.
+      release or deadline only with the step time; model.rank_key orders
+      packets by value, deadline, release and id, and a shift keeps every
+      (deadline, release) order.  So run_cp, opt_full and every
+      partial-optimum query answer with the base's packets at times shifted
+      by s, and the cases repeat after s `idle` steps.
     * The interval comparison adds one idle span per leading idle step, with
       zero profit on both timelines (nothing is released before s), so the
       global and interval bounds, the coverage test and the worst interval

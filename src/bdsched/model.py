@@ -44,6 +44,7 @@ __all__ = [
     "le_r_times",
     "ge_alpha_times",
     "Packet",
+    "rank_key",
     "canonical_key",
     "Instance",
     "Schedule",
@@ -215,10 +216,17 @@ class Packet:
         return self.release == t and self.deadline == t + 1
 
 
+def rank_key(p: Packet, weight) -> tuple:
+    """The tie rule that pins every optimum down, written once: value desc,
+    deadline asc, release asc, id asc, with `weight` the packet's value at
+    any common positive scale.  Every reader looks it up in this module when
+    it runs, so rebinding ``model.rank_key`` changes every optimum at once."""
+    return (-weight, p.deadline, p.release, p.id)
+
+
 def canonical_key(p: Packet) -> tuple:
-    """The one tie-breaking order used everywhere: value desc, deadline asc,
-    release asc, id asc."""
-    return (-p.value, p.deadline, p.release, p.id)
+    """:func:`rank_key` on the packet's own value."""
+    return rank_key(p, p.value)
 
 
 class Instance:
@@ -269,9 +277,9 @@ class Instance:
         canonical order; by_id maps a packet id to its entry; ids maps a
         canonical rank to its packet id.  An entry is (canonical rank, id,
         release, deadline, weight), the weight read from :attr:`weights`.
-        The rank sorts on the integer key (-weight, deadline, release, id),
-        the order of :func:`canonical_key`.  Packets with an empty window
-        (deadline < release) are left out of buckets and by_id.  Raises
+        The rank sorts the packets by :func:`rank_key` on those weights, and
+        each entry reads its fields from its packet.  Packets with an empty
+        window (deadline < release) are left out of buckets and by_id.  Raises
         ValueError, naming the packet, if an id repeats, whatever the
         windows, or a packet is not 2-bounded: a run's carries name packets
         by id, and the solver's feasibility test holds only for windows of at
@@ -287,17 +295,18 @@ class Instance:
                     raise ValueError(f"packet id {p.id} is not unique")
                 seen.add(p.id)
         weights = self.weights
-        keyed = sorted([(-weights[p.id], p.deadline, p.release, p.id) for p in packets])
+        ranked = sorted(packets, key=lambda p: rank_key(p, weights[p.id]))
         buckets: dict[int, list[tuple]] = {}
         by_id: dict[int, tuple] = {}
-        for rank, (neg_weight, deadline, release, pid) in enumerate(keyed):
+        for rank, p in enumerate(ranked):
+            pid, release, deadline = p.id, p.release, p.deadline
             if deadline - release > 1:
                 raise ValueError(f"packet {pid} is not 2-bounded: window [{release}, {deadline}]")
             if deadline >= release:
-                entry = (rank, pid, release, deadline, -neg_weight)
+                entry = (rank, pid, release, deadline, weights[pid])
                 buckets.setdefault(release, []).append(entry)
                 by_id[pid] = entry
-        self._release_index = {r: tuple(es) for r, es in buckets.items()}, by_id, tuple([key[3] for key in keyed])
+        self._release_index = {r: tuple(es) for r, es in buckets.items()}, by_id, tuple([p.id for p in ranked])
         return self._release_index
 
     def __len__(self) -> int:

@@ -8,11 +8,12 @@ none, stands for all of B(t) and is derived from the run's steps (see
 :meth:`QueryEngine.carry`).  Feasible packet sets form a transversal matroid
 (packets matchable into distinct slots of their availability windows), so a
 greedy sweep in one fixed canonical order, accepting a packet whenever the
-kept set stays matchable, is optimal.  The single global canonical order --
-value descending, deadline ascending, release ascending, id ascending --
-also pins down every tie, which makes the nesting relations between
-neighbouring queries and the uniqueness of their set differences hold by
-construction rather than by luck.
+kept set stays matchable, is optimal.  That order is
+:func:`~bdsched.model.rank_key` -- value descending, deadline ascending,
+release ascending, id ascending -- and it also pins down every tie, which
+makes the nesting relations between neighbouring queries and the
+uniqueness of their set differences hold by construction rather than by
+luck.
 
 Every instance is 2-bounded, so each clipped window is one slot or two
 adjacent slots and the matroid is bicircular on the slot line: a set fits
@@ -41,8 +42,9 @@ and bit operations.  Member ids and the rational total are decoded only
 when they are read: by a report, by the oracle cross-check or by a test.
 
 ``dp_partial`` is the independent oracle that campaigns run: a max-weight
-dynamic program along the slot path, with its own scan and sort of the
-packets, sharing no code path with the greedy.  It is seeded with the whole
+dynamic program along the slot path, with its own scan, scale and sort of
+the packets, sharing no code path with the greedy; only the specification,
+``rank_key``, is common to both.  It is seeded with the whole
 pending set B(t), not the carry, so it checks the reduction to the carry on
 every query it answers.
 """
@@ -50,19 +52,17 @@ every query it answers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Collection, Sequence
 
-from .model import Instance, Packet, Rat, Schedule, canonical_key
+from . import model
+from .model import Instance, Packet, Rat, Schedule
 
 __all__ = [
-    "PartialQuery",
     "PSet",
     "QueryEngine",
     "InternalInvariantError",
-    "canonical_key",
     "selector_windows",
     "dp_partial",
     "opt_full",
@@ -78,24 +78,6 @@ def _out_of_order(t: int, arrival_end: int, slot_end: int) -> ValueError:
     return ValueError(f"query out of order: t={t}, t'={arrival_end}, t''={slot_end}")
 
 
-@dataclass(frozen=True)
-class PartialQuery:
-    """The window of a partial-optimum query; its seed is passed beside it.
-
-    start:       first transmission slot t
-    arrival_end: last arrival time t' fed to the solver (t <= t')
-    slot_end:    last transmission slot t'' (t' <= t'')
-    """
-
-    start: int
-    arrival_end: int
-    slot_end: int
-
-    def __post_init__(self):
-        if not (self.start <= self.arrival_end <= self.slot_end):
-            raise _out_of_order(self.start, self.arrival_end, self.slot_end)
-
-
 def _decode(mask: int, ids: Sequence[int]) -> tuple[int, ...]:
     """The ids of the ranks set in `mask`, in ascending rank: canonical order."""
     out = []
@@ -109,44 +91,32 @@ def _decode(mask: int, ids: Sequence[int]) -> tuple[int, ...]:
 class PSet:
     """Result of a partial-optimum query.
 
-    mask:       bit r set iff the packet of canonical rank r is a member;
-                None for an answer built from member ids
+    mask:       bit r set iff the packet of rank r in `ids` is a member
     weight:     exact sum of member values times scale
     scale:      the weight's denominator; the solver's answers use the
                 instance's scale, so one engine's weights compare directly
-    ids:        the instance's rank -> id table that `mask` indexes (the
-                third field of ``release_index``), or None
+    ids:        the rank -> id table that `mask` indexes, in canonical order
     members:    kept packet ids in canonical order, decoded from the mask on
                 first read
     member_set: members as a frozenset
 
-    The query engine builds its answers with :meth:`from_mask`, and two
-    answers of one engine nest iff their masks do.  ``dp_partial`` builds
-    its answers from member ids.  Equality and hashing read the members and
-    the rational total, so answers of either kind, at any scale, compare by
-    value.  A plain slotted class, not a frozen dataclass, because the
-    engine builds one per miss; answers are shared through the engine's
-    cache and never modified.
+    The query engine's masks index the instance's ranks (the third field of
+    ``release_index``), so two answers of one engine nest iff their masks
+    do; ``dp_partial``'s index the ranks of its own sort.  Equality and
+    hashing read the members and the rational total, so answers of either
+    source, at any scale, compare by value.  A plain slotted class, not a
+    frozen dataclass, because the engine builds one per miss; answers are
+    shared through the engine's cache and never modified.
     """
 
     __slots__ = ("mask", "weight", "scale", "ids", "_members")
 
-    def __init__(self, members: Sequence[int], weight: int, scale: int = 1):
-        self.mask = self.ids = None
-        self._members = tuple(members)
+    def __init__(self, mask: int, weight: int, scale: int, ids: Sequence[int]):
+        self.mask = mask
         self.weight = weight
         self.scale = scale
-
-    @classmethod
-    def from_mask(cls, mask: int, weight: int, scale: int, ids: Sequence[int]) -> PSet:
-        """The answer whose members are the ranks set in `mask` over `ids`."""
-        ps = object.__new__(cls)
-        ps.mask = mask
-        ps.weight = weight
-        ps.scale = scale
-        ps.ids = ids
-        ps._members = None
-        return ps
+        self.ids = ids
+        self._members = None
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -176,7 +146,7 @@ class PSet:
         return f"PSet(members={self.members!r}, weight={self.weight!r}, scale={self.scale!r})"
 
 
-_EMPTY_PSET = PSet((), 0)
+_EMPTY_PSET = PSet(0, 0, 1, ())
 
 
 def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[int, int]:
@@ -250,21 +220,23 @@ def _solve(scale: int, ids: Sequence[int], t: int, t_end: int, entries: Sequence
         room -= 1
         if not room:
             break
-    return PSet.from_mask(mask, total, scale, ids)
+    return PSet(mask, total, scale, ids)
 
 
-def dp_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -> PSet:
-    """Independent oracle: a maximum-weight dynamic program along the slots,
-    seeded with the ids `pending` before the arrivals at t, all of B(t).
+def dp_partial(window: tuple[int, int, int], inst: Instance, pending: Collection[int] = ()) -> PSet:
+    """Independent oracle: a maximum-weight dynamic program along the slots
+    of the query `window` (t, t', t''), seeded with the ids `pending` before
+    the arrivals at t, all of B(t).  Raises ValueError unless
+    t <= t' <= t''.
 
-    The eligible packets, read by its own scan of ``inst.packets``, are
-    sorted in canonical order (value descending on integers scaled by the
-    LCM of their denominators, then deadline, release and id) and get
-    integer weights value * scale * 2**n + 2**(n - 1 - rank).  The value
-    dominates, and the low n bits, one per rank, break every tie toward the
-    canonically earlier packet: the unique heaviest feasible set is the
-    canonical one, and its weight spells out its members (the low bits) and
-    its total (the high bits).
+    The eligible packets, read by its own scan of ``inst.packets``, get
+    integer values scaled by the LCM of their denominators, are sorted by
+    :func:`~bdsched.model.rank_key` on those values and get integer weights
+    value * scale * 2**n + 2**(n - 1 - rank).  The value dominates, and the
+    low n bits, one per rank, break every tie toward the canonically earlier
+    packet: the unique heaviest feasible set is the canonical one, and its
+    weight spells out its members (the low bits) and its total (the high
+    bits).  The answer is a mask over the ranks of this sort.
 
     A packet's window clipped to [t, t''] is one slot or two adjacent ones.
     One pass over the slots keeps two best weights: with slot s free, and
@@ -274,7 +246,9 @@ def dp_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -
     heaviest other one.  Raises ValueError if an eligible packet is not
     2-bounded.
     """
-    t, t_arr, t_end = q.start, q.arrival_end, q.slot_end
+    t, t_arr, t_end = window
+    if not t <= t_arr <= t_end:
+        raise _out_of_order(t, t_arr, t_end)
     pool = [p for p in inst.packets if (p.id in pending or t <= p.release <= t_arr)
             and max(t, p.release) <= min(t_end, p.deadline)]
     if not pool:
@@ -283,15 +257,16 @@ def dp_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -
     # lists, not generator expressions: generators here raised the peak
     # resident memory of a 4,800-seed serial campaign by about 0.5 MB
     scale = math.lcm(*[p.value.denominator for p in pool])
-    ranked = sorted([(-p.value.numerator * (scale // p.value.denominator), p.deadline, p.release, p.id) for p in pool])
+    ranked = sorted([(p, p.value.numerator * (scale // p.value.denominator)) for p in pool], key=lambda pv: model.rank_key(*pv))
     # first slot -> weights of its heaviest one-slot packet and of its two
     # heaviest two-slot packets, 0 where there is none
     tops: dict[int, list[int]] = {}
-    for rank, (neg_value, deadline, release, pid) in enumerate(ranked):
+    for rank, (p, value) in enumerate(ranked):
+        release, deadline = p.release, p.deadline
         if deadline - release > 1:
-            raise ValueError(f"packet {pid} is not 2-bounded: window [{release}, {deadline}]")
+            raise ValueError(f"packet {p.id} is not 2-bounded: window [{release}, {deadline}]")
         lo = max(t, release)
-        weight = (-neg_value << n) | (1 << (n - 1 - rank))
+        weight = (value << n) | (1 << (n - 1 - rank))
         top = tops.setdefault(lo, [0, 0, 0])
         if lo < min(t_end, deadline):
             if not top[1]:
@@ -306,9 +281,9 @@ def dp_partial(q: PartialQuery, inst: Instance, pending: Collection[int] = ()) -
     for s in range(t, t_end + 1):
         one, two, two_next = tops.get(s, (0, 0, 0))
         free, taken = max(free + max(one, two), taken), (max(free + max(one, two_next), taken) + two if two else 0)
-    mask = free & ((1 << n) - 1)
-    members = tuple([ranked[rank][3] for rank in range(n) if mask >> (n - 1 - rank) & 1])
-    return PSet(members, free >> n, scale)
+    low = free & ((1 << n) - 1)
+    mask = sum([1 << rank for rank in range(n) if low >> (n - 1 - rank) & 1])
+    return PSet(mask, free >> n, scale, tuple([p.id for p, _ in ranked]))
 
 
 def selector_windows(kind: str, t: int, i: int) -> tuple[tuple[int, int, int], tuple[int, int, int] | None]:

@@ -13,9 +13,16 @@ def mk(*shapes) -> Instance:
     )
 
 
+def pset(members, weight, scale: int = 1) -> PSet:
+    """The answer whose members are the ids `members`, in that order, with
+    the weight `weight` at `scale`: a mask over the members' own order."""
+    members = tuple(members)
+    return PSet((1 << len(members)) - 1, weight, scale, members)
+
+
 def answer(engine: QueryEngine, members, weight: int) -> PSet:
     """An answer to inject into `engine`'s cache: the ids `members`, with
     the weight `weight` at the instance's scale, as a mask over the engine's
     rank table, the form of the engine's own answers."""
     rank = {pid: r for r, pid in enumerate(engine.ids)}
-    return PSet.from_mask(sum([1 << rank[pid] for pid in members]), weight, engine.inst.scale, engine.ids)
+    return PSet(sum([1 << rank[pid] for pid in members]), weight, engine.inst.scale, engine.ids)

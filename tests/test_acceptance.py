@@ -18,7 +18,6 @@ from bdsched import (
     GridSpec,
     Instance,
     Packet,
-    PartialQuery,
     Quad17,
     R,
     check_instance,
@@ -133,13 +132,12 @@ class TestCriterion4OracleEquivalence:
         for res in fuzz_1k_results:
             _, trace = run_cp(res.instance)
             buffers = online_buffers(res.instance, trace)
-            for t, t_arr, t_slot in {(t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries}:
-                q = PartialQuery(t, t_arr, t_slot)
+            for q in {(t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries}:
                 try:
-                    slow = brute_force_partial(q, res.instance, buffers.get(t, ()))
+                    slow = brute_force_partial(q, res.instance, buffers.get(q[0], ()))
                 except OracleSizeError:
                     continue
-                assert trace.engine.cache[(t, t_arr, t_slot)] == slow, (res.instance, q)
+                assert trace.engine.cache[q] == slow, (res.instance, q)
                 compared += 1
         assert compared > 0
         runs = len(fuzz_1k_results)

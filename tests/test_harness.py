@@ -26,7 +26,6 @@ from bdsched import (
     Interval,
     IntervalReport,
     Packet,
-    PartialQuery,
     PSet,
     QueryEngine,
     RandomConfig,
@@ -60,7 +59,7 @@ from bdsched.harness import (
     summary_to_dict,
 )
 from bdsched.model import instance_to_dict
-from conftest import mk
+from conftest import mk, pset
 from enumeration import OracleSizeError, brute_force_partial
 
 SMALL_GRID = GridSpec(horizon=1, max_packets=2, value_grid=(Fraction(1), Fraction(2)))
@@ -91,8 +90,8 @@ class TestCrossCheck:
     def drop_last_member(inst: Instance, trace, key: tuple[int, int, int]) -> None:
         """Overwrite a cached engine answer with a set missing one member."""
         right = trace.engine.cache[key]
-        dropped = inst.by_id(right.members[-1])
-        trace.engine.cache[key] = PSet(right.members[:-1], right.total_value - dropped.value)
+        *kept, dropped = right.members
+        trace.engine.cache[key] = pset(kept, right.weight - inst.weights[dropped], right.scale)
 
     def test_corrupted_answer_is_reported(self):
         inst = gen_random(3)
@@ -113,7 +112,7 @@ class TestCrossCheck:
         _, trace, _, _ = evaluate(inst)
         assert (0, 0, 0, 0) in trace.queries
         with pytest.raises(OracleSizeError):
-            brute_force_partial(PartialQuery(0, 0, 0), inst)
+            brute_force_partial((0, 0, 0), inst)
         assert cross_check_queries(inst, trace) == []
         self.drop_last_member(inst, trace, (0, 0, 0))
         findings = cross_check_queries(inst, trace)

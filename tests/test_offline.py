@@ -14,7 +14,6 @@ from bdsched import (
     Instance,
     InternalInvariantError,
     Packet,
-    PartialQuery,
     PSet,
     QueryEngine,
     RandomConfig,
@@ -32,7 +31,7 @@ from bdsched import (
 from bdsched.harness import online_buffers
 from bdsched.model import canonical_key
 from bdsched.offline import _edf_assignment, _solve
-from conftest import answer, mk
+from conftest import answer, mk, pset
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 
@@ -47,10 +46,10 @@ def engine(inst: Instance, t: int = 0, sent: int | None = None) -> QueryEngine:
     return QueryEngine(inst, steps)
 
 
-def solve(q: PartialQuery, inst: Instance, sent: int | None = None) -> PSet:
-    """The query q asked of a fresh engine whose step q.start - 1 sent
-    `sent`, or nothing."""
-    return engine(inst, q.start, sent).p(q.start, q.arrival_end, q.slot_end)
+def solve(q: tuple[int, int, int], inst: Instance, sent: int | None = None) -> PSet:
+    """The query window q = (t, t', t'') asked of a fresh engine whose step
+    t - 1 sent `sent`, or nothing."""
+    return engine(inst, q[0], sent).p(*q)
 
 
 def best(inst: Instance, pending) -> int | None:
@@ -58,9 +57,9 @@ def best(inst: Instance, pending) -> int | None:
     return min(pending, key=lambda pid: canonical_key(inst.by_id(pid)), default=None)
 
 
-def layout(ps: PSet, q: PartialQuery, inst: Instance) -> dict[int, int]:
+def layout(ps: PSet, q: tuple[int, int, int], inst: Instance) -> dict[int, int]:
     """The earliest-deadline-first slot layout opt_full gives a kept set."""
-    return _edf_assignment([inst.by_id(i) for i in ps.members], q.start, q.slot_end)
+    return _edf_assignment([inst.by_id(i) for i in ps.members], q[0], q[2])
 
 
 def small_instances(max_packets=6, max_release=3):
@@ -82,12 +81,12 @@ class TestSolvePartial:
 
     def test_single_slot_prefers_max_value(self):
         inst = mk((0, 0, 5), (0, 1, 3))
-        ps = solve(PartialQuery(0, 0, 0), inst)
+        ps = solve((0, 0, 0), inst)
         assert ps.member_set == {0} and ps.total_value == 5
 
     def test_two_slots_take_both(self):
         inst = mk((0, 1, 5), (1, 1, 10))
-        q = PartialQuery(0, 1, 1)
+        q = (0, 1, 1)
         ps = solve(q, inst)
         assert ps.member_set == {0, 1}
         assert ps.total_value == 15
@@ -95,7 +94,7 @@ class TestSolvePartial:
 
     def test_extra_slot_may_stay_empty(self):
         inst = mk((0, 0, 5))
-        q = PartialQuery(0, 0, 1)
+        q = (0, 0, 1)
         ps = solve(q, inst)
         assert ps.member_set == {0} and ps.total_value == 5
         assert layout(ps, q, inst) == {0: 0}
@@ -103,7 +102,7 @@ class TestSolvePartial:
     def test_base_buffer_feeds_the_pool(self):
         # packet 0 released at 0 sits in the buffer at time 1
         inst = mk((0, 1, 5), (1, 1, 3))
-        ps = solve(PartialQuery(1, 1, 1), inst)
+        ps = solve((1, 1, 1), inst)
         assert ps.member_set == {0}
 
     def test_best_of_three_pending_joins(self):
@@ -114,7 +113,7 @@ class TestSolvePartial:
         pending = online_buffers(inst, trace)[1]
         assert trace.steps[0].transmitted == 0 and pending == {1, 2, 3}
         assert trace.engine.carry(1) == 2
-        q = PartialQuery(1, 1, 2)
+        q = (1, 1, 2)
         got = trace.engine.p(1, 1, 2)
         assert got.members == (2, 4) and got.total_value == 9
         assert got == solve(q, inst, 0) == dp_partial(q, inst, pending) == brute_force_partial(q, inst, pending)
@@ -122,35 +121,35 @@ class TestSolvePartial:
         assert engine(inst, 1, 2).carry(1) == 3 and solve(q, inst, 2).total_value == 7
 
     def test_query_order_enforced(self):
-        with pytest.raises(ValueError):
-            PartialQuery(2, 1, 3)
+        with pytest.raises(ValueError, match="query out of order"):
+            dp_partial((2, 1, 3), mk((0, 0, 5)))
 
     def test_assignment_earliest_deadline_then_id(self):
         inst = mk((0, 1, 1), (0, 1, 2))
-        q = PartialQuery(0, 1, 1)
+        q = (0, 1, 1)
         assert layout(solve(q, inst), q, inst) == {0: 0, 1: 1}
 
     def test_window_wider_than_two_slots_rejected(self):
         inst = Instance([Packet(0, 0, 0, Fraction(1)), Packet(7, 0, 2, Fraction(2))])
         with pytest.raises(ValueError, match="packet 7 is not 2-bounded"):
-            solve(PartialQuery(0, 0, 0), inst)
+            solve((0, 0, 0), inst)
 
     def test_repeated_id_rejected(self):
         inst = Instance([Packet(3, 0, 0, Fraction(1)), Packet(3, 1, 1, Fraction(2))])
         with pytest.raises(ValueError, match="packet id 3 is not unique"):
-            solve(PartialQuery(0, 1, 1), inst)
+            solve((0, 1, 1), inst)
 
     def test_unknown_base_ids_are_ignored(self):
         # the oracles take all of B(t); an id no packet has adds nothing
         inst = mk((0, 1, 5), (1, 1, 3))
-        q = PartialQuery(1, 1, 1)
+        q = (1, 1, 1)
         for oracle in (dp_partial, brute_force_partial):
             assert oracle(q, inst, (0, 42)) == oracle(q, inst, (0,)) == solve(q, inst)
 
     def test_base_id_released_in_window_counted_once(self):
         # packet 0 is both in the oracles' base buffer and released in [t, t']
         inst = mk((1, 2, 5))
-        q = PartialQuery(1, 1, 2)
+        q = (1, 1, 2)
         for oracle in (dp_partial, brute_force_partial):
             ps = oracle(q, inst, (0,))
             assert ps.members == (0,) and ps.total_value == 5
@@ -159,19 +158,19 @@ class TestSolvePartial:
 
 class TestBruteForceOracle:
     def test_empty_pool(self):
-        ps = brute_force_partial(PartialQuery(0, 0, 0), Instance(()))
+        ps = brute_force_partial((0, 0, 0), Instance(()))
         assert ps.member_set == set() and ps.total_value == 0
 
     def test_matches_solver_on_example(self):
         inst = mk((0, 1, 5), (1, 1, 10))
-        q = PartialQuery(0, 1, 1)
+        q = (0, 1, 1)
         assert brute_force_partial(q, inst).member_set == solve(q, inst).member_set
         assert brute_force_partial(q, inst).total_value == 15
 
     def test_size_guard(self):
         inst = Instance(Packet(i, 0, 1, Fraction(1)) for i in range(21))
         with pytest.raises(OracleSizeError):
-            brute_force_partial(PartialQuery(0, 0, 1), inst)
+            brute_force_partial((0, 0, 1), inst)
 
     @given(small_instances())
     @settings(max_examples=300, deadline=None)
@@ -179,7 +178,7 @@ class TestBruteForceOracle:
         horizon = max(inst.horizon, 0)
         for t_arr in range(0, horizon + 1):
             for t_slot in range(t_arr, min(t_arr + 2, horizon + 1) + 1):
-                q = PartialQuery(0, t_arr, t_slot)
+                q = (0, t_arr, t_slot)
                 fast = solve(q, inst)
                 slow = brute_force_partial(q, inst)
                 assert fast.member_set == slow.member_set
@@ -189,7 +188,7 @@ class TestBruteForceOracle:
     @settings(max_examples=150, deadline=None)
     def test_solver_assignment_always_feasible(self, inst):
         horizon = max(inst.horizon, 0)
-        q = PartialQuery(0, horizon, horizon)
+        q = (0, horizon, horizon)
         ps = solve(q, inst)
         assert profit(Schedule(layout(ps, q, inst)), inst) == ps.total_value
 
@@ -205,38 +204,38 @@ class TestBruteForceOracle:
         base = {p.id for p in inst.packets if p.release < t <= p.deadline} - {sent}
         t_arr = data.draw(st.integers(t, horizon), label="t'")
         t_slot = data.draw(st.integers(t_arr, t_arr + 2), label="t''")
-        q = PartialQuery(t, t_arr, t_slot)
+        q = (t, t_arr, t_slot)
         # the solver is seeded with the best of B(t), the oracle with all of it
         fast, slow = solve(q, inst, sent), brute_force_partial(q, inst, base)
         assert fast.members == slow.members
         assert fast.total_value == slow.total_value
         sched, weight = opt_full(inst)
         full = max(inst.horizon, 0)
-        assert profit(sched, inst) == Fraction(weight, inst.scale) == brute_force_partial(PartialQuery(0, full, full), inst).total_value
+        assert profit(sched, inst) == Fraction(weight, inst.scale) == brute_force_partial((0, full, full), inst).total_value
 
 
 class TestDPOracle:
     def test_two_slot_packet_carried_to_make_room(self):
         # 0 must move to slot 1 so that the expiring 1 fits in slot 0
         inst = mk((0, 1, 5), (0, 0, 3), (1, 1, 2))
-        q = PartialQuery(0, 1, 1)
-        assert dp_partial(q, inst) == brute_force_partial(q, inst) == PSet((0, 1), Fraction(8))
+        q = (0, 1, 1)
+        assert dp_partial(q, inst) == brute_force_partial(q, inst) == pset((0, 1), 8)
 
     def test_ties_go_to_the_canonical_set(self):
         # equal values: 1 (deadline 0) takes slot 0 before 3 (a higher id),
         # and 0 (released at 0) takes slot 1 before 2
         inst = mk((0, 1, 2), (0, 0, 2), (1, 1, 2), (0, 0, 2))
-        q = PartialQuery(0, 1, 1)
-        assert dp_partial(q, inst) == brute_force_partial(q, inst) == PSet((1, 0), Fraction(4))
+        q = (0, 1, 1)
+        assert dp_partial(q, inst) == brute_force_partial(q, inst) == pset((1, 0), 4)
 
     def test_window_wider_than_two_slots_rejected(self):
         inst = Instance([Packet(0, 0, 0, Fraction(1)), Packet(7, 0, 2, Fraction(2))])
         with pytest.raises(ValueError, match="packet 7 is not 2-bounded"):
-            dp_partial(PartialQuery(0, 0, 0), inst)
+            dp_partial((0, 0, 0), inst)
 
     def test_no_size_limit(self):
         inst = Instance(Packet(i, 0, 1, Fraction(i + 1)) for i in range(BRUTE_FORCE_LIMIT + 5))
-        ps = dp_partial(PartialQuery(0, 0, 1), inst)
+        ps = dp_partial((0, 0, 1), inst)
         assert ps.members == (24, 23) and ps.total_value == 49
 
     @given(small_instances(max_packets=8, max_release=5), st.data())
@@ -250,7 +249,7 @@ class TestDPOracle:
         base = data.draw(st.sets(st.sampled_from(carried)) if carried else st.just(set()), label="base")
         for t_arr in range(t, horizon + 2):
             for t_slot in range(t_arr, t_arr + 3):
-                q = PartialQuery(t, t_arr, t_slot)
+                q = (t, t_arr, t_slot)
                 assert dp_partial(q, inst, base) == brute_force_partial(q, inst, base)
 
 
@@ -290,7 +289,7 @@ class TestPSetConventions:
         for t in range(len(trace.steps)):
             assert trace.engine.carry(t) == best(inst, buffers.get(t, ())), t
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
-            q = PartialQuery(t, t_arr, t_slot)
+            q = (t, t_arr, t_slot)
             pending = buffers.get(t, ())
             assert cached == solve(q, inst, trace.steps[t - 1].transmitted if t else None)
             try:
@@ -317,7 +316,7 @@ class TestIntegerAnswers:
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
             assert cached.scale == inst.scale
             assert cached.total_value == sum((inst.by_id(pid).value for pid in cached.members), Fraction(0))
-            assert cached == dp_partial(PartialQuery(t, t_arr, t_slot), inst, buffers.get(t, ()))
+            assert cached == dp_partial((t, t_arr, t_slot), inst, buffers.get(t, ()))
             checked += 1
         assert checked > 200
 
@@ -338,7 +337,7 @@ class TestIntegerAnswers:
             assert list(cached.members) == sorted(cached.members, key=lambda pid: canonical_key(inst.by_id(pid)))
             assert cached.member_set == set(cached.members)
             assert (cached.weight, cached.scale) == (sum([inst.weights[pid] for pid in cached.members]), inst.scale)
-            assert cached == dp_partial(PartialQuery(t, t_arr, t_slot), inst, buffers.get(t, ()))
+            assert cached == dp_partial((t, t_arr, t_slot), inst, buffers.get(t, ()))
 
     def test_filled_slots_stop_the_sweep(self):
         # P(0, 1, 1): packets 0 and 1 fill slots 0 and 1, so the greedy stops
@@ -355,17 +354,19 @@ class TestIntegerAnswers:
 
         got = _solve(inst.scale, inst.release_index[2], 0, 1, entries())
         assert read == [0, 1]
-        q = PartialQuery(0, 1, 1)
+        q = (0, 1, 1)
         assert got.members == (0, 1) and got.total_value == 9
         assert got == solve(q, inst) == dp_partial(q, inst) == brute_force_partial(q, inst)
 
     def test_equality_and_hash_across_scales(self):
-        same = [PSet((0, 1), Fraction(8)), PSet((0, 1), 8), PSet((0, 1), 96, 12), PSet((0, 1), 40, 5)]
+        # the last is a mask over another rank table with the same members
+        same = [pset((0, 1), Fraction(8)), pset((0, 1), 8), pset((0, 1), 96, 12), pset((0, 1), 40, 5),
+                PSet(0b101, 8, 1, (0, 2, 1))]
         assert all(a == b and hash(a) == hash(b) for a in same for b in same)
         assert len(set(same)) == 1
-        assert PSet((0, 1), 97, 12) != same[0]
-        assert PSet((1, 0), 8) != same[0]  # members compare in canonical order
-        assert PSet((), 0, 7) == PSet((), 0) and hash(PSet((), 0, 7)) == hash(PSet((), 0))
+        assert pset((0, 1), 97, 12) != same[0]
+        assert pset((1, 0), 8) != same[0]  # members compare in canonical order
+        assert pset((), 0, 7) == pset((), 0) and hash(pset((), 0, 7)) == hash(pset((), 0))
         assert same[2].total_value == Fraction(8) and same[2].member_set == {0, 1}
         assert same[0] != (0, 1)
 
@@ -419,7 +420,7 @@ class TestSelectors:
         values = {}
         for t_arr in range(0, horizon + 1):
             for t_slot in range(t_arr, horizon + 2):
-                values[(t_arr, t_slot)] = solve(PartialQuery(0, t_arr, t_slot), inst).total_value
+                values[(t_arr, t_slot)] = solve((0, t_arr, t_slot), inst).total_value
         for (t_arr, t_slot), v in values.items():
             if (t_arr + 1, t_slot) in values:
                 assert values[(t_arr + 1, t_slot)] >= v
@@ -473,7 +474,7 @@ def sweep_assignment(kept, start: int, slot_end: int) -> dict[int, int]:
 
 def optimum_kept(inst: Instance) -> list[Packet]:
     """The packets of the clairvoyant optimum P(0, horizon, horizon)."""
-    ps = solve(PartialQuery(0, inst.horizon, inst.horizon), inst)
+    ps = solve((0, inst.horizon, inst.horizon), inst)
     return [inst.by_id(pid) for pid in ps.members]
 
 
@@ -561,7 +562,7 @@ class TestSharedPools:
         eng = engine(inst, t, sent)
         assert eng.carry(t) == best(inst, pending)
         for key in data.draw(st.permutations(keys), label="order"):
-            q = PartialQuery(*key)
+            q = key
             got = eng.p(*key)
             assert got == solve(q, inst, sent) == dp_partial(q, inst, pending), key
 
