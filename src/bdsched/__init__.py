@@ -18,7 +18,6 @@ from .model import (
     Quad17,
     R,
     Rat,
-    Schedule,
     Violation,
     dump_instance,
     instance_hash,

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
-from .model import Instance, Rat, Schedule, le_r_times, render_value
+from .model import Instance, Rat, le_r_times, render_value
 from .cp import CaseTrace, StepRecord
 from .offline import PSet
 
@@ -45,6 +46,8 @@ __all__ = [
     "partition_cp",
     "IntervalReport",
     "Finding",
+    "build_intervals",
+    "check_interval_bounds",
     "check_lemma_bounds",
     "check_forced_opt",
     "check_inclusions",
@@ -230,32 +233,33 @@ class IntervalReport:
 def build_intervals(
     inst: Instance,
     trace: CaseTrace,
-    cp_sched: Schedule,
-    opt_sched: Schedule,
+    opt_sched: Mapping[int, int],
     w_cp: int,
     w_opt: int,
 ) -> IntervalReport:
-    """Both timelines' intervals from precomputed runs; w_cp / w_opt are the
-    two schedules' total profits as weights at the instance's scale.
+    """Both timelines' intervals from precomputed runs: the policy's sends
+    read from ``trace.steps``, the optimum's from `opt_sched` (time slot ->
+    packet id); w_cp / w_opt are the two timelines' total profits as weights
+    at the instance's scale.
 
     Each boundary t of partition_cp's spans (each span's start, then tau+1)
     is cut once: at t+1 when the policy sent at t-1 a packet released at t-1
     with deadline t and the optimum sends it at t, else at t.  Optimum span
     k runs from cut k to cut k+1 minus one, so those spans tile from 0.
     """
+    steps = trace.steps
     weights, scale = inst.weights, inst.scale
-    cp_weights = {t: weights[pid] for t, pid in cp_sched.slots.items()}
-    opt_weights = {t: weights[pid] for t, pid in opt_sched.slots.items()}
+    opt_weights = {t: weights[pid] for t, pid in opt_sched.items()}
 
     def cut(t: int) -> int:
-        prev = cp_sched.packet_at(t - 1)
-        return t + (prev is not None and inst.by_id(prev).is_two_packet_at(t - 1) and opt_sched.packet_at(t) == prev)
+        prev = steps[t - 1].transmitted
+        return t + (prev is not None and inst.by_id(prev).is_two_packet_at(t - 1) and opt_sched.get(t) == prev)
 
     intervals = []
     o_start = 0  # nothing is sent before 0, so boundary 0 never moves
     for start, end, trigger in partition_cp(trace):
         o_next = cut(end + 1)
-        wi = sum([cp_weights.get(t, 0) for t in range(start, end + 1)])
+        wi = sum([weights[rec.transmitted] for rec in steps[start : end + 1] if rec.transmitted is not None])
         wo = sum([opt_weights.get(t, 0) for t in range(o_start, o_next)])
         intervals.append(Interval((start, end), (o_start, o_next - 1), wi, wo, scale, trigger))
         o_start = o_next
@@ -334,7 +338,7 @@ def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport)
     return out
 
 
-def check_forced_opt(trace: CaseTrace, report: IntervalReport, opt_sched: Schedule) -> list[Finding]:
+def check_forced_opt(trace: CaseTrace, report: IntervalReport, opt_sched: Mapping[int, int]) -> list[Finding]:
     """Forced transmissions of the canonical optimum.
 
     On an interval cut short (FORCED_CASES) the optimum must send the
@@ -356,7 +360,7 @@ def check_forced_opt(trace: CaseTrace, report: IntervalReport, opt_sched: Schedu
             if pkt is None:
                 out.append(Finding("forced-opt", f"case {case} at t={end}: selector {offset} absent", "-", "-"))
                 continue
-            got = opt_sched.packet_at(base + offset)
+            got = opt_sched.get(base + offset)
             if got != pkt.id:
                 out.append(
                     Finding(
@@ -369,7 +373,7 @@ def check_forced_opt(trace: CaseTrace, report: IntervalReport, opt_sched: Schedu
     return out
 
 
-def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
+def check_inclusions(trace: CaseTrace) -> list[Finding]:
     """Nesting of neighbouring partial-optimum sets along a run.
 
     With P(t, t', t'') the canonical partial-optimum member set computed
@@ -382,11 +386,21 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
 
     and each same-base inclusion (1)/(2) adds at most one packet.  The
     cross-base relation (3) presumes that everything the base-t optimum
-    counted on is still present at t+1: if a member of P(t, t', t') was
-    transmitted at t or expired at t, the base-t+1 optimum may legitimately
-    refill with a previously rejected packet, so for those pairs only the
+    counted on is still present at t+1: if the packet transmitted at t is a
+    member of P(t, t', t'), the base-t+1 optimum may legitimately refill
+    with a previously rejected packet, so for those pairs only the
     unconditional consequence V(t+1, t', t') <= V(t, t', t') is required.
     The value inequality is checked for every pair either way.
+
+    A member p of P = P(t, t', t') that expires at t needs no such waiver
+    when the packet s sent at t is not a member.  p can use only slot t, so
+    with p contracted out the canonical greedy keeps the rest of P on slots
+    [t+1, t'].  P(t+1, t', t') runs that greedy on a sub-ground-set that
+    still holds the rest of P, and drops only non-members: s, the packets
+    usable only at t, and bucket t's deadline-(t+1) packets ranked after the
+    carry into t+1, which are loops at t+1 parallel to an earlier loop.
+    Dropping non-members leaves a greedy answer unchanged, so P(t+1, t', t')
+    is P without p, a subset of P.
 
     Checked for every step time t and t' up to INCLUSION_WINDOW steps ahead.
     Each of a base time's nine answers is read from the engine once: its row
@@ -437,9 +451,7 @@ def check_inclusions(inst: Instance, trace: CaseTrace) -> list[Finding]:
                         Finding("inclusion", f"V({t + 1},{t_arr},{t_arr}) > V({t},{t_arr},{t_arr})",
                                 render_value(later_ps.total_value), render_value(narrow_ps.total_value))
                     )
-                if later_ps.mask & ~narrow and not any(
-                    pid == sent_at_t or inst.by_id(pid).deadline == t for pid in narrow_ps.members
-                ):
+                if later_ps.mask & ~narrow and sent_at_t not in narrow_ps.members:
                     out.append(Finding("inclusion", f"P({t + 1},{t_arr},{t_arr}) !<= P({t},{t_arr},{t_arr})",
                                        ids(later_ps), ids(narrow_ps)))
     return out

@@ -109,9 +109,9 @@ def cmd_run(args) -> int:
     if args.json:
         doc = {
             "schedules": {
-                "cp": {str(t): pid for t, pid in sorted(cp_sched.slots.items())},
-                "opt": {str(t): pid for t, pid in sorted(opt_sched.slots.items())},
-                "greedy": {str(t): pid for t, pid in sorted(greedy.slots.items())},
+                "cp": {str(t): pid for t, pid in sorted(cp_sched.items())},
+                "opt": {str(t): pid for t, pid in sorted(opt_sched.items())},
+                "greedy": {str(t): pid for t, pid in sorted(greedy.items())},
             },
             "profits": {
                 "cp": render_value(report.v_cp),

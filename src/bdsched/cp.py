@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import Instance, Packet, Schedule, ge_alpha_times, le_r_times, render_value
+from .model import Instance, Packet, ge_alpha_times, le_r_times, render_value
 from .offline import InternalInvariantError, QueryEngine, selector_windows
 
 __all__ = [
@@ -212,12 +212,13 @@ def classify_case(oracle: PartialOracle, t: int, state: str | None) -> StepRecor
     raise ValueError(f"cannot classify a {state!r} state")
 
 
-def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
+def run_cp(inst: Instance) -> tuple[dict[int, int], CaseTrace]:
     """Simulate the policy over the whole instance.
 
-    Returns the schedule read from the steps, plus a trace with one record
-    per time step 0..horizon, the policy's log of consulted selectors for
-    lookahead audits, and the query engine that answered it.
+    Returns the schedule (time slot -> packet id) read from the steps, plus
+    a trace with one record per time step 0..horizon, the policy's log of
+    consulted selectors for lookahead audits, and the query engine that
+    answered it.
     """
     arrivals = inst.arrivals
     consulted: list[tuple[int, str, int, int]] = []
@@ -263,7 +264,7 @@ def run_cp(inst: Instance) -> tuple[Schedule, CaseTrace]:
     if state is not None:
         raise InternalInvariantError(f"commitment left beyond the horizon: s_{inst.horizon + 1} = {state}")
     slots = {rec.t: rec.transmitted for rec in steps if rec.transmitted is not None}
-    return Schedule(slots), CaseTrace(steps, consulted, engine)
+    return slots, CaseTrace(steps, consulted, engine)
 
 
 def _consulted(trace: CaseTrace) -> dict[int, dict[str, list[dict]]]:

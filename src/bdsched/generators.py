@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 
-from .model import Instance, Packet, Rat, Schedule
+from .model import Instance, Packet, Rat
 
 __all__ = [
     "GridSpec",
@@ -186,7 +186,7 @@ def gen_random(seed: int, config: RandomConfig = RandomConfig()) -> Instance:
     return Instance(packets)
 
 
-def greedy_baseline(inst: Instance) -> Schedule:
+def greedy_baseline(inst: Instance) -> dict[int, int]:
     """No-lookahead contrast algorithm: at each step transmit the pending
     packet of maximum value (ties: deadline ascending, then id).  The tie
     rule is deliberately its own, not model.rank_key: this is a contrast
@@ -202,7 +202,7 @@ def greedy_baseline(inst: Instance) -> Schedule:
             slots[t] = best.id
             del pending[best.id]
         pending = {pid: p for pid, p in pending.items() if p.deadline > t}
-    return Schedule(slots)
+    return slots
 
 
 def greedy_killer() -> Instance:

@@ -113,7 +113,7 @@ def evaluate(inst: Instance):
     """
     cp_sched, trace = run_cp(inst)
     opt_sched, w_opt = opt_full(inst)
-    report = build_intervals(inst, trace, cp_sched, opt_sched, profit_weight(cp_sched, inst), w_opt)
+    report = build_intervals(inst, trace, opt_sched, profit_weight(cp_sched, inst), w_opt)
     return cp_sched, trace, opt_sched, report
 
 
@@ -126,7 +126,7 @@ def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
     if config.forced_opt:
         findings += check_forced_opt(trace, report, opt_sched)
     if config.inclusions:
-        findings += check_inclusions(inst, trace)
+        findings += check_inclusions(trace)
     if config.cross_check:
         findings += cross_check_queries(inst, trace)
 
@@ -379,7 +379,7 @@ def run_exhaustive(
       s, only slot s is usable, so it adds at most one packet to the empty
       set; and when t' >= s the query equals the one at base s, a relation
       already checked at t = s (the cross-base relation compares two equal
-      sets, since nothing is sent or expires before s).
+      sets, since nothing is sent before s).
     * cross_check_queries replays the policy's queries, and the policy
       issues none while idle.
     """

@@ -45,9 +45,7 @@ __all__ = [
     "ge_alpha_times",
     "Packet",
     "rank_key",
-    "canonical_key",
     "Instance",
-    "Schedule",
     "Violation",
     "validate_instance",
     "profit",
@@ -224,11 +222,6 @@ def rank_key(p: Packet, weight) -> tuple:
     return (-weight, p.deadline, p.release, p.id)
 
 
-def canonical_key(p: Packet) -> tuple:
-    """:func:`rank_key` on the packet's own value."""
-    return rank_key(p, p.value)
-
-
 class Instance:
     """An input: a sequence of packets, ids unique.
 
@@ -327,22 +320,6 @@ class Instance:
         return Instance, (self.packets,)
 
 
-@dataclass(frozen=True, eq=False)
-class Schedule:
-    """Transmissions of one algorithm: time slot -> packet id."""
-
-    slots: Mapping[int, int]
-
-    def __init__(self, slots: Mapping[int, int]):
-        object.__setattr__(self, "slots", dict(slots))
-
-    def packet_at(self, t: int) -> int | None:
-        return self.slots.get(t)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Schedule) and dict(self.slots) == dict(other.slots)
-
-
 @dataclass(frozen=True)
 class Violation:
     """One broken invariant found by validate_instance."""
@@ -370,8 +347,9 @@ def validate_instance(inst: Instance) -> list[Violation]:
     return out
 
 
-def profit_weight(sched: Schedule, inst: Instance) -> int:
-    """Exact total weight of the scheduled packets, at the instance's scale.
+def profit_weight(sched: Mapping[int, int], inst: Instance) -> int:
+    """Exact total weight of a schedule (time slot -> packet id), at the
+    instance's scale.
 
     Raises InfeasibleScheduleError (naming the offending slot) if the
     schedule repeats a packet or places one outside [release, deadline].
@@ -380,8 +358,8 @@ def profit_weight(sched: Schedule, inst: Instance) -> int:
     weights = inst.weights
     seen: set[int] = set()
     total = 0
-    for t in sorted(sched.slots):
-        pid = sched.slots[t]
+    for t in sorted(sched):
+        pid = sched[t]
         if pid not in ids:
             raise InfeasibleScheduleError(f"slot {t}: unknown packet id {pid}")
         if pid in seen:
@@ -396,7 +374,7 @@ def profit_weight(sched: Schedule, inst: Instance) -> int:
     return total
 
 
-def profit(sched: Schedule, inst: Instance) -> Rat:
+def profit(sched: Mapping[int, int], inst: Instance) -> Rat:
     """Exact total value of the scheduled packets: :func:`profit_weight`
     divided by the instance's scale, with the same feasibility checks."""
     return Fraction(profit_weight(sched, inst), inst.scale)

@@ -57,7 +57,7 @@ from heapq import heappop, heappush
 from typing import Collection, Sequence
 
 from . import model
-from .model import Instance, Packet, Rat, Schedule
+from .model import Instance, Packet, Rat
 
 __all__ = [
     "PSet",
@@ -402,17 +402,18 @@ class QueryEngine:
         return self.gain("q", t, i)
 
 
-def opt_full(inst: Instance) -> tuple[Schedule, int]:
+def opt_full(inst: Instance) -> tuple[dict[int, int], int]:
     """Canonical clairvoyant optimum over slots [0, horizon]: the partial
     query P(0, horizon, horizon) with no carry, laid out by
-    :func:`_edf_assignment`.  Its total is an integer weight at the
-    instance's scale, as :func:`~bdsched.model.profit_weight` returns one."""
+    :func:`_edf_assignment` as a time slot -> packet id dict.  Its total is
+    an integer weight at the instance's scale, as
+    :func:`~bdsched.model.profit_weight` returns one."""
     if not inst.packets:
-        return Schedule({}), 0
+        return {}, 0
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
     buckets, _, ids = inst.release_index
     ps = _solve(inst.scale, ids, 0, horizon, sorted([e for r, es in buckets.items() if r >= 0 for e in es]))
     by_id = inst.by_id
-    return Schedule(_edf_assignment([by_id(i) for i in ps.members], 0, horizon)), ps.weight
+    return _edf_assignment([by_id(i) for i in ps.members], 0, horizon), ps.weight

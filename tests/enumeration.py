@@ -8,12 +8,11 @@ dp_partial, and is limited to small queries.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from itertools import combinations
 from typing import Collection, Sequence
 
-from bdsched import Instance, Packet, PSet
-from bdsched.model import canonical_key
+from bdsched import Instance, Packet, PSet, model
 from conftest import pset
 
 #: Guard for the enumeration oracle.
@@ -53,31 +52,31 @@ def brute_force_partial(window: tuple[int, int, int], inst: Instance, pending: C
     like dp_partial with all of B(t), the ids `pending`, over the query
     `window` (t, t', t'').
 
-    Refuses queries with more than BRUTE_FORCE_LIMIT eligible packets.
+    Values are summed as integer weights at the LCM of the pool's own value
+    denominators, and a subset that cannot beat the best so far is never
+    matched.  Refuses queries with more than BRUTE_FORCE_LIMIT eligible
+    packets.
     """
-    # Its own scan and sort: the oracle never trusts the instance's
-    # presorted order that the greedy solver filters.
+    # Its own scan, sort and scale: the oracle never trusts the instance's
+    # presorted order or weights that the greedy solver reads.
     start, arrival_end, slot_end = window
     pool = sorted((p for p in inst.packets if (p.id in pending or start <= p.release <= arrival_end)
-                   and max(start, p.release) <= min(slot_end, p.deadline)), key=canonical_key)
+                   and max(start, p.release) <= min(slot_end, p.deadline)),
+                  key=lambda p: model.rank_key(p, p.value))
     if len(pool) > BRUTE_FORCE_LIMIT:
         raise OracleSizeError(f"{len(pool)} eligible packets exceeds the oracle limit of {BRUTE_FORCE_LIMIT}")
     slots = list(range(start, slot_end + 1))
-    positions = {p.id: i for i, p in enumerate(pool)}
+    scale = math.lcm(*[p.value.denominator for p in pool])
+    weights = [p.value.numerator * (scale // p.value.denominator) for p in pool]
 
-    best_subset: tuple[Packet, ...] | None = None
-    best_value = Fraction(-1)
-    best_rank: tuple[int, ...] = ()
-    max_size = min(len(pool), len(slots))
-    for size in range(0, max_size + 1):
-        for subset in combinations(pool, size):
-            if not _matchable(subset, slots, start):
+    # combinations of pool positions come in ascending order, so each is its
+    # subset's rank tuple; ties go to the smaller tuple, across sizes too
+    best_weight, best_rank = -1, ()
+    for size in range(0, min(len(pool), len(slots)) + 1):
+        for rank in combinations(range(len(pool)), size):
+            weight = sum([weights[i] for i in rank])
+            if weight < best_weight or (weight == best_weight and rank >= best_rank):
                 continue
-            value = sum((p.value for p in subset), Fraction(0))
-            rank = tuple(sorted(positions[p.id] for p in subset))
-            if value > best_value or (value == best_value and best_subset is not None and rank < best_rank):
-                best_subset, best_value, best_rank = subset, value, rank
-    if best_subset is None or not best_subset:
-        return pset((), 0)
-    ordered = sorted(best_subset, key=canonical_key)
-    return pset([p.id for p in ordered], best_value.numerator, best_value.denominator)
+            if _matchable([pool[i] for i in rank], slots, start):
+                best_weight, best_rank = weight, rank
+    return pset([pool[i].id for i in best_rank], best_weight, scale)

@@ -54,7 +54,7 @@ def _announce(criterion: str, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def sweep_report():
-    return run_exhaustive(SWEEP_GRID, CheckConfig(forced_opt=True), workers=2)
+    return run_exhaustive(SWEEP_GRID, DEEP_CHECKS, workers=2)
 
 
 @pytest.fixture(scope="session")
@@ -120,6 +120,10 @@ class TestCriterion3InclusionLaws:
         findings = [f for res in fuzz_1k_results for f in res.findings if f.kind == "inclusion"]
         assert findings == [], findings[:5]
         _announce("3", "nesting laws hold over 1,000 fuzzed runs (zero violations)")
+
+    def test_sweep_inclusions_clean(self, sweep_report):
+        assert sweep_report.summary.findings_by_kind.get("inclusion", 0) == 0
+        _announce("3", f"nesting laws hold over the {sweep_report.summary.instances} instances of the sweep")
 
 
 class TestCriterion4OracleEquivalence:

@@ -46,14 +46,14 @@ class TestHandSimulations:
         # both packets are best-in-buffer on their last slot
         sched, trace = run_cp(mk((0, 0, 5), (0, 1, 3)))
         assert labels(trace) == [(0, "1.1"), (1, "1.1")]
-        assert dict(sched.slots) == {0: 0, 1: 1}
+        assert sched == {0: 0, 1: 1}
 
     def test_weaker_expiring_packet_banked(self):
         # packet 1 dies at 0, packet 0 can wait: send 1 now, commit 0
         inst = mk((0, 1, 5), (0, 0, 4))
         sched, trace = run_cp(inst)
         assert labels(trace) == [(0, "1.2.1"), (1, "commit")]
-        assert dict(sched.slots) == {0: 1, 1: 0}
+        assert sched == {0: 1, 1: 0}
         assert profit(sched, inst) == 9
 
     def test_two_flexible_packets(self):
@@ -64,13 +64,13 @@ class TestHandSimulations:
 
     def test_empty_instance(self):
         sched, trace = run_cp(Instance(()))
-        assert dict(sched.slots) == {} and trace.steps == []
+        assert sched == {} and trace.steps == []
 
     def test_idle_gap_between_bursts(self):
         inst = mk((0, 0, 1), (3, 3, 1))
         sched, trace = run_cp(inst)
         assert [rec.case for rec in trace.steps] == ["1.1", "idle", "idle", "1.1"]
-        assert dict(sched.slots) == {0: 0, 3: 1}
+        assert sched == {0: 0, 3: 1}
 
     def test_hedges_with_banked_packet(self):
         # guard ratio (1 + 8/5 + 13/8) / (8/5 + 13/8) exceeds the bound:
@@ -78,7 +78,7 @@ class TestHandSimulations:
         inst = mk((0, 0, 1), (0, 1, "8/5"), (1, 2, "13/8"))
         sched, trace = run_cp(inst)
         assert labels(trace) == [(0, "1.2.3.4"), (1, "2.1"), (2, "commit")]
-        assert dict(sched.slots) == {0: 0, 1: 1, 2: 2}
+        assert sched == {0: 0, 1: 1, 2: 2}
         assert profit(sched, inst) == Fraction(169, 40)
 
     def test_near_threshold_ratio_witness(self):
@@ -158,11 +158,11 @@ class TestSharedQueryEngine:
         hits = trace.engine.hits
         opt_sched, _ = opt_full(inst)
         w_cp, w_opt = profit_weight(cp_sched, inst), profit_weight(opt_sched, inst)
-        report = build_intervals(inst, trace, cp_sched, opt_sched, w_cp, w_opt)
+        report = build_intervals(inst, trace, opt_sched, w_cp, w_opt)
         findings = (
             check_lemma_bounds(inst, trace, report)
             + check_forced_opt(trace, report, opt_sched)
-            + check_inclusions(inst, trace)
+            + check_inclusions(trace)
             + cross_check_queries(inst, trace)
         )
         assert findings == []
@@ -183,7 +183,7 @@ class TestStateMachineInvariants:
         sched1, trace1 = run_cp(inst)
         sched2, trace2 = run_cp(inst)
         profit(sched1, inst)  # raises if infeasible
-        assert dict(sched1.slots) == dict(sched2.slots)
+        assert sched1 == sched2
         assert trace_to_jsonl(trace1) == trace_to_jsonl(trace2)
 
     @given(small_instances(max_packets=8, max_release=5))
@@ -200,7 +200,7 @@ class TestStateMachineInvariants:
         sched, trace = run_cp(inst)
         for rec in trace.steps:
             if isinstance(rec.committed, int):
-                assert sched.packet_at(rec.t + 1) == rec.committed
+                assert sched.get(rec.t + 1) == rec.committed
 
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
@@ -228,7 +228,7 @@ class TestFallbacks:
         rec = trace.steps[0]
         assert rec.case == "1.2.2" and rec.fallback == "m1-absent"
         assert rec.committed is None
-        assert dict(sched.slots) == {0: 0}
+        assert sched == {0: 0}
 
     def test_unreleased_slot_gain_defers(self):
         # the slot-gain packet arrives only at t+1; policy must not name it at t
@@ -284,7 +284,7 @@ class TestScaleInvariance:
         def decisions(instance):
             sched, trace = run_cp(instance)
             steps = [(rec.t, rec.case, rec.transmitted, rec.committed, rec.fallback) for rec in trace.steps]
-            return steps, dict(sched.slots), trace.queries
+            return steps, sched, trace.queries
 
         expected = decisions(inst)
         for factor in (Fraction(7, 3), Fraction(1, 6), Fraction(1000003, 999983)):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -574,6 +576,17 @@ def killer_file(tmp_path):
     path = tmp_path / "killer.json"
     path.write_text(dump_instance(greedy_killer()))
     return str(path)
+
+
+def test_package_names_are_exported_by_their_submodules():
+    # every name the package re-exports is in its submodule's __all__
+    init = Path(harness_mod.__file__).with_name("__init__.py")
+    missing = []
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"bdsched.{node.module}").__all__
+            missing += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in exported]
+    assert missing == []
 
 
 class TestCli:

@@ -18,10 +18,10 @@ from bdsched import (
     Packet,
     Quad17,
     R,
-    Schedule,
     dump_instance,
     instance_hash,
     load_instance,
+    model,
     parse_value,
     profit,
     quad_cmp,
@@ -29,7 +29,7 @@ from bdsched import (
     render_value,
     validate_instance,
 )
-from bdsched.model import canonical_key, ge_alpha_times, le_r_times
+from bdsched.model import ge_alpha_times, le_r_times
 from conftest import mk
 
 rationals = st.fractions(
@@ -178,26 +178,26 @@ class TestValidation:
 
 class TestProfit:
     def test_empty_schedule(self):
-        assert profit(Schedule({}), mk((0, 0, 5))) == 0
+        assert profit({}, mk((0, 0, 5))) == 0
 
     def test_sum(self):
         inst = mk((0, 0, 5), (0, 1, 3))
-        assert profit(Schedule({0: 0, 1: 1}), inst) == 8
+        assert profit({0: 0, 1: 1}, inst) == 8
 
     def test_before_release_rejected(self):
         inst = mk((1, 1, 5))
         with pytest.raises(InfeasibleScheduleError, match="slot 0"):
-            profit(Schedule({0: 0}), inst)
+            profit({0: 0}, inst)
 
     def test_after_deadline_rejected(self):
         inst = mk((0, 0, 5))
         with pytest.raises(InfeasibleScheduleError, match="slot 1"):
-            profit(Schedule({1: 0}), inst)
+            profit({1: 0}, inst)
 
     def test_double_transmission_rejected(self):
         inst = mk((0, 1, 5))
         with pytest.raises(InfeasibleScheduleError, match="twice"):
-            profit(Schedule({0: 0, 1: 0}), inst)
+            profit({0: 0, 1: 0}, inst)
 
 
 class TestInstanceFormat:
@@ -253,9 +253,10 @@ class TestIntegerWeights:
         inst = Instance(Packet(pid, r, r + off, v) for pid, (r, off, v) in zip(ids, shapes))
         buckets, by_id, ids = inst.release_index
         ranked = sorted(by_id.values())
-        assert ids == tuple([p.id for p in sorted(inst.packets, key=canonical_key)])
+        canonical = [p.id for p in sorted(inst.packets, key=lambda p: model.rank_key(p, p.value))]
+        assert ids == tuple(canonical)
         assert [entry[0] for entry in ranked] == list(range(len(shapes)))
-        assert [entry[1] for entry in ranked] == [p.id for p in sorted(inst.packets, key=canonical_key)]
+        assert [entry[1] for entry in ranked] == canonical
         assert all(Fraction(entry[4], inst.scale) == inst.by_id(entry[1]).value for entry in ranked)
         assert sorted(e for es in buckets.values() for e in es) == ranked
 

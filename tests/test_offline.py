@@ -17,19 +17,18 @@ from bdsched import (
     PSet,
     QueryEngine,
     RandomConfig,
-    Schedule,
     StepRecord,
     chain_family,
     check_inclusions,
     dp_partial,
     enumerate_bases,
     gen_random,
+    model,
     opt_full,
     profit,
     run_cp,
 )
 from bdsched.harness import online_buffers
-from bdsched.model import canonical_key
 from bdsched.offline import _edf_assignment, _solve
 from conftest import answer, mk, pset
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
@@ -54,7 +53,7 @@ def solve(q: tuple[int, int, int], inst: Instance, sent: int | None = None) -> P
 
 def best(inst: Instance, pending) -> int | None:
     """The canonically best of the ids `pending`, the carry of that buffer."""
-    return min(pending, key=lambda pid: canonical_key(inst.by_id(pid)), default=None)
+    return min(pending, key=lambda pid: model.rank_key(inst.by_id(pid), inst.by_id(pid).value), default=None)
 
 
 def layout(ps: PSet, q: tuple[int, int, int], inst: Instance) -> dict[int, int]:
@@ -190,7 +189,7 @@ class TestBruteForceOracle:
         horizon = max(inst.horizon, 0)
         q = (0, horizon, horizon)
         ps = solve(q, inst)
-        assert profit(Schedule(layout(ps, q, inst)), inst) == ps.total_value
+        assert profit(layout(ps, q, inst), inst) == ps.total_value
 
     @given(small_instances(max_packets=8, max_release=5), st.data())
     @settings(max_examples=300, deadline=None)
@@ -284,7 +283,7 @@ class TestPSetConventions:
         # with the enumeration oracle seeded with all of B(t).  The carry
         # derived from the steps is the best packet of that B(t).
         _, trace = run_cp(inst)
-        check_inclusions(inst, trace)
+        check_inclusions(trace)
         buffers = online_buffers(inst, trace)
         for t in range(len(trace.steps)):
             assert trace.engine.carry(t) == best(inst, buffers.get(t, ())), t
@@ -310,7 +309,7 @@ class TestIntegerAnswers:
         inst = gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))
         assert len(inst) > 40
         _, trace = run_cp(inst)
-        check_inclusions(inst, trace)
+        check_inclusions(trace)
         buffers = online_buffers(inst, trace)
         checked = 0
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
@@ -328,13 +327,14 @@ class TestIntegerAnswers:
         # ascending rank, it weighs its members' weights, and it equals the
         # oracle seeded with all of B(t)
         _, trace = run_cp(inst)
-        check_inclusions(inst, trace)
+        check_inclusions(trace)
         buffers = online_buffers(inst, trace)
         entries = trace.engine.entries
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
             ranks = [entries[pid][0] for pid in cached.members]
             assert ranks == sorted(ranks) and cached.mask == sum([1 << rank for rank in ranks])
-            assert list(cached.members) == sorted(cached.members, key=lambda pid: canonical_key(inst.by_id(pid)))
+            keys = [model.rank_key(inst.by_id(pid), inst.by_id(pid).value) for pid in cached.members]
+            assert keys == sorted(keys)
             assert cached.member_set == set(cached.members)
             assert (cached.weight, cached.scale) == (sum([inst.weights[pid] for pid in cached.members]), inst.scale)
             assert cached == dp_partial((t, t_arr, t_slot), inst, buffers.get(t, ()))
@@ -433,17 +433,17 @@ class TestOptFull:
         inst = mk((0, 0, 1), (0, 1, 2))
         sched, weight = opt_full(inst)
         assert type(weight) is int and weight == 3 * inst.scale
-        assert dict(sched.slots) == {0: 0, 1: 1}
+        assert sched == {0: 0, 1: 1}
 
     def test_tie_broken_by_id(self):
         inst = mk((0, 1, 1), (0, 1, 2))
         sched, weight = opt_full(inst)
         assert weight == 3 * inst.scale
-        assert dict(sched.slots) == {0: 0, 1: 1}
+        assert sched == {0: 0, 1: 1}
 
     def test_empty(self):
         sched, weight = opt_full(Instance(()))
-        assert type(weight) is int and weight == 0 and dict(sched.slots) == {}
+        assert type(weight) is int and weight == 0 and sched == {}
 
     @given(small_instances())
     @settings(max_examples=150, deadline=None)
@@ -490,7 +490,7 @@ class TestHeapLayout:
             kept = optimum_kept(inst)
             slots = _edf_assignment(kept, 0, inst.horizon)
             assert slots == sweep_assignment(kept, 0, inst.horizon), seed
-            assert slots == dict(opt_full(inst)[0].slots)
+            assert slots == opt_full(inst)[0]
 
     def test_equals_the_sweep_on_every_grid_base(self):
         bases = 0
@@ -537,7 +537,7 @@ class TestSharedPools:
         # a fresh engine over the run's steps, asked the run's keys in a
         # shuffled order, builds the same pools and gives every answer
         _, trace = run_cp(inst)
-        check_inclusions(inst, trace)
+        check_inclusions(trace)
         keys = list(trace.engine.cache)
         random.Random(label).shuffle(keys)
         fresh = QueryEngine(inst, trace.steps)

@@ -2,11 +2,10 @@
 
 Every optimum is pinned by one tie rule, ``model.rank_key``, and each of its
 readers -- the instance's rank table that the query engine and opt_full
-sweep, the oracle dp_partial and, through canonical_key, the enumeration
-oracle -- looks it up when it runs.  Rebinding it swaps the rule everywhere
-at once: these tests swap in each of the three other (deadline, release)
-orders and rerun the grid and fuzz certificates with every check and the
-oracle cross-check.
+sweep, the oracle dp_partial and the enumeration oracle -- looks it up when
+it runs.  Rebinding it swaps the rule everywhere at once: these tests swap
+in each of the three other (deadline, release) orders and rerun the grid and
+fuzz certificates with every check and the oracle cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 
 from bdsched import CheckConfig, GridSpec, QueryEngine, check_instance, dp_partial, enumerate_instances, gen_random, model
 from bdsched.harness import certify, evaluate, online_buffers
-from bdsched.model import canonical_key
 from conftest import mk
 from enumeration import OracleSizeError, brute_force_partial
 
@@ -59,7 +57,7 @@ def rule(request, monkeypatch) -> str:
 def test_every_reader_follows_the_rule(rule):
     inst = mk(*WITNESS)
     order, members = WITNESS_ORDERS[rule]
-    assert tuple([p.id for p in sorted(inst.packets, key=canonical_key)]) == order
+    assert tuple([p.id for p in sorted(inst.packets, key=lambda p: model.rank_key(p, p.value))]) == order
     assert inst.release_index[2] == order
     engine_answer = QueryEngine(inst, []).p(0, 1, 1)
     oracle_answer = dp_partial((0, 1, 1), inst)
