@@ -24,7 +24,6 @@ from .model import (
     load_instance,
     parse_value,
     profit,
-    profit_weight,
     quad_cmp,
     render_decimal,
     render_value,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .model import Instance, Rat, le_r_times, render_value
+from .model import Rat, le_r_times, render_value
 from .cp import CaseTrace, StepRecord
 from .offline import PSet
 
@@ -230,17 +230,12 @@ class IntervalReport:
         return worst
 
 
-def build_intervals(
-    inst: Instance,
-    trace: CaseTrace,
-    opt_sched: Mapping[int, int],
-    w_cp: int,
-    w_opt: int,
-) -> IntervalReport:
+def build_intervals(trace: CaseTrace, opt_sched: Mapping[int, int]) -> IntervalReport:
     """Both timelines' intervals from precomputed runs: the policy's sends
     read from ``trace.steps``, the optimum's from `opt_sched` (time slot ->
-    packet id); w_cp / w_opt are the two timelines' total profits as weights
-    at the instance's scale.
+    packet id).  The report's totals are summed here, as weights at the
+    instance's scale: the policy's over its intervals, which cover every
+    send up to tau, its last; the optimum's over `opt_sched`.
 
     Each boundary t of partition_cp's spans (each span's start, then tau+1)
     is cut once: at t+1 when the policy sent at t-1 a packet released at t-1
@@ -248,6 +243,7 @@ def build_intervals(
     k runs from cut k to cut k+1 minus one, so those spans tile from 0.
     """
     steps = trace.steps
+    inst = trace.engine.inst
     weights, scale = inst.weights, inst.scale
     opt_weights = {t: weights[pid] for t, pid in opt_sched.items()}
 
@@ -263,7 +259,7 @@ def build_intervals(
         wo = sum([opt_weights.get(t, 0) for t in range(o_start, o_next)])
         intervals.append(Interval((start, end), (o_start, o_next - 1), wi, wo, scale, trigger))
         o_start = o_next
-    return IntervalReport(tuple(intervals), w_cp, w_opt, scale)
+    return IntervalReport(tuple(intervals), sum([iv.w_cp for iv in intervals]), sum(opt_weights.values()), scale)
 
 
 @dataclass(frozen=True)
@@ -306,7 +302,7 @@ def check_interval_bounds(report: IntervalReport) -> list[Finding]:
     return out
 
 
-def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport) -> list[Finding]:
+def check_lemma_bounds(trace: CaseTrace, report: IntervalReport) -> list[Finding]:
     """Per-interval partial-optimum bounds.
 
     For an interval (t, t'): if the packet the policy sent at t' still had a
@@ -316,12 +312,13 @@ def check_lemma_bounds(inst: Instance, trace: CaseTrace, report: IntervalReport)
     step sent nothing, are skipped.
     """
     out = []
+    by_id = trace.engine.inst.by_id
     for i, iv in enumerate(report.intervals):
         start, end = iv.cp_span
         pid = trace.steps[end].transmitted
         if pid is None:
             continue
-        sent_last = inst.by_id(pid)
+        sent_last = by_id(pid)
         slack = sent_last.is_two_packet_at(end)
         slot_end = end + 1 if slack else end
         bound = trace.engine.p(start, end, slot_end)

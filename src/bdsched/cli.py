@@ -98,7 +98,7 @@ def _write_trace_dir(trace, directory: str) -> None:
 def cmd_run(args) -> int:
     inst = _load_instance_file(args.instances)
     run = evaluate(inst)
-    cp_sched, trace, opt_sched, report = run
+    trace, opt_sched, report = run
     greedy = greedy_baseline(inst)
     v_greedy = profit(greedy, inst)
     res = certify(inst, run, CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True))
@@ -109,7 +109,7 @@ def cmd_run(args) -> int:
     if args.json:
         doc = {
             "schedules": {
-                "cp": {str(t): pid for t, pid in sorted(cp_sched.items())},
+                "cp": {str(rec.t): rec.transmitted for rec in trace.steps if rec.transmitted is not None},
                 "opt": {str(t): pid for t, pid in sorted(opt_sched.items())},
                 "greedy": {str(t): pid for t, pid in sorted(greedy.items())},
             },
@@ -166,7 +166,7 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     inst = _load_instance_file(args.instances)
-    _, trace = run_cp(inst)
+    trace = run_cp(inst)
     text = trace_to_jsonl(trace)
     if args.trace_dir:
         _write_trace_dir(trace, args.trace_dir)

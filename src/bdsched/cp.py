@@ -17,12 +17,13 @@ guard is homogeneous in the values, so the scale changes no outcome.
 All selector lookups (the marginal packets of partial-optimum queries) go
 through the run's :class:`~bdsched.offline.QueryEngine`, which memoizes
 them; the checkers later ask the same engine, handed out on the trace.
-The engine reads each carry off the run's steps, as the schedule is.  The
-policy reaches the engine only through a :class:`PartialOracle`, which logs
-every selector the policy consults with the step time that consulted it,
-so tests can assert the lookahead contract was never violated.  Checker
-queries are never logged.  The log is also the only record of which
-selectors a case consulted: :func:`trace_records` reads them back from it.
+The engine reads each carry off the run's steps, the one record of what
+the policy sent.  The policy reaches the engine only through a
+:class:`PartialOracle`, which logs every selector the policy consults with
+the step time that consulted it, so tests can assert the lookahead
+contract was never violated.  Checker queries are never logged.  The log
+is also the only record of which selectors a case consulted:
+:func:`trace_records` reads them back from it.
 """
 
 from __future__ import annotations
@@ -212,13 +213,14 @@ def classify_case(oracle: PartialOracle, t: int, state: str | None) -> StepRecor
     raise ValueError(f"cannot classify a {state!r} state")
 
 
-def run_cp(inst: Instance) -> tuple[dict[int, int], CaseTrace]:
+def run_cp(inst: Instance) -> CaseTrace:
     """Simulate the policy over the whole instance.
 
-    Returns the schedule (time slot -> packet id) read from the steps, plus
-    a trace with one record per time step 0..horizon, the policy's log of
-    consulted selectors for lookahead audits, and the query engine that
-    answered it.
+    Returns the run's trace: one record per time step 0..horizon, whose
+    transmissions are the policy's schedule, the policy's log of consulted
+    selectors for lookahead audits, and the query engine that answered it.
+    Every send, committed or chosen by a case, must be a pending packet
+    inside its window; anything else raises InternalInvariantError.
     """
     arrivals = inst.arrivals
     consulted: list[tuple[int, str, int, int]] = []
@@ -237,25 +239,13 @@ def run_cp(inst: Instance) -> tuple[dict[int, int], CaseTrace]:
             if state is not None:
                 raise InternalInvariantError(f"t={t}: empty buffer but s_t = {state}")
             rec = StepRecord(t, "idle", None, None)
-        elif isinstance(state, int):
-            p = pending.get(state)
-            if p is None or not (p.release <= t <= p.deadline):
-                raise InternalInvariantError(f"t={t}: committed packet {state} is not transmittable")
-            del pending[state]
-            rec = StepRecord(t, "commit", state, None)
         else:
-            rec = classify_case(oracle, t, state)
-            pid = rec.transmitted
-            if pid not in pending:
-                raise InternalInvariantError(f"t={t}: case {rec.case} transmits packet {pid}, which is not pending")
-            del pending[pid]
-            if isinstance(rec.committed, int):
-                target = inst.by_id(rec.committed)
-                if not (target.release <= t + 1 <= target.deadline):
-                    raise InternalInvariantError(
-                        f"t={t}: case {rec.case} committed packet {rec.committed} "
-                        f"outside its window for slot {t + 1}"
-                    )
+            rec = StepRecord(t, "commit", state, None) if isinstance(state, int) else classify_case(oracle, t, state)
+            p = pending.pop(rec.transmitted, None)
+            if p is None or not (p.release <= t <= p.deadline):
+                raise InternalInvariantError(
+                    f"t={t}: case {rec.case} transmits packet {rec.transmitted}, which is not pending"
+                )
         steps.append(rec)
         state = rec.committed
 
@@ -263,8 +253,7 @@ def run_cp(inst: Instance) -> tuple[dict[int, int], CaseTrace]:
 
     if state is not None:
         raise InternalInvariantError(f"commitment left beyond the horizon: s_{inst.horizon + 1} = {state}")
-    slots = {rec.t: rec.transmitted for rec in steps if rec.transmitted is not None}
-    return slots, CaseTrace(steps, consulted, engine)
+    return CaseTrace(steps, consulted, engine)
 
 
 def _consulted(trace: CaseTrace) -> dict[int, dict[str, list[dict]]]:

@@ -7,11 +7,11 @@ columns come from the exact integer predicates of :mod:`bdsched.model`
 (``Quad17`` is only their reference), never from the decimals.
 
 Results and summaries keep profits as integer weights at each instance's
-scale: a result holds its :class:`~bdsched.analysis.IntervalReport`,
-:func:`~bdsched.offline.opt_full` totals the optimum as a weight, and a
-summary derives ``max_ratio`` from its ``max_weights`` when read.  So a
-summary-only campaign builds no ``Fraction`` until it renders; rows,
-``run`` and ``compare`` build the rationals they render.
+scale: a result holds its :class:`~bdsched.analysis.IntervalReport`, which
+totals both timelines as weights, and a summary derives ``max_ratio`` from
+its ``max_weights`` when read.  So a summary-only campaign builds no
+``Fraction`` until it renders; rows, ``run`` and ``compare`` build the
+rationals they render.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .analysis import (
     check_interval_bounds,
     check_lemma_bounds,
 )
-from .cp import run_cp
+from .cp import CaseTrace, run_cp
 from .generators import GridSpec, RandomConfig, enumerate_bases, enumerate_instances, gen_random, greedy_baseline
 from .model import (
     Instance,
@@ -42,7 +42,6 @@ from .model import (
     instance_hash,
     instance_to_dict,
     profit,
-    profit_weight,
     render_decimal,
     render_value,
 )
@@ -105,30 +104,29 @@ class InstanceResult:
         return profit(greedy_baseline(self.instance), self.instance)
 
 
-def evaluate(inst: Instance):
+def evaluate(inst: Instance) -> tuple[CaseTrace, dict[int, int], IntervalReport]:
     """Run the policy and the optimum on one instance and compare their
     timelines interval by interval.
 
-    Returns (cp_sched, trace, opt_sched, interval_report).
+    Returns (trace, opt_sched, interval_report).
     """
-    cp_sched, trace = run_cp(inst)
-    opt_sched, w_opt = opt_full(inst)
-    report = build_intervals(inst, trace, opt_sched, profit_weight(cp_sched, inst), w_opt)
-    return cp_sched, trace, opt_sched, report
+    trace = run_cp(inst)
+    opt_sched = opt_full(inst)
+    return trace, opt_sched, build_intervals(trace, opt_sched)
 
 
 def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
     """Every configured check on an evaluated run, gathered into one result."""
-    _cp_sched, trace, opt_sched, report = run
+    trace, opt_sched, report = run
     findings = check_interval_bounds(report)
     if config.lemma_bounds:
-        findings += check_lemma_bounds(inst, trace, report)
+        findings += check_lemma_bounds(trace, report)
     if config.forced_opt:
         findings += check_forced_opt(trace, report, opt_sched)
     if config.inclusions:
         findings += check_inclusions(trace)
     if config.cross_check:
-        findings += cross_check_queries(inst, trace)
+        findings += cross_check_queries(trace)
 
     return InstanceResult(inst, report, findings, tuple(rec.case for rec in trace.steps))
 
@@ -154,20 +152,20 @@ def check_or_crash(inst: Instance, config: CheckConfig) -> InstanceResult:
         return InstanceResult(inst, IntervalReport((), 0, 0, inst.scale), [crash])
 
 
-def online_buffers(inst: Instance, trace) -> dict[int, set[int]]:
+def online_buffers(trace: CaseTrace) -> dict[int, set[int]]:
     """B(t) for every time t at which it is non-empty, by a scan of its own:
     the packets released before t, with deadline >= t, that no step of
     `trace` sent before t.  It reads neither the run's carries nor the
     2-bounded shape the carry rests on."""
     sent = {rec.transmitted: rec.t for rec in trace.steps if rec.transmitted is not None}
     buffers: dict[int, set[int]] = {}
-    for p in inst.packets:
+    for p in trace.engine.inst.packets:
         for t in range(p.release + 1, min(p.deadline, sent.get(p.id, p.deadline)) + 1):
             buffers.setdefault(t, set()).add(p.id)
     return buffers
 
 
-def cross_check_queries(inst: Instance, trace) -> list[Finding]:
+def cross_check_queries(trace: CaseTrace) -> list[Finding]:
     """Replay every partial-optimum query the policy issued against the
     dynamic-programming oracle dp_partial, seeded with all of B(t) from
     online_buffers: the answer the run's query engine gave (the one the
@@ -177,7 +175,8 @@ def cross_check_queries(inst: Instance, trace) -> list[Finding]:
     tests hold a subset enumeration as dp_partial's reference."""
     out: list[Finding] = []
     seen: set[tuple[int, int, int]] = set()
-    buffers = online_buffers(inst, trace)
+    inst = trace.engine.inst
+    buffers = online_buffers(trace)
     for _now, t, t_arr, t_slot in trace.queries:
         key = (t, t_arr, t_slot)
         if key in seen:

@@ -10,12 +10,12 @@ artifact bit-exact:
   the instance's value denominators), so sums and comparisons within one
   instance are integer arithmetic, and two instances' ratios compare by
   cross-multiplying weights.  In this module a ``Fraction`` is built only
-  by :func:`parse_value` and by :func:`profit`, whose integer core is
-  :func:`profit_weight`; downstream, only where a packet value is made (a
-  value grid, an instance family, a witness's simplified value) or a value
-  is rendered (a finding, a row, a summary, ``run``, ``compare``), and in
-  the enumeration oracle the tests run.  The optimum's total and a
-  summary's argmax stay integer weights;
+  by :func:`parse_value` and by :func:`profit`, which sums a schedule's
+  integer weights and divides once; downstream, only where a packet value
+  is made (a value grid, an instance family, a witness's simplified value)
+  or a value is rendered (a finding, a row, a summary, ``run``,
+  ``compare``), and in the enumeration oracle the tests run.  A report's
+  two totals and a summary's argmax stay integer weights;
 * every threshold test against R = (1+sqrt17)/4 and alpha = (-3+sqrt17)/2
   is x <= R*y (:func:`le_r_times`) or x >= alpha*y (:func:`ge_alpha_times`),
   decided in closed form from cross-multiplied integers; :class:`Quad17`
@@ -49,7 +49,6 @@ __all__ = [
     "Violation",
     "validate_instance",
     "profit",
-    "profit_weight",
     "InfeasibleScheduleError",
     "InstanceFormatError",
     "instance_from_dict",
@@ -347,9 +346,9 @@ def validate_instance(inst: Instance) -> list[Violation]:
     return out
 
 
-def profit_weight(sched: Mapping[int, int], inst: Instance) -> int:
-    """Exact total weight of a schedule (time slot -> packet id), at the
-    instance's scale.
+def profit(sched: Mapping[int, int], inst: Instance) -> Rat:
+    """Exact total value of a schedule (time slot -> packet id), summed as
+    integer weights at the instance's scale.
 
     Raises InfeasibleScheduleError (naming the offending slot) if the
     schedule repeats a packet or places one outside [release, deadline].
@@ -371,13 +370,7 @@ def profit_weight(sched: Mapping[int, int], inst: Instance) -> int:
                 f"slot {t}: packet {pid} outside its window [{p.release}, {p.deadline}]"
             )
         total += weights[pid]
-    return total
-
-
-def profit(sched: Mapping[int, int], inst: Instance) -> Rat:
-    """Exact total value of the scheduled packets: :func:`profit_weight`
-    divided by the instance's scale, with the same feasibility checks."""
-    return Fraction(profit_weight(sched, inst), inst.scale)
+    return Fraction(total, inst.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -402,18 +402,17 @@ class QueryEngine:
         return self.gain("q", t, i)
 
 
-def opt_full(inst: Instance) -> tuple[dict[int, int], int]:
+def opt_full(inst: Instance) -> dict[int, int]:
     """Canonical clairvoyant optimum over slots [0, horizon]: the partial
     query P(0, horizon, horizon) with no carry, laid out by
-    :func:`_edf_assignment` as a time slot -> packet id dict.  Its total is
-    an integer weight at the instance's scale, as
-    :func:`~bdsched.model.profit_weight` returns one."""
+    :func:`_edf_assignment` as a time slot -> packet id dict.  The layout
+    places every kept packet, so its total is the optimum's."""
     if not inst.packets:
-        return {}, 0
+        return {}
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
     buckets, _, ids = inst.release_index
     ps = _solve(inst.scale, ids, 0, horizon, sorted([e for r, es in buckets.items() if r >= 0 for e in es]))
     by_id = inst.by_id
-    return _edf_assignment([by_id(i) for i in ps.members], 0, horizon), ps.weight
+    return _edf_assignment([by_id(i) for i in ps.members], 0, horizon)

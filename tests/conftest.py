@@ -26,3 +26,8 @@ def answer(engine: QueryEngine, members, weight: int) -> PSet:
     rank table, the form of the engine's own answers."""
     rank = {pid: r for r, pid in enumerate(engine.ids)}
     return PSet(sum([1 << rank[pid] for pid in members]), weight, engine.inst.scale, engine.ids)
+
+
+def sent(trace) -> dict[int, int]:
+    """The policy's schedule, time slot -> packet id, read from the run's steps."""
+    return {rec.t: rec.transmitted for rec in trace.steps if rec.transmitted is not None}

@@ -35,6 +35,7 @@ from bdsched import (
 from bdsched.generators import chain_family, tight_family
 from bdsched.harness import online_buffers
 from bdsched.model import le_r_times
+from conftest import sent
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 
 SWEEP_GRID = GridSpec(
@@ -134,8 +135,8 @@ class TestCriterion4OracleEquivalence:
         # and the enumeration oracle, dp_partial's reference, sees the same answers
         compared = 0
         for res in fuzz_1k_results:
-            _, trace = run_cp(res.instance)
-            buffers = online_buffers(res.instance, trace)
+            trace = run_cp(res.instance)
+            buffers = online_buffers(trace)
             for q in {(t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries}:
                 try:
                     slow = brute_force_partial(q, res.instance, buffers.get(q[0], ()))
@@ -185,10 +186,8 @@ class TestCriterion7BaselineSeparation:
     def test_killer_separates_greedy_from_policy(self):
         inst = greedy_killer()
         v_greedy = profit(greedy_baseline(inst), inst)
-        cp_sched, _ = run_cp(inst)
-        v_cp = profit(cp_sched, inst)
-        _, w_opt = opt_full(inst)
-        v_opt = Fraction(w_opt, inst.scale)
+        v_cp = profit(sent(run_cp(inst)), inst)
+        v_opt = profit(opt_full(inst), inst)
         assert v_opt * 10 > v_greedy * 19  # opt/greedy > 1.9, exact cross-multiplied
         assert Quad17.of(v_opt) <= R * v_cp
         _announce(

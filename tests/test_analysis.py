@@ -24,6 +24,7 @@ from bdsched import (
     check_inclusions,
     check_interval_bounds,
     check_lemma_bounds,
+    dp_partial,
     enumerate_bases,
     gen_random,
     opt_full,
@@ -34,7 +35,7 @@ from bdsched import (
 from bdsched.analysis import FORCED_CASES
 from bdsched.harness import check_or_crash, evaluate
 from bdsched.model import profit, render_value
-from conftest import answer, mk
+from conftest import answer, mk, sent
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 from test_offline import small_instances
 
@@ -45,7 +46,7 @@ def interval_report(inst):
 
 
 def spans_of(inst):
-    _, trace = run_cp(inst)
+    trace = run_cp(inst)
     return [(s, e) for s, e, _ in partition_cp(trace)]
 
 
@@ -84,7 +85,7 @@ class TestPartitionCp:
         assert spans_of(Instance(())) == []
 
     def test_unknown_chain_rejected(self):
-        _, trace = run_cp(mk((0, 0, 5)))
+        trace = run_cp(mk((0, 0, 5)))
         trace.steps[0].case = "2.1"  # a run can never start inside family 2
         with pytest.raises(PartitionError):
             partition_cp(trace)
@@ -92,7 +93,8 @@ class TestPartitionCp:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_spans_tile_zero_to_tau(self, inst):
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         spans = partition_cp(trace)
         if not sched:
             assert spans == []
@@ -107,7 +109,7 @@ class TestPartitionCp:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_span_ends_at_the_first_clear_register(self, inst):
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         for start, end, _ in partition_cp(trace):
             assert [rec.committed is None for rec in trace.steps[start : end + 1]] == [False] * (end - start) + [True]
 
@@ -153,7 +155,7 @@ class TestPartitionOpt:
     def test_end_shift_when_opt_defers_the_fresh_packet(self):
         # policy sends packet 2 (released 1, deadline 2) at t=1; optimum at t=2
         inst = mk((0, 0, 1), (0, 1, 2), (1, 2, 2))
-        opt_sched, _ = opt_full(inst)
+        opt_sched = opt_full(inst)
         assert opt_sched.get(2) == 2
         assert spans_of(inst) == [(0, 1)]
         assert opt_spans_of(inst) == [(0, 2)]
@@ -168,7 +170,7 @@ class TestPartitionOpt:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_every_opt_transmission_is_covered(self, inst):
-        opt_sched, _ = opt_full(inst)
+        opt_sched = opt_full(inst)
         covered = set()
         for start, end in opt_spans_of(inst):
             covered.update(range(start, end + 1))
@@ -205,8 +207,7 @@ class TestIntervalReport:
     def test_profit_totals_match_schedules(self):
         inst = chain_family("3.2.3")
         report = interval_report(inst)
-        cp_sched, _ = run_cp(inst)
-        assert report.v_cp == profit(cp_sched, inst)
+        assert report.v_cp == profit(sent(run_cp(inst)), inst)
         assert sum((iv.v_cp for iv in report.intervals), Fraction(0)) == report.v_cp
 
     @given(small_instances(max_packets=8, max_release=5))
@@ -230,23 +231,23 @@ class TestLemmaCheckers:
             chain_family("2.2.2.1"),
             chain_family("3.2.2"),
         ):
-            _, trace, opt_sched, report = evaluate(inst)
-            assert check_lemma_bounds(inst, trace, report) == []
+            trace, opt_sched, report = evaluate(inst)
+            assert check_lemma_bounds(trace, report) == []
             assert check_forced_opt(trace, report, opt_sched) == []
             assert check_inclusions(trace) == []
 
     def test_forced_opt_detects_divergence(self):
         # corrupting the optimum schedule must be flagged
         inst = chain_family("2.2.2.1")
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         wrong = {0: 0, 1: 1, 2: 2}  # not sending the gained packets at 0/1
-        findings = check_forced_opt(trace, build_intervals(inst, trace, wrong, 0, 0), wrong)
+        findings = check_forced_opt(trace, build_intervals(trace, wrong), wrong)
         assert findings and all(f.kind == "forced-opt" for f in findings)
 
     def test_empty_instance_no_findings(self):
         inst = Instance(())
-        _, trace, _, report = evaluate(inst)
-        assert check_lemma_bounds(inst, trace, report) == []
+        trace, _, report = evaluate(inst)
+        assert check_lemma_bounds(trace, report) == []
         assert check_inclusions(trace) == []
 
 
@@ -293,7 +294,7 @@ class TestForcedOptReference:
     corrupted ones: the policy's own schedule, and the optimum one step
     late, whose spans start late wherever the optimum sent a fresh one-slack
     packet when the policy did.  Each report is built from the schedule
-    checked; its totals are not read, so they are 0.
+    checked.
 
     With the real optimum no interval cut short is skipped in the fuzz, long
     or grid sets; START_SHIFTED has one."""
@@ -302,10 +303,10 @@ class TestForcedOptReference:
         """(intervals cut short, of them skipped, findings) over every schedule."""
         fired = skipped = found = 0
         for inst in instances:
-            cp_sched, trace, opt_sched, _ = evaluate(inst)
+            trace, opt_sched, _ = evaluate(inst)
             late = {t + 1: pid for t, pid in opt_sched.items()}
-            for sched in (opt_sched, cp_sched, late):
-                report = build_intervals(inst, trace, sched, 0, 0)
+            for sched in (opt_sched, sent(trace), late):
+                report = build_intervals(trace, sched)
                 got = [(f.detail, f.lhs, f.rhs) for f in check_forced_opt(trace, report, sched)]
                 assert got == reference_forced_opt(inst, trace, sched), inst
                 short = [iv for iv in report.intervals if iv.trigger in FORCED_CASES]
@@ -326,7 +327,7 @@ class TestForcedOptReference:
         assert fired and skipped and found
 
     def test_start_shifted_interval_is_skipped(self):
-        _, trace, opt_sched, report = evaluate(START_SHIFTED)
+        trace, opt_sched, report = evaluate(START_SHIFTED)
         short = [(iv.cp_span, iv.opt_span) for iv in report.intervals if iv.trigger in FORCED_CASES]
         assert short == [((2, 3), (3, 3))]
         # the optimum's slot 2 is spoken for, so the forced layout fails there
@@ -355,7 +356,7 @@ class TestCrossBaseExemption:
         `narrow` (None keeps the solved answer) and P(1, 1, 1) holds packet
         3, weighing one more than P(0, 1, 1) if `raise_weight`."""
         inst = self.INST
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         assert trace.steps[0].transmitted == 1
         engine = trace.engine
         cache = engine.cache
@@ -366,7 +367,7 @@ class TestCrossBaseExemption:
         return [(f.detail, f.lhs, f.rhs) for f in check_inclusions(trace) if f.detail in (self.SUBSET, self.VALUE)]
 
     def test_unmodified_run_is_clean(self):
-        _, trace = run_cp(self.INST)
+        trace = run_cp(self.INST)
         assert trace.engine.p(0, 1, 1).members == (1, 2)
         assert check_inclusions(trace) == []
 
@@ -396,7 +397,7 @@ class TestWeakerChecksAreCaught:
         # P(0, 0, 0) = {0}; P(0, 0, 1) holds 0 and gains both 1 and 2, a set
         # that still contains P(0, 0, 0), so only the "adds >1" test sees it
         inst = mk((0, 0, 5), (0, 1, 3), (0, 1, 2))
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         engine = trace.engine
         assert engine.p(0, 0, 0).members == (0,) and engine.p(0, 0, 1).members == (0, 1)
         assert check_inclusions(trace) == []
@@ -409,15 +410,15 @@ class TestWeakerChecksAreCaught:
         # V(0, 0, 0); lowered below opt_i it is reported, while the one-slack
         # V(0, 0, 1) still covers opt_i
         inst = mk((0, 0, 5), (0, 1, 3), (1, 1, 4))
-        _, trace, _, report = evaluate(inst)
+        trace, _, report = evaluate(inst)
         first = report.intervals[0]
         assert (first.cp_span, first.trigger, trace.steps[0].transmitted) == ((0, 0), "1.1", 0)
-        assert check_lemma_bounds(inst, trace, report) == []
+        assert check_lemma_bounds(trace, report) == []
         engine = trace.engine
         lowered = first.w_opt - 1
         assert engine.p(0, 0, 1).weight >= first.w_opt > lowered
         engine.cache[(0, 0, 0)] = answer(engine, engine.p(0, 0, 0).members, lowered)
-        found = [(f.kind, f.detail, f.lhs, f.rhs) for f in check_lemma_bounds(inst, trace, report)]
+        found = [(f.kind, f.detail, f.lhs, f.rhs) for f in check_lemma_bounds(trace, report)]
         assert found == [("partial-bound", "interval 0 1.1 span=(0, 0) no-slack V(0,0,0)",
                           render_value(first.v_opt), render_value(Fraction(lowered, inst.scale)))]
 
@@ -430,7 +431,8 @@ class TestExactSums:
         instances = [gen_random(seed) for seed in range(50)] + [chain_family(v) for v in CHAIN_VARIANTS]
         intervals = 0
         for inst in instances:
-            cp_sched, _, opt_sched, report = evaluate(inst)
+            trace, opt_sched, report = evaluate(inst)
+            cp_sched = sent(trace)
 
             def value_sum(sched, times):
                 return sum((inst.by_id(sched[t]).value for t in times if t in sched), Fraction(0))
@@ -476,8 +478,12 @@ class TestIntegerVerdicts:
         )
         intervals = 0
         for inst in instances:
-            cp_sched, _, opt_sched, report = evaluate(inst)
-            v_cp, v_opt = profit(cp_sched, inst), Fraction(opt_full(inst)[1], inst.scale)
+            trace, opt_sched, report = evaluate(inst)
+            cp_sched = sent(trace)
+            # totals from outside the report: model.profit's checked sum of
+            # the policy's sends, and the dynamic program's optimum
+            h = max(inst.horizon, 0)
+            v_cp, v_opt = profit(cp_sched, inst), dp_partial((0, h, h), inst).total_value
             assert (report.v_cp, report.v_opt) == (v_cp, v_opt)
             assert report.global_within_bound == (Quad17.of(v_opt) <= R * v_cp)
             pairs = []

@@ -25,14 +25,13 @@ from bdsched import (
     greedy_killer,
     opt_full,
     profit,
-    profit_weight,
     run_cp,
     tight_family,
     trace_to_jsonl,
     validate_instance,
 )
 from bdsched.cli import main
-from conftest import mk
+from conftest import mk, sent
 from test_acceptance import CHAIN_VARIANTS
 from test_offline import small_instances
 
@@ -44,31 +43,36 @@ def labels(trace):
 class TestHandSimulations:
     def test_expiring_best_sent_first(self):
         # both packets are best-in-buffer on their last slot
-        sched, trace = run_cp(mk((0, 0, 5), (0, 1, 3)))
+        trace = run_cp(mk((0, 0, 5), (0, 1, 3)))
+        sched = sent(trace)
         assert labels(trace) == [(0, "1.1"), (1, "1.1")]
         assert sched == {0: 0, 1: 1}
 
     def test_weaker_expiring_packet_banked(self):
         # packet 1 dies at 0, packet 0 can wait: send 1 now, commit 0
         inst = mk((0, 1, 5), (0, 0, 4))
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         assert labels(trace) == [(0, "1.2.1"), (1, "commit")]
         assert sched == {0: 1, 1: 0}
         assert profit(sched, inst) == 9
 
     def test_two_flexible_packets(self):
         inst = mk((0, 1, 5), (0, 1, 3))
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         assert labels(trace) == [(0, "1.2.2"), (1, "commit")]
         assert profit(sched, inst) == 8
 
     def test_empty_instance(self):
-        sched, trace = run_cp(Instance(()))
+        trace = run_cp(Instance(()))
+        sched = sent(trace)
         assert sched == {} and trace.steps == []
 
     def test_idle_gap_between_bursts(self):
         inst = mk((0, 0, 1), (3, 3, 1))
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         assert [rec.case for rec in trace.steps] == ["1.1", "idle", "idle", "1.1"]
         assert sched == {0: 0, 3: 1}
 
@@ -76,7 +80,8 @@ class TestHandSimulations:
         # guard ratio (1 + 8/5 + 13/8) / (8/5 + 13/8) exceeds the bound:
         # the policy banks the expiring packet instead of being greedy
         inst = mk((0, 0, 1), (0, 1, "8/5"), (1, 2, "13/8"))
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         assert labels(trace) == [(0, "1.2.3.4"), (1, "2.1"), (2, "commit")]
         assert sched == {0: 0, 1: 1, 2: 2}
         assert profit(sched, inst) == Fraction(169, 40)
@@ -84,7 +89,8 @@ class TestHandSimulations:
     def test_near_threshold_ratio_witness(self):
         # low-value slot gain: send the flexible best now (guard below alpha)
         inst = mk((0, 0, 1), (0, 1, 2), (1, 2, 2))
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         assert labels(trace) == [(0, "1.2.3.2"), (1, "commit"), (2, "idle")]
         assert profit(sched, inst) == 4
 
@@ -108,11 +114,11 @@ class TestCaseChains:
     def test_chain_reaches_branch(self, variant, expected):
         inst = chain_family(variant)
         assert validate_instance(inst) == []
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         assert [rec.case for rec in trace.steps] == expected
 
     def test_tmp_markers_follow_their_cases(self):
-        _, trace = run_cp(chain_family("3.2.3"))
+        trace = run_cp(chain_family("3.2.3"))
         by_t = {rec.t: rec for rec in trace.steps}
         assert str(by_t[0].committed) == "tmp1"
         assert str(by_t[1].committed) == "tmp2"
@@ -153,17 +159,16 @@ class TestSharedQueryEngine:
     @pytest.mark.parametrize("variant", sorted(CHAIN_CONSULTED))
     def test_policy_log_unchanged_and_checks_hit_the_memo(self, variant):
         inst = chain_family(variant)
-        cp_sched, trace = run_cp(inst)
+        trace = run_cp(inst)
         assert trace.consulted == CHAIN_CONSULTED[variant]
         hits = trace.engine.hits
-        opt_sched, _ = opt_full(inst)
-        w_cp, w_opt = profit_weight(cp_sched, inst), profit_weight(opt_sched, inst)
-        report = build_intervals(inst, trace, opt_sched, w_cp, w_opt)
+        opt_sched = opt_full(inst)
+        report = build_intervals(trace, opt_sched)
         findings = (
-            check_lemma_bounds(inst, trace, report)
+            check_lemma_bounds(trace, report)
             + check_forced_opt(trace, report, opt_sched)
             + check_inclusions(trace)
-            + cross_check_queries(inst, trace)
+            + cross_check_queries(trace)
         )
         assert findings == []
         # the checks reuse the policy's answers and log nothing
@@ -171,7 +176,7 @@ class TestSharedQueryEngine:
         assert trace.engine.hits > hits > 0
 
     def test_query_windows_derive_from_the_consultations(self):
-        _, trace = run_cp(chain_family("3.2.2"))
+        trace = run_cp(chain_family("3.2.2"))
         assert trace.queries == CHAIN_322_QUERIES
         assert trace.max_lookahead() == 1
 
@@ -180,8 +185,10 @@ class TestStateMachineInvariants:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_schedule_feasible_and_deterministic(self, inst):
-        sched1, trace1 = run_cp(inst)
-        sched2, trace2 = run_cp(inst)
+        trace1 = run_cp(inst)
+        sched1 = sent(trace1)
+        trace2 = run_cp(inst)
+        sched2 = sent(trace2)
         profit(sched1, inst)  # raises if infeasible
         assert sched1 == sched2
         assert trace_to_jsonl(trace1) == trace_to_jsonl(trace2)
@@ -189,7 +196,7 @@ class TestStateMachineInvariants:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_lookahead_never_exceeded(self, inst):
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         assert trace.max_lookahead() <= 1
         for now, t, t_arr, _t_slot in trace.queries:
             assert t_arr <= now + 1
@@ -197,7 +204,8 @@ class TestStateMachineInvariants:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_commitments_honored(self, inst):
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         for rec in trace.steps:
             if isinstance(rec.committed, int):
                 assert sched.get(rec.t + 1) == rec.committed
@@ -205,7 +213,7 @@ class TestStateMachineInvariants:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_case_family_chaining(self, inst):
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         by_t = {rec.t: rec for rec in trace.steps}
         for rec in trace.steps:
             if rec.case.startswith("2."):
@@ -224,7 +232,8 @@ class TestStateMachineInvariants:
 class TestFallbacks:
     def test_m1_absent_sends_best_without_commitment(self):
         inst = mk((0, 1, 5))
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         rec = trace.steps[0]
         assert rec.case == "1.2.2" and rec.fallback == "m1-absent"
         assert rec.committed is None
@@ -233,7 +242,8 @@ class TestFallbacks:
     def test_unreleased_slot_gain_defers(self):
         # the slot-gain packet arrives only at t+1; policy must not name it at t
         inst = mk((0, 1, 10), (1, 2, 9), (1, 2, 8))
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         rec = trace.steps[0]
         assert rec.case == "1.2.3.1" and rec.fallback == "q1-unreleased"
         assert rec.transmitted == 0 and rec.committed is None
@@ -244,16 +254,17 @@ class TestFallbacks:
         # the slot-gain packet is a one-shot arriving at t+1 above the
         # alpha threshold; deferring still collects the full optimum
         inst = mk((0, 1, 1), (1, 2, 1), (1, 1, "3/5"))
-        sched, trace = run_cp(inst)
+        trace = run_cp(inst)
+        sched = sent(trace)
         assert trace.steps[0].case == "1.2.3.1"
         assert trace.steps[0].fallback == "q1-unreleased"
         assert profit(sched, inst) == Fraction(13, 5)
-        assert profit_weight(sched, inst) == opt_full(inst)[1]
+        assert profit(sched, inst) == profit(opt_full(inst), inst)
 
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_fallbacks_never_commit(self, inst):
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         for rec in trace.steps:
             if rec.fallback:
                 assert rec.committed is None
@@ -273,6 +284,23 @@ class TestFallbacks:
         with pytest.raises(InternalInvariantError, match=r"t=0: case 1\.1 transmits packet 1, which is not pending"):
             run_cp(mk((0, 0, 5), (2, 2, 1)))
 
+    def test_commit_of_a_sent_packet_raises_at_the_next_step(self, monkeypatch):
+        # case 1.2.2 sends packet 0 at t=0 and commits packet 1 to t=1; a case
+        # that commits the packet it sends leaves t=1 a commit of a packet no
+        # longer pending, although t=1 is its deadline
+        inst = mk((0, 1, 5), (1, 1, 1))
+        assert labels(run_cp(inst)) == [(0, "1.2.2"), (1, "commit")]
+        real_classify = cp_mod.classify_case
+
+        def self_committing(oracle, t, state):
+            rec = real_classify(oracle, t, state)
+            rec.committed = rec.transmitted
+            return rec
+
+        monkeypatch.setattr(cp_mod, "classify_case", self_committing)
+        with pytest.raises(InternalInvariantError, match=r"t=1: case commit transmits packet 0, which is not pending"):
+            run_cp(inst)
+
 
 class TestScaleInvariance:
     """Every guard is homogeneous in the values, so scaling all of them by
@@ -282,7 +310,8 @@ class TestScaleInvariance:
     @settings(max_examples=200, deadline=None)
     def test_scaling_values_changes_no_decision(self, inst):
         def decisions(instance):
-            sched, trace = run_cp(instance)
+            trace = run_cp(instance)
+            sched = sent(trace)
             steps = [(rec.t, rec.case, rec.transmitted, rec.committed, rec.fallback) for rec in trace.steps]
             return steps, sched, trace.queries
 
@@ -315,7 +344,7 @@ PINNED_RUN_TEXT_SHA256 = "c63ac17d7c23782e200ec3dcc4e63139f2f01c5c0fb260a279c37c
 
 class TestTraceSerialization:
     def test_jsonl_fields(self):
-        _, trace = run_cp(mk((0, 1, 5), (0, 0, 4)))
+        trace = run_cp(mk((0, 1, 5), (0, 0, 4)))
         lines = [json.loads(line) for line in trace_to_jsonl(trace).splitlines()]
         assert lines[0]["t"] == 0
         assert lines[0]["case"] == "1.2.1"
@@ -325,7 +354,7 @@ class TestTraceSerialization:
         assert lines[1] == {"t": 1, "case": "commit", "transmitted": 0, "committed": None, "m": [], "q": []}
 
     def test_selectors_are_read_back_without_solving(self):
-        _, trace = run_cp(chain_family("3.2.2"))
+        trace = run_cp(chain_family("3.2.2"))
         solved = len(trace.engine.cache)
         lines = [json.loads(line) for line in trace_to_jsonl(trace).splitlines()]
         assert len(trace.engine.cache) == solved
@@ -339,7 +368,7 @@ class TestTraceSerialization:
         digest, run_text = hashlib.sha256(), hashlib.sha256()
         path = tmp_path / "instance.json"
         for inst in _pinned_instances():
-            digest.update(trace_to_jsonl(run_cp(inst)[1]).encode())
+            digest.update(trace_to_jsonl(run_cp(inst)).encode())
             path.write_text(dump_instance(inst))
             for command, *flags in (["run", "--json"], ["trace"], ["compare", "--format", "json"]):
                 assert main([command, "--instances", str(path), *flags]) == 0

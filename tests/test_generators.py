@@ -22,7 +22,6 @@ from bdsched import (
     instance_hash,
     opt_full,
     profit,
-    profit_weight,
     tight_family,
     validate_instance,
 )
@@ -148,7 +147,7 @@ class TestGreedyBaseline:
     def test_killer_instance_profits(self):
         inst = greedy_killer()
         greedy = profit(greedy_baseline(inst), inst)
-        best = Fraction(opt_full(inst)[1], inst.scale)
+        best = profit(opt_full(inst), inst)
         assert greedy == Fraction(101, 100)
         assert best == Fraction(201, 100)
         assert best / greedy == Fraction(201, 101)  # within a hair of 2
@@ -157,12 +156,12 @@ class TestGreedyBaseline:
         from conftest import mk
 
         inst = mk((0, 1, 7))
-        assert profit_weight(greedy_baseline(inst), inst) == opt_full(inst)[1]
+        assert profit(greedy_baseline(inst), inst) == profit(opt_full(inst), inst)
 
     def test_greedy_never_beats_opt(self):
         for seed in range(300):
             inst = gen_random(seed)
-            assert profit_weight(greedy_baseline(inst), inst) <= opt_full(inst)[1]
+            assert profit(greedy_baseline(inst), inst) <= profit(opt_full(inst), inst)
 
     def test_greedy_schedule_feasible(self):
         for seed in range(300):

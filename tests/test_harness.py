@@ -97,27 +97,27 @@ class TestCrossCheck:
 
     def test_corrupted_answer_is_reported(self):
         inst = gen_random(3)
-        _, trace, _, _ = evaluate(inst)
-        assert cross_check_queries(inst, trace) == []
+        trace, _, _ = evaluate(inst)
+        assert cross_check_queries(trace) == []
         t, t_arr, t_slot = key = next(
             (t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries
             if len(trace.engine.cache[(t, t_arr, t_slot)].members) >= 2
         )
         self.drop_last_member(inst, trace, key)
-        findings = cross_check_queries(inst, trace)
+        findings = cross_check_queries(trace)
         assert [(f.kind, f.detail) for f in findings] == [("oracle-mismatch", f"query ({t},{t_arr},{t_slot})")]
 
     def test_query_beyond_the_enumeration_limit_is_checked(self):
         # 24 packets released at 0: the policy's first query P(0, 0, 0)
         # holds more packets than brute_force_partial accepts
         inst = Instance(Packet(i, 0, i % 2, Fraction(1 + i % 5)) for i in range(24))
-        _, trace, _, _ = evaluate(inst)
+        trace, _, _ = evaluate(inst)
         assert (0, 0, 0, 0) in trace.queries
         with pytest.raises(OracleSizeError):
             brute_force_partial((0, 0, 0), inst)
-        assert cross_check_queries(inst, trace) == []
+        assert cross_check_queries(trace) == []
         self.drop_last_member(inst, trace, (0, 0, 0))
-        findings = cross_check_queries(inst, trace)
+        findings = cross_check_queries(trace)
         assert [(f.kind, f.detail) for f in findings] == [("oracle-mismatch", "query (0,0,0)")]
 
 

@@ -108,8 +108,8 @@ class TestSolvePartial:
         # packet 0 takes slot 0, so B(1) holds 1, 2 and 3, all loops at slot
         # 1: only the best of them, 2, can join, beside 4 in slot 2
         inst = mk((0, 0, 9), (0, 1, 2), (0, 1, 5), (0, 1, 3), (1, 2, 4))
-        _, trace = run_cp(inst)
-        pending = online_buffers(inst, trace)[1]
+        trace = run_cp(inst)
+        pending = online_buffers(trace)[1]
         assert trace.steps[0].transmitted == 0 and pending == {1, 2, 3}
         assert trace.engine.carry(1) == 2
         q = (1, 1, 2)
@@ -208,9 +208,8 @@ class TestBruteForceOracle:
         fast, slow = solve(q, inst, sent), brute_force_partial(q, inst, base)
         assert fast.members == slow.members
         assert fast.total_value == slow.total_value
-        sched, weight = opt_full(inst)
         full = max(inst.horizon, 0)
-        assert profit(sched, inst) == Fraction(weight, inst.scale) == brute_force_partial((0, full, full), inst).total_value
+        assert profit(opt_full(inst), inst) == brute_force_partial((0, full, full), inst).total_value
 
 
 class TestDPOracle:
@@ -282,9 +281,9 @@ class TestPSetConventions:
         # by an engine whose step t-1 sent what the run's did, and agree
         # with the enumeration oracle seeded with all of B(t).  The carry
         # derived from the steps is the best packet of that B(t).
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         check_inclusions(trace)
-        buffers = online_buffers(inst, trace)
+        buffers = online_buffers(trace)
         for t in range(len(trace.steps)):
             assert trace.engine.carry(t) == best(inst, buffers.get(t, ())), t
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
@@ -308,9 +307,9 @@ class TestIntegerAnswers:
         # oracle seeded with all of B(t)
         inst = gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5))
         assert len(inst) > 40
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         check_inclusions(trace)
-        buffers = online_buffers(inst, trace)
+        buffers = online_buffers(trace)
         checked = 0
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
             assert cached.scale == inst.scale
@@ -326,9 +325,9 @@ class TestIntegerAnswers:
         # over the instance's canonical ranks: its members decode in
         # ascending rank, it weighs its members' weights, and it equals the
         # oracle seeded with all of B(t)
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         check_inclusions(trace)
-        buffers = online_buffers(inst, trace)
+        buffers = online_buffers(trace)
         entries = trace.engine.entries
         for (t, t_arr, t_slot), cached in trace.engine.cache.items():
             ranks = [entries[pid][0] for pid in cached.members]
@@ -431,26 +430,25 @@ class TestSelectors:
 class TestOptFull:
     def test_forced_order(self):
         inst = mk((0, 0, 1), (0, 1, 2))
-        sched, weight = opt_full(inst)
-        assert type(weight) is int and weight == 3 * inst.scale
+        sched = opt_full(inst)
+        assert profit(sched, inst) == 3
         assert sched == {0: 0, 1: 1}
 
     def test_tie_broken_by_id(self):
         inst = mk((0, 1, 1), (0, 1, 2))
-        sched, weight = opt_full(inst)
-        assert weight == 3 * inst.scale
+        sched = opt_full(inst)
+        assert profit(sched, inst) == 3
         assert sched == {0: 0, 1: 1}
 
     def test_empty(self):
-        sched, weight = opt_full(Instance(()))
-        assert type(weight) is int and weight == 0 and sched == {}
+        assert opt_full(Instance(())) == {}
 
     @given(small_instances())
     @settings(max_examples=150, deadline=None)
     def test_opt_at_least_any_single_packet(self, inst):
-        _, weight = opt_full(inst)
+        best = profit(opt_full(inst), inst)
         for p in inst.packets:
-            assert weight >= inst.weights[p.id]
+            assert best >= p.value
 
 
 def sweep_assignment(kept, start: int, slot_end: int) -> dict[int, int]:
@@ -490,7 +488,7 @@ class TestHeapLayout:
             kept = optimum_kept(inst)
             slots = _edf_assignment(kept, 0, inst.horizon)
             assert slots == sweep_assignment(kept, 0, inst.horizon), seed
-            assert slots == opt_full(inst)[0]
+            assert slots == opt_full(inst)
 
     def test_equals_the_sweep_on_every_grid_base(self):
         bases = 0
@@ -536,7 +534,7 @@ class TestSharedPools:
     def test_answers_do_not_depend_on_query_order(self, label, inst):
         # a fresh engine over the run's steps, asked the run's keys in a
         # shuffled order, builds the same pools and gives every answer
-        _, trace = run_cp(inst)
+        trace = run_cp(inst)
         check_inclusions(trace)
         keys = list(trace.engine.cache)
         random.Random(label).shuffle(keys)
@@ -585,8 +583,8 @@ class TestDerivedCarry:
         instances, expected = CARRY_CAMPAIGNS[label]
         runs = 0
         for inst in instances():
-            _, trace = run_cp(inst)
-            buffers = online_buffers(inst, trace)
+            trace = run_cp(inst)
+            buffers = online_buffers(trace)
             for t in range(inst.horizon + 1):
                 assert trace.engine.carry(t) == best(inst, buffers.get(t, ())), (inst, t)
             runs += 1

@@ -88,8 +88,8 @@ def test_fuzz_is_certified_and_every_answer_equals_the_enumeration(rule):
         run = evaluate(inst)
         res = certify(inst, run, ALL_CHECKS)
         assert res.ok, (seed, res.findings)
-        trace = run[1]
-        buffers = online_buffers(inst, trace)
+        trace = run[0]
+        buffers = online_buffers(trace)
         for key, got in trace.engine.cache.items():
             try:
                 want = brute_force_partial(key, inst, buffers.get(key[0], ()))
