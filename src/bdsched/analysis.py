@@ -266,7 +266,9 @@ def build_intervals(trace: CaseTrace, opt_sched: Mapping[int, int]) -> IntervalR
 class Finding:
     """One violated inequality, serializable for triage."""
 
-    kind: str  # "interval-bound", "partial-bound", "forced-opt", "inclusion", "coverage"
+    # "interval-bound", "partial-bound", "forced-opt", "inclusion", "coverage",
+    # "oracle-mismatch" or "crash"
+    kind: str
     detail: str
     lhs: str
     rhs: str

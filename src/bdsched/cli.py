@@ -221,7 +221,8 @@ def cmd_exhaustive(args) -> int:
         return EXIT_INPUT
     keep_rows = args.format == "csv"
     checked = total if keep_rows else count_bases(spec)
-    print(f"checked instances: {checked}   translates folded in: {total - checked}", file=sys.stderr)
+    folded = total - checked
+    print(f"checked instances: {checked}   translates and inert twins folded in: {folded}", file=sys.stderr)
     checks = CheckConfig(forced_opt=True)
     report = run_exhaustive(spec, checks, workers=args.workers, keep_rows=keep_rows)
     _print_report(report, args.format)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 
@@ -96,23 +96,86 @@ def enumerate_instances(spec: GridSpec, workers: int = 1, residue: int = 0):
 
 
 def enumerate_bases(spec: GridSpec, workers: int = 1, residue: int = 0):
-    """(index, instance, translates) for every base instance of the grid.
+    """(index, instance, translates, twins) for every irreducible base of
+    the grid.
 
     A base has a packet released at 0 (the empty instance is its own base).
     Shifting a base whose largest release is M by s = 1 .. horizon - M steps
     gives its translates: together with the base they are exactly the grid
-    instances of the same shape up to a shift, so the bases and their
-    translates partition the grid.  A base sorts before its translates, so
+    instances of the same shape up to a shift.
+
+    A packet is inert when model.rank_key ranks it after another loop
+    (deadline = release) of its release, or after two edges (deadline =
+    release + 1) of its release.  A base is irreducible when it holds
+    none: at most one loop and two edges per release.  Its `twins` are the
+    grid bases that drop to it once their inert packets go, itself
+    included: with m = max_packets - |base| and E the number of values at
+    most each release's loop, plus the number at most the lower edge of
+    each release with two edges, a twin adds a multiset of at most m of
+    those E inert shapes, so twins = C(E + m, m).  Dropping inert packets
+    keeps the smallest and the largest release, so the irreducible bases,
+    their twins and the twins' translates partition the grid.  A base has
+    fewer packets than its other twins and sorts before its translates, so
     `index`, its position in the enumerate_instances stream, is the lowest
     of its class.
 
-    With workers > 1 the stream keeps every workers-th base, starting at
-    the residue-th; the others are skipped as shape tuples, before any
-    Instance is built.
+    With workers > 1 the stream keeps every workers-th irreducible base,
+    starting at the residue-th; the others are skipped as position tuples,
+    before any Instance is built.
     """
-    bases = ((i, shapes) for i, shapes in enumerate(_shapes(spec)) if not shapes or shapes[0][0] == 0)
-    for index, shapes in islice(bases, residue, None, workers):
-        yield index, _from_shapes(shapes), spec.horizon - shapes[-1][0] if shapes else 0
+    universe = _universe(spec)
+    k = spec.max_packets
+    for index, positions, inert in islice(_irreducible(spec), residue, None, workers):
+        shapes = [universe[x] for x in positions]
+        translates = spec.horizon - shapes[-1][0] if shapes else 0
+        yield index, _from_shapes(shapes), translates, math.comb(inert + k - len(shapes), inert)
+
+
+def _irreducible(spec: GridSpec):
+    """(index, positions, E) for every irreducible base in enumeration order:
+    its universe positions, nondecreasing, and E, the number of inert shapes a
+    twin may add (see enumerate_bases).
+
+    A depth-first search in lexicographic order that never extends a
+    prefix by a second loop or a third edge of one release.  The universe
+    lists shape (release, deadline, j-th smallest value) at position
+    (2 * release + deadline - release) * width + j - 1, so a position's slot
+    class is position // width, a loop's class is even, and j counts the
+    values at most the shape's value.  A prefix's index is summed as it
+    grows: choosing x after lo at a point with `rem` positions still to
+    fill skips the below[rem][x] - below[rem][lo] tuples that continue with
+    a position in [lo, x).
+    """
+    if spec.max_packets == 0:
+        yield 0, (), 0
+        return
+    u = len(_universe(spec))
+    width = len(set(spec.value_grid))
+    first = 2 * width  # a base's first shape is released at 0
+    offset = 0
+    for size in range(1, spec.max_packets + 1):
+        # below[rem][x]: nondecreasing tuples of rem + 1 positions starting below x
+        below = [[math.comb(u + r, r + 1) - math.comb(u - x + r, r + 1) for x in range(u + 1)] for r in range(size)]
+
+        def grow(prefix, lo, index, inert, bound):
+            rem = size - len(prefix) - 1
+            row = below[rem]
+            last = prefix[-1] // width if prefix else -1
+            for x in range(lo, bound):
+                cls = x // width
+                if cls != last:
+                    gain = 0 if cls & 1 else x % width + 1  # a loop's inert shapes
+                elif cls & 1 and (len(prefix) < 2 or prefix[-2] // width != cls):
+                    gain = prefix[-1] % width + 1  # the lower of two edges
+                else:
+                    continue
+                if rem:
+                    yield from grow(prefix + (x,), x, index + row[x] - row[lo], inert + gain, u)
+                else:
+                    yield index + row[x] - row[lo], prefix + (x,), inert + gain
+
+        yield from grow((), 0, offset, 0, first)
+        offset += math.comb(u + size - 1, size)
 
 
 def _from_shapes(shapes) -> Instance:
@@ -141,15 +204,24 @@ def count_instances(spec: GridSpec) -> int:
 def count_bases(spec: GridSpec) -> int:
     """Closed-form size of the enumerate_bases stream.
 
-    Shifting back by one step maps the non-empty instances with no release
-    at 0 one to one onto the grid of horizon - 1, so for horizon >= 1 and
-    max_packets >= 1 the bases number count(h, k) - count(h - 1, k).  At
-    horizon 0 every instance is a base, and the empty instance of a zero
-    packet budget is its own.
+    With V distinct values, one release holds no loop or one of V, and no
+    edge, one of V or one of the V(V+1)/2 pairs, so
+    P(x) = (1 + Vx)(1 + Vx + V(V+1)/2 x^2) counts its irreducible contents
+    by size.  Release 0 is non-empty and the other horizon releases are
+    free, so the irreducible bases number the sum over j = 1 .. max_packets
+    of [x^j] (P(x) - 1) P(x)^horizon.  The empty instance of a zero packet
+    budget is its own base.
     """
-    if spec.horizon == 0 or spec.max_packets == 0:
-        return count_instances(spec)
-    return count_instances(spec) - count_instances(replace(spec, horizon=spec.horizon - 1))
+    k = spec.max_packets
+    if k == 0:
+        return 1
+    v = len(set(spec.value_grid))
+    pairs = v * (v + 1) // 2
+    p = [1, 2 * v, v * v + pairs, v * pairs]
+    poly = [0] + p[1:]  # P - 1
+    for _ in range(spec.horizon):
+        poly = [sum(a * p[j - i] for i, a in enumerate(poly) if 0 <= j - i < 4) for j in range(k + 1)]
+    return sum(poly[1 : k + 1])
 
 
 #: Arrival trials per time step; each succeeds with probability rate / MAX_PER_STEP.

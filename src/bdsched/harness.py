@@ -201,10 +201,12 @@ class Summary:
     """Campaign aggregate; shards merge to the same result as a serial scan
     (ratio ties resolved by the lowest instance index).
 
-    A result absorbed with `translates` > 0 stands for itself plus that many
-    translates, its copies shifted by 1 .. translates steps (see
-    run_exhaustive): each adds one instance, its verdict, findings and cases
-    again, and s leading `idle` steps, translates*(translates+1)/2 in all.
+    A result absorbed with `twins` and `translates` stands for twins *
+    (1 + translates) instances (see run_exhaustive): each of its `twins`
+    (itself and the bases that drop to it once their inert packets go) and
+    each of their copies shifted by s = 1 .. translates steps adds one
+    instance, its verdict, findings and cases again, and each shifted copy
+    adds s leading `idle` steps, twins*translates*(translates+1)/2 in all.
     The ratio and the violation order need nothing, because the absorbed
     result has the lowest index of its class.
 
@@ -241,8 +243,8 @@ class Summary:
         lhs, rhs = w_opt * cur_cp, cur_opt * w_cp
         return lhs > rhs or (lhs == rhs and index < self.argmax_index)
 
-    def absorb_result(self, res: InstanceResult, index: int = 0, translates: int = 0) -> None:
-        copies = 1 + translates
+    def absorb_result(self, res: InstanceResult, index: int = 0, translates: int = 0, twins: int = 1) -> None:
+        copies = twins * (1 + translates)
         self.instances += copies
         if not res.ok:
             self.violations += copies
@@ -256,8 +258,8 @@ class Summary:
             self.findings_by_kind["global-bound"] = self.findings_by_kind.get("global-bound", 0) + copies
         for label in res.cases:
             self.cases_seen[label] = self.cases_seen.get(label, 0) + copies
-        if translates and res.cases:  # a crash records no steps, nor do its translates
-            self.cases_seen["idle"] = self.cases_seen.get("idle", 0) + translates * (translates + 1) // 2
+        if translates and res.cases:  # a crash records no steps, nor do its copies
+            self.cases_seen["idle"] = self.cases_seen.get("idle", 0) + twins * translates * (translates + 1) // 2
         if report.w_cp > 0 and self._beats_max(report.w_opt, report.w_cp, index):
             self.max_weights = (report.w_opt, report.w_cp)
             self.argmax_index = index
@@ -294,25 +296,27 @@ class Report:
         return self.summary.violations == 0
 
 
-def _scan(indexed: Iterable[tuple[int, Instance, int]], config: CheckConfig, keep_rows: bool) -> Report:
+#: What a campaign source yields: (index, instance, translates, twins).
+Indexed = Iterable[tuple[int, Instance, int, int]]
+
+
+def _scan(indexed: Indexed, config: CheckConfig, keep_rows: bool) -> Report:
     summary = Summary()
     rows: list[str] = []
-    for index, inst, translates in indexed:
+    for index, inst, translates, twins in indexed:
         res = check_or_crash(inst, config)
-        summary.absorb_result(res, index, translates)
+        summary.absorb_result(res, index, translates, twins)
         if keep_rows:
             rows.append(_row_to_csv(res))
     return Report(summary, rows)
 
 
-def _grid(spec: GridSpec, workers: int, residue: int) -> Iterable[tuple[int, Instance, int]]:
-    return ((i, inst, 0) for i, inst in zip(count(residue, workers), enumerate_instances(spec, workers, residue)))
+def _grid(spec: GridSpec, workers: int, residue: int) -> Indexed:
+    return ((i, inst, 0, 1) for i, inst in zip(count(residue, workers), enumerate_instances(spec, workers, residue)))
 
 
-def _seeded(
-    seeds: Sequence[int], config: RandomConfig, workers: int, residue: int
-) -> Iterable[tuple[int, Instance, int]]:
-    return ((s, gen_random(s, config), 0) for s in seeds[residue::workers])
+def _seeded(seeds: Sequence[int], config: RandomConfig, workers: int, residue: int) -> Indexed:
+    return ((s, gen_random(s, config), 0, 1) for s in seeds[residue::workers])
 
 
 def _shard(args: tuple) -> Report:
@@ -321,12 +325,12 @@ def _shard(args: tuple) -> Report:
 
 
 def _campaign(
-    source: Callable[[int, int], Iterable[tuple[int, Instance, int]]],
+    source: Callable[[int, int], Indexed],
     config: CheckConfig,
     workers: int,
     keep_rows: bool,
 ) -> Report:
-    """Check every (index, instance, translates) of a picklable source.
+    """Check every (index, instance, translates, twins) of a picklable source.
     With workers > 1 each worker builds and checks the instances of one
     residue class of the source, the shard summaries merge in residue order
     and row i comes from shard i mod workers."""
@@ -352,11 +356,35 @@ def run_exhaustive(
     """Check every instance of the grid, indexed by enumeration order.
 
     A campaign with rows checks every instance, since each row is its own
-    instance's.  A summary-only campaign checks only the grid's bases, the
-    instances with a packet released at 0, and the summary folds in each
-    base's translates exactly (see enumerate_bases and Summary).  That is
-    sound because every check sees a translate by s steps as its base run
-    after s idle steps:
+    instance's.  A summary-only campaign checks only the grid's irreducible
+    bases, the instances with a packet released at 0 and no inert packet,
+    and the summary folds in each one's twins and their translates exactly
+    (see enumerate_bases and Summary).
+
+    Folding the twins is sound because an inert packet, a loop ranked after
+    another loop of its release or an edge ranked after two edges of its
+    release, changes nothing a check reads:
+
+    * the greedy behind every partial optimum and opt_full offers packets
+      their slots in rank order; every component of slots has at most one
+      free slot, and a full component stays full.  So once release r's
+      best loop has been offered, slot r's component is full, and once its
+      best two edges have, the component of slots r and r + 1 is full: an
+      inert packet, ranked after them, joins no P(t, t', t'') and no
+      opt_full answer, nor the optimum dp_partial finds when
+      cross_check_queries seeds it with all of B(t);
+    * the carry of B(t) is the best edge of release t - 1 that step t - 1
+      did not send, one of the release's best two, so it is never inert;
+      and the policy sends and commits only selector packets, the members
+      of those answers;
+    * while an inert packet is pending, so is a better sibling of its
+      release, so run_cp idles at exactly the base's times;
+    * a twin has more packets than its base, so it comes later in the
+      enumeration, and the argmax and first-violation ties resolve to the
+      base.
+
+    Folding the translates is sound because every check sees a translate by
+    s steps as its base run after s idle steps:
 
     * run_cp idles while the buffer is empty, and otherwise compares a
       release or deadline only with the step time; model.rank_key orders

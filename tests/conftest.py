@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from bdsched import Instance, Packet, PSet, QueryEngine
+from bdsched import GridSpec, Instance, Packet, PSet, QueryEngine, enumerate_instances, model
 
 
 def mk(*shapes) -> Instance:
@@ -31,3 +31,28 @@ def answer(engine: QueryEngine, members, weight: int) -> PSet:
 def sent(trace) -> dict[int, int]:
     """The policy's schedule, time slot -> packet id, read from the run's steps."""
     return {rec.t: rec.transmitted for rec in trace.steps if rec.transmitted is not None}
+
+
+def is_base(inst: Instance) -> bool:
+    """True for the empty instance and an instance with a packet released at 0."""
+    return not inst.packets or inst.packets[0].release == 0
+
+
+def grid_bases(spec: GridSpec):
+    """Every grid instance with a packet released at 0, in enumeration order:
+    the bases before enumerate_bases drops the reducible ones."""
+    return filter(is_base, enumerate_instances(spec))
+
+
+def without_inert(inst: Instance) -> Instance:
+    """`inst` less its inert packets, found by a rank comparison of its own:
+    per release, every loop model.rank_key ranks after the release's best
+    loop and every edge it ranks after the release's best two edges."""
+    kept: set[int] = set()
+    groups: dict[tuple[int, int], list[Packet]] = {}
+    for p in inst.packets:
+        groups.setdefault((p.release, p.deadline - p.release), []).append(p)
+    for (_release, offset), group in groups.items():
+        group.sort(key=lambda p: model.rank_key(p, p.value))
+        kept.update(p.id for p in group[: offset + 1])
+    return Instance(p for p in inst.packets if p.id in kept)

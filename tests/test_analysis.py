@@ -25,7 +25,6 @@ from bdsched import (
     check_interval_bounds,
     check_lemma_bounds,
     dp_partial,
-    enumerate_bases,
     gen_random,
     opt_full,
     partition_cp,
@@ -35,7 +34,7 @@ from bdsched import (
 from bdsched.analysis import FORCED_CASES
 from bdsched.harness import check_or_crash, evaluate
 from bdsched.model import profit, render_value
-from conftest import answer, mk, sent
+from conftest import answer, grid_bases, mk, sent
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 from test_offline import small_instances
 
@@ -335,7 +334,7 @@ class TestForcedOptReference:
         assert check_forced_opt(trace, report, opt_sched) == []
 
     def test_h2_k4_bases(self):
-        self.compare(inst for _, inst, _ in enumerate_bases(SWEEP_GRID))
+        self.compare(grid_bases(SWEEP_GRID))
 
 
 class TestCrossBaseExemption:

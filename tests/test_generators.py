@@ -10,7 +10,6 @@ import pytest
 from bdsched import (
     GridSpec,
     Instance,
-    Packet,
     RandomConfig,
     count_bases,
     count_instances,
@@ -25,6 +24,7 @@ from bdsched import (
     tight_family,
     validate_instance,
 )
+from conftest import is_base, without_inert
 
 
 class TestEnumerate:
@@ -87,10 +87,6 @@ def test_bad_fuzz_config_names_the_field(kwargs, message):
     assert str(exc.value) == message
 
 
-def shifted(inst: Instance, s: int) -> Instance:
-    return Instance(Packet(p.id, p.release + s, p.deadline + s, p.value) for p in inst.packets)
-
-
 SMALL_GRIDS = [
     GridSpec(horizon=h, max_packets=k, value_grid=values)
     for h in range(3)
@@ -99,31 +95,59 @@ SMALL_GRIDS = [
 ]
 
 
+def class_key(inst: Instance) -> tuple:
+    """The shapes of the irreducible base an instance folds to: shifted back
+    to a release at 0, less its inert packets."""
+    lo = min((p.release for p in inst.packets), default=0)
+    return tuple((p.release - lo, p.deadline - lo, p.value) for p in without_inert(inst).packets)
+
+
+def grid_id(spec: GridSpec) -> str:
+    return f"h{spec.horizon}k{spec.max_packets}v{len(spec.value_grid)}"
+
+
 class TestBases:
-    @pytest.mark.parametrize("spec", SMALL_GRIDS, ids=lambda spec: f"h{spec.horizon}k{spec.max_packets}v{len(spec.value_grid)}")
+    @pytest.mark.parametrize("spec", SMALL_GRIDS, ids=grid_id)
     def test_count_matches_closed_form(self, spec):
         bases = list(enumerate_bases(spec))
         assert count_bases(spec) == len(bases)
-        assert all(not inst.packets or min(p.release for p in inst.packets) == 0 for _i, inst, _k in bases)
+        for _index, inst, _translates, _twins in bases:
+            assert is_base(inst) and without_inert(inst) == inst
+
+    def test_closed_form_on_the_campaign_grids(self):
+        # (irreducible bases, bases) of the sweep's pair grids, the
+        # acceptance grid and the h=3 grids over the acceptance values
+        pair = GridSpec(horizon=2, max_packets=4, value_grid=(Fraction(1), Fraction(8, 5)))
+        acceptance = (Fraction(1), Fraction(5, 4), Fraction(8, 5), Fraction(2), Fraction(3))
+        grids = [pair] + [GridSpec(h, k, acceptance) for h, k in ((2, 4), (3, 4), (3, 5))]
+        assert [count_bases(spec) for spec in grids] == [755, 21_125, 61_125, 450_625]
+        for spec, bases in zip(grids, [1325, 35_750, 89_375, 897_127]):
+            shifted_back = GridSpec(spec.horizon - 1, spec.max_packets, spec.value_grid)
+            assert count_instances(spec) - count_instances(shifted_back) == bases
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("spec", SMALL_GRIDS[::3], ids=lambda spec: f"h{spec.horizon}k{spec.max_packets}v{len(spec.value_grid)}")
+    @pytest.mark.parametrize("spec", SMALL_GRIDS[::3], ids=grid_id)
     def test_base_shards_and_translates_are_the_grid(self, spec, workers):
-        grid = [inst.packets for inst in enumerate_instances(spec)]
-        position = {packets: i for i, packets in enumerate(grid)}
-        serial = list(enumerate_bases(spec))
-        classes = []
+        # the irreducible bases, their twins and the twins' translates
+        # partition the grid, and each class's base is its lowest-indexed
+        grid = list(enumerate_instances(spec))
+        position = {inst.packets: i for i, inst in enumerate(grid)}
+        classes: dict[tuple, list[int]] = {}
+        for i, inst in enumerate(grid):
+            classes.setdefault(class_key(inst), []).append(i)
+        serial = [(i, inst.packets, k, n) for i, inst, k, n in enumerate_bases(spec)]
+        seen = []
         for r in range(workers):
             shard = list(enumerate_bases(spec, workers, r))
-            assert [(i, inst.packets, k) for i, inst, k in shard] == [
-                (i, inst.packets, k) for i, inst, k in serial[r::workers]
-            ]
-            for index, base, translates in shard:
-                assert position[base.packets] == index
-                members = [shifted(base, s).packets for s in range(translates + 1)]
-                assert all(position[m] > index for m in members[1:])  # the base is lowest in its class
-                classes += members
-        assert sorted(classes, key=position.__getitem__) == grid
+            assert [(i, inst.packets, k, n) for i, inst, k, n in shard] == serial[r::workers]
+            for index, base, translates, twins in shard:
+                key = class_key(base)
+                members = classes[key]
+                assert position[base.packets] == index == min(members)  # the lowest of its class
+                assert len(members) == twins * (1 + translates)
+                assert sum(1 for i in members if is_base(grid[i])) == twins
+                seen.append(key)
+        assert sorted(seen) == sorted(classes)
 
 
 class TestGenRandom:

@@ -45,6 +45,7 @@ from bdsched import (
     instance_hash,
     load_instance,
     minimize_witness,
+    opt_full,
     profit,
     render_decimal,
     render_value,
@@ -61,7 +62,7 @@ from bdsched.harness import (
     summary_to_dict,
 )
 from bdsched.model import instance_to_dict
-from conftest import mk, pset
+from conftest import grid_bases, mk, pset, without_inert
 from enumeration import OracleSizeError, brute_force_partial
 
 SMALL_GRID = GridSpec(horizon=1, max_packets=2, value_grid=(Fraction(1), Fraction(2)))
@@ -167,9 +168,9 @@ class TestSummaryOnlyCampaigns:
     def test_residue_shards_partition_the_grid(self, horizon, max_packets, workers):
         spec = GridSpec(horizon=horizon, max_packets=max_packets, value_grid=(Fraction(1), Fraction(2)))
         shards = [list(harness_mod._grid(spec, workers, r)) for r in range(workers)]
-        union = sorted((triple for shard in shards for triple in shard), key=lambda triple: triple[0])
-        assert [(i, inst.packets, k) for i, inst, k in union] == [
-            (i, inst.packets, 0) for i, inst in enumerate(enumerate_instances(spec))
+        union = sorted((item for shard in shards for item in shard), key=lambda item: item[0])
+        assert [(i, inst.packets, k, n) for i, inst, k, n in union] == [
+            (i, inst.packets, 0, 1) for i, inst in enumerate(enumerate_instances(spec))
         ]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -346,6 +347,39 @@ class TestTranslationInvariance:
         assert pairs == 3 * (1770 + 200)
 
 
+class TestInertInvariance:
+    """Dropping a base's inert packets, a loop ranked after another loop of
+    its release or an edge ranked after two edges of its release, changes
+    no case, ratio, finding kind or verdict: the premise of the fold of
+    twins in run_exhaustive."""
+
+    def test_dropping_inert_packets_changes_nothing(self):
+        grids = [
+            GridSpec(horizon=2, max_packets=4, value_grid=PAIR_VALUES),
+            GridSpec(horizon=1, max_packets=4, value_grid=ACCEPTANCE_VALUES),
+        ]
+        reduced_results: dict[tuple, InstanceResult] = {}
+        bases = pairs = 0
+        for spec in grids:
+            for inst in grid_bases(spec):
+                bases += 1
+                reduced = without_inert(inst)
+                if len(reduced) == len(inst):
+                    continue
+                if reduced.packets not in reduced_results:
+                    reduced_results[reduced.packets] = check_instance(reduced, ALL_CHECKS)
+                want, got = reduced_results[reduced.packets], check_instance(inst, ALL_CHECKS)
+                assert got.cases == want.cases, inst
+                assert got.report.w_opt * want.report.w_cp == want.report.w_opt * got.report.w_cp, inst
+                assert (got.report.w_cp > 0) == (want.report.w_cp > 0), inst
+                assert [f.kind for f in got.findings] == [f.kind for f in want.findings], inst
+                assert (got.ok, got.report.global_within_bound) == (want.ok, want.report.global_within_bound), inst
+                pairs += 1
+        # every base of the pair-value grids with h <= 2, k <= 4 and of the
+        # acceptance grids with h = 1, k <= 4; 570 and 5,500 are reducible
+        assert (bases, pairs) == (1325 + 9625, 570 + 5500)
+
+
 def full_scan_json(spec: GridSpec, config: CheckConfig) -> str:
     """The reference summary: every grid instance checked, serially."""
     return report_to_json(harness_mod._scan(harness_mod._grid(spec, 1, 0), config, keep_rows=False))
@@ -358,13 +392,21 @@ def quotient_cases(horizons, packet_budgets):
 PAIR_VALUES = (Fraction(1), Fraction(8, 5))
 
 
+def optimum_eight_fifths(inst: Instance, opt_sched: dict[int, int]) -> list[int]:
+    """The ids of the packets of value 8/5 that the optimum sends, by slot.
+    A fault that reads them reads what the run uses, so it survives both
+    folds: a translate sends the same packets later, and a twin's inert
+    packets are never sent."""
+    return [pid for _t, pid in sorted(opt_sched.items()) if inst.by_id(pid).value == Fraction(8, 5)]
+
+
 def inject_shift_invariant_fault(monkeypatch) -> None:
-    """One forced-opt finding per packet of value 8/5, and a broken global
-    bound whenever the policy earns 13/5."""
+    """One forced-opt finding per packet of value 8/5 the optimum sends,
+    and a broken global bound whenever the policy earns 13/5."""
 
     def marked_forced(trace, report, opt_sched):
-        packets = trace.engine.inst.packets
-        return [Finding("forced-opt", f"marked {p.id}", "-", "-") for p in packets if p.value == Fraction(8, 5)]
+        marked = optimum_eight_fifths(trace.engine.inst, opt_sched)
+        return [Finding("forced-opt", f"marked {pid}", "-", "-") for pid in marked]
 
     real_bound = IntervalReport.global_within_bound.fget
     monkeypatch.setattr(harness_mod, "check_forced_opt", marked_forced)
@@ -386,9 +428,10 @@ def inject_crash(monkeypatch, crashes) -> None:
 
 
 class TestTranslationQuotient:
-    """A summary-only grid campaign checks only the instances with a release
-    at 0 and folds in their translates; its summary is byte-identical to
-    checking every instance."""
+    """A summary-only grid campaign checks only the irreducible bases, the
+    instances with a release at 0 and no inert packet, and folds in their
+    twins and translates; its summary is byte-identical to checking every
+    instance."""
 
     @pytest.mark.parametrize("horizon,max_packets,workers", quotient_cases(range(3), range(5)))
     def test_forced_opt_summary_equals_full_scan(self, horizon, max_packets, workers):
@@ -414,7 +457,7 @@ class TestTranslationQuotient:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_crashes_fold_like_the_full_scan(self, workers, monkeypatch):
-        inject_crash(monkeypatch, lambda inst: sum(p.value == Fraction(8, 5) for p in inst.packets) >= 2)
+        inject_crash(monkeypatch, lambda inst: len(optimum_eight_fifths(inst, opt_full(inst))) >= 2)
         spec = GridSpec(horizon=2, max_packets=3, value_grid=PAIR_VALUES)
         folded = run_exhaustive(spec, CheckConfig(forced_opt=True), workers=workers)
         assert folded.summary.findings_by_kind["crash"] == folded.summary.violations > 0
@@ -436,7 +479,9 @@ class TestTranslationQuotient:
         assert [row.split(",")[0] for row in rows] == [instance_hash(inst) for inst in grid]
         checked.clear()
         run_exhaustive(spec)
-        assert len(checked) == count_bases(spec) < count_instances(spec)
+        # 46 of the 90 instances have a packet released at 0; 3 of those
+        # hold two loops of one release, so 43 are irreducible
+        assert len(checked) == count_bases(spec) == 43 and count_instances(spec) == 90
 
 
 class TestPooledRows:
@@ -760,10 +805,11 @@ class TestCli:
         assert main(["exhaustive", "--horizon", "2", "--max-packets", "2", "--format", fmt]) == 0
         spec = GridSpec(horizon=2, max_packets=2, value_grid=ACCEPTANCE_VALUES)
         total, bases = count_instances(spec), count_bases(spec)
+        assert (total, bases) == (495, 250)
         checked = total if fmt == "csv" else bases
         assert capsys.readouterr().err.splitlines()[:2] == [
             f"estimated instances: {total}",
-            f"checked instances: {checked}   translates folded in: {total - checked}",
+            f"checked instances: {checked}   translates and inert twins folded in: {total - checked}",
         ]
 
     def test_exhaustive_guard_requires_yes(self, capsys):

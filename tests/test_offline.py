@@ -21,7 +21,6 @@ from bdsched import (
     chain_family,
     check_inclusions,
     dp_partial,
-    enumerate_bases,
     gen_random,
     model,
     opt_full,
@@ -30,7 +29,7 @@ from bdsched import (
 )
 from bdsched.harness import online_buffers
 from bdsched.offline import _edf_assignment, _solve
-from conftest import answer, mk, pset
+from conftest import answer, grid_bases, mk, pset
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 
@@ -492,7 +491,7 @@ class TestHeapLayout:
 
     def test_equals_the_sweep_on_every_grid_base(self):
         bases = 0
-        for _, inst, _ in enumerate_bases(SWEEP_GRID):
+        for inst in grid_bases(SWEEP_GRID):
             bases += 1
             if inst.packets:
                 kept = optimum_kept(inst)
@@ -570,7 +569,7 @@ CARRY_CAMPAIGNS = {
     "fuzz-0..999": (lambda: (gen_random(seed) for seed in range(1_000)), 1_000),
     "h40-0..199": (lambda: (gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5)) for seed in range(200)), 200),
     "chains": (lambda: (chain_family(variant) for variant in CHAIN_VARIANTS), len(CHAIN_VARIANTS)),
-    "h2k4-bases": (lambda: (inst for _, inst, _ in enumerate_bases(SWEEP_GRID)), 35_750),
+    "h2k4-bases": (lambda: grid_bases(SWEEP_GRID), 35_750),
 }
 
 
