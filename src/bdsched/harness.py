@@ -319,9 +319,15 @@ def _seeded(seeds: Sequence[int], config: RandomConfig, workers: int, residue: i
     return ((s, gen_random(s, config), 0, 1) for s in seeds[residue::workers])
 
 
-def _shard(args: tuple) -> Report:
-    source, config, workers, residue, keep_rows = args
-    return _scan(source(workers, residue), config, keep_rows)
+def _send_shard(conn, scan: Callable[[], Report]) -> None:
+    """A child's whole life: send (True, report), or (False, exc) if the scan
+    raised."""
+    try:
+        reply = (True, scan())
+    except Exception as exc:  # the parent re-raises it
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
 
 
 def _campaign(
@@ -330,16 +336,58 @@ def _campaign(
     workers: int,
     keep_rows: bool,
 ) -> Report:
-    """Check every (index, instance, translates, twins) of a picklable source.
-    With workers > 1 each worker builds and checks the instances of one
-    residue class of the source, the shard summaries merge in residue order
-    and row i comes from shard i mod workers."""
+    """Check every (index, instance, translates, twins) of a source.
+
+    With workers > 1 the campaign runs in `workers` processes in all: the
+    calling process forks one child per residue 1 .. workers - 1, checks
+    residue 0 itself, then reads each child's shard report from its one-way
+    pipe in residue order.  Every process builds and checks only the
+    instances of its own residue class of the source; the children inherit
+    the source by the fork, so it need not be picklable.  The shard
+    summaries merge in residue order and row i comes from shard i mod
+    workers.
+
+    A child whose scan raised sends the exception and the caller re-raises
+    it; a child that exits without sending is a RuntimeError naming its
+    residue and exit code.  On any error the caller terminates every child
+    before joining it: a child blocked in send on a full pipe holds its own
+    copy of the read end, so it would never return."""
     if workers <= 1:
         return _scan(source(1, 0), config, keep_rows)
     import multiprocessing  # here, not at the top: a serial campaign never pays for it
 
-    with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-        shards = pool.map(_shard, [(source, config, workers, r, keep_rows) for r in range(workers)])
+    def scan(residue: int) -> Report:
+        return _scan(source(workers, residue), config, keep_rows)
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    finished = False
+    try:
+        for residue in range(1, workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_shard, args=(writer, partial(scan, residue)), daemon=True)
+            child.start()
+            children.append((residue, child, reader))
+            writer.close()  # so the reader sees EOF once the child is gone
+        shards = [scan(0)]
+        for residue, child, reader in children:
+            try:
+                sent, payload = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"campaign worker for residue {residue} exited with code {child.exitcode} before sending its shard"
+                ) from None
+            if not sent:
+                raise payload
+            shards.append(payload)
+        finished = True
+    finally:
+        for _residue, child, reader in children:
+            if not finished:
+                child.terminate()
+            child.join()
+            reader.close()
     merged = Summary()
     for shard in shards:
         merged.merge(shard.summary)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import importlib
 import itertools
 import json
+import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -484,6 +487,10 @@ class TestTranslationQuotient:
         assert len(checked) == count_bases(spec) == 43 and count_instances(spec) == 90
 
 
+#: A grid of one instance, the empty one.
+NO_PACKETS = GridSpec(horizon=2, max_packets=0, value_grid=ACCEPTANCE_VALUES)
+
+
 class TestPooledRows:
     def test_failing_rows_match_check_instance(self, monkeypatch):
         inject_shift_invariant_fault(monkeypatch)
@@ -512,20 +519,116 @@ class TestPooledRows:
     )
     @pytest.mark.parametrize("workers", [2, 3])
     def test_rows_come_from_the_pool_in_serial_order(self, campaign, workers, monkeypatch):
+        # the caller renders the rows of residue 0 and one child each other
+        # residue's, and the lines merge back in serial order
         real_row = harness_mod._row_to_csv
         monkeypatch.setattr(harness_mod, "_row_to_csv", lambda res: f"{os.getpid()}:{real_row(res)}")
-        serial, pooled = campaign(1), campaign(workers)
+        serial, sharded = campaign(1), campaign(workers)
 
         def split(rows):
             tagged = [row.split(":", 1) for row in rows]
-            return {int(pid) for pid, _ in tagged}, [line for _, line in tagged]
+            return [int(pid) for pid, _ in tagged], [line for _, line in tagged]
 
         serial_pids, serial_lines = split(serial.rows)
-        pooled_pids, pooled_lines = split(pooled.rows)
-        assert serial_pids == {os.getpid()}
-        assert pooled_lines and os.getpid() not in pooled_pids
-        assert pooled_lines == serial_lines
-        assert report_to_json(pooled) == report_to_json(serial)
+        sharded_pids, sharded_lines = split(sharded.rows)
+        caller = os.getpid()
+        assert set(serial_pids) == {caller}
+        by_residue = [set(sharded_pids[r::workers]) for r in range(workers)]
+        assert by_residue[0] == {caller}
+        assert all(len(pids) == 1 for pids in by_residue[1:])
+        children = set().union(*by_residue[1:])
+        assert len(children) == workers - 1 and caller not in children
+        assert sharded_lines == serial_lines
+        assert report_to_json(sharded) == report_to_json(serial)
+
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            lambda workers: run_fuzz(range(2), workers=workers),
+            lambda workers: run_fuzz(range(2), workers=workers, keep_rows=True),
+            lambda workers: run_exhaustive(NO_PACKETS, workers=workers),
+            lambda workers: run_exhaustive(NO_PACKETS, workers=workers, keep_rows=True),
+        ],
+        ids=["fuzz", "fuzz-rows", "exhaustive", "exhaustive-rows"],
+    )
+    def test_more_workers_than_work_print_the_serial_bytes(self, campaign):
+        serial, sharded = campaign(1), campaign(3)
+        assert report_to_json(sharded) == report_to_json(serial)
+        assert render_rows_csv(sharded.rows) == render_rows_csv(serial.rows)
+        assert multiprocessing.active_children() == []
+
+
+class DeadlinePassed(Exception):
+    """Not an OSError, which multiprocessing's join would swallow."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise DeadlinePassed in the calling process once the block has run
+    for `seconds`."""
+
+    def expire(_signum, _frame):
+        raise DeadlinePassed(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fail_checks(monkeypatch, in_caller: bool, fault) -> None:
+    """Call `fault()` before every check_instance of the calling process
+    (in_caller) or of every forked child (not in_caller)."""
+    caller = os.getpid()
+    real = harness_mod.check_instance
+
+    def check(inst, config=CheckConfig()):
+        if (os.getpid() == caller) == in_caller:
+            fault()
+        return real(inst, config)
+
+    monkeypatch.setattr(harness_mod, "check_instance", check)
+
+
+def injected_value_error():
+    raise ValueError("injected")
+
+
+class TestShardFailures:
+    """A campaign whose shard fails raises within a deadline and leaves no
+    child process behind."""
+
+    @pytest.fixture(autouse=True)
+    def reap(self):
+        yield
+        for child in multiprocessing.active_children():  # left only by a failed test
+            child.terminate()
+            child.join(10)
+
+    def test_child_error_is_raised_by_the_caller(self, monkeypatch):
+        fail_checks(monkeypatch, in_caller=False, fault=injected_value_error)
+        with pytest.raises(ValueError, match="injected"), deadline(60):
+            run_fuzz(range(12), workers=3, keep_rows=True)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_error_ends_a_child_blocked_on_a_full_pipe(self, monkeypatch):
+        # the child's shard, 3,657 rows, pickles to about 184 kB, more than a
+        # pipe buffer holds: once its scan is done the child blocks in send,
+        # so a caller that closed its read end and joined would hang
+        spec = GridSpec(horizon=2, max_packets=4, value_grid=(Fraction(1), Fraction(2), Fraction(3)))
+        fail_checks(monkeypatch, in_caller=True, fault=injected_value_error)
+        with pytest.raises(ValueError, match="injected"), deadline(60):
+            run_exhaustive(spec, workers=2, keep_rows=True)
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_without_sending(self, monkeypatch):
+        fail_checks(monkeypatch, in_caller=False, fault=lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match=r"residue 1 exited with code 3 "), deadline(60):
+            run_exhaustive(SMALL_GRID, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestCrashes:
