@@ -111,7 +111,7 @@ def evaluate(inst: Instance) -> tuple[CaseTrace, dict[int, int], IntervalReport]
     Returns (trace, opt_sched, interval_report).
     """
     trace = run_cp(inst)
-    opt_sched = opt_full(inst)
+    opt_sched = opt_full(trace.engine)
     return trace, opt_sched, build_intervals(trace, opt_sched)
 
 

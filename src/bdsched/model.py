@@ -217,21 +217,22 @@ def rank_key(p: Packet, weight) -> tuple:
     """The tie rule that pins every optimum down, written once: value desc,
     deadline asc, release asc, id asc, with `weight` the packet's value at
     any common positive scale.  Every reader looks it up in this module when
-    it runs, so rebinding ``model.rank_key`` changes every optimum at once."""
+    it runs, each query engine once per run, so rebinding ``model.rank_key``
+    changes every later optimum at once, of a checked instance too."""
     return (-weight, p.deadline, p.release, p.id)
 
 
 class Instance:
     """An input: a sequence of packets, ids unique.
 
-    The constructor indexes the packets in one pass, so every per-instance
-    view below is a plain attribute read; it never raises, whatever the
-    packets.  Only :attr:`release_index`, which raises on a packet it cannot
-    index, is built on its first read.  Equality, hashing, ``repr`` and
-    pickling read only ``packets``.  A plain slotted class, not a frozen
-    dataclass, because a frozen dataclass sets each field through
-    ``object.__setattr__`` and a grid campaign builds one instance per base;
-    instances are never modified after construction.
+    Plain data: the constructor indexes the packets in one pass, so every
+    per-instance view below is a plain attribute read, and it never raises,
+    whatever the packets; the solver's rank index, which needs the tie rule
+    and 2-bounded packets, is built per run by the query engine.  Equality,
+    hashing, ``repr`` and pickling read only ``packets``.  A plain slotted
+    class, not a frozen dataclass, because a frozen dataclass sets each
+    field through ``object.__setattr__`` and a grid campaign builds one
+    instance per base; instances are never modified after construction.
 
     * ``horizon``: the largest deadline; -1 for the empty instance.
     * ``arrivals``: release time -> the packets released then, in order.
@@ -239,7 +240,7 @@ class Instance:
     * ``weights``: packet id -> its integer weight, value * scale.
     """
 
-    __slots__ = ("packets", "horizon", "_id_map", "arrivals", "scale", "weights", "_release_index")
+    __slots__ = ("packets", "horizon", "_id_map", "arrivals", "scale", "weights")
 
     def __init__(self, packets: Iterable[Packet]):
         self.packets = packets = tuple(packets)
@@ -256,50 +257,9 @@ class Instance:
         self.arrivals = {t: tuple(ps) for t, ps in grouped.items()}
         self.scale = scale = math.lcm(*[p.value.denominator for p in packets])
         self.weights = {pid: p.value.numerator * (scale // p.value.denominator) for pid, p in id_map.items()}
-        self._release_index = None
 
     def by_id(self, pid: int) -> Packet:
         return self._id_map[pid]
-
-    @property
-    def release_index(self) -> tuple[dict[int, tuple[tuple, ...]], dict[int, tuple], tuple[int, ...]]:
-        """The partial solver's view of this instance: (buckets, by_id, ids).
-
-        buckets maps a release time to the entries released then, in
-        canonical order; by_id maps a packet id to its entry; ids maps a
-        canonical rank to its packet id.  An entry is (canonical rank, id,
-        release, deadline, weight), the weight read from :attr:`weights`.
-        The rank sorts the packets by :func:`rank_key` on those weights, and
-        each entry reads its fields from its packet.  Packets with an empty
-        window (deadline < release) are left out of buckets and by_id.  Raises
-        ValueError, naming the packet, if an id repeats, whatever the
-        windows, or a packet is not 2-bounded: a run's carries name packets
-        by id, and the solver's feasibility test holds only for windows of at
-        most two slots.  Built on the first read and kept.
-        """
-        if self._release_index is not None:
-            return self._release_index
-        packets = self.packets
-        if len(self._id_map) < len(packets):
-            seen: set[int] = set()
-            for p in packets:
-                if p.id in seen:
-                    raise ValueError(f"packet id {p.id} is not unique")
-                seen.add(p.id)
-        weights = self.weights
-        ranked = sorted(packets, key=lambda p: rank_key(p, weights[p.id]))
-        buckets: dict[int, list[tuple]] = {}
-        by_id: dict[int, tuple] = {}
-        for rank, p in enumerate(ranked):
-            pid, release, deadline = p.id, p.release, p.deadline
-            if deadline - release > 1:
-                raise ValueError(f"packet {pid} is not 2-bounded: window [{release}, {deadline}]")
-            if deadline >= release:
-                entry = (rank, pid, release, deadline, weights[pid])
-                buckets.setdefault(release, []).append(entry)
-                by_id[pid] = entry
-        self._release_index = {r: tuple(es) for r, es in buckets.items()}, by_id, tuple([p.id for p in ranked])
-        return self._release_index
 
     def __len__(self) -> int:
         return len(self.packets)

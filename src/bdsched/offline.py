@@ -35,11 +35,11 @@ after that, and read by every query P(t, t', .).  What it never shares is an
 answer: each miss runs its own greedy from an empty union-find.
 
 Answers are exact and integer: a :class:`PSet` from the greedy is a pair of
-integers, a bitmask over the instance's canonical ranks and its total as a
-weight at the instance's :attr:`~bdsched.model.Instance.scale`, so the
-selectors and the nesting checks compare one engine's answers with integer
-and bit operations.  Member ids and the rational total are decoded only
-when they are read: by a report, by the oracle cross-check or by a test.
+integers, a bitmask over the ranks of the engine's rank index and its total
+as a weight at the instance's :attr:`~bdsched.model.Instance.scale`, so
+the selectors and the nesting checks compare one engine's answers with
+integer and bit operations.  Member ids and the rational total are decoded
+only when they are read: by a report, by the oracle cross-check or by a test.
 
 ``dp_partial`` is the independent oracle that campaigns run: a max-weight
 dynamic program along the slot path, with its own scan, scale and sort of
@@ -100,9 +100,9 @@ class PSet:
                 first read
     member_set: members as a frozenset
 
-    The query engine's masks index the instance's ranks (the third field of
-    ``release_index``), so two answers of one engine nest iff their masks
-    do; ``dp_partial``'s index the ranks of its own sort.  Equality and
+    The query engine's masks index the ranks of its run's rank index (its
+    ``ids``), so two answers of one engine nest iff their masks do;
+    ``dp_partial``'s index the ranks of its own sort.  Equality and
     hashing read the members and the rational total, so answers of either
     source, at any scale, compare by value.  A plain slotted class, not a
     frozen dataclass, because the engine builds one per miss; answers are
@@ -303,9 +303,17 @@ class QueryEngine:
 
     P(t, t', t''), t <= t' <= t'', is the canonical partial optimum seeded
     with :meth:`carry` (t), derived from `steps`, the run's step records (a
-    list that may grow while the run goes on).  The instance's
-    ``release_index`` -- its buckets, its entries by id and its rank -> id
-    table ``ids`` -- is read once, here.  Answers are cached on
+    list that may grow while the run goes on).  The run's rank index is
+    built once, here, under :func:`~bdsched.model.rank_key` as bound now:
+    ``buckets`` maps a release time to the entries released then, in rank
+    order; ``entries`` maps a packet id to its entry; ``ids`` maps a rank to
+    its packet id.  An entry is (rank, id, release, deadline, weight), the
+    weight read from the instance's ``weights``; packets with an empty
+    window (deadline < release) get a rank but no entry.  Raises
+    ValueError, naming the packet, if an id repeats, whatever the windows,
+    or a packet is not 2-bounded: a run's carries name packets by id, and
+    the greedy's feasibility test holds only for windows of at most two
+    slots.  Answers are cached on
     (t, t', t''), which names a query only within one run, so an engine is
     never reused for another instance or run.  The candidate pools are
     cached on (t, t'), each built once by :meth:`pool` and read by every
@@ -320,7 +328,24 @@ class QueryEngine:
     def __init__(self, inst: Instance, steps: Sequence):
         self.inst = inst
         self.steps = steps
-        self.buckets, self.entries, self.ids = inst.release_index
+        packets, weights = inst.packets, inst.weights
+        if len(weights) < len(packets):  # one weight per distinct id
+            ids = [p.id for p in packets]
+            repeat = next(pid for n, pid in enumerate(ids) if pid in ids[:n])
+            raise ValueError(f"packet id {repeat} is not unique")
+        ranked = sorted(packets, key=lambda p: model.rank_key(p, weights[p.id]))
+        buckets: dict[int, list[tuple]] = {}
+        entries: dict[int, tuple] = {}
+        for rank, p in enumerate(ranked):
+            pid, release, deadline = p.id, p.release, p.deadline
+            if deadline - release > 1:
+                raise ValueError(f"packet {pid} is not 2-bounded: window [{release}, {deadline}]")
+            if deadline >= release:
+                entries[pid] = entry = (rank, pid, release, deadline, weights[pid])
+                buckets.setdefault(release, []).append(entry)
+        self.buckets = {r: tuple(es) for r, es in buckets.items()}
+        self.entries = entries
+        self.ids = tuple([p.id for p in ranked])
         self.cache: dict[tuple[int, int, int], PSet] = {}
         self.pools: dict[tuple[int, int], Sequence[tuple]] = {}
         self.calls = 0
@@ -351,9 +376,9 @@ class QueryEngine:
 
     def pool(self, t: int, arrival_end: int) -> Sequence[tuple]:
         """The candidates of the queries P(t, t', .): entries (rank, id,
-        release, deadline, weight) from ``inst.release_index``, sorted by
-        rank.  The pool of (t, t) is release bucket t and the carry's entry;
-        the pool of (t, t') is that of (t, t'-1) with bucket t' merged in."""
+        release, deadline, weight) of the rank index, sorted by rank.  The
+        pool of (t, t) is release bucket t and the carry's entry; the pool
+        of (t, t') is that of (t, t'-1) with bucket t' merged in."""
         pool = self.pools.get((t, arrival_end))
         if pool is None:
             if arrival_end == t:
@@ -402,17 +427,20 @@ class QueryEngine:
         return self.gain("q", t, i)
 
 
-def opt_full(inst: Instance) -> dict[int, int]:
-    """Canonical clairvoyant optimum over slots [0, horizon]: the partial
-    query P(0, horizon, horizon) with no carry, laid out by
-    :func:`_edf_assignment` as a time slot -> packet id dict.  The layout
-    places every kept packet, so its total is the optimum's."""
+def opt_full(engine: QueryEngine) -> dict[int, int]:
+    """Canonical clairvoyant optimum of the run's instance over slots
+    [0, horizon]: the partial query P(0, horizon, horizon) with no carry,
+    solved by one greedy over all of `engine`'s buckets in one sort, not
+    through ``engine.p``, which would build the pool of every (0, t'), and
+    laid out by :func:`_edf_assignment` as a time slot -> packet id dict.
+    The layout places every kept packet, so its total is the optimum's."""
+    inst = engine.inst
     if not inst.packets:
         return {}
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
-    buckets, _, ids = inst.release_index
-    ps = _solve(inst.scale, ids, 0, horizon, sorted([e for r, es in buckets.items() if r >= 0 for e in es]))
+    entries = sorted([e for r, es in engine.buckets.items() if r >= 0 for e in es])
+    ps = _solve(inst.scale, engine.ids, 0, horizon, entries)
     by_id = inst.by_id
     return _edf_assignment([by_id(i) for i in ps.members], 0, horizon)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from bdsched import GridSpec, Instance, Packet, PSet, QueryEngine, enumerate_instances, model
+from bdsched import GridSpec, Instance, Packet, PSet, QueryEngine, enumerate_instances, model, opt_full
 
 
 def mk(*shapes) -> Instance:
@@ -26,6 +26,12 @@ def answer(engine: QueryEngine, members, weight: int) -> PSet:
     rank table, the form of the engine's own answers."""
     rank = {pid: r for r, pid in enumerate(engine.ids)}
     return PSet(sum([1 << rank[pid] for pid in members]), weight, engine.inst.scale, engine.ids)
+
+
+def clairvoyant(inst: Instance) -> dict[int, int]:
+    """opt_full over a fresh engine of `inst` with no steps: the canonical
+    clairvoyant optimum, time slot -> packet id, outside any run."""
+    return opt_full(QueryEngine(inst, []))
 
 
 def sent(trace) -> dict[int, int]:

@@ -24,7 +24,6 @@ from bdsched import (
     gen_random,
     greedy_baseline,
     greedy_killer,
-    opt_full,
     profit,
     quad_cmp,
     render_decimal,
@@ -35,7 +34,7 @@ from bdsched import (
 from bdsched.generators import chain_family, tight_family
 from bdsched.harness import online_buffers
 from bdsched.model import le_r_times
-from conftest import sent
+from conftest import clairvoyant, sent
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 
 SWEEP_GRID = GridSpec(
@@ -187,7 +186,7 @@ class TestCriterion7BaselineSeparation:
         inst = greedy_killer()
         v_greedy = profit(greedy_baseline(inst), inst)
         v_cp = profit(sent(run_cp(inst)), inst)
-        v_opt = profit(opt_full(inst), inst)
+        v_opt = profit(clairvoyant(inst), inst)
         assert v_opt * 10 > v_greedy * 19  # opt/greedy > 1.9, exact cross-multiplied
         assert Quad17.of(v_opt) <= R * v_cp
         _announce(

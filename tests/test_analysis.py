@@ -26,7 +26,6 @@ from bdsched import (
     check_lemma_bounds,
     dp_partial,
     gen_random,
-    opt_full,
     partition_cp,
     run_cp,
     tight_family,
@@ -34,7 +33,7 @@ from bdsched import (
 from bdsched.analysis import FORCED_CASES
 from bdsched.harness import check_or_crash, evaluate
 from bdsched.model import profit, render_value
-from conftest import answer, grid_bases, mk, sent
+from conftest import answer, clairvoyant, grid_bases, mk, sent
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 from test_offline import small_instances
 
@@ -154,7 +153,7 @@ class TestPartitionOpt:
     def test_end_shift_when_opt_defers_the_fresh_packet(self):
         # policy sends packet 2 (released 1, deadline 2) at t=1; optimum at t=2
         inst = mk((0, 0, 1), (0, 1, 2), (1, 2, 2))
-        opt_sched = opt_full(inst)
+        opt_sched = clairvoyant(inst)
         assert opt_sched.get(2) == 2
         assert spans_of(inst) == [(0, 1)]
         assert opt_spans_of(inst) == [(0, 2)]
@@ -169,7 +168,7 @@ class TestPartitionOpt:
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)
     def test_every_opt_transmission_is_covered(self, inst):
-        opt_sched = opt_full(inst)
+        opt_sched = clairvoyant(inst)
         covered = set()
         for start, end in opt_spans_of(inst):
             covered.update(range(start, end + 1))

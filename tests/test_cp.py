@@ -23,7 +23,6 @@ from bdsched import (
     dump_instance,
     gen_random,
     greedy_killer,
-    opt_full,
     profit,
     run_cp,
     tight_family,
@@ -31,7 +30,7 @@ from bdsched import (
     validate_instance,
 )
 from bdsched.cli import main
-from conftest import mk, sent
+from conftest import clairvoyant, mk, sent
 from test_acceptance import CHAIN_VARIANTS
 from test_offline import small_instances
 
@@ -162,7 +161,7 @@ class TestSharedQueryEngine:
         trace = run_cp(inst)
         assert trace.consulted == CHAIN_CONSULTED[variant]
         hits = trace.engine.hits
-        opt_sched = opt_full(inst)
+        opt_sched = clairvoyant(inst)
         report = build_intervals(trace, opt_sched)
         findings = (
             check_lemma_bounds(trace, report)
@@ -259,7 +258,7 @@ class TestFallbacks:
         assert trace.steps[0].case == "1.2.3.1"
         assert trace.steps[0].fallback == "q1-unreleased"
         assert profit(sched, inst) == Fraction(13, 5)
-        assert profit(sched, inst) == profit(opt_full(inst), inst)
+        assert profit(sched, inst) == profit(clairvoyant(inst), inst)
 
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=300, deadline=None)

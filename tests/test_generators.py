@@ -19,12 +19,11 @@ from bdsched import (
     greedy_baseline,
     greedy_killer,
     instance_hash,
-    opt_full,
     profit,
     tight_family,
     validate_instance,
 )
-from conftest import is_base, without_inert
+from conftest import clairvoyant, is_base, without_inert
 
 
 class TestEnumerate:
@@ -171,7 +170,7 @@ class TestGreedyBaseline:
     def test_killer_instance_profits(self):
         inst = greedy_killer()
         greedy = profit(greedy_baseline(inst), inst)
-        best = profit(opt_full(inst), inst)
+        best = profit(clairvoyant(inst), inst)
         assert greedy == Fraction(101, 100)
         assert best == Fraction(201, 100)
         assert best / greedy == Fraction(201, 101)  # within a hair of 2
@@ -180,12 +179,12 @@ class TestGreedyBaseline:
         from conftest import mk
 
         inst = mk((0, 1, 7))
-        assert profit(greedy_baseline(inst), inst) == profit(opt_full(inst), inst)
+        assert profit(greedy_baseline(inst), inst) == profit(clairvoyant(inst), inst)
 
     def test_greedy_never_beats_opt(self):
         for seed in range(300):
             inst = gen_random(seed)
-            assert profit(greedy_baseline(inst), inst) <= profit(opt_full(inst), inst)
+            assert profit(greedy_baseline(inst), inst) <= profit(clairvoyant(inst), inst)
 
     def test_greedy_schedule_feasible(self):
         for seed in range(300):

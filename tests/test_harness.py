@@ -48,7 +48,6 @@ from bdsched import (
     instance_hash,
     load_instance,
     minimize_witness,
-    opt_full,
     profit,
     render_decimal,
     render_value,
@@ -65,7 +64,7 @@ from bdsched.harness import (
     summary_to_dict,
 )
 from bdsched.model import instance_to_dict
-from conftest import grid_bases, mk, pset, without_inert
+from conftest import clairvoyant, grid_bases, mk, pset, without_inert
 from enumeration import OracleSizeError, brute_force_partial
 
 SMALL_GRID = GridSpec(horizon=1, max_packets=2, value_grid=(Fraction(1), Fraction(2)))
@@ -460,7 +459,7 @@ class TestTranslationQuotient:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_crashes_fold_like_the_full_scan(self, workers, monkeypatch):
-        inject_crash(monkeypatch, lambda inst: len(optimum_eight_fifths(inst, opt_full(inst))) >= 2)
+        inject_crash(monkeypatch, lambda inst: len(optimum_eight_fifths(inst, clairvoyant(inst))) >= 2)
         spec = GridSpec(horizon=2, max_packets=3, value_grid=PAIR_VALUES)
         folded = run_exhaustive(spec, CheckConfig(forced_opt=True), workers=workers)
         assert folded.summary.findings_by_kind["crash"] == folded.summary.violations > 0
@@ -703,6 +702,23 @@ class TestRendering:
         assert header.startswith("instance_hash,v_cp,v_opt,v_greedy,ratio_exact")
         assert row.count(",") == header.count(",")
         assert trailer == ""
+
+    def test_worst_interval_ratio_is_empty_without_a_finite_worst(self):
+        # hand-built reports: the cell is empty with no interval of positive
+        # policy profit, and with an interval of opt profit and none of the
+        # policy's, whose ratio is unbounded
+        column = harness_mod.CSV_HEADER.split(",").index("worst_interval_ratio")
+        inst = mk((0, 0, 1))
+
+        def cell(*intervals):
+            iv = [Interval((t, t), (t, t), w_cp, w_opt, 1, "1.1") for t, (w_cp, w_opt) in enumerate(intervals)]
+            report = IntervalReport(tuple(iv), sum([w for w, _ in intervals]), sum([w for _, w in intervals]), 1)
+            return harness_mod._row_to_csv(InstanceResult(inst, report)).split(",")[column]
+
+        assert cell() == ""
+        assert cell((0, 0)) == ""
+        assert cell((2, 3), (0, 1), (1, 1)) == ""
+        assert cell((2, 3), (0, 0), (1, 1)) == "3/2"
 
     def test_report_json_is_sorted_and_stable(self):
         report = run_fuzz(list(range(5)))

@@ -7,7 +7,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdsched import (
@@ -21,7 +21,6 @@ from bdsched import (
     dump_instance,
     instance_hash,
     load_instance,
-    model,
     parse_value,
     profit,
     quad_cmp,
@@ -244,22 +243,6 @@ MIXED_VALUES = [Fraction(1), Fraction(2, 2), Fraction(3, 2), Fraction(6, 4), Fra
 
 
 class TestIntegerWeights:
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_release_index_rank_is_canonical_order(self, data):
-        shapes = data.draw(st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 1), st.sampled_from(MIXED_VALUES)), max_size=10))
-        ids = data.draw(st.permutations(range(len(shapes))))
-        inst = Instance(Packet(pid, r, r + off, v) for pid, (r, off, v) in zip(ids, shapes))
-        buckets, by_id, ids = inst.release_index
-        ranked = sorted(by_id.values())
-        canonical = [p.id for p in sorted(inst.packets, key=lambda p: model.rank_key(p, p.value))]
-        assert ids == tuple(canonical)
-        assert [entry[0] for entry in ranked] == list(range(len(shapes)))
-        assert [entry[1] for entry in ranked] == canonical
-        assert all(Fraction(entry[4], inst.scale) == inst.by_id(entry[1]).value for entry in ranked)
-        assert sorted(e for es in buckets.values() for e in es) == ranked
-
     def test_scale_and_weights(self):
         inst = mk((0, 0, "3/2"), (0, 1, "5/4"), (1, 1, 2), (1, 2, "7/6"))
         assert inst.scale == 12
@@ -294,11 +277,6 @@ any_packets = st.lists(
 ).map(tuple)
 
 
-#: One id twice, one copy with an empty window (deadline < release), which
-#: release_index never indexes: only the id count sees the repeat.
-EMPTY_WINDOW_REPEAT = (Packet(0, 0, 0, Fraction(1)), Packet(0, 0, -1, Fraction(1)))
-
-
 class TestEagerInstance:
     """The constructor builds every view in one pass; each equals its
     definition, and construction never raises."""
@@ -316,23 +294,6 @@ class TestEagerInstance:
         assert [inst.by_id(p.id) for p in packets] == [defined_views(packets)["_id_map"][p.id] for p in packets]
 
     @given(any_packets)
-    @example(EMPTY_WINDOW_REPEAT)
-    @example(EMPTY_WINDOW_REPEAT[::-1])
-    @settings(max_examples=300, deadline=None)
-    def test_release_index_raises_only_on_what_it_cannot_index(self, packets):
-        inst = Instance(packets)
-        not_2_bounded = [p for p in packets if p.deadline - p.release > 1]
-        if not_2_bounded or len({p.id for p in packets}) < len(packets):
-            with pytest.raises(ValueError, match=r"^packet (id )?\d+ is not"):
-                inst.release_index
-        else:
-            _buckets, by_id, _ids = inst.release_index
-            assert inst.release_index is inst.release_index
-            assert {pid: entry[4] for pid, entry in by_id.items()} == {
-                p.id: inst.weights[p.id] for p in packets if p.deadline >= p.release
-            }
-
-    @given(any_packets)
     @settings(max_examples=200, deadline=None)
     def test_equality_hash_and_pickle(self, packets):
         inst = Instance(packets)
@@ -348,4 +309,3 @@ class TestEagerInstance:
     def test_empty_instance(self):
         inst = Instance(())
         assert (inst.horizon, inst.scale, inst.weights, inst.arrivals, len(inst)) == (-1, 1, {}, {}, 0)
-        assert inst.release_index == ({}, {}, ())

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdsched import (
@@ -23,15 +23,15 @@ from bdsched import (
     dp_partial,
     gen_random,
     model,
-    opt_full,
     profit,
     run_cp,
 )
 from bdsched.harness import online_buffers
 from bdsched.offline import _edf_assignment, _solve
-from conftest import answer, grid_bases, mk, pset
+from conftest import answer, clairvoyant, grid_bases, mk, pset
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
+from test_model import MIXED_VALUES, any_packets
 
 
 def engine(inst: Instance, t: int = 0, sent: int | None = None) -> QueryEngine:
@@ -72,6 +72,53 @@ def small_instances(max_packets=6, max_release=3):
             Packet(id=i, release=r, deadline=r + off, value=v) for i, (r, off, v) in enumerate(shapes)
         )
     )
+
+
+#: One id twice, one copy with an empty window (deadline < release), which
+#: the rank index never enters: only the id count sees the repeat.
+EMPTY_WINDOW_REPEAT = (Packet(0, 0, 0, Fraction(1)), Packet(0, 0, -1, Fraction(1)))
+
+
+class TestRankIndex:
+    """The rank index a query engine builds for its run: release buckets,
+    entries by id and the rank -> id table.  Only it raises on packets,
+    never the instance."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_is_canonical_order(self, data):
+        shapes = data.draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 1), st.sampled_from(MIXED_VALUES)), max_size=10))
+        ids = data.draw(st.permutations(range(len(shapes))))
+        inst = Instance(Packet(pid, r, r + off, v) for pid, (r, off, v) in zip(ids, shapes))
+        run = QueryEngine(inst, [])
+        ranked = sorted(run.entries.values())
+        canonical = [p.id for p in sorted(inst.packets, key=lambda p: model.rank_key(p, p.value))]
+        assert run.ids == tuple(canonical)
+        assert [entry[0] for entry in ranked] == list(range(len(shapes)))
+        assert [entry[1] for entry in ranked] == canonical
+        assert all(Fraction(entry[4], inst.scale) == inst.by_id(entry[1]).value for entry in ranked)
+        assert sorted(e for es in run.buckets.values() for e in es) == ranked
+
+    @given(any_packets)
+    @example(EMPTY_WINDOW_REPEAT)
+    @example(EMPTY_WINDOW_REPEAT[::-1])
+    @settings(max_examples=300, deadline=None)
+    def test_raises_only_on_what_it_cannot_index(self, packets):
+        inst = Instance(packets)
+        not_2_bounded = [p for p in packets if p.deadline - p.release > 1]
+        if not_2_bounded or len({p.id for p in packets}) < len(packets):
+            with pytest.raises(ValueError, match=r"^packet (id )?\d+ is not"):
+                QueryEngine(inst, [])
+        else:
+            entries = QueryEngine(inst, []).entries
+            assert {pid: entry[4] for pid, entry in entries.items()} == {
+                p.id: inst.weights[p.id] for p in packets if p.deadline >= p.release
+            }
+
+    def test_empty_instance(self):
+        run = QueryEngine(Instance(()), [])
+        assert (run.buckets, run.entries, run.ids) == ({}, {}, ())
 
 
 class TestSolvePartial:
@@ -208,7 +255,7 @@ class TestBruteForceOracle:
         assert fast.members == slow.members
         assert fast.total_value == slow.total_value
         full = max(inst.horizon, 0)
-        assert profit(opt_full(inst), inst) == brute_force_partial((0, full, full), inst).total_value
+        assert profit(clairvoyant(inst), inst) == brute_force_partial((0, full, full), inst).total_value
 
 
 class TestDPOracle:
@@ -341,7 +388,8 @@ class TestIntegerAnswers:
         # P(0, 1, 1): packets 0 and 1 fill slots 0 and 1, so the greedy stops
         # there and never reads packets 2 and 3, which could join no longer
         inst = mk((0, 1, 5), (1, 1, 4), (0, 1, 3), (1, 1, 2))
-        pool = engine(inst).pool(0, 1)
+        run = engine(inst)
+        pool = run.pool(0, 1)
         assert [entry[1] for entry in pool] == [0, 1, 2, 3]
         read = []
 
@@ -350,7 +398,7 @@ class TestIntegerAnswers:
                 read.append(entry[1])
                 yield entry
 
-        got = _solve(inst.scale, inst.release_index[2], 0, 1, entries())
+        got = _solve(inst.scale, run.ids, 0, 1, entries())
         assert read == [0, 1]
         q = (0, 1, 1)
         assert got.members == (0, 1) and got.total_value == 9
@@ -429,23 +477,23 @@ class TestSelectors:
 class TestOptFull:
     def test_forced_order(self):
         inst = mk((0, 0, 1), (0, 1, 2))
-        sched = opt_full(inst)
+        sched = clairvoyant(inst)
         assert profit(sched, inst) == 3
         assert sched == {0: 0, 1: 1}
 
     def test_tie_broken_by_id(self):
         inst = mk((0, 1, 1), (0, 1, 2))
-        sched = opt_full(inst)
+        sched = clairvoyant(inst)
         assert profit(sched, inst) == 3
         assert sched == {0: 0, 1: 1}
 
     def test_empty(self):
-        assert opt_full(Instance(())) == {}
+        assert clairvoyant(Instance(())) == {}
 
     @given(small_instances())
     @settings(max_examples=150, deadline=None)
     def test_opt_at_least_any_single_packet(self, inst):
-        best = profit(opt_full(inst), inst)
+        best = profit(clairvoyant(inst), inst)
         for p in inst.packets:
             assert best >= p.value
 
@@ -487,7 +535,7 @@ class TestHeapLayout:
             kept = optimum_kept(inst)
             slots = _edf_assignment(kept, 0, inst.horizon)
             assert slots == sweep_assignment(kept, 0, inst.horizon), seed
-            assert slots == opt_full(inst)
+            assert slots == clairvoyant(inst)
 
     def test_equals_the_sweep_on_every_grid_base(self):
         bases = 0

@@ -1,8 +1,8 @@
 """The certificate under the other consistent tie rules.
 
 Every optimum is pinned by one tie rule, ``model.rank_key``, and each of its
-readers -- the instance's rank table that the query engine and opt_full
-sweep, the oracle dp_partial and the enumeration oracle -- looks it up when
+readers -- the rank index each run's query engine builds and opt_full
+sweeps, the oracle dp_partial and the enumeration oracle -- looks it up when
 it runs.  Rebinding it swaps the rule everywhere at once: these tests swap
 in each of the three other (deadline, release) orders and rerun the grid and
 fuzz certificates with every check and the oracle cross-check.
@@ -15,7 +15,17 @@ from fractions import Fraction
 
 import pytest
 
-from bdsched import CheckConfig, GridSpec, QueryEngine, check_instance, dp_partial, enumerate_instances, gen_random, model
+from bdsched import (
+    CheckConfig,
+    GridSpec,
+    QueryEngine,
+    RandomConfig,
+    check_instance,
+    dp_partial,
+    enumerate_instances,
+    gen_random,
+    model,
+)
 from bdsched.harness import certify, evaluate, online_buffers
 from conftest import mk
 from enumeration import OracleSizeError, brute_force_partial
@@ -58,8 +68,9 @@ def test_every_reader_follows_the_rule(rule):
     inst = mk(*WITNESS)
     order, members = WITNESS_ORDERS[rule]
     assert tuple([p.id for p in sorted(inst.packets, key=lambda p: model.rank_key(p, p.value))]) == order
-    assert inst.release_index[2] == order
-    engine_answer = QueryEngine(inst, []).p(0, 1, 1)
+    engine = QueryEngine(inst, [])
+    assert engine.ids == order
+    engine_answer = engine.p(0, 1, 1)
     oracle_answer = dp_partial((0, 1, 1), inst)
     assert oracle_answer.ids == order
     assert engine_answer.members == oracle_answer.members == brute_force_partial((0, 1, 1), inst).members == members
@@ -98,3 +109,48 @@ def test_fuzz_is_certified_and_every_answer_equals_the_enumeration(rule):
             assert got == want, (seed, key)
             compared += 1
     assert compared > 10_000
+
+
+@pytest.mark.parametrize("name", list(TIE_RULES))
+def test_a_rebound_rule_reaches_instances_already_checked(name, monkeypatch):
+    # the same Instance objects, checked under the canonical rule and then
+    # under another: each run ranks the packets afresh, so no answer of the
+    # first pass leaks into the second, where the cross-check would see it
+    instances = [gen_random(seed) for seed in range(300)]
+    for inst in instances:
+        assert check_instance(inst, ALL_CHECKS).ok
+    monkeypatch.setattr(model, "rank_key", TIE_RULES[name][0])
+    results = [check_instance(inst, ALL_CHECKS) for inst in instances]
+    assert [(seed, res.findings) for seed, res in enumerate(results) if res.findings] == []
+
+
+#: the checks that ask only the run's query engine: no oracle
+ENGINE_CHECKS = CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True)
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        pytest.param(lambda: [gen_random(seed) for seed in range(50)], id="fuzz-h6"),
+        pytest.param(lambda: [gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5)) for seed in range(50)],
+                     id="fuzz-h40"),
+        pytest.param(lambda: list(enumerate_instances(GridSpec(1, 3, H2K3.value_grid))), id="grid-h1k3"),
+    ],
+)
+def test_one_rank_index_per_run(instances, monkeypatch):
+    # a run ranks each packet once: the policy, opt_full and every engine
+    # check read the one index its query engine built
+    instances = instances()
+    calls = 0
+    rank_key = model.rank_key
+
+    def counted(p, weight):
+        nonlocal calls
+        calls += 1
+        return rank_key(p, weight)
+
+    monkeypatch.setattr(model, "rank_key", counted)
+    for inst in instances:
+        calls = 0
+        check_instance(inst, ENGINE_CHECKS)
+        assert calls == len(inst.packets), inst
