@@ -104,10 +104,13 @@ def enumerate_bases(spec: GridSpec, workers: int = 1, residue: int = 0):
     gives its translates: together with the base they are exactly the grid
     instances of the same shape up to a shift.
 
-    A packet is inert when model.rank_key ranks it after another loop
-    (deadline = release) of its release, or after two edges (deadline =
-    release + 1) of its release.  A base is irreducible when it holds
-    none: at most one loop and two edges per release.  Its `twins` are the
+    The fold drops two kinds of inert packet: a loop (deadline = release)
+    that model.rank_key ranks after another loop of its release, and an
+    edge (deadline = release + 1) ranked after two other edges of its
+    release.  A base is irreducible when it holds neither: at most one loop
+    and two edges per release.  It may still hold an inert packet of
+    another kind, a loop ranked after two edges of its release, which joins
+    no optimum either; the fold keeps it.  Its `twins` are the
     grid bases that drop to it once their inert packets go, itself
     included: with m = max_packets - |base| and E the number of values at
     most each release's loop, plus the number at most the lower edge of

@@ -405,9 +405,9 @@ def run_exhaustive(
 
     A campaign with rows checks every instance, since each row is its own
     instance's.  A summary-only campaign checks only the grid's irreducible
-    bases, the instances with a packet released at 0 and no inert packet,
-    and the summary folds in each one's twins and their translates exactly
-    (see enumerate_bases and Summary).
+    bases, the instances with a packet released at 0 and at most one loop
+    and two edges per release, and the summary folds in each one's twins
+    and their translates exactly (see enumerate_bases and Summary).
 
     Folding the twins is sound because an inert packet, a loop ranked after
     another loop of its release or an edge ranked after two edges of its
@@ -448,11 +448,11 @@ def run_exhaustive(
       and 3.2.2, which repeat at shifted times with shifted selectors and
       shifted optimum spans, so an interval it skips is skipped in the base.
     * check_inclusions at t >= s repeats the base's relations at t - s.  At
-      a leading idle time t < s there is no carry, so each query's pool is
-      the packets released in [s, t']: empty while t' < s, where every
-      relation holds trivially; when t' = s - 1 and the grown query reaches
-      s, only slot s is usable, so it adds at most one packet to the empty
-      set; and when t' >= s the query equals the one at base s, a relation
+      a leading idle time t < s there is no carry, so the candidates of a
+      query are the packets released in [s, t']: empty while t' < s, where
+      every relation holds trivially; when t' = s - 1 and the grown query
+      reaches s, only slot s is usable, so it adds at most one packet to the
+      empty set; and when t' >= s the query equals the one at base s, a relation
       already checked at t = s (the cross-base relation compares two equal
       sets, since nothing is sent before s).
     * cross_check_queries replays the policy's queries, and the policy

@@ -17,22 +17,29 @@ luck.
 
 Every instance is 2-bounded, so each clipped window is one slot or two
 adjacent slots and the matroid is bicircular on the slot line: a set fits
-iff no connected component of slots holds more packets than slots, which
-the greedy tests with a union-find over slots.  A fitting set never holds
-more packets than [t, t''] has slots, so the greedy stops as soon as its
-kept set fills them all.  Only :func:`opt_full` lays its kept set out in
-slots, earliest-deadline-first, with a heap.
+iff no connected component of slots holds more packets than slots.  Each
+component of a kept set is a run of adjacent slots with at most one free
+slot, so over a window of at most :data:`NARROW` slots, the width of every
+window the policy and the checks ask, the greedy walks a slot automaton
+whose states are those component lists, one table lookup per packet; a
+wider window sweeps a union-find over slots, and the width alone picks
+which.  A fitting set never holds more packets than [t, t''] has slots,
+so the greedy stops as soon as its kept set fills them all.  Only
+:func:`opt_full` lays its kept set out in slots, earliest-deadline-first,
+with a heap.
 
 :class:`QueryEngine` is the only front end through which the policy and
 every checker ask partial queries over a run.  It reads the run's step
 list, derives each carry from it, memoizes every answer on (t, t', t'') --
 sound because an engine is bound to one run -- and derives from them the
 selectors m_i(t) and q_i(t), whose windows :func:`selector_windows` alone
-writes down.  What it shares between queries is their input: the
-rank-sorted candidate pool of (t, t'), built one way only, release bucket t
-plus the carry at t' = t and the pool of (t, t'-1) with bucket t' merged in
-after that, and read by every query P(t, t', .).  What it never shares is an
-answer: each miss runs its own greedy from an empty union-find.
+writes down.  What it shares between queries is their input: one
+rank-sorted candidate list per base time t, the carry and release buckets
+t .. t + NARROW - 1 (extended on demand for a wider t'), each entry
+carrying its automaton column relative to t, and read by every query
+P(t, ., .), which skips the entries released after its t'.  What it never
+shares is an answer: each miss runs its own greedy from the automaton's
+start state (or from an empty union-find, for a wide window).
 
 Answers are exact and integer: a :class:`PSet` from the greedy is a pair of
 integers, a bitmask over the ranks of the engine's rank index and its total
@@ -51,6 +58,8 @@ every query it answers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -147,6 +156,8 @@ class PSet:
 
 
 _EMPTY_PSET = PSet(0, 0, 1, ())
+#: the (reach, candidates) of a base time whose candidate list is not built yet
+_UNREAD = (-math.inf, ())
 
 
 def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[int, int]:
@@ -179,30 +190,125 @@ def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[i
     return out
 
 
-def _solve(scale: int, ids: Sequence[int], t: int, t_end: int, entries: Sequence[tuple]) -> PSet:
-    """The canonical partial optimum over a pool of the queries P(t, t', .),
-    for the last slot t'' = t_end >= t'.  Each window clipped to [t, t''] is
-    one slot (a loop) or two adjacent slots (an edge).  A union-find over
-    slots keeps each component's free slot count: a loop, or an edge inside
-    one component, is accepted iff that component has a free slot; an edge
-    joining two components iff they have one between them.  Each call
-    starts from an empty union-find.
+#: The widest window, in slots, solved on a precomputed slot automaton: every
+#: window a selector, a lemma bound or an inclusion check asks fits.
+NARROW = 5
 
-    Every entry's clipped window lies in [t, t''], so once the kept set
-    fills every slot no later entry can join, and the sweep stops there.
-    The answer is the mask of the kept ranks over the rank table `ids` and
-    their total as a weight at `scale`."""
+
+def _add_buckets(cands: list, buckets: dict, t: int, first: int, end: int) -> list[tuple[int, int, int, int]]:
+    """`cands` with the entries (rank, id, release, deadline, weight) of
+    release buckets `first` .. `end`, first >= t, added as candidates of
+    base t, (rank, release, column, weight), all sorted by rank.  A window
+    has column 2 * (release - t), plus one if it also reaches slot
+    release + 1."""
+    for r in range(first, end + 1):
+        for rank, _, _, deadline, weight in buckets.get(r, ()):
+            cands.append((rank, r, 2 * (r - t) + (deadline > r), weight))
+    cands.sort()
+    return cands
+
+
+def _step(state: tuple, col: int, width: int) -> tuple | None:
+    """The component state after the greedy meets a window of column `col`
+    over `width` slots, or None if it rejects it.  A state is the
+    left-to-right tuple of (slots, free) components of the slot line; a
+    window that reaches past the last slot is clipped to it."""
+    slot = col >> 1
+    end = 0
+    for n, (size, free) in enumerate(state):
+        end += size
+        if slot < end:
+            break
+    if col & 1 and slot + 1 == end < width:  # an edge joining component n to n + 1
+        size2, free2 = state[n + 1]
+        if not (free or free2):
+            return None
+        return (*state[:n], (size + size2, free + free2 - 1), *state[n + 2:])
+    if not free:  # a loop, or an edge inside component n
+        return None
+    return (*state[:n], (size, free - 1), *state[n + 1:])
+
+
+@functools.cache
+def _automaton(width: int) -> tuple[list[tuple], list[int]]:
+    """The greedy's slot automaton over `width` slots: (states, table).
+
+    Every component of a kept set is a run of adjacent slots with at most
+    one free slot, so a state is a tuple of (slots, free) pairs.  states[0]
+    is the absorbing state that every all-full state collapses into and
+    states[1] the start, every slot its own free component.  The table is
+    flat: a state's row starts at its index times 2 * width, the entry in
+    column c is the next state's row start, or -1 where the window is
+    rejected; the absorbing state's row is all -1 and is never read, since
+    a walk stops on reaching it."""
+    cols = 2 * width
+    states: list[tuple] = [(), ((1, 1),) * width]
+    index = {states[1]: 1}
+    table = [-1] * cols
+    for state in itertools.islice(states, 1, None):  # states grows as the walk finds new ones
+        for col in range(cols):
+            nxt = _step(state, col, width)
+            if nxt is None:
+                table.append(-1)
+            elif not any(free for _, free in nxt):
+                table.append(0)
+            else:
+                n = index.get(nxt)
+                if n is None:
+                    n = index[nxt] = len(states)
+                    states.append(nxt)
+                table.append(n * cols)
+    return states, table
+
+
+def _walk(scale: int, ids: Sequence[int], t: int, t_arr: int, t_end: int, cands: Sequence[tuple]) -> PSet:
+    """The canonical partial optimum P(t, t_arr, t_end) of a window of at
+    most NARROW slots over `cands`, the candidates (rank, release, column,
+    weight) of base t sorted by rank, by a walk of the slot automaton from
+    its start state: the candidates released after t_arr are skipped, each
+    other one is one table lookup, and the walk stops in the absorbing
+    state, once the kept set fills every slot.  The answer is the mask of
+    the kept ranks over the rank table `ids` and their total as a weight at
+    `scale`."""
+    width = t_end - t + 1
+    table = _automaton(width)[1]
+    state = 2 * width  # the start state's row
+    mask = total = 0
+    for rank, release, col, value in cands:
+        if release > t_arr:
+            continue
+        nxt = table[state + col]
+        if nxt < 0:
+            continue
+        mask |= 1 << rank
+        total += value
+        if not nxt:
+            break
+        state = nxt
+    return PSet(mask, total, scale, ids)
+
+
+def _solve(scale: int, ids: Sequence[int], t: int, t_arr: int, t_end: int, cands: Sequence[tuple]) -> PSet:
+    """:func:`_walk`'s answer for a window of any width, by a sweep of a
+    union-find over slot offsets from t that starts empty.  It keeps each
+    component's free slot count: a loop, or an edge inside one component,
+    is accepted iff that component has a free slot; an edge joining two
+    components iff they have one between them.  Like the walk, the sweep
+    skips the candidates released after t_arr and stops once the kept set
+    fills every slot."""
     parent: dict[int, int] = {}  # slot -> a slot nearer its component's root
     free: dict[int, int] = {}  # root -> free slots; an untouched slot is a root with one
-    room = t_end - t + 1  # slots not yet filled
+    last = t_end - t
+    room = last + 1  # slots not yet filled
     mask = total = 0
-    for rank, _, release, deadline, value in entries:
-        lo = release if release > t else t
-        a = lo
+    for rank, release, col, value in cands:
+        if release > t_arr:
+            continue
+        a = lo = col >> 1
         while a in parent:
             a = parent[a]
         fa = free.get(a, 1)
-        if deadline > lo and lo < t_end:  # an edge {lo, lo + 1}
+        if col & 1 and lo < last:  # an edge {lo, lo + 1}
             b = lo + 1
             while b in parent:
                 b = parent[b]
@@ -313,12 +419,13 @@ class QueryEngine:
     ValueError, naming the packet, if an id repeats, whatever the windows,
     or a packet is not 2-bounded: a run's carries name packets by id, and
     the greedy's feasibility test holds only for windows of at most two
-    slots.  Answers are cached on
-    (t, t', t''), which names a query only within one run, so an engine is
-    never reused for another instance or run.  The candidate pools are
-    cached on (t, t'), each built once by :meth:`pool` and read by every
-    query P(t, t', .); a miss still runs its own greedy over it, so no
-    answer depends on which queries came first.  Every answer is a mask
+    slots.  Answers are cached on (t, t', t''), which names a query only
+    within one run, so an engine is never reused for another instance or
+    run.  ``lists`` holds one candidate list per base time t, built by
+    :meth:`candidates` and read by every query P(t, ., .); a miss still
+    runs its own greedy over it from the automaton's start state (or an
+    empty union-find, past NARROW slots), so no answer depends on which
+    queries came first.  Every answer is a mask
     over ``ids`` with a weight at the instance's scale, so the checks
     compare answers of one engine with integer and bit operations.
     ``calls`` counts every lookup, ``hits`` the lookups answered from the
@@ -347,7 +454,7 @@ class QueryEngine:
         self.entries = entries
         self.ids = tuple([p.id for p in ranked])
         self.cache: dict[tuple[int, int, int], PSet] = {}
-        self.pools: dict[tuple[int, int], Sequence[tuple]] = {}
+        self.lists: dict[int, tuple[int, Sequence[tuple]]] = {}  # t -> (last release read, candidates)
         self.calls = 0
         self.hits = 0
 
@@ -374,29 +481,28 @@ class QueryEngine:
                 return pid
         return None
 
-    def pool(self, t: int, arrival_end: int) -> Sequence[tuple]:
-        """The candidates of the queries P(t, t', .): entries (rank, id,
-        release, deadline, weight) of the rank index, sorted by rank.  The
-        pool of (t, t) is release bucket t and the carry's entry; the pool
-        of (t, t') is that of (t, t'-1) with bucket t' merged in."""
-        pool = self.pools.get((t, arrival_end))
-        if pool is None:
-            if arrival_end == t:
-                pool = self.buckets.get(t, ())
-                carry = self.carry(t)
+    def candidates(self, t: int, arrival_end: int) -> Sequence[tuple]:
+        """The candidate list of base t, read by every query P(t, t', .)
+        with t' <= `arrival_end`: the carry's entry and release buckets t ..
+        max(t + NARROW - 1, t'), as (rank, release, column, weight) seen
+        from t, sorted by rank.  Built once per base time and extended,
+        bucket by bucket, only when a query asks a wider t'."""
+        reach, cands = self.lists.get(t, _UNREAD)
+        if reach < arrival_end:
+            end = max(arrival_end, t + NARROW - 1)
+            if reach < t:  # a new base time: its carry, a loop at slot t
+                reach, cands, carry = t - 1, [], self.carry(t)
                 if carry is not None:
-                    pool = sorted([*pool, self.entries[carry]])
-            else:
-                pool = self.pool(t, arrival_end - 1)
-                bucket = self.buckets.get(arrival_end)
-                if bucket:
-                    pool = sorted([*pool, *bucket])
-            self.pools[t, arrival_end] = pool
-        return pool
+                    rank, _, release, _, weight = self.entries[carry]
+                    cands.append((rank, release, 0, weight))
+            cands = _add_buckets(list(cands), self.buckets, t, reach + 1, end)
+            self.lists[t] = (end, cands)
+        return cands
 
     def p(self, t: int, arrival_end: int, slot_end: int) -> PSet:
-        """P(t, t', t''): from the cache, or on a miss solved by a fresh greedy
-        over the pool of (t, t')."""
+        """P(t, t', t''): from the cache, or on a miss solved afresh over the
+        candidate list of base t, on the slot automaton if the window spans
+        at most NARROW slots and by the union-find otherwise."""
         self.calls += 1
         key = (t, arrival_end, slot_end)
         ps = self.cache.get(key)
@@ -405,7 +511,11 @@ class QueryEngine:
             return ps
         if not t <= arrival_end <= slot_end:
             raise _out_of_order(t, arrival_end, slot_end)
-        ps = self.cache[key] = _solve(self.inst.scale, self.ids, t, slot_end, self.pool(t, arrival_end))
+        reach, cands = self.lists.get(t, _UNREAD)  # candidates(), without a call on a hit
+        if reach < arrival_end:
+            cands = self.candidates(t, arrival_end)
+        solve = _walk if slot_end - t < NARROW else _solve
+        ps = self.cache[key] = solve(self.inst.scale, self.ids, t, arrival_end, slot_end, cands)
         return ps
 
     def gain(self, kind: str, t: int, i: int) -> Packet | None:
@@ -430,8 +540,8 @@ class QueryEngine:
 def opt_full(engine: QueryEngine) -> dict[int, int]:
     """Canonical clairvoyant optimum of the run's instance over slots
     [0, horizon]: the partial query P(0, horizon, horizon) with no carry,
-    solved by one greedy over all of `engine`'s buckets in one sort, not
-    through ``engine.p``, which would build the pool of every (0, t'), and
+    solved by one greedy over `engine`'s buckets 0 .. horizon in one sort, not
+    through ``engine.p``, which would cache a candidate list for base 0, and
     laid out by :func:`_edf_assignment` as a time slot -> packet id dict.
     The layout places every kept packet, so its total is the optimum's."""
     inst = engine.inst
@@ -440,7 +550,8 @@ def opt_full(engine: QueryEngine) -> dict[int, int]:
     horizon = inst.horizon
     if horizon < 0:
         raise _out_of_order(0, horizon, horizon)
-    entries = sorted([e for r, es in engine.buckets.items() if r >= 0 for e in es])
-    ps = _solve(inst.scale, engine.ids, 0, horizon, entries)
+    cands = _add_buckets([], engine.buckets, 0, 0, horizon)
+    solve = _walk if horizon < NARROW else _solve
+    ps = solve(inst.scale, engine.ids, 0, horizon, horizon, cands)
     by_id = inst.by_id
     return _edf_assignment([by_id(i) for i in ps.members], 0, horizon)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,8 +27,10 @@ from bdsched import (
     profit,
     run_cp,
 )
-from bdsched.harness import online_buffers
-from bdsched.offline import _edf_assignment, _solve
+from bdsched import offline
+from bdsched.generators import enumerate_bases, tight_family
+from bdsched.harness import CheckConfig, certify, evaluate, online_buffers
+from bdsched.offline import NARROW, _automaton, _edf_assignment, _solve, _walk
 from conftest import answer, clairvoyant, grid_bases, mk, pset
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
@@ -385,24 +388,26 @@ class TestIntegerAnswers:
             assert cached == dp_partial((t, t_arr, t_slot), inst, buffers.get(t, ()))
 
     def test_filled_slots_stop_the_sweep(self):
-        # P(0, 1, 1): packets 0 and 1 fill slots 0 and 1, so the greedy stops
-        # there and never reads packets 2 and 3, which could join no longer
+        # P(0, 1, 1): packets 0 and 1 fill slots 0 and 1, so the automaton's
+        # walk reaches its absorbing state there and never reads packets 2
+        # and 3, which could join no longer; the union-find stops there too
         inst = mk((0, 1, 5), (1, 1, 4), (0, 1, 3), (1, 1, 2))
         run = engine(inst)
-        pool = run.pool(0, 1)
-        assert [entry[1] for entry in pool] == [0, 1, 2, 3]
-        read = []
-
-        def entries():
-            for entry in pool:
-                read.append(entry[1])
-                yield entry
-
-        got = _solve(inst.scale, run.ids, 0, 1, entries())
-        assert read == [0, 1]
+        cands = run.candidates(0, 1)
+        assert [run.ids[cand[0]] for cand in cands] == [0, 1, 2, 3]
         q = (0, 1, 1)
-        assert got.members == (0, 1) and got.total_value == 9
-        assert got == solve(q, inst) == dp_partial(q, inst) == brute_force_partial(q, inst)
+        for solver in (_walk, _solve):
+            read = []
+
+            def entries():
+                for cand in cands:
+                    read.append(run.ids[cand[0]])
+                    yield cand
+
+            got = solver(inst.scale, run.ids, *q, entries())
+            assert read == [0, 1], solver
+            assert got.members == (0, 1) and got.total_value == 9
+            assert got == solve(q, inst) == dp_partial(q, inst) == brute_force_partial(q, inst)
 
     def test_equality_and_hash_across_scales(self):
         # the last is a mask over another rank table with the same members
@@ -580,7 +585,8 @@ class TestSharedPools:
     @pytest.mark.parametrize("label, inst", ORDER_RUNS, ids=[label for label, _ in ORDER_RUNS])
     def test_answers_do_not_depend_on_query_order(self, label, inst):
         # a fresh engine over the run's steps, asked the run's keys in a
-        # shuffled order, builds the same pools and gives every answer
+        # shuffled order, builds the same candidate list per base time and
+        # gives every answer
         trace = run_cp(inst)
         check_inclusions(trace)
         keys = list(trace.engine.cache)
@@ -589,7 +595,7 @@ class TestSharedPools:
         for key in keys:
             got, want = fresh.p(*key), trace.engine.cache[key]
             assert (got.members, got.weight, got.scale) == (want.members, want.weight, want.scale), key
-        assert fresh.pools.keys() == trace.engine.pools.keys()
+        assert fresh.lists == trace.engine.lists
 
     @given(small_instances(max_packets=8, max_release=5), st.data())
     @settings(max_examples=200, deadline=None)
@@ -636,3 +642,115 @@ class TestDerivedCarry:
                 assert trace.engine.carry(t) == best(inst, buffers.get(t, ())), (inst, t)
             runs += 1
         assert runs == expected
+
+
+def components(kept: Sequence[int], width: int) -> tuple[tuple[int, int], ...]:
+    """The (slots, free) components, left to right, of the windows given by
+    their automaton columns `kept` over `width` slots: two adjacent slots
+    are joined iff a kept window covers both, and a component's free slots
+    are its slots less the kept windows that start in it."""
+    joined = [False] * width  # joined[s]: slots s and s + 1 are one component
+    held = [0] * width  # kept windows starting at slot s
+    for col in kept:
+        held[col >> 1] += 1
+        if col & 1 and (col >> 1) + 1 < width:
+            joined[col >> 1] = True
+    out = []
+    size = count = 0
+    for s in range(width):
+        size += 1
+        count += held[s]
+        if not joined[s]:
+            out.append((size, size - count))
+            size = count = 0
+    return tuple(out)
+
+
+#: label -> the instances of a campaign whose every window is counted.
+TRAFFIC = {
+    "fuzz-h6": lambda: [gen_random(seed) for seed in range(50)],
+    "fuzz-h40": lambda: [gen_random(seed, RandomConfig(horizon=40, arrival_rate=1.5)) for seed in range(50)],
+    "chains": lambda: [chain_family(variant) for variant in CHAIN_VARIANTS],
+    "tight": lambda: [tight_family(n) for n in range(6)],
+    "grid-h2k4": lambda: [inst for _, inst, _, _ in enumerate_bases(SWEEP_GRID)],
+}
+
+ALL_CHECKS = CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True, cross_check=True)
+
+
+class TestSlotAutomaton:
+    """The slot automaton that solves every window of at most NARROW slots,
+    checked against the union-find that solves the wider ones and against
+    the dynamic-programming oracle."""
+
+    @pytest.mark.parametrize("width", range(1, NARROW + 1))
+    def test_every_state_and_column_agrees_with_the_union_find(self, width):
+        # every reachable state, reached by the first column path the walk
+        # finds to it, is replayed on the union-find and then met with each
+        # column: both accept the window or both reject it, and the kept
+        # windows' components, read off by a scan of their own, are the
+        # table's next state, or all full where the table absorbs
+        states, table = _automaton(width)
+        cols = 2 * width
+        assert len(states) == (2, 5, 15, 47, 147)[width - 1]  # the absorbing state included
+        queue = [(cols, ())]  # (row start, column path from the start state)
+        for row, path in queue:
+            for col in range(cols):
+                walk = (*path, col)
+                got = _solve(1, range(len(walk)), 0, 0, width - 1, [(rank, 0, c, 1) for rank, c in enumerate(walk)])
+                assert got.mask & ((1 << len(path)) - 1) == (1 << len(path)) - 1, path
+                nxt = table[row + col]
+                assert (nxt >= 0) == bool(got.mask >> len(path) & 1), walk
+                if nxt < 0:
+                    continue
+                kept = components([c for rank, c in enumerate(walk) if got.mask >> rank & 1], width)
+                if nxt:
+                    assert kept == states[nxt // cols], walk
+                    if all(row != nxt for row, _ in queue):
+                        queue.append((nxt, walk))
+                else:
+                    assert all(free == 0 for _, free in kept), walk
+        assert len(queue) == len(states) - 1  # every state but the absorbing one is reached
+
+    @given(small_instances(max_packets=8, max_release=5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_two_solvers_and_the_oracle_agree(self, inst, data):
+        # any window t <= t' <= t'' over a hand-built buffer B(t), narrow or
+        # wide: the walk (on at most NARROW slots) and the union-find give
+        # one mask over the engine's ranks, and dp_partial, seeded with all
+        # of B(t), the same answer
+        horizon = max(inst.horizon, 0)
+        t = data.draw(st.integers(0, horizon + 1), label="t")
+        t_arr = data.draw(st.integers(t, t + NARROW + 1), label="t'")
+        t_end = data.draw(st.integers(t_arr, t + NARROW + 2), label="t''")
+        shaped = [p.id for p in inst.packets if p.release == t - 1 and p.deadline == t]
+        sent = data.draw(st.sampled_from([None, *shaped]), label="sent at t-1")
+        q = (t, t_arr, t_end)
+        run = engine(inst, t, sent)
+        cands = run.candidates(t, t_arr)
+        swept = _solve(inst.scale, run.ids, *q, cands)
+        assert swept == dp_partial(q, inst, set(shaped) - {sent}), q
+        if t_end - t < NARROW:
+            walked = _walk(inst.scale, run.ids, *q, cands)
+            assert (walked.mask, walked.weight) == (swept.mask, swept.weight), q
+
+    @pytest.mark.parametrize("label", list(TRAFFIC))
+    def test_every_window_a_campaign_asks_is_narrow(self, label, monkeypatch):
+        # with every check on, the cross-check included, each window the
+        # engine caches spans at most NARROW slots, so the union-find serves
+        # only opt_full, and only at horizons of NARROW or more
+        swept = 0
+        union_find = offline._solve
+
+        def counted(*args):
+            nonlocal swept
+            swept += 1
+            return union_find(*args)
+
+        monkeypatch.setattr(offline, "_solve", counted)
+        for inst in TRAFFIC[label]():
+            swept = 0
+            run = evaluate(inst)
+            assert certify(inst, run, ALL_CHECKS).ok, inst
+            assert [key for key in run[0].engine.cache if key[2] - key[0] >= NARROW] == [], inst
+            assert swept == (bool(inst.packets) and inst.horizon >= NARROW), inst
