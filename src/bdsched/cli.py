@@ -101,7 +101,7 @@ def cmd_run(args) -> int:
     trace, opt_sched, report = run
     greedy = greedy_baseline(inst)
     v_greedy = profit(greedy, inst)
-    res = certify(inst, run, CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True))
+    res = certify(run, CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True))
 
     if args.trace_dir:
         _write_trace_dir(trace, args.trace_dir)
@@ -301,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_fuzz.add_argument("--emit-witness", metavar="PATH")
     p_fuzz.add_argument(
-        "--cross-check", action="store_true", help="replay the policy's queries against the dynamic-programming oracle"
+        "--cross-check",
+        action="store_true",
+        help="replay the policy's queries and the optimum's window against the dynamic-programming oracle",
     )
     p_fuzz.set_defaults(func=cmd_fuzz)
 

@@ -115,8 +115,9 @@ def evaluate(inst: Instance) -> tuple[CaseTrace, dict[int, int], IntervalReport]
     return trace, opt_sched, build_intervals(trace, opt_sched)
 
 
-def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
-    """Every configured check on an evaluated run, gathered into one result."""
+def certify(run: tuple, config: CheckConfig) -> InstanceResult:
+    """Every configured check on an evaluated run, gathered into one result
+    about the run's own instance, read from its engine."""
     trace, opt_sched, report = run
     findings = check_interval_bounds(report)
     if config.lemma_bounds:
@@ -128,12 +129,12 @@ def certify(inst: Instance, run: tuple, config: CheckConfig) -> InstanceResult:
     if config.cross_check:
         findings += cross_check_queries(trace)
 
-    return InstanceResult(inst, report, findings, tuple(rec.case for rec in trace.steps))
+    return InstanceResult(trace.engine.inst, report, findings, tuple(rec.case for rec in trace.steps))
 
 
 def check_instance(inst: Instance, config: CheckConfig = CheckConfig()) -> InstanceResult:
     """Run the policy and the optimum, then every configured check."""
-    return certify(inst, evaluate(inst), config)
+    return certify(evaluate(inst), config)
 
 
 #: What a fault of the program on one instance raises: a broken run
@@ -166,24 +167,24 @@ def online_buffers(trace: CaseTrace) -> dict[int, set[int]]:
 
 
 def cross_check_queries(trace: CaseTrace) -> list[Finding]:
-    """Replay every partial-optimum query the policy issued against the
+    """Replay every partial-optimum query the policy issued, then the
+    optimum's window (0, h, h) of a non-empty instance, against the
     dynamic-programming oracle dp_partial, seeded with all of B(t) from
-    online_buffers: the answer the run's query engine gave (the one the
-    policy and the checks consumed, seeded with the carry alone) must agree
-    exactly in members and total value, so the reduction to the carry is
-    checked too.  Every logged query is checked, whatever its size; the
+    online_buffers: the answer the run's query engine gives (the one the
+    policy, the checks and opt_full consumed, seeded with the carry alone)
+    must agree exactly in members and total value, so the reduction to the
+    carry is checked too.  Every window is checked, whatever its size; the
     tests hold a subset enumeration as dp_partial's reference."""
     out: list[Finding] = []
-    seen: set[tuple[int, int, int]] = set()
-    inst = trace.engine.inst
+    engine = trace.engine
+    inst = engine.inst
     buffers = online_buffers(trace)
-    for _now, t, t_arr, t_slot in trace.queries:
-        key = (t, t_arr, t_slot)
-        if key in seen:
-            continue
-        seen.add(key)
-        got = trace.engine.cache[key]
-        ref = dp_partial(key, inst, buffers.get(t, ()))
+    windows = dict.fromkeys((t, t_arr, t_slot) for _now, t, t_arr, t_slot in trace.queries)
+    if inst.packets:
+        windows[(0, inst.horizon, inst.horizon)] = None
+    for t, t_arr, t_slot in windows:
+        got = engine.p(t, t_arr, t_slot)
+        ref = dp_partial((t, t_arr, t_slot), inst, buffers.get(t, ()))
         if got != ref:
             out.append(
                 Finding(
@@ -456,7 +457,8 @@ def run_exhaustive(
       already checked at t = s (the cross-base relation compares two equal
       sets, since nothing is sent before s).
     * cross_check_queries replays the policy's queries, and the policy
-      issues none while idle.
+      issues none while idle, and then the optimum's window, whose engine
+      answer and oracle answer are both the base's, shifted by s.
     """
     source = _grid if keep_rows else enumerate_bases
     return _campaign(partial(source, spec), config, workers, keep_rows)

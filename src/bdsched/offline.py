@@ -22,24 +22,21 @@ component of a kept set is a run of adjacent slots with at most one free
 slot, so over a window of at most :data:`NARROW` slots, the width of every
 window the policy and the checks ask, the greedy walks a slot automaton
 whose states are those component lists, one table lookup per packet; a
-wider window sweeps a union-find over slots, and the width alone picks
-which.  A fitting set never holds more packets than [t, t''] has slots,
-so the greedy stops as soon as its kept set fills them all.  Only
-:func:`opt_full` lays its kept set out in slots, earliest-deadline-first,
-with a heap.
+wider window, as the optimum's, sweeps a union-find over slots.  The width
+alone picks which, in :meth:`QueryEngine.p` and nowhere else.  A fitting
+set never holds more packets than [t, t''] has slots, so the greedy stops
+as soon as its kept set fills them all.
 
-:class:`QueryEngine` is the only front end through which the policy and
-every checker ask partial queries over a run.  It reads the run's step
-list, derives each carry from it, memoizes every answer on (t, t', t'') --
-sound because an engine is bound to one run -- and derives from them the
-selectors m_i(t) and q_i(t), whose windows :func:`selector_windows` alone
-writes down.  What it shares between queries is their input: one
-rank-sorted candidate list per base time t, the carry and release buckets
-t .. t + NARROW - 1 (extended on demand for a wider t'), each entry
-carrying its automaton column relative to t, and read by every query
-P(t, ., .), which skips the entries released after its t'.  What it never
-shares is an answer: each miss runs its own greedy from the automaton's
-start state (or from an empty union-find, for a wide window).
+:class:`QueryEngine` is the only front end through which the policy, every
+checker and :func:`opt_full` ask partial queries over a run.  It reads the
+run's step list, derives each carry from it, memoizes every answer on (t,
+t', t'') -- sound because an engine is bound to one run -- and derives from
+them the selectors m_i(t) and q_i(t), whose windows :func:`selector_windows`
+alone writes down.  The narrow queries of one base time share their
+input, a rank-sorted candidate list whose entries carry their automaton
+columns, but never an answer: each miss runs its own greedy from the
+start.  :func:`opt_full` is the answer P(0, h, h) laid out in slots,
+earliest-deadline-first, with a heap.
 
 Answers are exact and integer: a :class:`PSet` from the greedy is a pair of
 integers, a bitmask over the ranks of the engine's rank index and its total
@@ -50,10 +47,10 @@ only when they are read: by a report, by the oracle cross-check or by a test.
 
 ``dp_partial`` is the independent oracle that campaigns run: a max-weight
 dynamic program along the slot path, with its own scan, scale and sort of
-the packets, sharing no code path with the greedy; only the specification,
-``rank_key``, is common to both.  It is seeded with the whole
-pending set B(t), not the carry, so it checks the reduction to the carry on
-every query it answers.
+the packets, sharing no code path with either solver; only the
+specification, ``rank_key``, is common to them.  It is seeded with the
+whole pending set B(t), not the carry, so it checks the reduction to the
+carry on every query it answers, the optimum's window (0, h, h) included.
 """
 
 from __future__ import annotations
@@ -156,27 +153,25 @@ class PSet:
 
 
 _EMPTY_PSET = PSet(0, 0, 1, ())
-#: the (reach, candidates) of a base time whose candidate list is not built yet
-_UNREAD = (-math.inf, ())
 
 
-def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[int, int]:
-    """Assign kept packets to slots [start, slot_end]: sweep slots in time
+def _edf_assignment(kept: Sequence[Packet], slot_end: int) -> dict[int, int]:
+    """Assign kept packets to slots [0, slot_end]: sweep slots in time
     order, at each slot transmit the available packet with the earliest
     deadline (ties by id).
 
     The packets enter a heap keyed on (deadline, id) at the first slot of
-    their window clipped to start, and a packet still in the heap after its
-    deadline is dropped, so the sweep takes O(n log n + T) for n packets and
-    T slots.  Availability windows are contiguous, so this realizes an
-    assignment whenever one exists; otherwise it raises AssertionError
-    naming every packet left unassigned.
+    their window, and a packet still in the heap after its deadline is
+    dropped, so the sweep takes O(n log n + T) for n packets and T slots.
+    Availability windows are contiguous, so this realizes an assignment
+    whenever one exists; otherwise it raises AssertionError naming every
+    packet left unassigned.
     """
-    arriving = sorted([(p.release if p.release > start else start, p.deadline, p.id) for p in kept], reverse=True)
+    arriving = sorted([(p.release, p.deadline, p.id) for p in kept], reverse=True)
     ready: list[tuple[int, int]] = []  # (deadline, id) of the packets whose window has opened
     missed: list[int] = []
     out: dict[int, int] = {}
-    for s in range(start, slot_end + 1):
+    for s in range(slot_end + 1):
         while arriving and arriving[-1][0] <= s:
             _, deadline, pid = arriving.pop()
             heappush(ready, (deadline, pid))
@@ -193,19 +188,6 @@ def _edf_assignment(kept: Sequence[Packet], start: int, slot_end: int) -> dict[i
 #: The widest window, in slots, solved on a precomputed slot automaton: every
 #: window a selector, a lemma bound or an inclusion check asks fits.
 NARROW = 5
-
-
-def _add_buckets(cands: list, buckets: dict, t: int, first: int, end: int) -> list[tuple[int, int, int, int]]:
-    """`cands` with the entries (rank, id, release, deadline, weight) of
-    release buckets `first` .. `end`, first >= t, added as candidates of
-    base t, (rank, release, column, weight), all sorted by rank.  A window
-    has column 2 * (release - t), plus one if it also reaches slot
-    release + 1."""
-    for r in range(first, end + 1):
-        for rank, _, _, deadline, weight in buckets.get(r, ()):
-            cands.append((rank, r, 2 * (r - t) + (deadline > r), weight))
-    cands.sort()
-    return cands
 
 
 def _step(state: tuple, col: int, width: int) -> tuple | None:
@@ -421,13 +403,15 @@ class QueryEngine:
     the greedy's feasibility test holds only for windows of at most two
     slots.  Answers are cached on (t, t', t''), which names a query only
     within one run, so an engine is never reused for another instance or
-    run.  ``lists`` holds one candidate list per base time t, built by
-    :meth:`candidates` and read by every query P(t, ., .); a miss still
-    runs its own greedy over it from the automaton's start state (or an
-    empty union-find, past NARROW slots), so no answer depends on which
-    queries came first.  Every answer is a mask
-    over ``ids`` with a weight at the instance's scale, so the checks
-    compare answers of one engine with integer and bit operations.
+    run.  ``lists`` maps a base time t to one candidate list, the carry and
+    buckets t .. t + NARROW - 1, built by :meth:`candidates` at base t's
+    first narrow query, read by every narrow query P(t, ., .) and never
+    extended; a wide window, as the optimum's P(0, h, h), reads a list of
+    its own.  Every miss runs its own greedy from the automaton's start
+    state (or an empty union-find, past NARROW slots), so no answer depends
+    on which queries came first.  Every answer is a mask over ``ids`` with
+    a weight at the instance's scale, so the checks compare answers of one
+    engine with integer and bit operations.
     ``calls`` counts every lookup, ``hits`` the lookups answered from the
     cache.
     """
@@ -454,7 +438,7 @@ class QueryEngine:
         self.entries = entries
         self.ids = tuple([p.id for p in ranked])
         self.cache: dict[tuple[int, int, int], PSet] = {}
-        self.lists: dict[int, tuple[int, Sequence[tuple]]] = {}  # t -> (last release read, candidates)
+        self.lists: dict[int, list[tuple[int, int, int, int]]] = {}  # t -> candidates of narrow queries
         self.calls = 0
         self.hits = 0
 
@@ -481,28 +465,28 @@ class QueryEngine:
                 return pid
         return None
 
-    def candidates(self, t: int, arrival_end: int) -> Sequence[tuple]:
-        """The candidate list of base t, read by every query P(t, t', .)
-        with t' <= `arrival_end`: the carry's entry and release buckets t ..
-        max(t + NARROW - 1, t'), as (rank, release, column, weight) seen
-        from t, sorted by rank.  Built once per base time and extended,
-        bucket by bucket, only when a query asks a wider t'."""
-        reach, cands = self.lists.get(t, _UNREAD)
-        if reach < arrival_end:
-            end = max(arrival_end, t + NARROW - 1)
-            if reach < t:  # a new base time: its carry, a loop at slot t
-                reach, cands, carry = t - 1, [], self.carry(t)
-                if carry is not None:
-                    rank, _, release, _, weight = self.entries[carry]
-                    cands.append((rank, release, 0, weight))
-            cands = _add_buckets(list(cands), self.buckets, t, reach + 1, end)
-            self.lists[t] = (end, cands)
+    def candidates(self, t: int, arrival_end: int) -> list[tuple[int, int, int, int]]:
+        """The candidates of base t for arrivals up to `arrival_end`: the
+        carry's entry, a loop at slot t, and those of release buckets t ..
+        `arrival_end`, as (rank, release, column, weight) seen from t,
+        sorted by rank.  A window has column 2 * (release - t), plus one if
+        it also reaches slot release + 1."""
+        cands = []
+        carry = self.carry(t)
+        if carry is not None:
+            rank, _, release, _, weight = self.entries[carry]
+            cands.append((rank, release, 0, weight))
+        for r in range(t, arrival_end + 1):
+            for rank, _, _, deadline, weight in self.buckets.get(r, ()):
+                cands.append((rank, r, 2 * (r - t) + (deadline > r), weight))
+        cands.sort()
         return cands
 
     def p(self, t: int, arrival_end: int, slot_end: int) -> PSet:
-        """P(t, t', t''): from the cache, or on a miss solved afresh over the
-        candidate list of base t, on the slot automaton if the window spans
-        at most NARROW slots and by the union-find otherwise."""
+        """P(t, t', t''): from the cache, or on a miss solved afresh.  A
+        window of at most NARROW slots walks the slot automaton over base
+        t's candidate list, built at its first narrow query; a wider one
+        sweeps the union-find over a list of its own, which is not kept."""
         self.calls += 1
         key = (t, arrival_end, slot_end)
         ps = self.cache.get(key)
@@ -511,11 +495,14 @@ class QueryEngine:
             return ps
         if not t <= arrival_end <= slot_end:
             raise _out_of_order(t, arrival_end, slot_end)
-        reach, cands = self.lists.get(t, _UNREAD)  # candidates(), without a call on a hit
-        if reach < arrival_end:
-            cands = self.candidates(t, arrival_end)
-        solve = _walk if slot_end - t < NARROW else _solve
-        ps = self.cache[key] = solve(self.inst.scale, self.ids, t, arrival_end, slot_end, cands)
+        if slot_end - t < NARROW:
+            cands = self.lists.get(t)
+            if cands is None:
+                cands = self.lists[t] = self.candidates(t, t + NARROW - 1)
+            ps = _walk(self.inst.scale, self.ids, t, arrival_end, slot_end, cands)
+        else:
+            ps = _solve(self.inst.scale, self.ids, t, arrival_end, slot_end, self.candidates(t, arrival_end))
+        self.cache[key] = ps
         return ps
 
     def gain(self, kind: str, t: int, i: int) -> Packet | None:
@@ -539,19 +526,14 @@ class QueryEngine:
 
 def opt_full(engine: QueryEngine) -> dict[int, int]:
     """Canonical clairvoyant optimum of the run's instance over slots
-    [0, horizon]: the partial query P(0, horizon, horizon) with no carry,
-    solved by one greedy over `engine`'s buckets 0 .. horizon in one sort, not
-    through ``engine.p``, which would cache a candidate list for base 0, and
-    laid out by :func:`_edf_assignment` as a time slot -> packet id dict.
-    The layout places every kept packet, so its total is the optimum's."""
+    [0, horizon]: `engine`'s answer P(0, horizon, horizon), which has no
+    carry, laid out by :func:`_edf_assignment` as a time slot -> packet id
+    dict.  The layout places every kept packet, so its total is the
+    optimum's, and the answer stays in the engine's cache, where the oracle
+    cross-check replays it."""
     inst = engine.inst
     if not inst.packets:
         return {}
     horizon = inst.horizon
-    if horizon < 0:
-        raise _out_of_order(0, horizon, horizon)
-    cands = _add_buckets([], engine.buckets, 0, 0, horizon)
-    solve = _walk if horizon < NARROW else _solve
-    ps = solve(inst.scale, engine.ids, 0, horizon, horizon, cands)
     by_id = inst.by_id
-    return _edf_assignment([by_id(i) for i in ps.members], 0, horizon)
+    return _edf_assignment([by_id(i) for i in engine.p(0, horizon, horizon).members], horizon)

@@ -55,6 +55,7 @@ from bdsched import (
     run_fuzz,
 )
 import bdsched.harness as harness_mod
+from bdsched import offline
 from bdsched.cli import main
 from bdsched.harness import (
     compare_algorithms,
@@ -122,6 +123,28 @@ class TestCrossCheck:
         self.drop_last_member(inst, trace, (0, 0, 0))
         findings = cross_check_queries(trace)
         assert [(f.kind, f.detail) for f in findings] == [("oracle-mismatch", "query (0,0,0)")]
+
+    def test_optimum_that_stops_one_slot_early_is_caught(self, monkeypatch):
+        # a union-find that stops once one slot is left, not none, keeps all
+        # but the last-ranked member of each answer that fills every slot.
+        # The engine sweeps only windows wider than NARROW, so only
+        # opt_full's (0, h, h) goes wrong: the lower optimum passes every
+        # other check, and only the cross-check's replay of it fails
+        union_find = offline._solve
+
+        def stops_early(scale, ids, t, t_arr, t_end, cands):
+            ps = union_find(scale, ids, t, t_arr, t_end, cands)
+            if ps.mask.bit_count() <= t_end - t:
+                return ps
+            last = ps.mask.bit_length() - 1
+            weight = next(w for rank, _, _, w in cands if rank == last)
+            return PSet(ps.mask ^ 1 << last, ps.weight - weight, scale, ids)
+
+        monkeypatch.setattr(offline, "_solve", stops_early)
+        seeds, config = range(200), RandomConfig(horizon=40, arrival_rate=1.5)
+        caught = run_fuzz(seeds, config, ALL_CHECKS).summary
+        assert caught.violations > 0 and set(caught.findings_by_kind) == {"oracle-mismatch"}
+        assert run_fuzz(seeds, config, DEEP).ok
 
 
 class TestCampaigns:

@@ -59,8 +59,9 @@ def best(inst: Instance, pending) -> int | None:
 
 
 def layout(ps: PSet, q: tuple[int, int, int], inst: Instance) -> dict[int, int]:
-    """The earliest-deadline-first slot layout opt_full gives a kept set."""
-    return _edf_assignment([inst.by_id(i) for i in ps.members], q[0], q[2])
+    """The earliest-deadline-first slot layout opt_full gives a kept set of
+    a window q = (0, t', t'')."""
+    return _edf_assignment([inst.by_id(i) for i in ps.members], q[2])
 
 
 def small_instances(max_packets=6, max_release=3):
@@ -503,15 +504,15 @@ class TestOptFull:
             assert best >= p.value
 
 
-def sweep_assignment(kept, start: int, slot_end: int) -> dict[int, int]:
+def sweep_assignment(kept, slot_end: int) -> dict[int, int]:
     """Reference for _edf_assignment: at every slot, scan every unassigned
     packet for the available one with the earliest deadline (ties by id)."""
     unassigned = {p.id: p for p in kept}
     out: dict[int, int] = {}
-    for s in range(start, slot_end + 1):
+    for s in range(slot_end + 1):
         best = None
         for p in unassigned.values():
-            if max(start, p.release) <= s <= p.deadline:
+            if p.release <= s <= p.deadline:
                 if best is None or (p.deadline, p.id) < (best.deadline, best.id):
                     best = p
         if best is not None:
@@ -538,8 +539,8 @@ class TestHeapLayout:
             if not inst.packets:
                 continue
             kept = optimum_kept(inst)
-            slots = _edf_assignment(kept, 0, inst.horizon)
-            assert slots == sweep_assignment(kept, 0, inst.horizon), seed
+            slots = _edf_assignment(kept, inst.horizon)
+            assert slots == sweep_assignment(kept, inst.horizon), seed
             assert slots == clairvoyant(inst)
 
     def test_equals_the_sweep_on_every_grid_base(self):
@@ -548,28 +549,27 @@ class TestHeapLayout:
             bases += 1
             if inst.packets:
                 kept = optimum_kept(inst)
-                assert _edf_assignment(kept, 0, inst.horizon) == sweep_assignment(kept, 0, inst.horizon), inst
+                assert _edf_assignment(kept, inst.horizon) == sweep_assignment(kept, inst.horizon), inst
         assert bases == 35_750
 
     @pytest.mark.parametrize(
-        "shapes, start, slot_end, left",
+        "shapes, slot_end, left",
         [
             # two packets whose only slot is 0: the second by id is left over
-            (((0, 0, 1), (0, 0, 2)), 0, 0, [1]),
-            (((0, 0, 1), (0, 0, 2)), 0, 3, [1]),
+            (((0, 0, 1), (0, 0, 2)), 0, [1]),
+            (((0, 0, 1), (0, 0, 2)), 3, [1]),
             # a third packet for slot 0 leaves two over, both named
-            (((0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 1, 1)), 0, 1, [1, 2]),
-            # windows before the start or after the last slot
-            (((0, 0, 1), (0, 0, 2)), 1, 2, [0, 1]),
-            (((0, 1, 1), (3, 3, 2)), 0, 2, [1]),
+            (((0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 1, 1)), 1, [1, 2]),
+            # a window after the last slot
+            (((0, 1, 1), (3, 3, 2)), 2, [1]),
         ],
     )
-    def test_infeasible_set_raises_like_the_sweep(self, shapes, start, slot_end, left):
+    def test_infeasible_set_raises_like_the_sweep(self, shapes, slot_end, left):
         kept = list(mk(*shapes).packets)
         message = f"earliest-deadline assignment failed for {left}"
         for assign in (_edf_assignment, sweep_assignment):
             with pytest.raises(AssertionError) as excinfo:
-                assign(kept, start, slot_end)
+                assign(kept, slot_end)
             assert str(excinfo.value) == message
 
 
@@ -737,8 +737,10 @@ class TestSlotAutomaton:
     @pytest.mark.parametrize("label", list(TRAFFIC))
     def test_every_window_a_campaign_asks_is_narrow(self, label, monkeypatch):
         # with every check on, the cross-check included, each window the
-        # engine caches spans at most NARROW slots, so the union-find serves
-        # only opt_full, and only at horizons of NARROW or more
+        # engine caches but the optimum's (0, h, h) spans at most NARROW
+        # slots, so the union-find serves only opt_full, and only at
+        # horizons of NARROW or more; each base time's candidate list is its
+        # carry and buckets t .. t + NARROW - 1, never extended
         swept = 0
         union_find = offline._solve
 
@@ -751,6 +753,11 @@ class TestSlotAutomaton:
         for inst in TRAFFIC[label]():
             swept = 0
             run = evaluate(inst)
-            assert certify(inst, run, ALL_CHECKS).ok, inst
-            assert [key for key in run[0].engine.cache if key[2] - key[0] >= NARROW] == [], inst
+            res = certify(run, ALL_CHECKS)
+            assert res.ok and res.instance is inst, inst
+            run_engine = run[0].engine
+            optimum = (0, inst.horizon, inst.horizon)
+            assert [key for key in run_engine.cache if key[2] - key[0] >= NARROW and key != optimum] == [], inst
             assert swept == (bool(inst.packets) and inst.horizon >= NARROW), inst
+            for t, cands in run_engine.lists.items():
+                assert cands == run_engine.candidates(t, t + NARROW - 1), (inst, t)

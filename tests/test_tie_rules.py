@@ -97,7 +97,7 @@ def test_fuzz_is_certified_and_every_answer_equals_the_enumeration(rule):
     for seed in range(200):
         inst = gen_random(seed)
         run = evaluate(inst)
-        res = certify(inst, run, ALL_CHECKS)
+        res = certify(run, ALL_CHECKS)
         assert res.ok, (seed, res.findings)
         trace = run[0]
         buffers = online_buffers(trace)
