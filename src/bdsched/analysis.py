@@ -38,7 +38,7 @@ from typing import Mapping
 
 from .model import Rat, le_r_times, render_value
 from .cp import CaseTrace, StepRecord
-from .offline import PSet
+from .offline import ROW
 
 __all__ = [
     "Interval",
@@ -55,6 +55,11 @@ __all__ = [
 
 #: check_inclusions compares the queries P(t, t', .) for t' up to this many steps after t.
 INCLUSION_WINDOW = 3
+
+#: k -> the row lanes of P(t, t+k, t+k), P(t, t+k+1, t+k+1) and
+#: P(t, t+k, t+k+1), for k = 0 .. INCLUSION_WINDOW.
+_NESTED = tuple([(ROW.index((k, k)), ROW.index((k + 1, k + 1)), ROW.index((k, k + 1)))
+                 for k in range(INCLUSION_WINDOW + 1)])
 
 #: The paper's interval patterns: trigger (the non-commit case labels of a
 #: case chain, joined by "+") -> the number of steps the interval spans.
@@ -402,55 +407,54 @@ def check_inclusions(trace: CaseTrace) -> list[Finding]:
     is P without p, a subset of P.
 
     Checked for every step time t and t' up to INCLUSION_WINDOW steps ahead.
-    Each of a base time's nine answers is read from the engine once: its row
-    P(t, a, a) is read as the cross-base row of base t-1.  One engine's
-    answers are masks over one rank table, so each inclusion is a bit test
-    and each "adds at most one" compares bit counts; member ids are decoded
-    only for a finding or for the exemption of a failed cross-base subset.
+    Every set compared is a lane of a base row (``engine.row``): base t's
+    row holds the nine answers of base t, and base t+1's the cross-base
+    ones, each row read once.  One engine's lanes are masks over one rank
+    table, so each inclusion is a bit test, each "adds at most one" compares
+    bit counts, and "the packet sent at t is a member" tests the bit of its
+    rank; member ids are decoded only for a finding.
     """
     out = []
     steps = trace.steps
-    query = trace.engine.p
-    width = INCLUSION_WINDOW + 1  # arrival ends t .. t + INCLUSION_WINDOW
+    engine = trace.engine
+    ranks = engine.entries
+    scale = engine.inst.scale
 
-    def diagonal(u: int) -> list[PSet]:
-        """P(u, a, a) for a = u .. u + width."""
-        return [query(u, a, a) for a in range(u, u + width + 1)]
+    def ids(mask: int) -> str:
+        return str(sorted(engine.members(mask)))
 
-    def ids(ps: PSet) -> str:
-        return str(sorted(ps.members))
-
-    later: list[PSet] | None = None  # base t's row, when read as base t-1's cross-base row
+    later = engine.row(0) if steps else None  # base t's row, read as base t-1's cross-base row
     for t in range(len(steps)):
-        row = later if later is not None else diagonal(t)
-        later = diagonal(t + 1) if t + 1 < len(steps) else None
-        sent_at_t = steps[t].transmitted
-        for k in range(width):
+        masks, weights = later
+        later = engine.row(t + 1) if t + 1 < len(steps) else None
+        sent = steps[t].transmitted
+        sent_bit = 0 if sent is None else 1 << ranks[sent][0]
+        for k, (narrow_lane, arr_lane, slot_lane) in enumerate(_NESTED):
             t_arr = t + k
-            narrow_ps, arr_ps = row[k], row[k + 1]
-            slot_ps = query(t, t_arr, t_arr + 1)
-            narrow = narrow_ps.mask
+            narrow, arr, slot = masks[narrow_lane], masks[arr_lane], masks[slot_lane]
             size = narrow.bit_count()
-            if narrow & ~arr_ps.mask:
+            if narrow & ~arr:
                 out.append(Finding("inclusion", f"P({t},{t_arr},{t_arr}) !<= P({t},{t_arr + 1},{t_arr + 1})",
-                                   ids(narrow_ps), ids(arr_ps)))
-            if narrow & ~slot_ps.mask:
+                                   ids(narrow), ids(arr)))
+            if narrow & ~slot:
                 out.append(Finding("inclusion", f"P({t},{t_arr},{t_arr}) !<= P({t},{t_arr},{t_arr + 1})",
-                                   ids(narrow_ps), ids(slot_ps)))
-            if arr_ps.mask.bit_count() - size > 1:
+                                   ids(narrow), ids(slot)))
+            if arr.bit_count() - size > 1:
                 out.append(Finding("inclusion", f"P({t},{t_arr + 1},{t_arr + 1}) adds >1 over P({t},{t_arr},{t_arr})",
-                                   ids(narrow_ps), ids(arr_ps)))
-            if slot_ps.mask.bit_count() - size > 1:
+                                   ids(narrow), ids(arr)))
+            if slot.bit_count() - size > 1:
                 out.append(Finding("inclusion", f"P({t},{t_arr},{t_arr + 1}) adds >1 over P({t},{t_arr},{t_arr})",
-                                   ids(narrow_ps), ids(slot_ps)))
+                                   ids(narrow), ids(slot)))
             if later is not None and k:
-                later_ps = later[k - 1]
-                if later_ps.weight > narrow_ps.weight:  # one engine: one scale
+                later_lane = _NESTED[k - 1][0]
+                later_mask, later_weight = later[0][later_lane], later[1][later_lane]
+                if later_weight > weights[narrow_lane]:  # one engine: one scale
                     out.append(
                         Finding("inclusion", f"V({t + 1},{t_arr},{t_arr}) > V({t},{t_arr},{t_arr})",
-                                render_value(later_ps.total_value), render_value(narrow_ps.total_value))
+                                render_value(Fraction(later_weight, scale)),
+                                render_value(Fraction(weights[narrow_lane], scale)))
                     )
-                if later_ps.mask & ~narrow and sent_at_t not in narrow_ps.members:
+                if later_mask & ~narrow and not narrow & sent_bit:
                     out.append(Finding("inclusion", f"P({t + 1},{t_arr},{t_arr}) !<= P({t},{t_arr},{t_arr})",
-                                       ids(later_ps), ids(narrow_ps)))
+                                       ids(later_mask), ids(narrow)))
     return out

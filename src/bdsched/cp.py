@@ -15,8 +15,9 @@ applied to the packets' integer weights at the instance's scale: every
 guard is homogeneous in the values, so the scale changes no outcome.
 
 All selector lookups (the marginal packets of partial-optimum queries) go
-through the run's :class:`~bdsched.offline.QueryEngine`, which memoizes
-them; the checkers later ask the same engine, handed out on the trace.
+through the run's :class:`~bdsched.offline.QueryEngine`, which reads them
+off its memoized base rows; the checkers later ask the same engine, handed
+out on the trace.
 The engine reads each carry off the run's steps, the one record of what
 the policy sent.  The policy reaches the engine only through a
 :class:`PartialOracle`, which logs every selector the policy consults with
@@ -258,8 +259,8 @@ def run_cp(inst: Instance) -> CaseTrace:
 
 def _consulted(trace: CaseTrace) -> dict[int, dict[str, list[dict]]]:
     """Step time -> the m and q selectors its case consulted, in order, read
-    from the policy's log.  The run's engine answers each from its cache, so
-    nothing is solved again."""
+    from the policy's log.  The run's engine answers each from its memoized
+    rows, so nothing is solved again."""
     consulted: dict[int, dict[str, list[dict]]] = {}
     for now, kind, base, i in trace.consulted:
         p = trace.engine.gain(kind, base, i)

@@ -180,7 +180,7 @@ def cross_check_queries(trace: CaseTrace) -> list[Finding]:
     inst = engine.inst
     buffers = online_buffers(trace)
     windows = dict.fromkeys((t, t_arr, t_slot) for _now, t, t_arr, t_slot in trace.queries)
-    if inst.packets:
+    if inst.horizon >= 0:
         windows[(0, inst.horizon, inst.horizon)] = None
     for t, t_arr, t_slot in windows:
         got = engine.p(t, t_arr, t_slot)

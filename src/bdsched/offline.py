@@ -19,31 +19,37 @@ Every instance is 2-bounded, so each clipped window is one slot or two
 adjacent slots and the matroid is bicircular on the slot line: a set fits
 iff no connected component of slots holds more packets than slots.  Each
 component of a kept set is a run of adjacent slots with at most one free
-slot, so over a window of at most :data:`NARROW` slots, the width of every
-window the policy and the checks ask, the greedy walks a slot automaton
-whose states are those component lists, one table lookup per packet; a
-wider window, as the optimum's, sweeps a union-find over slots.  The width
-alone picks which, in :meth:`QueryEngine.p` and nowhere else.  A fitting
-set never holds more packets than [t, t''] has slots, so the greedy stops
-as soon as its kept set fills them all.
+slot, so over a few slots the greedy walks a slot automaton whose states
+are those component lists, one table lookup per packet.  The policy's
+lookahead is one step, and every window a selector, a lemma bound or an
+inclusion check asks at base t is one of the nine of :data:`ROW`:
+(t, t+k, t+k) for k = 0..4 and (t, t+k, t+k+1) for k = 0..3.  They are
+solved together, as the lanes of base t's row, by one walk of the product
+of the nine lanes' automata over base t's candidates, the carry and
+buckets t .. t+4; each lane steps only its own automaton from its own
+start, so it still runs its own greedy, and no answer is derived from
+another.  Any other window, as the optimum's, sweeps a union-find over
+slots.  The window's shape alone picks which, in :meth:`QueryEngine.p`.
+A fitting set never holds more packets than [t, t''] has slots, so a
+lane, and the sweep, take nothing once the kept set fills them all, and
+the row's walk stops once every lane is full.
 
 :class:`QueryEngine` is the only front end through which the policy, every
 checker and :func:`opt_full` ask partial queries over a run.  It reads the
-run's step list, derives each carry from it, memoizes every answer on (t,
-t', t'') -- sound because an engine is bound to one run -- and derives from
-them the selectors m_i(t) and q_i(t), whose windows :func:`selector_windows`
-alone writes down.  The narrow queries of one base time share their
-input, a rank-sorted candidate list whose entries carry their automaton
-columns, but never an answer: each miss runs its own greedy from the
-start.  :func:`opt_full` is the answer P(0, h, h) laid out in slots,
+run's step list, derives each carry from it, memoizes each base row on t
+and every other answer on (t, t', t'') -- sound because an engine is bound
+to one run -- and derives from the rows the selectors m_i(t) and q_i(t),
+whose windows :func:`selector_windows` alone writes down.
+:func:`opt_full` is the answer P(0, h, h) laid out in slots,
 earliest-deadline-first, with a heap.
 
-Answers are exact and integer: a :class:`PSet` from the greedy is a pair of
-integers, a bitmask over the ranks of the engine's rank index and its total
-as a weight at the instance's :attr:`~bdsched.model.Instance.scale`, so
-the selectors and the nesting checks compare one engine's answers with
-integer and bit operations.  Member ids and the rational total are decoded
-only when they are read: by a report, by the oracle cross-check or by a test.
+Answers are exact and integer: a lane of a row, like a :class:`PSet` from
+the sweep, is a pair of integers, a bitmask over the ranks of the engine's
+rank index and its total as a weight at the instance's
+:attr:`~bdsched.model.Instance.scale`, so the selectors and the nesting
+checks compare one engine's answers with integer and bit operations.
+Member ids and the rational total are decoded only when they are read: by
+a report, by the oracle cross-check or by a test.
 
 ``dp_partial`` is the independent oracle that campaigns run: a max-weight
 dynamic program along the slot path, with its own scan, scale and sort of
@@ -111,8 +117,9 @@ class PSet:
     ``dp_partial``'s index the ranks of its own sort.  Equality and
     hashing read the members and the rational total, so answers of either
     source, at any scale, compare by value.  A plain slotted class, not a
-    frozen dataclass, because the engine builds one per miss; answers are
-    shared through the engine's cache and never modified.
+    frozen dataclass, because the engine builds one per read of a row's
+    lane and per swept window; the swept ones are shared through the
+    engine's cache and never modified.
     """
 
     __slots__ = ("mask", "weight", "scale", "ids", "_members")
@@ -185,9 +192,17 @@ def _edf_assignment(kept: Sequence[Packet], slot_end: int) -> dict[int, int]:
     return out
 
 
-#: The widest window, in slots, solved on a precomputed slot automaton: every
-#: window a selector, a lemma bound or an inclusion check asks fits.
-NARROW = 5
+#: The nine windows of base t that the policy and the checks ask, as
+#: (t' - t, t'' - t): the diagonal P(t, t+k, t+k) for k = 0..4 and the
+#: one-slot widenings P(t, t+k, t+k+1) for k = 0..3.  Lane j of a base
+#: row answers window ROW[j].
+ROW = tuple([(k, k) for k in range(5)] + [(k, k + 1) for k in range(4)])
+
+#: (t' - t, t'' - t) -> its lane in the row.
+_LANE = {offsets: lane for lane, offsets in enumerate(ROW)}
+
+#: Arrivals of base t that some lane reads: buckets t .. t + REACH.
+REACH = max(a for a, _ in ROW)
 
 
 def _step(state: tuple, col: int, width: int) -> tuple | None:
@@ -222,7 +237,7 @@ def _automaton(width: int) -> tuple[list[tuple], list[int]]:
     flat: a state's row starts at its index times 2 * width, the entry in
     column c is the next state's row start, or -1 where the window is
     rejected; the absorbing state's row is all -1 and is never read, since
-    a walk stops on reaching it."""
+    a full lane takes nothing more."""
     cols = 2 * width
     states: list[tuple] = [(), ((1, 1),) * width]
     index = {states[1]: 1}
@@ -243,50 +258,97 @@ def _automaton(width: int) -> tuple[list[tuple], list[int]]:
     return states, table
 
 
-def _walk(scale: int, ids: Sequence[int], t: int, t_arr: int, t_end: int, cands: Sequence[tuple]) -> PSet:
-    """The canonical partial optimum P(t, t_arr, t_end) of a window of at
-    most NARROW slots over `cands`, the candidates (rank, release, column,
-    weight) of base t sorted by rank, by a walk of the slot automaton from
-    its start state: the candidates released after t_arr are skipped, each
-    other one is one table lookup, and the walk stops in the absorbing
-    state, once the kept set fills every slot.  The answer is the mask of
-    the kept ranks over the rank table `ids` and their total as a weight at
-    `scale`."""
-    width = t_end - t + 1
-    table = _automaton(width)[1]
-    state = 2 * width  # the start state's row
-    mask = total = 0
-    for rank, release, col, value in cands:
-        if release > t_arr:
-            continue
-        nxt = table[state + col]
-        if nxt < 0:
-            continue
-        mask |= 1 << rank
-        total += value
-        if not nxt:
-            break
-        state = nxt
-    return PSet(mask, total, scale, ids)
+@functools.cache
+def _row_automaton() -> tuple[list[int], list[tuple[int, ...] | None]]:
+    """The product of the nine lanes' slot automata: (table, lanes).
+
+    A product state is the tuple of the lanes' row starts in their own
+    :func:`_automaton` tables, 0 for a full lane.  Lane j = (a, e) reads
+    column c only if its window is released by t + a (c // 2 <= a), and
+    then steps its own automaton of e + 1 slots from its own state: no
+    lane reads another's.  Product state 0 is the one where every lane is
+    full and 1 the start.  The table is flat, 2 * (REACH + 1) columns per
+    state; an entry is the next state's row start shifted left by
+    len(ROW), or'ed with the accept code, bit j set iff lane j keeps the
+    window, and lanes[code] lists those lanes.  With code 0 the state does
+    not change.  Built on first use, once per process."""
+    cols = 2 * (REACH + 1)
+    shift = len(ROW)
+    tables = [(a, _automaton(e + 1)[1]) for a, e in ROW]  # (t' - t, the lane's own table)
+    full = (0,) * shift
+    start = tuple([2 * (e + 1) for _, e in ROW])
+    states = [full, start]
+    index = {full: 0, start: 1}
+    lanes: list[tuple[int, ...] | None] = [None] * (1 << shift)
+    table = [0] * cols  # the full state's row, never read
+    for state in itertools.islice(states, 1, None):  # states grows as the walk finds new ones
+        for col in range(cols):
+            nxt = list(state)
+            code = 0
+            for lane, (a, lane_table) in enumerate(tables):
+                if state[lane] and col >> 1 <= a:
+                    moved = lane_table[state[lane] + col]
+                    if moved >= 0:
+                        nxt[lane] = moved
+                        code |= 1 << lane
+            nxt = tuple(nxt)
+            n = index.get(nxt)
+            if n is None:
+                n = index[nxt] = len(states)
+                states.append(nxt)
+            if lanes[code] is None:
+                lanes[code] = tuple([lane for lane in range(shift) if code >> lane & 1])
+            table.append(n * cols << shift | code)
+    return table, lanes
+
+
+def _row(cands: Sequence[tuple]) -> tuple[list[int], list[int]]:
+    """The nine answers of one base time t, (masks, weights), lane j the
+    canonical partial optimum of window ROW[j] as a mask over the ranks and
+    its weight, from `cands`, the candidates (rank, column, weight) of base
+    t sorted by rank.  One walk of the product automaton: each candidate is
+    one table lookup, whose code names the lanes that keep it, and the walk
+    stops once every lane is full.  Each lane runs its own greedy from its
+    own start, so no answer is derived from another."""
+    table, lanes = _row_automaton()
+    shift = len(ROW)
+    low = (1 << shift) - 1
+    masks, weights = [0] * shift, [0] * shift
+    state = 2 * (REACH + 1)  # the start state's row
+    for rank, col, weight in cands:
+        move = table[state + col]
+        code = move & low
+        if code:
+            bit = 1 << rank
+            for lane in lanes[code]:
+                masks[lane] |= bit
+                weights[lane] += weight
+            state = move >> shift
+            if not state:  # every lane is full
+                break
+    return masks, weights
 
 
 def _solve(scale: int, ids: Sequence[int], t: int, t_arr: int, t_end: int, cands: Sequence[tuple]) -> PSet:
-    """:func:`_walk`'s answer for a window of any width, by a sweep of a
-    union-find over slot offsets from t that starts empty.  It keeps each
-    component's free slot count: a loop, or an edge inside one component,
-    is accepted iff that component has a free slot; an edge joining two
-    components iff they have one between them.  Like the walk, the sweep
-    skips the candidates released after t_arr and stops once the kept set
-    fills every slot."""
+    """The canonical partial optimum P(t, t_arr, t_end) of a window of any
+    width over `cands`, the candidates (rank, column, weight) of base t
+    sorted by rank, as a mask of the kept ranks over the rank table `ids`
+    and their total as a weight at `scale`.  A sweep of a union-find over
+    slot offsets from t that starts empty keeps each component's free slot
+    count: a loop, or an edge inside one component, is accepted iff that
+    component has a free slot; an edge joining two components iff they
+    have one between them.  The sweep skips the candidates released after
+    t_arr and stops once the kept set fills every slot."""
     parent: dict[int, int] = {}  # slot -> a slot nearer its component's root
     free: dict[int, int] = {}  # root -> free slots; an untouched slot is a root with one
+    reach = t_arr - t
     last = t_end - t
     room = last + 1  # slots not yet filled
     mask = total = 0
-    for rank, release, col, value in cands:
-        if release > t_arr:
-            continue
+    for rank, col, value in cands:
         a = lo = col >> 1
+        if lo > reach:
+            continue
         while a in parent:
             a = parent[a]
         fa = free.get(a, 1)
@@ -386,6 +448,20 @@ def selector_windows(kind: str, t: int, i: int) -> tuple[tuple[int, int, int], t
     raise ValueError(f"unknown selector kind {kind!r}")
 
 
+def _lanes(kind: str, i: int) -> tuple[int, int | None] | None:
+    """(wide, narrow): the row lanes of selector `kind`_i's two windows,
+    narrow None for m_0, or None if a window is not in the row."""
+    wide, narrow = selector_windows(kind, 0, i)
+    lanes = (_LANE.get(wide[1:]), None if narrow is None else _LANE.get(narrow[1:]))
+    return None if lanes[0] is None or (narrow is not None and lanes[1] is None) else lanes
+
+
+#: (kind, i) -> the row lanes of selector kind_i, for every selector whose
+#: windows lie in the row: m_0 .. m_4 and q_0 .. q_3.
+_SELECTOR_LANES = {(kind, i): lanes for kind in "mq" for i in range(len(ROW))
+                   if (lanes := _lanes(kind, i)) is not None}
+
+
 class QueryEngine:
     """Memoized partial-optimum queries over one run.
 
@@ -401,19 +477,21 @@ class QueryEngine:
     ValueError, naming the packet, if an id repeats, whatever the windows,
     or a packet is not 2-bounded: a run's carries name packets by id, and
     the greedy's feasibility test holds only for windows of at most two
-    slots.  Answers are cached on (t, t', t''), which names a query only
-    within one run, so an engine is never reused for another instance or
-    run.  ``lists`` maps a base time t to one candidate list, the carry and
-    buckets t .. t + NARROW - 1, built by :meth:`candidates` at base t's
-    first narrow query, read by every narrow query P(t, ., .) and never
-    extended; a wide window, as the optimum's P(0, h, h), reads a list of
-    its own.  Every miss runs its own greedy from the automaton's start
-    state (or an empty union-find, past NARROW slots), so no answer depends
-    on which queries came first.  Every answer is a mask over ``ids`` with
-    a weight at the instance's scale, so the checks compare answers of one
-    engine with integer and bit operations.
-    ``calls`` counts every lookup, ``hits`` the lookups answered from the
-    cache.
+    slots.  Answers are memoized by window, which names a query only within
+    one run, so an engine is never reused for another instance or run.
+
+    The nine windows of :data:`ROW` at base t, every window a selector, a
+    lemma bound or an inclusion check asks, are answered together:
+    ``rows`` maps t to its row, (masks, weights), nine masks over ``ids``
+    and nine weights at the instance's scale, lane j answering ROW[j].
+    :meth:`row` solves base t's row at its first read by :func:`_row`, one
+    walk of the product automaton over base t's candidate list, the carry
+    and buckets t .. t + REACH, which is not kept.  Every lane runs its own
+    greedy from its own start state, so no answer is derived from another
+    or depends on which queries came first.  Any other window, as the
+    optimum's P(0, h, h), sweeps the union-find over a candidate list of its
+    own, and ``cache`` maps the window to its answer.  ``calls`` counts
+    every row and window lookup, ``hits`` the lookups answered from memo.
     """
 
     def __init__(self, inst: Instance, steps: Sequence):
@@ -437,8 +515,8 @@ class QueryEngine:
         self.buckets = {r: tuple(es) for r, es in buckets.items()}
         self.entries = entries
         self.ids = tuple([p.id for p in ranked])
+        self.rows: dict[int, tuple[list[int], list[int]]] = {}
         self.cache: dict[tuple[int, int, int], PSet] = {}
-        self.lists: dict[int, list[tuple[int, int, int, int]]] = {}  # t -> candidates of narrow queries
         self.calls = 0
         self.hits = 0
 
@@ -465,28 +543,46 @@ class QueryEngine:
                 return pid
         return None
 
-    def candidates(self, t: int, arrival_end: int) -> list[tuple[int, int, int, int]]:
+    def candidates(self, t: int, arrival_end: int) -> list[tuple[int, int, int]]:
         """The candidates of base t for arrivals up to `arrival_end`: the
-        carry's entry, a loop at slot t, and those of release buckets t ..
-        `arrival_end`, as (rank, release, column, weight) seen from t,
-        sorted by rank.  A window has column 2 * (release - t), plus one if
-        it also reaches slot release + 1."""
+        carry's entry and those of release buckets t .. `arrival_end`, as
+        (rank, column, weight) seen from t, sorted by rank.  A window
+        released at r has column 2 * (r - t), plus one if it also reaches
+        slot r + 1; the carry, a loop at slot t, has column 0."""
         cands = []
         carry = self.carry(t)
         if carry is not None:
-            rank, _, release, _, weight = self.entries[carry]
-            cands.append((rank, release, 0, weight))
+            rank, _, _, _, weight = self.entries[carry]
+            cands.append((rank, 0, weight))
         for r in range(t, arrival_end + 1):
             for rank, _, _, deadline, weight in self.buckets.get(r, ()):
-                cands.append((rank, r, 2 * (r - t) + (deadline > r), weight))
+                cands.append((rank, 2 * (r - t) + (deadline > r), weight))
         cands.sort()
         return cands
 
+    def row(self, t: int) -> tuple[list[int], list[int]]:
+        """Base t's row, (masks, weights): from memo, or solved at its first
+        read."""
+        self.calls += 1
+        row = self.rows.get(t)
+        if row is not None:
+            self.hits += 1
+            return row
+        row = self.rows[t] = _row(self.candidates(t, t + REACH))
+        return row
+
+    def members(self, mask: int) -> tuple[int, ...]:
+        """The ids of the ranks set in `mask`, in canonical order."""
+        return _decode(mask, self.ids)
+
     def p(self, t: int, arrival_end: int, slot_end: int) -> PSet:
-        """P(t, t', t''): from the cache, or on a miss solved afresh.  A
-        window of at most NARROW slots walks the slot automaton over base
-        t's candidate list, built at its first narrow query; a wider one
-        sweeps the union-find over a list of its own, which is not kept."""
+        """P(t, t', t''): a lane of base t's row, or any other window from
+        the cache, on a miss swept afresh by the union-find over a
+        candidate list of its own, which is not kept."""
+        lane = _LANE.get((arrival_end - t, slot_end - t))
+        if lane is not None:
+            masks, weights = self.row(t)
+            return PSet(masks[lane], weights[lane], self.inst.scale, self.ids)
         self.calls += 1
         key = (t, arrival_end, slot_end)
         ps = self.cache.get(key)
@@ -495,26 +591,22 @@ class QueryEngine:
             return ps
         if not t <= arrival_end <= slot_end:
             raise _out_of_order(t, arrival_end, slot_end)
-        if slot_end - t < NARROW:
-            cands = self.lists.get(t)
-            if cands is None:
-                cands = self.lists[t] = self.candidates(t, t + NARROW - 1)
-            ps = _walk(self.inst.scale, self.ids, t, arrival_end, slot_end, cands)
-        else:
-            ps = _solve(self.inst.scale, self.ids, t, arrival_end, slot_end, self.candidates(t, arrival_end))
-        self.cache[key] = ps
+        ps = self.cache[key] = _solve(self.inst.scale, self.ids, t, arrival_end, slot_end,
+                                      self.candidates(t, arrival_end))
         return ps
 
     def gain(self, kind: str, t: int, i: int) -> Packet | None:
         """The packet selector `kind`_i(t) gains, or None if it gains none:
-        the wide window's mask less the narrow one's, which must be a single
-        bit or none."""
-        wide, narrow = selector_windows(kind, t, i)
-        gained = self.p(*wide).mask
+        the wide lane's mask less the narrow one's, which must be a single
+        bit or none.  Raises KeyError for a selector whose windows are not
+        in the base row."""
+        wide, narrow = _SELECTOR_LANES[kind, i]
+        masks = self.row(t)[0]
+        gained = masks[wide]
         if narrow is not None:
-            gained &= ~self.p(*narrow).mask
+            gained &= ~masks[narrow]
         if gained & (gained - 1):
-            raise InternalInvariantError(f"{kind}_{i}({t}) is not a singleton: {sorted(_decode(gained, self.ids))}")
+            raise InternalInvariantError(f"{kind}_{i}({t}) is not a singleton: {sorted(self.members(gained))}")
         return self.inst.by_id(self.ids[gained.bit_length() - 1]) if gained else None
 
     def m(self, t: int, i: int) -> Packet | None:
@@ -528,12 +620,12 @@ def opt_full(engine: QueryEngine) -> dict[int, int]:
     """Canonical clairvoyant optimum of the run's instance over slots
     [0, horizon]: `engine`'s answer P(0, horizon, horizon), which has no
     carry, laid out by :func:`_edf_assignment` as a time slot -> packet id
-    dict.  The layout places every kept packet, so its total is the
-    optimum's, and the answer stays in the engine's cache, where the oracle
-    cross-check replays it."""
+    dict, or no slot at all when no packet has one (horizon -1).  The
+    layout places every kept packet, so its total is the optimum's, and the
+    answer stays in the engine, where the oracle cross-check replays it."""
     inst = engine.inst
-    if not inst.packets:
-        return {}
     horizon = inst.horizon
+    if horizon < 0:  # no packet has a slot
+        return {}
     by_id = inst.by_id
     return _edf_assignment([by_id(i) for i in engine.p(0, horizon, horizon).members], horizon)

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from bdsched import GridSpec, Instance, Packet, PSet, QueryEngine, enumerate_instances, model, opt_full
+from bdsched.offline import ROW
 
 
 def mk(*shapes) -> Instance:
@@ -20,12 +21,27 @@ def pset(members, weight, scale: int = 1) -> PSet:
     return PSet((1 << len(members)) - 1, weight, scale, members)
 
 
-def answer(engine: QueryEngine, members, weight: int) -> PSet:
-    """An answer to inject into `engine`'s cache: the ids `members`, with
-    the weight `weight` at the instance's scale, as a mask over the engine's
-    rank table, the form of the engine's own answers."""
-    rank = {pid: r for r, pid in enumerate(engine.ids)}
-    return PSet(sum([1 << rank[pid] for pid in members]), weight, engine.inst.scale, engine.ids)
+def set_lane(engine: QueryEngine, window: tuple[int, int, int], members, weight: int) -> None:
+    """Overwrite `engine`'s answer to `window`, one of the ROW windows of
+    its base t, in base t's row (solved first if unread): the lane then
+    holds the ids `members`, as a mask over the engine's rank table, with
+    the weight `weight` at the instance's scale, as every reader of the row
+    sees it."""
+    t, t_arr, t_end = window
+    masks, weights = engine.row(t)
+    lane = ROW.index((t_arr - t, t_end - t))
+    masks[lane] = sum([1 << engine.ids.index(pid) for pid in members])
+    weights[lane] = weight
+
+
+def solved(engine: QueryEngine) -> list[tuple[tuple[int, int, int], PSet]]:
+    """Every answer `engine` holds, as (window, answer): the nine lanes of
+    each base row it solved, then each window outside the row it cached."""
+    out = []
+    for t, (masks, weights) in engine.rows.items():
+        for (a, e), mask, weight in zip(ROW, masks, weights):
+            out.append(((t, t + a, t + e), PSet(mask, weight, engine.inst.scale, engine.ids)))
+    return out + list(engine.cache.items())
 
 
 def clairvoyant(inst: Instance) -> dict[int, int]:

@@ -33,7 +33,7 @@ from bdsched import (
 from bdsched.analysis import FORCED_CASES
 from bdsched.harness import check_or_crash, evaluate
 from bdsched.model import profit, render_value
-from conftest import answer, clairvoyant, grid_bases, mk, sent
+from conftest import clairvoyant, grid_bases, mk, sent, set_lane
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 from test_offline import small_instances
 
@@ -340,8 +340,9 @@ class TestCrossBaseExemption:
     """The cross-base relation P(t+1, t', t') <= P(t, t', t') of
     check_inclusions is waived only when the packet sent at t is a member of
     P(t, t', t'), not when a member expires at t; the value relation
-    V(t+1, t', t') <= V(t, t', t') is never waived.  Engine answers are
-    overwritten so that P(1, 1, 1) holds packet 3, which P(0, 1, 1) lacks."""
+    V(t+1, t', t') <= V(t, t', t') is never waived.  Lanes of the engine's
+    rows are overwritten so that P(1, 1, 1) holds packet 3, which P(0, 1, 1)
+    lacks."""
 
     # packet 0 expires at 0, the policy sends packet 1 at 0, and packets 2
     # and 3 arrive at 1; P(0, 1, 1) = {1, 2} and P(1, 1, 1) = {2}
@@ -357,11 +358,10 @@ class TestCrossBaseExemption:
         trace = run_cp(inst)
         assert trace.steps[0].transmitted == 1
         engine = trace.engine
-        cache = engine.cache
         if narrow is not None:
-            cache[(0, 1, 1)] = answer(engine, narrow, sum(inst.weights[pid] for pid in narrow))
-        narrow_weight = cache[(0, 1, 1)].weight
-        cache[(1, 1, 1)] = answer(engine, (3,), narrow_weight + 1 if raise_weight else inst.weights[3])
+            set_lane(engine, (0, 1, 1), narrow, sum(inst.weights[pid] for pid in narrow))
+        narrow_weight = engine.p(0, 1, 1).weight
+        set_lane(engine, (1, 1, 1), (3,), narrow_weight + 1 if raise_weight else inst.weights[3])
         return [(f.detail, f.lhs, f.rhs) for f in check_inclusions(trace) if f.detail in (self.SUBSET, self.VALUE)]
 
     def test_unmodified_run_is_clean(self):
@@ -387,8 +387,8 @@ class TestCrossBaseExemption:
 
 
 class TestWeakerChecksAreCaught:
-    """An injected engine answer that only the full check can tell from a
-    sound one: each test fails if its check is weakened to what every
+    """An overwritten lane of an engine row that only the full check can
+    tell from a sound one: each test fails if its check is weakened to what every
     campaign would still pass."""
 
     def test_slot_gain_of_two_is_reported(self):
@@ -399,7 +399,7 @@ class TestWeakerChecksAreCaught:
         engine = trace.engine
         assert engine.p(0, 0, 0).members == (0,) and engine.p(0, 0, 1).members == (0, 1)
         assert check_inclusions(trace) == []
-        engine.cache[(0, 0, 1)] = answer(engine, (0, 1, 2), sum(inst.weights.values()))
+        set_lane(engine, (0, 0, 1), (0, 1, 2), sum(inst.weights.values()))
         found = [(f.kind, f.detail, f.lhs, f.rhs) for f in check_inclusions(trace)]
         assert found == [("inclusion", "P(0,0,1) adds >1 over P(0,0,0)", "[0]", "[0, 1, 2]")]
 
@@ -415,7 +415,7 @@ class TestWeakerChecksAreCaught:
         engine = trace.engine
         lowered = first.w_opt - 1
         assert engine.p(0, 0, 1).weight >= first.w_opt > lowered
-        engine.cache[(0, 0, 0)] = answer(engine, engine.p(0, 0, 0).members, lowered)
+        set_lane(engine, (0, 0, 0), engine.p(0, 0, 0).members, lowered)
         found = [(f.kind, f.detail, f.lhs, f.rhs) for f in check_lemma_bounds(trace, report)]
         assert found == [("partial-bound", "interval 0 1.1 span=(0, 0) no-slack V(0,0,0)",
                           render_value(first.v_opt), render_value(Fraction(lowered, inst.scale)))]

@@ -354,9 +354,9 @@ class TestTraceSerialization:
 
     def test_selectors_are_read_back_without_solving(self):
         trace = run_cp(chain_family("3.2.2"))
-        solved = len(trace.engine.cache)
+        solved = (list(trace.engine.rows), list(trace.engine.cache))
         lines = [json.loads(line) for line in trace_to_jsonl(trace).splitlines()]
-        assert len(trace.engine.cache) == solved
+        assert (list(trace.engine.rows), list(trace.engine.cache)) == solved
         step = lines[2]
         assert step["case"] == "3.2.2"
         assert [v["name"] for v in step["m"]] == ["m0", "m1", "m2", "m3"]

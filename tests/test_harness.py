@@ -58,6 +58,7 @@ import bdsched.harness as harness_mod
 from bdsched import offline
 from bdsched.cli import main
 from bdsched.harness import (
+    check_or_crash,
     compare_algorithms,
     evaluate,
     render_rows_csv,
@@ -65,7 +66,7 @@ from bdsched.harness import (
     summary_to_dict,
 )
 from bdsched.model import instance_to_dict
-from conftest import clairvoyant, grid_bases, mk, pset, without_inert
+from conftest import clairvoyant, grid_bases, mk, set_lane, without_inert
 from enumeration import OracleSizeError, brute_force_partial
 
 SMALL_GRID = GridSpec(horizon=1, max_packets=2, value_grid=(Fraction(1), Fraction(2)))
@@ -86,6 +87,15 @@ class TestCheckInstance:
         res = check_instance(Instance(()), DEEP)
         assert res.ok and res.report.v_cp == 0 and res.report.worst_interval is None
 
+    @pytest.mark.parametrize("config", [CheckConfig(), DEEP, ALL_CHECKS], ids=["default", "deep", "cross-check"])
+    def test_packet_without_a_slot_is_checked(self, config):
+        # a deadline before the release leaves the packet no slot and the
+        # instance a horizon of -1: the optimum is empty, and no window
+        # (0, -1, -1) is asked of the engine or the oracle
+        inst = Instance([Packet(0, 0, -1, Fraction(1))])
+        res = check_or_crash(inst, config)
+        assert res.ok and res.findings == [] and (res.report.w_cp, res.report.w_opt) == (0, 0)
+
     def test_oracle_cross_check_clean(self):
         res = check_instance(gen_random(3), CheckConfig(cross_check=True))
         assert not [f for f in res.findings if f.kind == "oracle-mismatch"]
@@ -94,10 +104,11 @@ class TestCheckInstance:
 class TestCrossCheck:
     @staticmethod
     def drop_last_member(inst: Instance, trace, key: tuple[int, int, int]) -> None:
-        """Overwrite a cached engine answer with a set missing one member."""
-        right = trace.engine.cache[key]
+        """Overwrite the engine's lane for window `key` with a set missing
+        its last-ranked member."""
+        right = trace.engine.p(*key)
         *kept, dropped = right.members
-        trace.engine.cache[key] = pset(kept, right.weight - inst.weights[dropped], right.scale)
+        set_lane(trace.engine, key, kept, right.weight - inst.weights[dropped])
 
     def test_corrupted_answer_is_reported(self):
         inst = gen_random(3)
@@ -105,7 +116,7 @@ class TestCrossCheck:
         assert cross_check_queries(trace) == []
         t, t_arr, t_slot = key = next(
             (t, t_arr, t_slot) for _, t, t_arr, t_slot in trace.queries
-            if len(trace.engine.cache[(t, t_arr, t_slot)].members) >= 2
+            if len(trace.engine.p(t, t_arr, t_slot).members) >= 2
         )
         self.drop_last_member(inst, trace, key)
         findings = cross_check_queries(trace)
@@ -127,7 +138,7 @@ class TestCrossCheck:
     def test_optimum_that_stops_one_slot_early_is_caught(self, monkeypatch):
         # a union-find that stops once one slot is left, not none, keeps all
         # but the last-ranked member of each answer that fills every slot.
-        # The engine sweeps only windows wider than NARROW, so only
+        # The engine sweeps only windows outside the base row, so only
         # opt_full's (0, h, h) goes wrong: the lower optimum passes every
         # other check, and only the cross-check's replay of it fails
         union_find = offline._solve
@@ -137,7 +148,7 @@ class TestCrossCheck:
             if ps.mask.bit_count() <= t_end - t:
                 return ps
             last = ps.mask.bit_length() - 1
-            weight = next(w for rank, _, _, w in cands if rank == last)
+            weight = next(w for rank, _, w in cands if rank == last)
             return PSet(ps.mask ^ 1 << last, ps.weight - weight, scale, ids)
 
         monkeypatch.setattr(offline, "_solve", stops_early)
@@ -145,6 +156,29 @@ class TestCrossCheck:
         caught = run_fuzz(seeds, config, ALL_CHECKS).summary
         assert caught.violations > 0 and set(caught.findings_by_kind) == {"oracle-mismatch"}
         assert run_fuzz(seeds, config, DEEP).ok
+
+    @pytest.mark.parametrize("lane", range(len(offline.ROW)))
+    def test_row_table_that_drops_one_accept_is_caught(self, lane, monkeypatch):
+        # a product table whose start state, meeting a loop at slot t
+        # (column 0, the carry or a loop released at t), steps every lane
+        # but records the window in every lane except `lane`: that lane's
+        # answer misses the best loop at t wherever the loop ranks first.
+        # Every lane is read by an inclusion, so the deep checks with the
+        # cross-check catch it on both the fuzz and the h=40 campaigns; the
+        # lane of P(t, t, t), whose only member is m_0, crashes the policy
+        # itself first
+        table, lanes = offline._row_automaton()
+        shift, start = len(offline.ROW), 2 * (offline.REACH + 1)
+        assert table[start] & ((1 << shift) - 1) == (1 << shift) - 1  # every lane keeps it
+        mutant, mutant_lanes = list(table), list(lanes)
+        mutant[start] ^= 1 << lane
+        code = mutant[start] & ((1 << shift) - 1)
+        mutant_lanes[code] = tuple([j for j in range(shift) if j != lane])
+        monkeypatch.setattr(offline, "_row_automaton", lambda: (mutant, mutant_lanes))
+        for seeds, config in ((range(100), RandomConfig()), (range(20), RandomConfig(horizon=40, arrival_rate=1.5))):
+            caught = run_fuzz(seeds, config, ALL_CHECKS).summary
+            kinds = {"crash"} if offline.ROW[lane] == (0, 0) else {"inclusion", "oracle-mismatch"}
+            assert caught.violations > 0 and kinds & set(caught.findings_by_kind), config
 
 
 class TestCampaigns:

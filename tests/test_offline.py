@@ -30,8 +30,8 @@ from bdsched import (
 from bdsched import offline
 from bdsched.generators import enumerate_bases, tight_family
 from bdsched.harness import CheckConfig, certify, evaluate, online_buffers
-from bdsched.offline import NARROW, _automaton, _edf_assignment, _solve, _walk
-from conftest import answer, clairvoyant, grid_bases, mk, pset
+from bdsched.offline import REACH, ROW, _automaton, _edf_assignment, _row, _row_automaton, _solve
+from conftest import clairvoyant, grid_bases, mk, pset, set_lane, solved
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 from test_model import MIXED_VALUES, any_packets
@@ -51,6 +51,14 @@ def solve(q: tuple[int, int, int], inst: Instance, sent: int | None = None) -> P
     """The query window q = (t, t', t'') asked of a fresh engine whose step
     t - 1 sent `sent`, or nothing."""
     return engine(inst, q[0], sent).p(*q)
+
+
+def read_by(run: QueryEngine, cands, read: list[int]):
+    """The candidates `cands`, yielded one by one, each one's packet id
+    appended to `read` as it is read."""
+    for cand in cands:
+        read.append(run.ids[cand[0]])
+        yield cand
 
 
 def best(inst: Instance, pending) -> int | None:
@@ -320,14 +328,19 @@ class TestPSetConventions:
         inst = mk((0, 0, 5), (0, 1, 3))
         eng = engine(inst)
         first = eng.p(0, 0, 1)
-        assert eng.p(0, 0, 1) is first
+        assert eng.p(0, 0, 1) == first and list(eng.rows) == [0]
         assert (eng.calls, eng.hits) == (2, 1)
+        # a window outside the row is cached as its answer
+        wide = eng.p(0, 0, 2)
+        assert eng.p(0, 0, 2) is wide and list(eng.cache) == [(0, 0, 2)]
+        assert (eng.calls, eng.hits) == (4, 2)
 
     @given(small_instances(max_packets=8, max_release=5))
     @settings(max_examples=150, deadline=None)
     def test_cached_answers_equal_fresh_solves(self, inst):
         # The memo key omits the carry; every answer the policy and the
-        # inclusion checks got must still be the query solved from scratch
+        # inclusion checks read, every lane of each row, must still be the
+        # query solved from scratch
         # by an engine whose step t-1 sent what the run's did, and agree
         # with the enumeration oracle seeded with all of B(t).  The carry
         # derived from the steps is the best packet of that B(t).
@@ -336,7 +349,7 @@ class TestPSetConventions:
         buffers = online_buffers(trace)
         for t in range(len(trace.steps)):
             assert trace.engine.carry(t) == best(inst, buffers.get(t, ())), t
-        for (t, t_arr, t_slot), cached in trace.engine.cache.items():
+        for (t, t_arr, t_slot), cached in solved(trace.engine):
             q = (t, t_arr, t_slot)
             pending = buffers.get(t, ())
             assert cached == solve(q, inst, trace.steps[t - 1].transmitted if t else None)
@@ -361,7 +374,7 @@ class TestIntegerAnswers:
         check_inclusions(trace)
         buffers = online_buffers(trace)
         checked = 0
-        for (t, t_arr, t_slot), cached in trace.engine.cache.items():
+        for (t, t_arr, t_slot), cached in solved(trace.engine):
             assert cached.scale == inst.scale
             assert cached.total_value == sum((inst.by_id(pid).value for pid in cached.members), Fraction(0))
             assert cached == dp_partial((t, t_arr, t_slot), inst, buffers.get(t, ()))
@@ -379,7 +392,7 @@ class TestIntegerAnswers:
         check_inclusions(trace)
         buffers = online_buffers(trace)
         entries = trace.engine.entries
-        for (t, t_arr, t_slot), cached in trace.engine.cache.items():
+        for (t, t_arr, t_slot), cached in solved(trace.engine):
             ranks = [entries[pid][0] for pid in cached.members]
             assert ranks == sorted(ranks) and cached.mask == sum([1 << rank for rank in ranks])
             keys = [model.rank_key(inst.by_id(pid), inst.by_id(pid).value) for pid in cached.members]
@@ -389,26 +402,36 @@ class TestIntegerAnswers:
             assert cached == dp_partial((t, t_arr, t_slot), inst, buffers.get(t, ()))
 
     def test_filled_slots_stop_the_sweep(self):
-        # P(0, 1, 1): packets 0 and 1 fill slots 0 and 1, so the automaton's
-        # walk reaches its absorbing state there and never reads packets 2
-        # and 3, which could join no longer; the union-find stops there too
+        # P(0, 1, 1): packets 0 and 1 fill slots 0 and 1, so the union-find
+        # stops there and never reads packets 2 and 3, which could join no
+        # longer
         inst = mk((0, 1, 5), (1, 1, 4), (0, 1, 3), (1, 1, 2))
         run = engine(inst)
         cands = run.candidates(0, 1)
         assert [run.ids[cand[0]] for cand in cands] == [0, 1, 2, 3]
         q = (0, 1, 1)
-        for solver in (_walk, _solve):
-            read = []
+        got = _solve(inst.scale, run.ids, *q, read_by(run, cands, read := []))
+        assert read == [0, 1]
+        assert got.members == (0, 1) and got.total_value == 9
+        assert got == solve(q, inst) == dp_partial(q, inst) == brute_force_partial(q, inst)
 
-            def entries():
-                for cand in cands:
-                    read.append(run.ids[cand[0]])
-                    yield cand
-
-            got = solver(inst.scale, run.ids, *q, entries())
-            assert read == [0, 1], solver
-            assert got.members == (0, 1) and got.total_value == 9
-            assert got == solve(q, inst) == dp_partial(q, inst) == brute_force_partial(q, inst)
+    def test_full_lanes_stop_the_row(self):
+        # a loop released at each of 0 .. 4 fills every diagonal lane, and
+        # an edge released at each of 0 .. 3 the last slot of the widened
+        # lane of its release: the row's walk stops there and never reads
+        # packet 9, ranked last, which no lane could keep
+        shapes = [(r, r, 3) for r in range(5)] + [(r, r + 1, 2) for r in range(4)] + [(0, 1, 1)]
+        inst = mk(*shapes)
+        run = engine(inst)
+        cands = run.candidates(0, REACH)
+        assert [run.ids[cand[0]] for cand in cands] == list(range(10))
+        masks, weights = _row(read_by(run, cands, read := []))
+        assert read == list(range(9))
+        for (a, e), mask, weight in zip(ROW, masks, weights):
+            q = (0, a, e)
+            want = solve(q, inst)
+            assert PSet(mask, weight, inst.scale, run.ids) == want == dp_partial(q, inst), q
+            assert want.members == tuple(range(a + 1)) + ((5 + a,) if e > a else ()), q
 
     def test_equality_and_hash_across_scales(self):
         # the last is a mask over another rank table with the same members
@@ -451,7 +474,7 @@ class TestSelectors:
         inst = mk((0, 1, 5), (1, 1, 3))
         eng = engine(inst, 1)
         assert eng.m(1, 0).id == 0
-        assert eng.calls == 1 and list(eng.cache) == [(1, 1, 1)]
+        assert eng.calls == 1 and list(eng.rows) == [1] and eng.cache == {}
 
     def test_absent_selector_is_none(self):
         inst = mk((0, 0, 5))
@@ -461,7 +484,7 @@ class TestSelectors:
     def test_non_singleton_gain_is_an_invariant_error(self):
         inst = mk((0, 1, 5), (0, 1, 4))
         eng = engine(inst)
-        eng.cache[(0, 0, 0)] = answer(eng, (0, 1), 9)
+        set_lane(eng, (0, 0, 0), (0, 1), 9)
         with pytest.raises(InternalInvariantError, match=r"m_0\(0\) is not a singleton: \[0, 1\]"):
             eng.m(0, 0)
 
@@ -584,18 +607,19 @@ ORDER_RUNS = (
 class TestSharedPools:
     @pytest.mark.parametrize("label, inst", ORDER_RUNS, ids=[label for label, _ in ORDER_RUNS])
     def test_answers_do_not_depend_on_query_order(self, label, inst):
-        # a fresh engine over the run's steps, asked the run's keys in a
-        # shuffled order, builds the same candidate list per base time and
-        # gives every answer
+        # a fresh engine over the run's steps, asked the windows of the
+        # run's answers in a shuffled order, gives every answer and solves
+        # the same row per base time
         trace = run_cp(inst)
         check_inclusions(trace)
-        keys = list(trace.engine.cache)
+        answers = dict(solved(trace.engine))
+        keys = list(answers)
         random.Random(label).shuffle(keys)
         fresh = QueryEngine(inst, trace.steps)
         for key in keys:
-            got, want = fresh.p(*key), trace.engine.cache[key]
+            got, want = fresh.p(*key), answers[key]
             assert (got.members, got.weight, got.scale) == (want.members, want.weight, want.scale), key
-        assert fresh.lists == trace.engine.lists
+        assert fresh.rows == trace.engine.rows
 
     @given(small_instances(max_packets=8, max_release=5), st.data())
     @settings(max_examples=200, deadline=None)
@@ -678,12 +702,16 @@ TRAFFIC = {
 ALL_CHECKS = CheckConfig(inclusions=True, lemma_bounds=True, forced_opt=True, cross_check=True)
 
 
-class TestSlotAutomaton:
-    """The slot automaton that solves every window of at most NARROW slots,
-    checked against the union-find that solves the wider ones and against
-    the dynamic-programming oracle."""
+#: The widths of the lanes' slot automata.
+LANE_WIDTHS = sorted({e + 1 for _, e in ROW})
 
-    @pytest.mark.parametrize("width", range(1, NARROW + 1))
+
+class TestSlotAutomaton:
+    """The slot automaton of each lane width, checked against the union-find
+    that solves every other window and against the dynamic-programming
+    oracle."""
+
+    @pytest.mark.parametrize("width", LANE_WIDTHS)
     def test_every_state_and_column_agrees_with_the_union_find(self, width):
         # every reachable state, reached by the first column path the walk
         # finds to it, is replayed on the union-find and then met with each
@@ -697,7 +725,7 @@ class TestSlotAutomaton:
         for row, path in queue:
             for col in range(cols):
                 walk = (*path, col)
-                got = _solve(1, range(len(walk)), 0, 0, width - 1, [(rank, 0, c, 1) for rank, c in enumerate(walk)])
+                got = _solve(1, range(len(walk)), 0, width - 1, width - 1, [(rank, c, 1) for rank, c in enumerate(walk)])
                 assert got.mask & ((1 << len(path)) - 1) == (1 << len(path)) - 1, path
                 nxt = table[row + col]
                 assert (nxt >= 0) == bool(got.mask >> len(path) & 1), walk
@@ -715,32 +743,32 @@ class TestSlotAutomaton:
     @given(small_instances(max_packets=8, max_release=5), st.data())
     @settings(max_examples=300, deadline=None)
     def test_the_two_solvers_and_the_oracle_agree(self, inst, data):
-        # any window t <= t' <= t'' over a hand-built buffer B(t), narrow or
-        # wide: the walk (on at most NARROW slots) and the union-find give
-        # one mask over the engine's ranks, and dp_partial, seeded with all
-        # of B(t), the same answer
+        # any window t <= t' <= t'' over a hand-built buffer B(t), in the
+        # base row or not: the union-find and, for a ROW window, the row's
+        # lane give one mask over the engine's ranks, and dp_partial,
+        # seeded with all of B(t), the same answer
         horizon = max(inst.horizon, 0)
         t = data.draw(st.integers(0, horizon + 1), label="t")
-        t_arr = data.draw(st.integers(t, t + NARROW + 1), label="t'")
-        t_end = data.draw(st.integers(t_arr, t + NARROW + 2), label="t''")
+        t_arr = data.draw(st.integers(t, t + REACH + 2), label="t'")
+        t_end = data.draw(st.integers(t_arr, t + REACH + 3), label="t''")
         shaped = [p.id for p in inst.packets if p.release == t - 1 and p.deadline == t]
         sent = data.draw(st.sampled_from([None, *shaped]), label="sent at t-1")
         q = (t, t_arr, t_end)
         run = engine(inst, t, sent)
-        cands = run.candidates(t, t_arr)
-        swept = _solve(inst.scale, run.ids, *q, cands)
+        swept = _solve(inst.scale, run.ids, *q, run.candidates(t, t_arr))
         assert swept == dp_partial(q, inst, set(shaped) - {sent}), q
-        if t_end - t < NARROW:
-            walked = _walk(inst.scale, run.ids, *q, cands)
-            assert (walked.mask, walked.weight) == (swept.mask, swept.weight), q
+        if (t_arr - t, t_end - t) in ROW:
+            lane = ROW.index((t_arr - t, t_end - t))
+            masks, weights = _row(run.candidates(t, t + REACH))
+            assert (masks[lane], weights[lane]) == (swept.mask, swept.weight), q
 
     @pytest.mark.parametrize("label", list(TRAFFIC))
     def test_every_window_a_campaign_asks_is_narrow(self, label, monkeypatch):
-        # with every check on, the cross-check included, each window the
-        # engine caches but the optimum's (0, h, h) spans at most NARROW
-        # slots, so the union-find serves only opt_full, and only at
-        # horizons of NARROW or more; each base time's candidate list is its
-        # carry and buckets t .. t + NARROW - 1, never extended
+        # with every check on, the cross-check included, every window the
+        # engine answers but the optimum's (0, h, h) is a lane of a base
+        # row, so the union-find serves only opt_full, and only at horizons
+        # past the row's widest window; the run solves one row per step
+        # time and no other
         swept = 0
         union_find = offline._solve
 
@@ -755,9 +783,67 @@ class TestSlotAutomaton:
             run = evaluate(inst)
             res = certify(run, ALL_CHECKS)
             assert res.ok and res.instance is inst, inst
-            run_engine = run[0].engine
-            optimum = (0, inst.horizon, inst.horizon)
-            assert [key for key in run_engine.cache if key[2] - key[0] >= NARROW and key != optimum] == [], inst
-            assert swept == (bool(inst.packets) and inst.horizon >= NARROW), inst
-            for t, cands in run_engine.lists.items():
-                assert cands == run_engine.candidates(t, t + NARROW - 1), (inst, t)
+            trace = run[0]
+            wide = (0, inst.horizon, inst.horizon) if inst.horizon > REACH else None
+            assert list(trace.engine.cache) == ([wide] if wide else []), inst
+            assert swept == (wide is not None), inst
+            assert sorted(trace.engine.rows) == list(range(len(trace.steps))), inst
+
+
+class TestRowAutomaton:
+    """The product of the nine lanes' automata that solves a base row in one
+    walk, checked lane by lane against each lane's own automaton, the
+    union-find and the dynamic-programming oracle."""
+
+    def test_every_lane_steps_its_own_automaton(self):
+        # a walk of the product table from its start, keeping beside each
+        # product row the lane states it stands for: at every reachable
+        # state and column, each lane's move is its own automaton's step,
+        # or a skip where the column is released after the lane's t'; the
+        # code names exactly the lanes that keep the window, and the next
+        # row always stands for the same lane states
+        table, lanes = _row_automaton()
+        shift, cols = len(ROW), 2 * (REACH + 1)
+        automata = [_automaton(e + 1)[1] for _, e in ROW]
+        start = tuple([2 * (e + 1) for _, e in ROW])
+        seen = {cols: start}  # product row start -> lane states
+        queue = [cols]
+        for row in queue:
+            state = seen[row]
+            for col in range(cols):
+                nxt, code = list(state), 0
+                for lane, (a, _) in enumerate(ROW):
+                    if state[lane] and col >> 1 <= a and (moved := automata[lane][state[lane] + col]) >= 0:
+                        nxt[lane] = moved
+                        code |= 1 << lane
+                move = table[row + col]
+                assert move & ((1 << shift) - 1) == code, (state, col)
+                assert lanes[code] == tuple([lane for lane in range(shift) if code >> lane & 1])
+                if not code:
+                    continue
+                target = move >> shift
+                assert seen.setdefault(target, tuple(nxt)) == tuple(nxt), (state, col)
+                if target and target not in queue:
+                    queue.append(target)
+                assert (target == 0) == (not any(nxt)), (state, col)
+        assert len(seen) == len(table) // cols == 469  # the all-full state included
+        assert sum(entry is not None for entry in lanes) == 26
+
+    @given(small_instances(max_packets=10, max_release=7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_lane_equals_the_union_find_and_the_oracle(self, inst, data):
+        # base t >= 1 just after a release of edges, whose carry is drawn
+        # from release bucket t-1's deadline-t packets: every lane of the
+        # row equals the union-find on its window and dp_partial seeded
+        # with all of B(t)
+        after_edges = sorted({p.deadline for p in inst.packets if p.deadline > p.release})
+        t = data.draw(st.sampled_from(after_edges or [1]), label="t")
+        shaped = [p.id for p in inst.packets if p.release == t - 1 and p.deadline == t]
+        sent = data.draw(st.sampled_from([None, *shaped]), label="sent at t-1")
+        run = engine(inst, t, sent)
+        masks, weights = _row(run.candidates(t, t + REACH))
+        for (a, e), mask, weight in zip(ROW, masks, weights):
+            q = (t, t + a, t + e)
+            swept = _solve(inst.scale, run.ids, *q, run.candidates(t, t + a))
+            assert (mask, weight) == (swept.mask, swept.weight), q
+            assert PSet(mask, weight, inst.scale, run.ids) == dp_partial(q, inst, set(shaped) - {sent}), q

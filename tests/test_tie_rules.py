@@ -27,7 +27,7 @@ from bdsched import (
     model,
 )
 from bdsched.harness import certify, evaluate, online_buffers
-from conftest import mk
+from conftest import mk, solved
 from enumeration import OracleSizeError, brute_force_partial
 
 #: name -> (rank key, case-1.1 steps over H2K3; 6,004 under the canonical rule)
@@ -101,7 +101,7 @@ def test_fuzz_is_certified_and_every_answer_equals_the_enumeration(rule):
         assert res.ok, (seed, res.findings)
         trace = run[0]
         buffers = online_buffers(trace)
-        for key, got in trace.engine.cache.items():
+        for key, got in solved(trace.engine):
             try:
                 want = brute_force_partial(key, inst, buffers.get(key[0], ()))
             except OracleSizeError:
