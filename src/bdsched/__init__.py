@@ -30,6 +30,7 @@ from .model import (
     validate_instance,
 )
 from .offline import (
+    DPOracle,
     InternalInvariantError,
     PSet,
     QueryEngine,

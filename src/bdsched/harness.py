@@ -45,7 +45,7 @@ from .model import (
     render_decimal,
     render_value,
 )
-from .offline import InternalInvariantError, dp_partial, opt_full
+from .offline import DPOracle, InternalInvariantError, opt_full
 
 __all__ = [
     "CheckConfig",
@@ -168,13 +168,17 @@ def online_buffers(trace: CaseTrace) -> dict[int, set[int]]:
 
 def cross_check_queries(trace: CaseTrace) -> list[Finding]:
     """Replay every partial-optimum query the policy issued, then the
-    optimum's window (0, h, h) of a non-empty instance, against the
-    dynamic-programming oracle dp_partial, seeded with all of B(t) from
-    online_buffers: the answer the run's query engine gives (the one the
-    policy, the checks and opt_full consumed, seeded with the carry alone)
-    must agree exactly in members and total value, so the reduction to the
-    carry is checked too.  Every window is checked, whatever its size; the
-    tests hold a subset enumeration as dp_partial's reference."""
+    optimum's window (0, h, h) of an instance with a slot, against the
+    dynamic-programming oracle, one DPOracle of the run's instance, seeded
+    with all of B(t) from online_buffers: the answer the run's query engine
+    gives (the one the policy, the checks and opt_full consumed, seeded
+    with the carry alone) must agree exactly in members and total value, so
+    the reduction to the carry is checked too.  The oracle scans, scales
+    and ranks the packets once, on its own, and answers every window from
+    that index; both answers index the same rank table unless the engine's
+    is wrong, and then they compare by members.  Every window is checked,
+    whatever its size; the tests hold a subset enumeration as the oracle's
+    reference."""
     out: list[Finding] = []
     engine = trace.engine
     inst = engine.inst
@@ -182,9 +186,10 @@ def cross_check_queries(trace: CaseTrace) -> list[Finding]:
     windows = dict.fromkeys((t, t_arr, t_slot) for _now, t, t_arr, t_slot in trace.queries)
     if inst.horizon >= 0:
         windows[(0, inst.horizon, inst.horizon)] = None
+    oracle = DPOracle(inst)
     for t, t_arr, t_slot in windows:
         got = engine.p(t, t_arr, t_slot)
-        ref = dp_partial((t, t_arr, t_slot), inst, buffers.get(t, ()))
+        ref = oracle.partial((t, t_arr, t_slot), buffers.get(t, ()))
         if got != ref:
             out.append(
                 Finding(

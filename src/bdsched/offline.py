@@ -51,12 +51,15 @@ checks compare one engine's answers with integer and bit operations.
 Member ids and the rational total are decoded only when they are read: by
 a report, by the oracle cross-check or by a test.
 
-``dp_partial`` is the independent oracle that campaigns run: a max-weight
-dynamic program along the slot path, with its own scan, scale and sort of
-the packets, sharing no code path with either solver; only the
-specification, ``rank_key``, is common to them.  It is seeded with the
-whole pending set B(t), not the carry, so it checks the reduction to the
-carry on every query it answers, the optimum's window (0, h, h) included.
+:class:`DPOracle` is the independent oracle that campaigns run: a
+max-weight dynamic program along the slot path, sharing no code path with
+either solver; only the specification, ``rank_key``, is common to them.
+A run builds one: its own scan, scale and sort of the packets happen once,
+into release buckets of its own, and each window it answers reads only
+the buckets and the seed the window needs.  It is seeded with the whole
+pending set B(t), not the carry, so it checks the reduction to the carry
+on every query it answers, the optimum's window (0, h, h) included.
+:func:`dp_partial` asks a fresh oracle one window.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ __all__ = [
     "QueryEngine",
     "InternalInvariantError",
     "selector_windows",
+    "DPOracle",
     "dp_partial",
     "opt_full",
 ]
@@ -113,10 +117,13 @@ class PSet:
     member_set: members as a frozenset
 
     The query engine's masks index the ranks of its run's rank index (its
-    ``ids``), so two answers of one engine nest iff their masks do;
-    ``dp_partial``'s index the ranks of its own sort.  Equality and
-    hashing read the members and the rational total, so answers of either
-    source, at any scale, compare by value.  A plain slotted class, not a
+    ``ids``), so two answers of one engine nest iff their masks do; a
+    :class:`DPOracle`'s index the ranks of its own sort, a table equal to
+    the engine's when both ranked under one rule.  Equality compares the
+    masks where both rank tables are equal and the members, in canonical
+    order, where they differ, and the totals as rationals; hashing reads
+    the members and the rational total.  So answers of either source, at
+    any scale, compare by value.  A plain slotted class, not a
     frozen dataclass, because the engine builds one per read of a row's
     lane and per swept window; the swept ones are shared through the
     engine's cache and never modified.
@@ -150,16 +157,18 @@ class PSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PSet):
             return NotImplemented
-        return self.members == other.members and self.weight * other.scale == other.weight * self.scale
+        ids, other_ids = self.ids, other.ids
+        if ids is other_ids or ids == other_ids:
+            same = self.mask == other.mask
+        else:  # masks over different rank tables: compare the members
+            same = self.members == other.members
+        return same and self.weight * other.scale == other.weight * self.scale
 
     def __hash__(self) -> int:
         return hash((self.members, self.total_value))
 
     def __repr__(self) -> str:
         return f"PSet(members={self.members!r}, weight={self.weight!r}, scale={self.scale!r})"
-
-
-_EMPTY_PSET = PSet(0, 0, 1, ())
 
 
 def _edf_assignment(kept: Sequence[Packet], slot_end: int) -> dict[int, int]:
@@ -373,67 +382,147 @@ def _solve(scale: int, ids: Sequence[int], t: int, t_arr: int, t_end: int, cands
     return PSet(mask, total, scale, ids)
 
 
-def dp_partial(window: tuple[int, int, int], inst: Instance, pending: Collection[int] = ()) -> PSet:
-    """Independent oracle: a maximum-weight dynamic program along the slots
-    of the query `window` (t, t', t''), seeded with the ids `pending` before
-    the arrivals at t, all of B(t).  Raises ValueError unless
-    t <= t' <= t''.
+#: The slot tops (loop, edge, next edge) of a slot no packet starts at.
+_NO_TOPS = (0, 0, 0)
 
-    The eligible packets, read by its own scan of ``inst.packets``, get
-    integer values scaled by the LCM of their denominators, are sorted by
-    :func:`~bdsched.model.rank_key` on those values and get integer weights
-    value * scale * 2**n + 2**(n - 1 - rank).  The value dominates, and the
-    low n bits, one per rank, break every tie toward the canonically earlier
-    packet: the unique heaviest feasible set is the canonical one, and its
-    weight spells out its members (the low bits) and its total (the high
-    bits).  The answer is a mask over the ranks of this sort.
 
-    A packet's window clipped to [t, t''] is one slot or two adjacent ones.
-    One pass over the slots keeps two best weights: with slot s free, and
-    with slot s taken by a two-slot packet carried from s - 1.  At s a free
-    slot takes the heaviest packet whose window starts at s, and the heaviest
-    two-slot packet starting at s may be carried to s + 1 beside the
-    heaviest other one.  Raises ValueError if an eligible packet is not
+class DPOracle:
+    """Independent oracle over one instance: a maximum-weight dynamic
+    program along the slots of each query window (t, t', t''), seeded with
+    all of B(t).  A run builds one and asks it every window it checks.
+
+    The constructor does the oracle's own scan of ``inst.packets``, once:
+    integer values scaled by the LCM of the value denominators, a sort by
+    :func:`~bdsched.model.rank_key` on those values, and integer weights
+    value * scale * 2**n + 2**(n - 1 - rank) for the instance's n packets.
+    The value dominates, and the low n bits, one per rank, break every tie
+    toward the canonically earlier packet: the unique heaviest feasible set
+    is the canonical one, and its weight spells out its members (the low
+    bits) and its total (the high bits).  A packet's weight alone thus
+    orders it against any other, as its rank does.  ``ids`` is the rank ->
+    id table its answers' masks index.  Raises ValueError, naming the
+    packet, if an id repeats or any packet, whatever the windows, is not
     2-bounded.
+
+    The packets are indexed by release, in rank order, as the tops of their
+    first slot: ``tops`` maps a release r to the weights of its heaviest
+    loop (deadline r) and of its two heaviest edges (deadline r + 1), 0
+    where there is none, and ``flats`` to the heaviest of them all, which
+    is the only one a window ending at slot r can use.  ``entries`` maps an
+    id to (release, deadline, weight), for the seed.  Packets with an empty
+    window (deadline < release) get a rank and nothing else.
     """
-    t, t_arr, t_end = window
-    if not t <= t_arr <= t_end:
-        raise _out_of_order(t, t_arr, t_end)
-    pool = [p for p in inst.packets if (p.id in pending or t <= p.release <= t_arr)
-            and max(t, p.release) <= min(t_end, p.deadline)]
-    if not pool:
-        return _EMPTY_PSET
-    n = len(pool)
-    # lists, not generator expressions: generators here raised the peak
-    # resident memory of a 4,800-seed serial campaign by about 0.5 MB
-    scale = math.lcm(*[p.value.denominator for p in pool])
-    ranked = sorted([(p, p.value.numerator * (scale // p.value.denominator)) for p in pool], key=lambda pv: model.rank_key(*pv))
-    # first slot -> weights of its heaviest one-slot packet and of its two
-    # heaviest two-slot packets, 0 where there is none
-    tops: dict[int, list[int]] = {}
-    for rank, (p, value) in enumerate(ranked):
-        release, deadline = p.release, p.deadline
-        if deadline - release > 1:
-            raise ValueError(f"packet {p.id} is not 2-bounded: window [{release}, {deadline}]")
-        lo = max(t, release)
-        weight = (value << n) | (1 << (n - 1 - rank))
-        top = tops.setdefault(lo, [0, 0, 0])
-        if lo < min(t_end, deadline):
-            if not top[1]:
+
+    def __init__(self, inst: Instance):
+        packets = inst.packets
+        seen: set[int] = set()
+        for p in packets:
+            if p.id in seen:
+                raise ValueError(f"packet id {p.id} is not unique")
+            seen.add(p.id)
+        # lists, not generator expressions: generators here raised the peak
+        # resident memory of a 4,800-seed serial campaign by about 0.5 MB
+        self.scale = scale = math.lcm(*[p.value.denominator for p in packets])
+        ranked = sorted([(p, p.value.numerator * (scale // p.value.denominator)) for p in packets],
+                        key=lambda pv: model.rank_key(*pv))
+        self.n = n = len(ranked)
+        self.ids = tuple([p.id for p, _ in ranked])
+        tops: dict[int, list[int]] = {}
+        entries: dict[int, tuple[int, int, int]] = {}
+        for rank, (p, value) in enumerate(ranked):
+            release, deadline = p.release, p.deadline
+            if deadline - release > 1:
+                raise ValueError(f"packet {p.id} is not 2-bounded: window [{release}, {deadline}]")
+            if deadline < release:
+                continue
+            weight = (value << n) | (1 << (n - 1 - rank))
+            entries[p.id] = (release, deadline, weight)
+            top = tops.setdefault(release, [0, 0, 0])  # rank order: the first of a kind is its heaviest
+            if deadline == release:
+                if not top[0]:
+                    top[0] = weight
+            elif not top[1]:
                 top[1] = weight
             elif not top[2]:
                 top[2] = weight
-        elif not top[0]:
-            top[0] = weight
-    # best weights with slot s free / taken by a packet carried from s - 1;
-    # taken reads 0 when nothing is carried into s, which never beats free
-    free = taken = 0
-    for s in range(t, t_end + 1):
-        one, two, two_next = tops.get(s, (0, 0, 0))
-        free, taken = max(free + max(one, two), taken), (max(free + max(one, two_next), taken) + two if two else 0)
-    low = free & ((1 << n) - 1)
-    mask = sum([1 << rank for rank in range(n) if low >> (n - 1 - rank) & 1])
-    return PSet(mask, free >> n, scale, tuple([p.id for p, _ in ranked]))
+        self.tops = {r: tuple(top) for r, top in tops.items()}
+        self.flats = {r: (one if one > two else two, 0, 0) for r, (one, two, _) in self.tops.items()}
+        self.entries = entries
+
+    def partial(self, window: tuple[int, int, int], pending: Collection[int] = ()) -> PSet:
+        """The canonical partial optimum of `window` (t, t', t''), seeded
+        with the ids `pending` before the arrivals at t, all of B(t); an id
+        no packet has adds nothing.  Raises ValueError unless
+        t <= t' <= t''.
+
+        A packet's window clipped to [t, t''] is one slot or two adjacent
+        ones.  One pass over the slots keeps two best weights: with slot s
+        free, and with slot s taken by a two-slot packet carried from
+        s - 1.  At s a free slot takes the heaviest packet whose window
+        starts at s, and the heaviest two-slot packet starting at s may be
+        carried to s + 1 beside the heaviest other one.  The slots of
+        release buckets t .. t' read their tops, the bucket at t'' its
+        flat, and the seed's packets not released in [t, t'] join the tops
+        of their first slot.  The answer is a mask over ``ids``."""
+        t, t_arr, t_end = window
+        if not t <= t_arr <= t_end:
+            raise _out_of_order(t, t_arr, t_end)
+        tops, flats = self.tops, self.flats
+        seeded: dict[int, list[int]] = {}  # slot -> its tops with the seed's packets joined
+        for pid in pending:
+            entry = self.entries.get(pid)
+            if entry is None:
+                continue
+            release, deadline, weight = entry
+            if t <= release <= t_arr:  # in a bucket already
+                continue
+            lo = release if release > t else t
+            hi = deadline if deadline < t_end else t_end
+            if lo > hi:
+                continue
+            top = seeded.get(lo)
+            if top is None:
+                top = seeded[lo] = list((tops if lo < t_end else flats).get(lo, _NO_TOPS) if lo <= t_arr else _NO_TOPS)
+            if lo == hi:
+                if weight > top[0]:
+                    top[0] = weight
+            elif weight > top[1]:
+                top[1], top[2] = weight, top[1]
+            elif weight > top[2]:
+                top[2] = weight
+        # best weights with slot s free / taken by a packet carried from s - 1;
+        # taken reads 0 when nothing is carried into s, which never beats free
+        free = taken = 0
+        for s in range(t, t_end + 1):
+            top = seeded.get(s)
+            if top is None:
+                top = (tops if s < t_end else flats).get(s, _NO_TOPS) if s <= t_arr else _NO_TOPS
+            one, two, two_next = top
+            kept = free + (one if one > two else two)
+            if two:
+                carried = free + (one if one > two_next else two_next)
+                carried = (carried if carried > taken else taken) + two
+            else:
+                carried = 0
+            free = kept if kept > taken else taken
+            taken = carried
+        n = self.n
+        low = free & ((1 << n) - 1)
+        mask = 0
+        while low:  # tie bit 2**(n - 1 - rank) -> mask bit 2**rank
+            bit = low & -low
+            mask |= 1 << (n - bit.bit_length())
+            low ^= bit
+        return PSet(mask, free >> n, self.scale, self.ids)
+
+
+def dp_partial(window: tuple[int, int, int], inst: Instance, pending: Collection[int] = ()) -> PSet:
+    """Independent oracle: :meth:`DPOracle.partial` of a fresh oracle of
+    `inst`, the answer to the query `window` (t, t', t'') seeded with the
+    ids `pending`, all of B(t).  A campaign builds one :class:`DPOracle` per
+    run and asks it every window; this is the same dynamic program, for one
+    window."""
+    return DPOracle(inst).partial(window, pending)
 
 
 def selector_windows(kind: str, t: int, i: int) -> tuple[tuple[int, int, int], tuple[int, int, int] | None]:

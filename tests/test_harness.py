@@ -48,6 +48,7 @@ from bdsched import (
     instance_hash,
     load_instance,
     minimize_witness,
+    model,
     profit,
     render_decimal,
     render_value,
@@ -134,6 +135,24 @@ class TestCrossCheck:
         self.drop_last_member(inst, trace, (0, 0, 0))
         findings = cross_check_queries(trace)
         assert [(f.kind, f.detail) for f in findings] == [("oracle-mismatch", "query (0,0,0)")]
+
+    def test_an_oracle_seeded_without_the_best_of_b_t_is_caught(self, monkeypatch):
+        # the oracle is seeded with all of B(t), the engine with its best
+        # packet alone: dropping that packet from every B(t) the oracle
+        # reads makes the cross-check, and no other check, report every
+        # answer the carry joins; unpatched, the same campaign is clean
+        seeds = range(1_000)
+        assert run_fuzz(seeds, RandomConfig(), ALL_CHECKS).ok
+        buffers = harness_mod.online_buffers
+
+        def without_best(trace):
+            inst = trace.engine.inst
+            rank = {pid: model.rank_key(inst.by_id(pid), inst.weights[pid]) for pid in inst.weights}
+            return {t: pending - {min(pending, key=rank.get)} for t, pending in buffers(trace).items()}
+
+        monkeypatch.setattr(harness_mod, "online_buffers", without_best)
+        caught = run_fuzz(seeds, RandomConfig(), ALL_CHECKS).summary
+        assert (caught.violations, caught.findings_by_kind) == (536, {"oracle-mismatch": 807})
 
     def test_optimum_that_stops_one_slot_early_is_caught(self, monkeypatch):
         # a union-find that stops once one slot is left, not none, keeps all

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdsched import (
+    DPOracle,
     Instance,
     InternalInvariantError,
     Packet,
@@ -35,6 +36,7 @@ from conftest import clairvoyant, grid_bases, mk, pset, set_lane, solved
 from enumeration import BRUTE_FORCE_LIMIT, OracleSizeError, brute_force_partial
 from test_acceptance import CHAIN_VARIANTS, SWEEP_GRID
 from test_model import MIXED_VALUES, any_packets
+from test_tie_rules import TIE_RULES
 
 
 def engine(inst: Instance, t: int = 0, sent: int | None = None) -> QueryEngine:
@@ -289,6 +291,38 @@ class TestDPOracle:
         with pytest.raises(ValueError, match="packet 7 is not 2-bounded"):
             dp_partial((0, 0, 0), inst)
 
+    @pytest.mark.parametrize("packets, message", [
+        (EMPTY_WINDOW_REPEAT, "packet id 0 is not unique"),
+        ((Packet(3, 0, 0, Fraction(1)), Packet(3, 1, 1, Fraction(2))), "packet id 3 is not unique"),
+        ((Packet(0, 0, 0, Fraction(1)), Packet(7, 5, 7, Fraction(2))), "packet 7 is not 2-bounded"),
+    ], ids=["empty-window-repeat", "repeat", "not-2-bounded"])
+    def test_oracle_rejects_what_the_engine_rejects(self, packets, message):
+        # at construction, whatever the windows: a per-id index would keep
+        # one copy of a repeated id, and packet 7 is released after every
+        # window the base (0, 0, 0) asks
+        inst = Instance(packets)
+        for build in (DPOracle, lambda inst: QueryEngine(inst, [])):
+            with pytest.raises(ValueError, match=message):
+                build(inst)
+        with pytest.raises(ValueError, match=message):
+            dp_partial((0, 0, 0), inst)
+
+    @given(small_instances(max_packets=6, max_release=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_oracle_answers_every_window_in_any_order(self, inst, data):
+        # one oracle per instance, asked every window t <= t' <= t'' <= t' + 2
+        # of every base t, each base with a drawn B(t), in a shuffled order:
+        # no answer depends on the windows asked before it
+        oracle = DPOracle(inst)
+        horizon = max(inst.horizon, 0)
+        windows = []
+        for t in range(horizon + 1):
+            carried = sorted(p.id for p in inst.packets if p.release < t <= p.deadline)
+            base = data.draw(st.sets(st.sampled_from(carried)) if carried else st.just(set()), label=f"B({t})")
+            windows += [((t, t_arr, t_slot), base) for t_arr in range(t, horizon + 2) for t_slot in range(t_arr, t_arr + 3)]
+        for q, base in data.draw(st.permutations(windows), label="order"):
+            assert oracle.partial(q, base) == brute_force_partial(q, inst, base), (q, base)
+
     def test_no_size_limit(self):
         inst = Instance(Packet(i, 0, 1, Fraction(i + 1)) for i in range(BRUTE_FORCE_LIMIT + 5))
         ps = dp_partial((0, 0, 1), inst)
@@ -444,6 +478,44 @@ class TestIntegerAnswers:
         assert pset((), 0, 7) == pset((), 0) and hash(pset((), 0, 7)) == hash(pset((), 0))
         assert same[2].total_value == Fraction(8) and same[2].member_set == {0, 1}
         assert same[0] != (0, 1)
+
+    def test_equality_over_one_rank_table_reads_masks(self):
+        # equal tables: mask and weight decide, and no member is decoded
+        ids = (4, 2, 9)
+        a, b = PSet(0b101, 8, 1, ids), PSet(0b101, 16, 2, tuple(list(ids)))  # an equal table, another object
+        assert a == b and a._members is None and b._members is None
+        assert a != PSet(0b011, 8, 1, ids) and a != PSet(0b101, 9, 1, ids)
+        assert hash(a) == hash(b)
+        # different tables: the members decide, in canonical order, so equal
+        # masks over two tables can differ and different masks can agree
+        assert PSet(0b01, 5, 1, (0, 1)) != PSet(0b01, 5, 1, (1, 0))
+        moved = PSet(0b01, 5, 1, (0, 1)), PSet(0b10, 5, 1, (1, 0))
+        assert moved[0] == moved[1] and hash(moved[0]) == hash(moved[1])
+
+    def test_engine_and_oracle_over_one_rule_share_a_table(self):
+        # a run's engine and its oracle rank the packets apart, under the
+        # same rule, into equal tables
+        inst = mk((0, 0, 5), (0, 1, 1), (1, 1, 1), (1, 1, 2))
+        run, oracle = QueryEngine(inst, []), DPOracle(inst)
+        assert oracle.ids == run.ids and oracle.ids is not run.ids
+        for q in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)):
+            assert run.p(*q) == oracle.partial(q) and hash(run.p(*q)) == hash(oracle.partial(q)), q
+
+    def test_answers_over_a_rebound_rule_compare_by_members(self, monkeypatch):
+        # the engine ranks under the canonical rule, the oracle under a
+        # rebound one that puts the loop at 1 before the edge {0, 1}: the
+        # tables differ, so answers compare by members, and two answers with
+        # equal masks and weights over them are not equal
+        inst = mk((0, 0, 5), (0, 1, 1), (1, 1, 1))
+        run = QueryEngine(inst, [])
+        monkeypatch.setattr(model, "rank_key", TIE_RULES["release-desc"][0])
+        oracle = DPOracle(inst)
+        assert (run.ids, oracle.ids) == ((0, 1, 2), (0, 2, 1))
+        got, ref = run.p(0, 0, 0), oracle.partial((0, 0, 0))
+        assert got.mask == ref.mask and got == ref and hash(got) == hash(ref)
+        got, ref = run.p(0, 1, 1), oracle.partial((0, 1, 1))
+        assert (got.mask, got.weight) == (ref.mask, ref.weight) and (got.members, ref.members) == ((0, 1), (0, 2))
+        assert got != ref
 
     def test_engine_out_of_order_query_rejected(self):
         # every query is a window t <= t' <= t''; P(t, t-1, t-1) is no query
