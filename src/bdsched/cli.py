@@ -222,7 +222,7 @@ def cmd_exhaustive(args) -> int:
     keep_rows = args.format == "csv"
     checked = total if keep_rows else count_bases(spec)
     folded = total - checked
-    print(f"checked instances: {checked}   translates and inert twins folded in: {folded}", file=sys.stderr)
+    print(f"checked instances: {checked}   translates, inert twins and scaled copies folded in: {folded}", file=sys.stderr)
     checks = CheckConfig(forced_opt=True)
     report = run_exhaustive(spec, checks, workers=args.workers, keep_rows=keep_rows)
     _print_report(report, args.format)

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, islice
 
 from .model import Instance, Packet, Rat
 
@@ -96,61 +96,141 @@ def enumerate_instances(spec: GridSpec, workers: int = 1, residue: int = 0):
 
 
 def enumerate_bases(spec: GridSpec, workers: int = 1, residue: int = 0):
-    """(index, instance, translates, twins) for every irreducible base of
-    the grid.
+    """(index, instance, translates, twins) for every checked base of the
+    grid: an irreducible base whose value set has no scaled copy below it.
 
     A base has a packet released at 0 (the empty instance is its own base).
     Shifting a base whose largest release is M by s = 1 .. horizon - M steps
     gives its translates: together with the base they are exactly the grid
     instances of the same shape up to a shift.
 
-    The fold drops two kinds of inert packet: a loop (deadline = release)
-    that model.rank_key ranks after another loop of its release, and an
-    edge (deadline = release + 1) ranked after two other edges of its
-    release.  A base is irreducible when it holds neither: at most one loop
-    and two edges per release.  It may still hold an inert packet of
-    another kind, a loop ranked after two edges of its release, which joins
-    no optimum either; the fold keeps it.  Its `twins` are the
-    grid bases that drop to it once their inert packets go, itself
-    included: with m = max_packets - |base| and E the number of values at
-    most each release's loop, plus the number at most the lower edge of
-    each release with two edges, a twin adds a multiset of at most m of
-    those E inert shapes, so twins = C(E + m, m).  Dropping inert packets
-    keeps the smallest and the largest release, so the irreducible bases,
-    their twins and the twins' translates partition the grid.  A base has
-    fewer packets than its other twins and sorts before its translates, so
-    `index`, its position in the enumerate_instances stream, is the lowest
-    of its class.
+    The fold drops three kinds of inert packet, each ranked by
+    model.rank_key after packets of its release that fill its slots: a
+    loop (deadline = release) ranked after another loop of its release, a
+    loop worth less than two edges (deadline = release + 1) of its release,
+    and an edge ranked after two other edges of its release.  A base is
+    irreducible when it holds none: at most one loop and two edges per
+    release, and a loop at least as valuable as the lower of two edges.
+    Its twins are the grid bases that drop to it once their inert packets
+    go, itself included: with m = max_packets - |base| and E summing, over
+    its releases, the number of values at most the release's loop, the
+    number at most the lower edge where the release has two edges, and,
+    where it has two edges and no loop, the number below the lower edge, a
+    twin adds a multiset of at most m of those E inert shapes, so it has
+    C(E + m, m) twins.  Dropping inert packets keeps the smallest and the
+    largest release.
 
-    With workers > 1 the stream keeps every workers-th irreducible base,
-    starting at the residue-th; the others are skipped as position tuples,
-    before any Instance is built.
+    The fold also drops scaled copies: multiplying every value of an
+    irreducible base by some c > 0 that keeps them in the grid gives another
+    irreducible base of the same shape.  Only the smallest copy, whose
+    value set has no copy by any c < 1 in the grid, is yielded, and its
+    `twins` sum C(E_c + m, m) over every copy c >= 1, each copy with its own
+    inert-shape count E_c.  So the checked bases, their copies' twins and
+    those twins' translates partition the grid.  A base sorts before its
+    copies (each of its positions is lower), its copies before their other
+    twins (fewer packets) and every twin before its translates, so `index`,
+    the base's position in the enumerate_instances stream, is the lowest of
+    its class.
+
+    The packets come from one table built per call, packet id i of shape
+    position x being table[i][x], so no base builds a Packet.  With
+    workers > 1 the stream keeps every workers-th checked base, starting at
+    the residue-th; the others are skipped as position tuples, before any
+    Instance is built.
     """
     universe = _universe(spec)
     k = spec.max_packets
-    for index, positions, inert in islice(_irreducible(spec), residue, None, workers):
-        shapes = [universe[x] for x in positions]
-        translates = spec.horizon - shapes[-1][0] if shapes else 0
-        yield index, _from_shapes(shapes), translates, math.comb(inert + k - len(shapes), inert)
+    width = len(set(spec.value_grid))
+    table = [[Packet(i, r, d, v) for r, d, v in universe] for i in range(k)]
+    for index, positions, inert, scale_ups in islice(_checked(spec), residue, None, workers):
+        m = k - len(positions)
+        twins = math.comb(inert + m, m)
+        for mapping in scale_ups:
+            twins += math.comb(_inert_shapes(positions, width, mapping) + m, m)
+        translates = spec.horizon - universe[positions[-1]][0] if positions else 0
+        yield index, Instance([table[i][x] for i, x in enumerate(positions)]), translates, twins
+
+
+def _checked(spec: GridSpec):
+    """(index, positions, E, scale_ups) for every irreducible base, as
+    _irreducible yields it, whose value set has no scaled copy by a c < 1 in
+    the grid, with scale_ups the images of its copies by every c > 1 (see
+    _scaled_copies), memoized per value set."""
+    maps = _scalings(sorted(set(spec.value_grid)))
+    copies: dict[int, list[list[int | None]] | None] = {}
+    for index, positions, inert, used in _irreducible(spec):
+        if used not in copies:
+            copies[used] = _scaled_copies(maps, used)
+        if copies[used] is not None:
+            yield index, positions, inert, copies[used]
+
+
+def _scalings(values: list[Rat]) -> list[list[tuple[int, list[int | None]]]]:
+    """maps[a][g] = (mask, image) for the scaling c = values[g] / values[a]
+    of the ascending `values`: image[j] is the index of values[j] * c, or
+    None where that is off the grid, and mask has bit j set where it is on."""
+    index = {v: j for j, v in enumerate(values)}
+    maps = []
+    for a in values:
+        row = []
+        for g in values:
+            image = [index.get(v * g / a) for v in values]
+            row.append((sum([1 << j for j, i in enumerate(image) if i is not None]), image))
+        maps.append(row)
+    return maps
+
+
+def _scaled_copies(maps, used: int) -> list[list[int | None]] | None:
+    """For the value set whose indices are the bits of `used`: None if some
+    c < 1 maps it into the grid, and otherwise the images (see _scalings) of
+    its copies by every c > 1 that does.  A copy maps the set's smallest
+    value a to some grid value g, so c = values[g] / values[a]."""
+    if not used:
+        return []
+    a = (used & -used).bit_length() - 1
+    out = []
+    for g, (mask, image) in enumerate(maps[a]):
+        if g != a and not used & ~mask:
+            if g < a:
+                return None
+            out.append(image)
+    return out
+
+
+def _inert_shapes(positions, width: int, mapping: list[int]) -> int:
+    """E (see enumerate_bases) of the irreducible base at universe
+    `positions` once each value index j is replaced by mapping[j]."""
+    e = 0
+    for i, x in enumerate(positions):
+        cls = x // width
+        j = mapping[x % width] + 1  # values at most this one
+        if not cls & 1:
+            e += j  # a loop
+        elif i + 1 < len(positions) and positions[i + 1] // width == cls:  # the lower of two edges
+            e += j if i and positions[i - 1] // width == cls - 1 else 2 * j - 1
+    return e
 
 
 def _irreducible(spec: GridSpec):
-    """(index, positions, E) for every irreducible base in enumeration order:
-    its universe positions, nondecreasing, and E, the number of inert shapes a
-    twin may add (see enumerate_bases).
+    """(index, positions, E, used) for every irreducible base in enumeration
+    order: its universe positions, nondecreasing, E, the number of inert
+    shapes a twin may add (see enumerate_bases), and the mask of the value
+    indices it uses.
 
-    A depth-first search in lexicographic order that never extends a
-    prefix by a second loop or a third edge of one release.  The universe
+    A depth-first search in lexicographic order that never extends a prefix
+    by a second loop or a third edge of one release, nor by a second edge of
+    a release whose loop is worth less than its first edge.  The universe
     lists shape (release, deadline, j-th smallest value) at position
-    (2 * release + deadline - release) * width + j - 1, so a position's slot
-    class is position // width, a loop's class is even, and j counts the
-    values at most the shape's value.  A prefix's index is summed as it
-    grows: choosing x after lo at a point with `rem` positions still to
-    fill skips the below[rem][x] - below[rem][lo] tuples that continue with
-    a position in [lo, x).
+    (2 * release + deadline - release) * width + j - 1, so a position's
+    slot class is position // width, a loop's class is even, the loop of an
+    edge's release is in the class just below it, and j counts the values at
+    most the shape's value.  A prefix's index is summed as it grows:
+    choosing x after lo at a point with `rem` positions still to fill skips
+    the below[rem][x] - below[rem][lo] tuples that continue with a position
+    in [lo, x).
     """
     if spec.max_packets == 0:
-        yield 0, (), 0
+        yield 0, (), 0, 0
         return
     u = len(_universe(spec))
     width = len(set(spec.value_grid))
@@ -160,7 +240,7 @@ def _irreducible(spec: GridSpec):
         # below[rem][x]: nondecreasing tuples of rem + 1 positions starting below x
         below = [[math.comb(u + r, r + 1) - math.comb(u - x + r, r + 1) for x in range(u + 1)] for r in range(size)]
 
-        def grow(prefix, lo, index, inert, bound):
+        def grow(prefix, lo, index, inert, used, bound):
             rem = size - len(prefix) - 1
             row = below[rem]
             last = prefix[-1] // width if prefix else -1
@@ -169,15 +249,22 @@ def _irreducible(spec: GridSpec):
                 if cls != last:
                     gain = 0 if cls & 1 else x % width + 1  # a loop's inert shapes
                 elif cls & 1 and (len(prefix) < 2 or prefix[-2] // width != cls):
-                    gain = prefix[-1] % width + 1  # the lower of two edges
+                    j = prefix[-1] % width + 1  # the lower of two edges
+                    if len(prefix) < 2 or prefix[-2] // width != cls - 1:
+                        gain = 2 * j - 1  # no loop: the edges' inert shapes and the loops below them
+                    elif prefix[-2] % width + 1 >= j:
+                        gain = j
+                    else:
+                        continue  # the loop is worth less than both edges
                 else:
                     continue
+                mask = used | 1 << x % width
                 if rem:
-                    yield from grow(prefix + (x,), x, index + row[x] - row[lo], inert + gain, u)
+                    yield from grow(prefix + (x,), x, index + row[x] - row[lo], inert + gain, mask, u)
                 else:
-                    yield index + row[x] - row[lo], prefix + (x,), inert + gain
+                    yield index + row[x] - row[lo], prefix + (x,), inert + gain, mask
 
-        yield from grow((), 0, offset, 0, first)
+        yield from grow((), 0, offset, 0, 0, first)
         offset += math.comb(u + size - 1, size)
 
 
@@ -208,21 +295,40 @@ def count_bases(spec: GridSpec) -> int:
     """Closed-form size of the enumerate_bases stream.
 
     With V distinct values, one release holds no loop or one of V, and no
-    edge, one of V or one of the V(V+1)/2 pairs, so
-    P(x) = (1 + Vx)(1 + Vx + V(V+1)/2 x^2) counts its irreducible contents
-    by size.  Release 0 is non-empty and the other horizon releases are
-    free, so the irreducible bases number the sum over j = 1 .. max_packets
-    of [x^j] (P(x) - 1) P(x)^horizon.  The empty instance of a zero packet
-    budget is its own base.
+    edge, one of V or one of the V(V+1)/2 pairs; a loop beside a pair is
+    at least the lower edge, and sum_j (V - j + 1)^2 = V(V+1)(2V+1)/6 such
+    triples exist.  So P(x) = 1 + 2Vx + (V^2 + V(V+1)/2) x^2 +
+    V(V+1)(2V+1)/6 x^3 counts its irreducible contents by size.  Release 0
+    is non-empty and the other horizon releases are free, so the
+    irreducible bases over V values number f(V), the sum over
+    j = 1 .. max_packets of [x^j] (P(x) - 1) P(x)^horizon, and by
+    inclusion-exclusion those whose values are exactly a set of s values
+    number g(s) = sum_i (-1)^(s - i) C(s, i) f(i).  The count sums g(|S|)
+    over the minimal value sets S of at most max_packets values, those
+    with no scaled copy by a c < 1 in the grid.  The empty instance of a
+    zero packet budget is its own base.
     """
     k = spec.max_packets
     if k == 0:
         return 1
-    v = len(set(spec.value_grid))
-    pairs = v * (v + 1) // 2
-    p = [1, 2 * v, v * v + pairs, v * pairs]
+    values = sorted(set(spec.value_grid))
+    maps = _scalings(values)
+    sizes = range(min(k, len(values)) + 1)
+    f = [_irreducible_count(v, spec.horizon, k) for v in sizes]
+    g = [sum((-1) ** (s - i) * math.comb(s, i) * f[i] for i in range(s + 1)) for s in sizes]
+    return sum(
+        g[s]
+        for s in sizes[1:]
+        for members in combinations([1 << j for j in range(len(values))], s)
+        if _scaled_copies(maps, sum(members)) is not None
+    )
+
+
+def _irreducible_count(v: int, horizon: int, k: int) -> int:
+    """The irreducible bases of at most k packets over v values (see count_bases)."""
+    p = [1, 2 * v, v * v + v * (v + 1) // 2, v * (v + 1) * (2 * v + 1) // 6]
     poly = [0] + p[1:]  # P - 1
-    for _ in range(spec.horizon):
+    for _ in range(horizon):
         poly = [sum(a * p[j - i] for i, a in enumerate(poly) if 0 <= j - i < 4) for j in range(k + 1)]
     return sum(poly[1 : k + 1])
 

@@ -410,23 +410,28 @@ def run_exhaustive(
     """Check every instance of the grid, indexed by enumeration order.
 
     A campaign with rows checks every instance, since each row is its own
-    instance's.  A summary-only campaign checks only the grid's irreducible
-    bases, the instances with a packet released at 0 and at most one loop
-    and two edges per release, and the summary folds in each one's twins
-    and their translates exactly (see enumerate_bases and Summary).
+    instance's.  A summary-only campaign checks only the grid's checked
+    bases, the instances with a packet released at 0, at most one loop and
+    two edges per release, no loop ranked after two edges of its release,
+    and no scaled copy by a c < 1 in the grid, and the summary folds in
+    each one's scaled copies, their twins and the twins' translates exactly
+    (see enumerate_bases and Summary).
 
     Folding the twins is sound because an inert packet, a loop ranked after
-    another loop of its release or an edge ranked after two edges of its
-    release, changes nothing a check reads:
+    another loop or after two edges of its release, or an edge ranked after
+    two edges of its release, changes nothing a check reads:
 
     * the greedy behind every partial optimum and opt_full offers packets
       their slots in rank order; every component of slots has at most one
       free slot, and a full component stays full.  So once release r's
       best loop has been offered, slot r's component is full, and once its
-      best two edges have, the component of slots r and r + 1 is full: an
-      inert packet, ranked after them, joins no P(t, t', t'') and no
-      opt_full answer, nor the optimum dp_partial finds when
-      cross_check_queries seeds it with all of B(t);
+      best two edges have, the component of slots r and r + 1 is full, or
+      of slot r alone in a window that ends at r.  A loop of release r is
+      eligible only in windows that hold slot r, so one ranked after the
+      release's two edges meets a full component in every window, a
+      clipped one included.  An inert packet, ranked after them, joins no
+      P(t, t', t'') and no opt_full answer, nor the optimum dp_partial
+      finds when cross_check_queries seeds it with all of B(t);
     * the carry of B(t) is the best edge of release t - 1 that step t - 1
       did not send, one of the release's best two, so it is never inert;
       and the policy sends and commits only selector packets, the members
@@ -436,6 +441,16 @@ def run_exhaustive(
     * a twin has more packets than its base, so it comes later in the
       enumeration, and the argmax and first-violation ties resolve to the
       base.
+
+    Folding the scaled copies is sound because every guard, check and ratio
+    comparison is homogeneous in the packet values: the policy's guards
+    and every bound read x <= R * y or x >= alpha * y, the interval and
+    global verdicts compare opt with R * policy, the summary compares
+    ratios by cross-multiplication, and model.rank_key orders by value, so
+    a copy with every value times c keeps every order and every answer, and
+    scales both profits by c.  It has the same cases, findings and verdict,
+    and its ratio ties the base's; a copy by c > 1 comes later in the
+    enumeration, so the ties resolve to the base.
 
     Folding the translates is sound because every check sees a translate by
     s steps as its base run after s idle steps:

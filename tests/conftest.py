@@ -5,6 +5,15 @@ from fractions import Fraction
 from bdsched import GridSpec, Instance, Packet, PSet, QueryEngine, enumerate_instances, model, opt_full
 from bdsched.offline import ROW
 
+#: label -> a value grid whose scaled copies fold: {1} ~ {2} ~ {4} and
+#: {1, 2} ~ {2, 4} in the first, the same ladder at ratio 3/2 in the
+#: second, and one value alone, with no copy, in the third.
+SCALED_VALUES = {
+    "1,2,4": (Fraction(1), Fraction(2), Fraction(4)),
+    "1,3/2,9/4": (Fraction(1), Fraction(3, 2), Fraction(9, 4)),
+    "2": (Fraction(2),),
+}
+
 
 def mk(*shapes) -> Instance:
     """Build an instance from (release, deadline, value) shapes; ids follow
@@ -69,12 +78,20 @@ def grid_bases(spec: GridSpec):
 def without_inert(inst: Instance) -> Instance:
     """`inst` less its inert packets, found by a rank comparison of its own:
     per release, every loop model.rank_key ranks after the release's best
-    loop and every edge it ranks after the release's best two edges."""
-    kept: set[int] = set()
+    loop, every edge it ranks after the release's best two edges, and the
+    best loop too when it ranks after both of those edges."""
+
+    def rank(p: Packet) -> tuple:
+        return model.rank_key(p, p.value)
+
     groups: dict[tuple[int, int], list[Packet]] = {}
     for p in inst.packets:
         groups.setdefault((p.release, p.deadline - p.release), []).append(p)
-    for (_release, offset), group in groups.items():
-        group.sort(key=lambda p: model.rank_key(p, p.value))
-        kept.update(p.id for p in group[: offset + 1])
+    best = {key: sorted(group, key=rank)[: key[1] + 1] for key, group in groups.items()}
+    kept: set[int] = set()
+    for (release, offset), group in best.items():
+        edges = best.get((release, 1), [])
+        if offset == 0 and len(edges) == 2 and rank(group[0]) > rank(edges[1]):
+            continue  # a loop ranked after two edges of its release
+        kept.update(p.id for p in group)
     return Instance(p for p in inst.packets if p.id in kept)

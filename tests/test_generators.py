@@ -23,7 +23,7 @@ from bdsched import (
     tight_family,
     validate_instance,
 )
-from conftest import clairvoyant, is_base, without_inert
+from conftest import SCALED_VALUES, clairvoyant, is_base, without_inert
 
 
 class TestEnumerate:
@@ -93,12 +93,22 @@ SMALL_GRIDS = [
     for values in ((Fraction(1),), (Fraction(1), Fraction(8, 5)))
 ]
 
+#: Grids whose scaled classes have several members with different twin
+#: counts ({1} ~ {2} ~ {4}, {1, 2} ~ {2, 4}), and a one-value grid.
+SCALED_GRIDS = [
+    pytest.param(GridSpec(horizon=2, max_packets=4, value_grid=values), id=f"h2k4-{label}")
+    for label, values in SCALED_VALUES.items()
+]
+
 
 def class_key(inst: Instance) -> tuple:
-    """The shapes of the irreducible base an instance folds to: shifted back
-    to a release at 0, less its inert packets."""
-    lo = min((p.release for p in inst.packets), default=0)
-    return tuple((p.release - lo, p.deadline - lo, p.value) for p in without_inert(inst).packets)
+    """The shapes of the checked base an instance folds to: shifted back
+    to a release at 0, less its inert packets, and its values divided by
+    the smallest, so that scaled copies share a key."""
+    reduced = without_inert(inst).packets
+    lo = min((p.release for p in reduced), default=0)
+    unit = min((p.value for p in reduced), default=1)
+    return tuple((p.release - lo, p.deadline - lo, p.value / unit) for p in reduced)
 
 
 def grid_id(spec: GridSpec) -> str:
@@ -106,28 +116,29 @@ def grid_id(spec: GridSpec) -> str:
 
 
 class TestBases:
-    @pytest.mark.parametrize("spec", SMALL_GRIDS, ids=grid_id)
+    @pytest.mark.parametrize("spec", [*SMALL_GRIDS, *SCALED_GRIDS], ids=grid_id)
     def test_count_matches_closed_form(self, spec):
         bases = list(enumerate_bases(spec))
         assert count_bases(spec) == len(bases)
         for _index, inst, _translates, _twins in bases:
             assert is_base(inst) and without_inert(inst) == inst
+        assert sum(twins * (1 + translates) for _, _, translates, twins in bases) == count_instances(spec)
 
     def test_closed_form_on_the_campaign_grids(self):
-        # (irreducible bases, bases) of the sweep's pair grids, the
-        # acceptance grid and the h=3 grids over the acceptance values
+        # (checked bases, bases) of the sweep's pair grids, the acceptance
+        # grid and the h=3 grids over the acceptance values
         pair = GridSpec(horizon=2, max_packets=4, value_grid=(Fraction(1), Fraction(8, 5)))
         acceptance = (Fraction(1), Fraction(5, 4), Fraction(8, 5), Fraction(2), Fraction(3))
         grids = [pair] + [GridSpec(h, k, acceptance) for h, k in ((2, 4), (3, 4), (3, 5))]
-        assert [count_bases(spec) for spec in grids] == [755, 21_125, 61_125, 450_625]
+        assert [count_bases(spec) for spec in grids] == [661, 18_829, 55_995, 413_723]
         for spec, bases in zip(grids, [1325, 35_750, 89_375, 897_127]):
             shifted_back = GridSpec(spec.horizon - 1, spec.max_packets, spec.value_grid)
             assert count_instances(spec) - count_instances(shifted_back) == bases
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("spec", SMALL_GRIDS[::3], ids=grid_id)
+    @pytest.mark.parametrize("spec", [*SMALL_GRIDS[::3], *SCALED_GRIDS], ids=grid_id)
     def test_base_shards_and_translates_are_the_grid(self, spec, workers):
-        # the irreducible bases, their twins and the twins' translates
+        # the checked bases, their copies' twins and the twins' translates
         # partition the grid, and each class's base is its lowest-indexed
         grid = list(enumerate_instances(spec))
         position = {inst.packets: i for i, inst in enumerate(grid)}

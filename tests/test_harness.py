@@ -67,7 +67,7 @@ from bdsched.harness import (
     summary_to_dict,
 )
 from bdsched.model import instance_to_dict
-from conftest import clairvoyant, grid_bases, mk, set_lane, without_inert
+from conftest import SCALED_VALUES, clairvoyant, grid_bases, mk, set_lane, without_inert
 from enumeration import OracleSizeError, brute_force_partial
 
 SMALL_GRID = GridSpec(horizon=1, max_packets=2, value_grid=(Fraction(1), Fraction(2)))
@@ -426,10 +426,10 @@ class TestTranslationInvariance:
 
 
 class TestInertInvariance:
-    """Dropping a base's inert packets, a loop ranked after another loop of
-    its release or an edge ranked after two edges of its release, changes
-    no case, ratio, finding kind or verdict: the premise of the fold of
-    twins in run_exhaustive."""
+    """Dropping a base's inert packets, a loop ranked after another loop or
+    after two edges of its release, or an edge ranked after two edges of
+    its release, changes no case, ratio, finding kind or verdict: the
+    premise of the fold of twins in run_exhaustive."""
 
     def test_dropping_inert_packets_changes_nothing(self):
         grids = [
@@ -454,8 +454,28 @@ class TestInertInvariance:
                 assert (got.ok, got.report.global_within_bound) == (want.ok, want.report.global_within_bound), inst
                 pairs += 1
         # every base of the pair-value grids with h <= 2, k <= 4 and of the
-        # acceptance grids with h = 1, k <= 4; 570 and 5,500 are reducible
-        assert (bases, pairs) == (1325 + 9625, 570 + 5500)
+        # acceptance grids with h = 1, k <= 4; 587 and 5,920 are reducible
+        assert (bases, pairs) == (1325 + 9625, 587 + 5920)
+
+
+class TestScaleInvariance:
+    """Multiplying every value of an instance by one c > 0 changes no case,
+    finding kind or verdict, and scales both profits by c: the premise of
+    the fold of scaled copies in run_exhaustive."""
+
+    def test_scaled_copies_change_nothing(self):
+        spec = GridSpec(horizon=1, max_packets=4, value_grid=SCALED_VALUES["1,2,4"])
+        pairs = 0
+        for inst in grid_bases(spec):
+            for c in (Fraction(3, 2), Fraction(7, 3)):
+                copy = Instance(dataclasses.replace(p, value=p.value * c) for p in inst.packets)
+                want, got = check_instance(inst, ALL_CHECKS), check_instance(copy, ALL_CHECKS)
+                assert got.cases == want.cases, inst
+                assert (got.report.v_opt, got.report.v_cp) == (want.report.v_opt * c, want.report.v_cp * c), inst
+                assert [f.kind for f in got.findings] == [f.kind for f in want.findings], inst
+                assert (got.ok, got.report.global_within_bound) == (want.ok, want.report.global_within_bound), inst
+                pairs += 1
+        assert pairs == 2 * 1610  # every base of the grid
 
 
 def full_scan_json(spec: GridSpec, config: CheckConfig) -> str:
@@ -471,19 +491,53 @@ PAIR_VALUES = (Fraction(1), Fraction(8, 5))
 
 
 def optimum_eight_fifths(inst: Instance, opt_sched: dict[int, int]) -> list[int]:
-    """The ids of the packets of value 8/5 that the optimum sends, by slot.
-    A fault that reads them reads what the run uses, so it survives both
-    folds: a translate sends the same packets later, and a twin's inert
-    packets are never sent."""
-    return [pid for _t, pid in sorted(opt_sched.items()) if inst.by_id(pid).value == Fraction(8, 5)]
+    """The ids of the packets the optimum sends, by slot, that are worth 8/5
+    of the smallest value it sends.  A fault that reads them reads what the
+    run uses, as ratios, so it survives every fold: a translate sends the
+    same packets later, a twin's inert packets are never sent, and a scaled
+    copy sends the same packets at scaled values."""
+    sent = [inst.by_id(pid) for _t, pid in sorted(opt_sched.items())]
+    unit = min((p.value for p in sent), default=0)
+    return [p.id for p in sent if p.value == Fraction(8, 5) * unit]
+
+
+class BrokenBound(IntervalReport):
+    """An interval report whose global bound reads broken."""
+
+    __slots__ = ()
+    global_within_bound = False
 
 
 def inject_shift_invariant_fault(monkeypatch) -> None:
-    """One forced-opt finding per packet of value 8/5 the optimum sends,
-    and a broken global bound whenever the policy earns 13/5."""
+    """One forced-opt finding per packet the optimum sends worth 8/5 of the
+    smallest value it sends, and a broken global bound whenever the policy
+    earns 13/5 of that smallest value."""
 
     def marked_forced(trace, report, opt_sched):
         marked = optimum_eight_fifths(trace.engine.inst, opt_sched)
+        return [Finding("forced-opt", f"marked {pid}", "-", "-") for pid in marked]
+
+    real_evaluate = harness_mod.evaluate
+
+    def evaluate(inst):
+        trace, opt_sched, report = real_evaluate(inst)
+        unit = min((inst.by_id(pid).value for pid in opt_sched.values()), default=0)
+        if report.v_cp == Fraction(13, 5) * unit > 0:
+            report.__class__ = BrokenBound
+        return trace, opt_sched, report
+
+    monkeypatch.setattr(harness_mod, "check_forced_opt", marked_forced)
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+
+
+def inject_absolute_fault(monkeypatch) -> None:
+    """One forced-opt finding per packet of value 8/5 the optimum sends,
+    and a broken global bound whenever the policy earns 13/5: absolute
+    values, which a scaled copy does not share."""
+
+    def marked_forced(trace, report, opt_sched):
+        inst = trace.engine.inst
+        marked = [pid for _t, pid in sorted(opt_sched.items()) if inst.by_id(pid).value == Fraction(8, 5)]
         return [Finding("forced-opt", f"marked {pid}", "-", "-") for pid in marked]
 
     real_bound = IntervalReport.global_within_bound.fget
@@ -518,10 +572,19 @@ class TestTranslationQuotient:
         assert report_to_json(folded) == full_scan_json(spec, CheckConfig(forced_opt=True))
 
     @pytest.mark.parametrize(
-        "horizon,max_packets,workers", quotient_cases(range(2), range(5)) + quotient_cases([2], range(3))
+        "horizon,max_packets,workers,values",
+        [
+            pytest.param(h, k, w, PAIR_VALUES, id=f"{h}-{k}-{w}")
+            for h, k, w in quotient_cases(range(2), range(5)) + quotient_cases([2], range(3))
+        ]
+        + [
+            pytest.param(2, 3, w, values, id=f"2-3-{w}-{label}")
+            for label, values in SCALED_VALUES.items()
+            for w in (1, 2, 3)
+        ],
     )
-    def test_all_checks_summary_equals_full_scan(self, horizon, max_packets, workers):
-        spec = GridSpec(horizon=horizon, max_packets=max_packets, value_grid=PAIR_VALUES)
+    def test_all_checks_summary_equals_full_scan(self, horizon, max_packets, workers, values):
+        spec = GridSpec(horizon=horizon, max_packets=max_packets, value_grid=values)
         folded = run_exhaustive(spec, ALL_CHECKS, workers=workers)
         assert report_to_json(folded) == full_scan_json(spec, ALL_CHECKS)
 
@@ -541,6 +604,18 @@ class TestTranslationQuotient:
         assert folded.summary.findings_by_kind["crash"] == folded.summary.violations > 0
         assert report_to_json(folded) == full_scan_json(spec, CheckConfig(forced_opt=True))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_absolute_fault_is_reported_by_fewer_copies(self, workers, monkeypatch):
+        # a fault that reads absolute values is not shared by a scaled copy:
+        # the folded campaign still reports it, but through the copies of
+        # the checked bases only, so with fewer violations than the full scan
+        inject_absolute_fault(monkeypatch)
+        spec = GridSpec(horizon=2, max_packets=3, value_grid=PAIR_VALUES)
+        folded = run_exhaustive(spec, CheckConfig(forced_opt=True), workers=workers).summary
+        full = harness_mod._scan(harness_mod._grid(spec, 1, 0), CheckConfig(forced_opt=True), keep_rows=False).summary
+        assert 0 < folded.violations < full.violations
+        assert folded.instances == full.instances
+
     def test_rows_campaign_checks_every_instance(self, monkeypatch):
         checked = []
         real_check = harness_mod.check_instance
@@ -558,8 +633,9 @@ class TestTranslationQuotient:
         checked.clear()
         run_exhaustive(spec)
         # 46 of the 90 instances have a packet released at 0; 3 of those
-        # hold two loops of one release, so 43 are irreducible
-        assert len(checked) == count_bases(spec) == 43 and count_instances(spec) == 90
+        # hold two loops of one release, and 12 others hold only the value
+        # 8/5, a scaled copy of a base of value 1, so 31 are checked
+        assert len(checked) == count_bases(spec) == 31 and count_instances(spec) == 90
 
 
 #: A grid of one instance, the empty one.
@@ -1000,11 +1076,11 @@ class TestCli:
         assert main(["exhaustive", "--horizon", "2", "--max-packets", "2", "--format", fmt]) == 0
         spec = GridSpec(horizon=2, max_packets=2, value_grid=ACCEPTANCE_VALUES)
         total, bases = count_instances(spec), count_bases(spec)
-        assert (total, bases) == (495, 250)
+        assert (total, bases) == (495, 164)
         checked = total if fmt == "csv" else bases
         assert capsys.readouterr().err.splitlines()[:2] == [
             f"estimated instances: {total}",
-            f"checked instances: {checked}   translates and inert twins folded in: {total - checked}",
+            f"checked instances: {checked}   translates, inert twins and scaled copies folded in: {total - checked}",
         ]
 
     def test_exhaustive_guard_requires_yes(self, capsys):
